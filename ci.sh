@@ -245,8 +245,8 @@ check_fastforward() {
 
 # Fast-forward speedup report (soft-fail): the perf-gate run already
 # timed BM_FastForwardSweep in both modes; require the event-driven
-# core to clear 2x the faithful core's sim_cycles/s on the
-# memory-latency-dominated cell. A miss prints a loud warning instead
+# core's median to clear 2x the faithful core's median sim_cycles/s on
+# the memory-latency-dominated cell. A miss prints a loud warning instead
 # of failing CI — wall-clock ratios on shared runners are advisory,
 # unlike the byte-identity gates above.
 check_fastforward_speedup() {
@@ -260,14 +260,14 @@ check_fastforward_speedup() {
     python3 - "$art/BENCH_simulator.json" <<'EOF' ||
 import json, sys
 
+sys.path.insert(0, "tools")
+from check_perf_regression import metrics
+
 with open(sys.argv[1]) as f:
-    doc = json.load(f)
-rates = {}
-for b in doc.get("benchmarks", []):
-    name = b.get("name", "")
-    if name.startswith("BM_FastForwardSweep/"):
-        rates[name.rsplit("/", 1)[1]] = float(b.get("sim_cycles/s", 0))
-on, off = rates.get("1", 0.0), rates.get("0", 0.0)
+    rates = metrics(json.load(f))
+def rate(name):
+    return rates.get(name, ("", 0.0))[1]
+on, off = rate("BM_FastForwardSweep/1"), rate("BM_FastForwardSweep/0")
 ratio = on / off if off else 0.0
 print("fast-forward speedup: %.1fx (on %.3g, off %.3g sim_cycles/s)"
       % (ratio, on, off))
@@ -277,9 +277,10 @@ EOF
 }
 
 # Perf-regression gate: benchmark the simulator (including the serial
-# vs all-cores parallel-sweep probe) and compare sim_cycles/s against
-# the checked-in baseline. Regressions beyond the threshold fail CI;
-# refresh the baseline with tools/check_perf_regression.py --update.
+# vs all-cores parallel-sweep probe) five times over and compare the
+# median sim_cycles/s against the checked-in baseline. Regressions
+# beyond the threshold fail CI; refresh the baseline with
+# tools/check_perf_regression.py --update.
 check_perf() {
     local dir=$1
     local art="$dir/artifacts"
@@ -288,7 +289,7 @@ check_perf() {
     "$dir/bench/perf_simulator" \
         --benchmark_out="$art/BENCH_simulator.json" \
         --benchmark_out_format=json \
-        --benchmark_min_time=0.1 > /dev/null
+        --benchmark_repetitions=5 > /dev/null
     if command -v python3 >/dev/null 2>&1; then
         python3 tools/check_perf_regression.py \
             bench/BENCH_simulator.json "$art/BENCH_simulator.json"

@@ -44,7 +44,7 @@ describeWarpState(const Warp &warp)
     // One line per (state, pc) subwarp, states in machine order.
     for (ThreadState s : {ThreadState::Active, ThreadState::Ready,
                           ThreadState::Blocked, ThreadState::Stalled}) {
-        const ThreadMask lanes = warp.lanesInState(s) & warp.live();
+        const ThreadMask lanes = warp.lanesInState(s);
         if (lanes.empty())
             continue;
         std::map<std::uint32_t, ThreadMask> by_pc;
@@ -101,18 +101,6 @@ auditWarpInvariants(const Warp &warp, const PendingWbCounts &pending)
 {
     const ThreadMask live = warp.live();
 
-    // State partition over the live mask.
-    for (unsigned lane = 0; lane < warpSize; ++lane) {
-        const bool is_live = live.test(lane);
-        const bool inactive = warp.state(lane) == ThreadState::Inactive;
-        if (is_live && inactive)
-            return fmt("live lane %u is INACTIVE", lane);
-        if (!is_live && !inactive) {
-            return fmt("dead lane %u is %s", lane,
-                       stateName(warp.state(lane)));
-        }
-    }
-
     // The ACTIVE subwarp must be PC-aligned.
     const ThreadMask active = warp.activeMask();
     if (active.any()) {
@@ -127,8 +115,7 @@ auditWarpInvariants(const Warp &warp, const PendingWbCounts &pending)
 
     // Barrier coverage: a BLOCKED lane must be registered in the
     // barrier it waits on, or reconvergence can never release it.
-    for (unsigned lane : lanesOf(warp.lanesInState(ThreadState::Blocked) &
-                                 live)) {
+    for (unsigned lane : lanesOf(warp.lanesInState(ThreadState::Blocked))) {
         const BarIndex b = warp.blockedOn(lane);
         if (b == barNone || b >= Warp::numBarriers)
             return fmt("BLOCKED lane %u waits on no barrier", lane);
@@ -156,8 +143,7 @@ auditWarpInvariants(const Warp &warp, const PendingWbCounts &pending)
     }
 
     // TST hygiene.
-    const ThreadMask stalled =
-        warp.lanesInState(ThreadState::Stalled) & live;
+    const ThreadMask stalled = warp.lanesInState(ThreadState::Stalled);
     ThreadMask covered;
     for (std::size_t i = 0; i < warp.tst().size(); ++i) {
         const TstEntry &e = warp.tst()[i];

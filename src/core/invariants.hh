@@ -35,8 +35,8 @@ using PendingWbCounts =
 std::string describeWarpState(const Warp &warp);
 
 /**
- * Audit one warp's invariants:
- *  - state partition: dead lanes INACTIVE, live lanes not INACTIVE;
+ * Audit one warp's invariants (the state partition itself — dead lanes
+ * INACTIVE, live lanes not — holds by construction, see Warp):
  *  - the ACTIVE subwarp shares a single PC;
  *  - BLOCKED lanes are registered participants of the barrier they
  *    block on (mask coverage at reconvergence);

@@ -289,7 +289,8 @@ SmStats::restore(SnapshotReader &r)
     warpCyclesSubwarpFull = r.u64();
     warpCyclesSubwarpPartial = r.u64();
     warpCyclesSubwarpNone = r.u64();
-    regions.resize(r.u64());
+    regions.resize(
+        r.count(sizeof(std::uint64_t) * (3 + numStallReasons)));
     for (RegionCounters &rc : regions) {
         rc.warpCycles = r.u64();
         rc.instrsIssued = r.u64();
@@ -365,9 +366,8 @@ Sm::done() const
 void
 Sm::drainWritebacks(Cycle now)
 {
-    while (!events_.empty() && events_.begin()->first <= now) {
-        const Writeback wb = events_.begin()->second;
-        events_.erase(events_.begin());
+    while (!events_.empty() && events_.front().when <= now) {
+        const Writeback wb = popWriteback();
         tickDirty_ = true;
         Warp &w = *warps_[wb.warpIdx];
         w.scoreboards().decr(wb.mask, wb.sb);
@@ -446,7 +446,7 @@ Sm::evalWarp(unsigned warp_idx, Cycle now)
         return WarpStatus::Done;
 
     if (w.activeMask().empty()) {
-        if (!w.readySubwarps().empty()) {
+        if (w.lanesInState(ThreadState::Ready).any()) {
             if (now >= w.issueReadyAt) {
                 tickDirty_ = true;
                 unit_.select(w, now);
@@ -537,7 +537,18 @@ void
 Sm::pushWriteback(Cycle when, unsigned warp_idx, ThreadMask mask,
                   SbIndex sb, WbPort port)
 {
-    events_.emplace(when, Writeback{warp_idx, mask, sb, port});
+    events_.push_back(
+        Writeback{when, nextWbSeq_++, warp_idx, mask, sb, port});
+    std::push_heap(events_.begin(), events_.end(), Writeback::later);
+}
+
+Sm::Writeback
+Sm::popWriteback()
+{
+    std::pop_heap(events_.begin(), events_.end(), Writeback::later);
+    const Writeback wb = events_.back();
+    events_.pop_back();
+    return wb;
 }
 
 RegionCounters &
@@ -1238,7 +1249,7 @@ Sm::tick(Cycle now)
                     if (statusScratch_[wi] != WarpStatus::ScoreboardStall)
                         continue;
                     Warp &w = *warps_[wi];
-                    if (w.readySubwarps().empty())
+                    if (w.lanesInState(ThreadState::Ready).empty())
                         continue;
                     const Instr &in = w.program().at(w.activePc());
                     if (unit_.subwarpStall(w, in.reqSbMask, now)) {
@@ -1272,7 +1283,7 @@ Sm::tick(Cycle now)
     // subwarp select, successful stall demotion).
     lastTickQuiet_ = issued_total == 0 && !tickDirty_;
     const Cycle next_event =
-        events_.empty() ? invalidCycle : events_.begin()->first;
+        events_.empty() ? invalidCycle : events_.front().when;
     nextEventAt_ = std::min(next_wake, next_event);
     ffAnyLive_ = any_live;
     ffMemStalled_ = mem_stalled_warps;
@@ -1378,7 +1389,7 @@ Sm::auditInvariants() const
         if (w.done())
             continue;
         PendingWbCounts pending{};
-        for (const auto &[when, wb] : events_) {
+        for (const Writeback &wb : events_) {
             if (wb.warpIdx != wi)
                 continue;
             for (unsigned lane : lanesOf(wb.mask))
@@ -1415,14 +1426,12 @@ Sm::dropPendingWriteback()
 {
     if (events_.empty())
         return "";
-    const auto it = events_.begin();
-    const Writeback &wb = it->second;
+    const Writeback wb = popWriteback();
     char buf[96];
     std::snprintf(buf, sizeof(buf),
                   "sm%u warp %u sb%u mask=0x%08x due cycle %llu", id_,
                   warps_[wb.warpIdx]->id(), wb.sb, wb.mask.raw(),
-                  static_cast<unsigned long long>(it->first));
-    events_.erase(it);
+                  static_cast<unsigned long long>(wb.when));
     return buf;
 }
 
@@ -1497,12 +1506,17 @@ Sm::save(SnapshotWriter &w) const
         w.u32(std::uint32_t(pb.gtoCurrent));
     }
 
-    // The writeback queue serializes in multimap iteration order, which
-    // is insertion order within equal keys — exactly what drain order
-    // depends on, so a restored queue drains identically.
-    w.u64(events_.size());
-    for (const auto &[when, wb] : events_) {
-        w.u64(when);
+    // The writeback queue serializes in drain order — due cycle, then
+    // insertion order within a cycle — so a restored queue drains
+    // identically.
+    std::vector<Writeback> queue = events_;
+    std::sort(queue.begin(), queue.end(),
+              [](const Writeback &a, const Writeback &b) {
+                  return Writeback::later(b, a);
+              });
+    w.u64(queue.size());
+    for (const Writeback &wb : queue) {
+        w.u64(wb.when);
         w.u32(wb.warpIdx);
         w.u32(wb.mask.raw());
         w.u8(wb.sb);
@@ -1538,10 +1552,18 @@ Sm::restore(SnapshotReader &r)
     for (auto &warp : warps_)
         warp->restore(r);
 
+    auto warp_index = [&](const char *what) {
+        const unsigned idx = r.u32();
+        sim_throw_if(idx >= warps_.size(), ErrorKind::Snapshot,
+                     "sm %u: %s warp index %u out of range (%zu warps)",
+                     id_, what, idx, warps_.size());
+        return idx;
+    };
+
     pendingAdmission_.clear();
-    const std::uint64_t num_pending = r.u64();
-    for (std::uint64_t i = 0; i < num_pending; ++i)
-        pendingAdmission_.push_back(r.u32());
+    const std::size_t num_pending = r.count(4);
+    for (std::size_t i = 0; i < num_pending; ++i)
+        pendingAdmission_.push_back(warp_index("pending-admission"));
 
     const std::uint64_t num_pbs = r.u64();
     sim_throw_if(num_pbs != pbs_.size(), ErrorKind::Snapshot,
@@ -1552,25 +1574,33 @@ Sm::restore(SnapshotReader &r)
     for (ProcessingBlock &pb : pbs_) {
         r.tag(SnapTag::Pb);
         pb.l0i.restore(r);
-        pb.resident.resize(r.u64());
+        pb.resident.resize(r.count(4));
         for (unsigned &idx : pb.resident)
-            idx = r.u32();
+            idx = warp_index("resident");
         pb.regsInUse = r.u32();
         pb.lrrCursor = r.u32();
         pb.gtoCurrent = int(std::int32_t(r.u32()));
     }
 
-    events_.clear();
-    const std::uint64_t num_events = r.u64();
-    for (std::uint64_t i = 0; i < num_events; ++i) {
-        const Cycle when = r.u64();
-        Writeback wb;
-        wb.warpIdx = r.u32();
+    // Saved in drain order, so renumbering in that order keeps it.
+    events_.resize(r.count(8 + 4 + 4 + 1 + 1));
+    for (std::size_t i = 0; i < events_.size(); ++i) {
+        Writeback &wb = events_[i];
+        wb.when = r.u64();
+        wb.seq = i;
+        wb.warpIdx = warp_index("writeback");
         wb.mask = ThreadMask(r.u32());
         wb.sb = r.u8();
-        wb.port = WbPort(r.u8());
-        events_.emplace_hint(events_.end(), when, wb);
+        sim_throw_if(wb.sb >= ScoreboardFile::numSb, ErrorKind::Snapshot,
+                     "sm %u: writeback names invalid scoreboard %u", id_,
+                     wb.sb);
+        const std::uint8_t port = r.u8();
+        sim_throw_if(port > std::uint8_t(WbPort::Tex), ErrorKind::Snapshot,
+                     "sm %u: writeback names invalid port %u", id_, port);
+        wb.port = WbPort(port);
     }
+    std::make_heap(events_.begin(), events_.end(), Writeback::later);
+    nextWbSeq_ = events_.size();
 
     const std::uint64_t num_mshrs = r.u64();
     sim_throw_if(num_mshrs != mshrFreeAt_.size(), ErrorKind::Snapshot,

@@ -12,7 +12,6 @@
 
 #include <array>
 #include <deque>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -298,10 +297,19 @@ class Sm
     /** Pending writeback: a scoreboard release at a future cycle. */
     struct Writeback
     {
+        Cycle when;        ///< cycle the release lands
+        std::uint64_t seq; ///< push order; breaks ties within a cycle
         unsigned warpIdx;
         ThreadMask mask;
         SbIndex sb;
         WbPort port;
+
+        /** Heap order: true when @p a drains after @p b. */
+        static bool
+        later(const Writeback &a, const Writeback &b)
+        {
+            return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+        }
     };
 
     void drainWritebacks(Cycle now);
@@ -320,6 +328,9 @@ class Sm
     /** Schedule a writeback event. */
     void pushWriteback(Cycle when, unsigned warp_idx, ThreadMask mask,
                        SbIndex sb, WbPort port);
+
+    /** Remove and return the earliest pending writeback (non-empty). */
+    Writeback popWriteback();
 
     /**
      * Completion time of an L1D miss issued at @p now, honoring the
@@ -357,7 +368,9 @@ class Sm
     std::vector<std::unique_ptr<Warp>> warps_;
     std::deque<unsigned> pendingAdmission_;
     std::vector<ProcessingBlock> pbs_;
-    std::multimap<Cycle, Writeback> events_;
+    /** Writeback queue: a binary min-heap under Writeback::later. */
+    std::vector<Writeback> events_;
+    std::uint64_t nextWbSeq_ = 0;
 
     unsigned maxResidentPerPb_ = 0;
 

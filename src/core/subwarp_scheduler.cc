@@ -1,10 +1,29 @@
 #include "core/subwarp_scheduler.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 #include "common/sim_error.hh"
 #include "race/hooks.hh"
 
 namespace si {
+
+namespace {
+
+/** True when every lane of @p m is BLOCKED on barrier @p bar. */
+bool
+allBlockedOn(const Warp &warp, ThreadMask m, BarIndex bar)
+{
+    if (!m.subsetOf(warp.lanesInState(ThreadState::Blocked)))
+        return false;
+    for (unsigned lane : lanesOf(m)) {
+        if (warp.blockedOn(lane) != bar)
+            return false;
+    }
+    return true;
+}
+
+} // namespace
 
 SubwarpUnit::SubwarpUnit(const GpuConfig &config, std::uint64_t rng_seed,
                          unsigned sm_id)
@@ -49,10 +68,9 @@ SubwarpUnit::diverge(Warp &warp, ThreadMask taken, std::uint32_t taken_pc,
 
     for (unsigned lane : lanesOf(keep))
         warp.setPc(lane, keep_pc);
-    for (unsigned lane : lanesOf(demote)) {
+    for (unsigned lane : lanesOf(demote))
         warp.setPc(lane, demote_pc);
-        warp.setState(lane, ThreadState::Ready);
-    }
+    warp.setState(demote, ThreadState::Ready);
     ++stats_.divergentBranches;
     SI_TRACE_EVENT(config_.traceSink,
                    makeEvent(warp, TraceEventKind::SubwarpDiverge, now,
@@ -70,26 +88,14 @@ SubwarpUnit::arriveBsync(Warp &warp, BarIndex bar, std::uint32_t sync_pc,
     // Successful BSYNC: every other participant is blocked *on this
     // barrier* (or dead). A thread blocked on a different barrier has
     // not arrived here.
-    bool all_arrived = true;
-    for (unsigned lane : lanesOf(others)) {
-        if (warp.state(lane) != ThreadState::Blocked ||
-            warp.blockedOn(lane) != bar) {
-            all_arrived = false;
-            break;
-        }
-    }
-
-    if (all_arrived) {
-        for (unsigned lane : lanesOf(participants)) {
-            warp.setState(lane, ThreadState::Active);
+    if (allBlockedOn(warp, others, bar)) {
+        warp.setState(participants, ThreadState::Active);
+        for (unsigned lane : lanesOf(participants))
             warp.setBlockedOn(lane, barNone);
-            warp.setPc(lane, sync_pc + 1);
-        }
         // Lanes that executed this BSYNC without having registered in
         // the barrier (legal for degenerate codegen) also continue.
-        for (unsigned lane : lanesOf(active - participants)) {
+        for (unsigned lane : lanesOf(participants | active))
             warp.setPc(lane, sync_pc + 1);
-        }
         warp.setBarrier(bar, ThreadMask());
         ++stats_.reconvergences;
         // Reconvergence is a happens-before edge for the race
@@ -107,10 +113,9 @@ SubwarpUnit::arriveBsync(Warp &warp, BarIndex bar, std::uint32_t sync_pc,
     }
 
     // Unsuccessful BSYNC: block and hand the slot to a READY subwarp.
-    for (unsigned lane : lanesOf(active)) {
-        warp.setState(lane, ThreadState::Blocked);
+    warp.setState(active, ThreadState::Blocked);
+    for (unsigned lane : lanesOf(active))
         warp.setBlockedOn(lane, bar);
-    }
     SI_TRACE_EVENT(config_.traceSink,
                    makeEvent(warp, TraceEventKind::SubwarpBlock, now,
                              sync_pc, active.raw(), 0, bar));
@@ -127,8 +132,8 @@ SubwarpUnit::releaseBarrier(Warp &warp, BarIndex bar,
     // happens-before predecessor of the lanes released below.
     const ThreadMask all_participants = warp.barrier(bar);
     const ThreadMask blocked = all_participants & warp.live();
+    warp.setState(blocked, ThreadState::Active);
     for (unsigned lane : lanesOf(blocked)) {
-        warp.setState(lane, ThreadState::Active);
         warp.setBlockedOn(lane, barNone);
         warp.setPc(lane, warp.pc(lane) + 1);
     }
@@ -146,10 +151,7 @@ SubwarpUnit::releaseBarrier(Warp &warp, BarIndex bar,
 void
 SubwarpUnit::exitLanes(Warp &warp, ThreadMask kill, Cycle now)
 {
-    const ThreadMask exiting = kill & warp.activeMask();
-    for (unsigned lane : lanesOf(exiting))
-        warp.setState(lane, ThreadState::Inactive);
-    warp.killLanes(exiting);
+    warp.killLanes(kill & warp.activeMask());
 
     if (warp.done())
         return;
@@ -158,17 +160,7 @@ SubwarpUnit::exitLanes(Warp &warp, ThreadMask kill, Cycle now)
     // be completed by an arriving subwarp — release it now.
     for (BarIndex b = 0; b < Warp::numBarriers; ++b) {
         const ThreadMask parts = warp.barrier(b) & warp.live();
-        if (parts.empty())
-            continue;
-        bool all_blocked = true;
-        for (unsigned lane : lanesOf(parts)) {
-            if (warp.state(lane) != ThreadState::Blocked ||
-                warp.blockedOn(lane) != b) {
-                all_blocked = false;
-                break;
-            }
-        }
-        if (all_blocked)
+        if (parts.any() && allBlockedOn(warp, parts, b))
             releaseBarrier(warp, b, now);
     }
 
@@ -185,7 +177,7 @@ SubwarpUnit::subwarpStall(Warp &warp, std::uint8_t req_mask, Cycle now)
     const ThreadMask active = warp.activeMask();
     sim_throw_if(active.empty(), ErrorKind::Internal,
                  "subwarp-stall with no active subwarp");
-    if (warp.readySubwarps().empty())
+    if (warp.lanesInState(ThreadState::Ready).empty())
         return false;
 
     // Binning limit: a demotion needs a free TST entry.
@@ -218,8 +210,7 @@ SubwarpUnit::subwarpStall(Warp &warp, std::uint8_t req_mask, Cycle now)
     sim_throw_if(entry->sbId == sbNone, ErrorKind::Internal,
                  "subwarp-stall but no scoreboard is blocking");
 
-    for (unsigned lane : lanesOf(active))
-        warp.setState(lane, ThreadState::Stalled);
+    warp.setState(active, ThreadState::Stalled);
     ++stats_.subwarpStalls;
     SI_TRACE_EVENT(config_.traceSink,
                    makeEvent(warp, TraceEventKind::SubwarpStall, now,
@@ -242,18 +233,11 @@ SubwarpUnit::subwarpYield(Warp &warp, Cycle now)
     // Yield is only profitable when a *different* subwarp can take over;
     // otherwise selection would fall straight back to us (paper III-B).
     const std::uint32_t yielded_pc = warp.activePc();
-    bool have_other = false;
-    for (const auto &g : warp.readySubwarps()) {
-        if (g.first != yielded_pc) {
-            have_other = true;
-            break;
-        }
-    }
-    if (!have_other)
+    const ThreadMask ready = warp.lanesInState(ThreadState::Ready);
+    if (warp.lanesAtPc(ready, yielded_pc) == ready)
         return false;
 
-    for (unsigned lane : lanesOf(active))
-        warp.setState(lane, ThreadState::Ready);
+    warp.setState(active, ThreadState::Ready);
     ++stats_.subwarpYields;
     SI_TRACE_EVENT(config_.traceSink,
                    makeEvent(warp, TraceEventKind::SubwarpYield, now,
@@ -261,8 +245,7 @@ SubwarpUnit::subwarpYield(Warp &warp, Cycle now)
 
     if (!select(warp, now, yielded_pc)) {
         // Unreachable given the pre-check, but keep the warp runnable.
-        for (unsigned lane : lanesOf(active))
-            warp.setState(lane, ThreadState::Active);
+        warp.setState(active, ThreadState::Active);
         return false;
     }
     return true;
@@ -282,10 +265,9 @@ SubwarpUnit::wakeup(Warp &warp, SbIndex sb, [[maybe_unused]] Cycle now)
         // because writebacks are broadcast exactly once per decrement.
         if (sbf.ready(entry.members & warp.live(),
                       std::uint8_t(1u << entry.sbId))) {
-            for (unsigned lane : lanesOf(entry.members & warp.live())) {
-                if (warp.state(lane) == ThreadState::Stalled)
-                    warp.setState(lane, ThreadState::Ready);
-            }
+            warp.setState(entry.members &
+                              warp.lanesInState(ThreadState::Stalled),
+                          ThreadState::Ready);
             entry.valid = false;
             ++stats_.subwarpWakeups;
             SI_TRACE_EVENT(config_.traceSink,
@@ -303,44 +285,40 @@ SubwarpUnit::select(Warp &warp, Cycle now, std::uint32_t avoid_pc)
     if (warp.activeMask().any())
         return false;
 
-    auto groups = warp.readySubwarps();
-    if (groups.empty())
+    const ThreadMask ready = warp.lanesInState(ThreadState::Ready);
+    if (ready.empty())
         return false;
 
-    // Round-robin across PCs: first group with pc > cursor, else the
-    // lowest-pc group; groups at avoid_pc are skipped unless they are
-    // the only choice.
-    auto eligible = [&](const auto &g) { return g.first != avoid_pc; };
-
-    const std::pair<std::uint32_t, ThreadMask> *chosen = nullptr;
-    for (const auto &g : groups) {
-        if (g.first > warp.selectCursor && eligible(g)) {
-            chosen = &g;
-            break;
-        }
+    // Round-robin across PCs: the lowest READY pc above the cursor,
+    // else the lowest READY pc; pcs equal to avoid_pc are skipped
+    // unless they are the only choice. PCs index the program, so the
+    // all-ones sentinel never names a real subwarp.
+    constexpr std::uint32_t noPc = 0xffffffffu;
+    std::uint32_t next_pc = noPc, eligible_pc = noPc, lowest_pc = noPc;
+    for (unsigned lane : lanesOf(ready)) {
+        const std::uint32_t p = warp.pc(lane);
+        lowest_pc = std::min(lowest_pc, p);
+        if (p == avoid_pc)
+            continue;
+        eligible_pc = std::min(eligible_pc, p);
+        if (p > warp.selectCursor)
+            next_pc = std::min(next_pc, p);
     }
-    if (!chosen) {
-        for (const auto &g : groups) {
-            if (eligible(g)) {
-                chosen = &g;
-                break;
-            }
-        }
-    }
-    if (!chosen)
-        chosen = &groups.front();
+    const std::uint32_t pc = next_pc != noPc       ? next_pc
+                             : eligible_pc != noPc ? eligible_pc
+                                                   : lowest_pc;
+    const ThreadMask chosen = warp.lanesAtPc(ready, pc);
 
-    for (unsigned lane : lanesOf(chosen->second))
-        warp.setState(lane, ThreadState::Active);
-    warp.selectCursor = chosen->first;
+    warp.setState(chosen, ThreadState::Active);
+    warp.selectCursor = pc;
     warp.longOpsSinceSwitch = 0;
     warp.issueReadyAt = std::max(warp.issueReadyAt,
                                  now + config_.switchLatency);
     warp.inFetchStall = false;
     ++stats_.subwarpSelects;
     SI_TRACE_EVENT(config_.traceSink,
-                   makeEvent(warp, TraceEventKind::SubwarpSelect, now,
-                             chosen->first, chosen->second.raw()));
+                   makeEvent(warp, TraceEventKind::SubwarpSelect, now, pc,
+                             chosen.raw()));
     return true;
 }
 

@@ -1,7 +1,5 @@
 #include "core/warp.hh"
 
-#include <algorithm>
-
 #include "common/log.hh"
 #include "common/sim_error.hh"
 
@@ -19,44 +17,29 @@ Warp::Warp(unsigned id, unsigned pb, const Program *program,
 
     regs_.assign(std::size_t(program->numRegs()) * warpSize, 0);
     blockedOn_.fill(barNone);
-    live_ = ThreadMask::firstN(num_threads);
-    for (unsigned lane = 0; lane < warpSize; ++lane) {
-        state_[lane] = live_.test(lane) ? ThreadState::Active
-                                        : ThreadState::Inactive;
-        pc_[lane] = 0;
-    }
+    const ThreadMask launched = ThreadMask::firstN(num_threads);
+    lanes_[std::size_t(ThreadState::Active)] = launched;
+    lanes_[std::size_t(ThreadState::Inactive)] = ThreadMask::full() - launched;
+}
+
+ThreadState
+Warp::state(unsigned lane) const
+{
+    unsigned s = 0;
+    while (!lanes_[s].test(lane))
+        ++s;
+    return ThreadState(s);
 }
 
 ThreadMask
-Warp::lanesInState(ThreadState s) const
+Warp::lanesAtPc(ThreadMask m, std::uint32_t pc) const
 {
-    ThreadMask m;
-    for (unsigned lane : lanesOf(live_)) {
-        if (state_[lane] == s)
-            m.set(lane);
+    ThreadMask out;
+    for (unsigned lane : lanesOf(m)) {
+        if (pc_[lane] == pc)
+            out.set(lane);
     }
-    return m;
-}
-
-std::vector<std::pair<std::uint32_t, ThreadMask>>
-Warp::readySubwarps() const
-{
-    std::vector<std::pair<std::uint32_t, ThreadMask>> groups;
-    ThreadMask ready = lanesInState(ThreadState::Ready);
-    for (unsigned lane : lanesOf(ready)) {
-        const std::uint32_t lane_pc = pc_[lane];
-        auto it = std::find_if(groups.begin(), groups.end(),
-                               [&](const auto &g) {
-                                   return g.first == lane_pc;
-                               });
-        if (it == groups.end())
-            groups.emplace_back(lane_pc, ThreadMask::lane(lane));
-        else
-            it->second.set(lane);
-    }
-    std::sort(groups.begin(), groups.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
-    return groups;
+    return out;
 }
 
 unsigned
@@ -82,11 +65,11 @@ Warp::save(SnapshotWriter &w) const
         w.u32(v);
     for (std::uint8_t p : preds_)
         w.u8(p);
-    for (ThreadState s : state_)
-        w.u8(std::uint8_t(s));
+    for (unsigned lane = 0; lane < warpSize; ++lane)
+        w.u8(std::uint8_t(state(lane)));
     for (std::uint32_t pc : pc_)
         w.u32(pc);
-    w.u32(live_.raw());
+    w.u32(live().raw());
     for (ThreadMask b : barriers_)
         w.u32(b.raw());
     for (BarIndex b : blockedOn_)
@@ -137,18 +120,32 @@ Warp::restore(SnapshotReader &r)
         v = r.u32();
     for (std::uint8_t &p : preds_)
         p = r.u8();
-    for (ThreadState &s : state_)
-        s = ThreadState(r.u8());
+    lanes_ = {};
+    for (unsigned lane = 0; lane < warpSize; ++lane) {
+        const std::uint8_t s = r.u8();
+        sim_throw_if(s >= numThreadStates, ErrorKind::Snapshot,
+                     "warp %u: lane %u has invalid thread state %u", id_,
+                     lane, s);
+        lanes_[s].set(lane);
+    }
     for (std::uint32_t &pc : pc_)
         pc = r.u32();
-    live_ = ThreadMask(r.u32());
+    const std::uint32_t live_word = r.u32();
+    sim_throw_if(live_word != live().raw(), ErrorKind::Snapshot,
+                 "warp %u: live mask %08x disagrees with the lanes not "
+                 "INACTIVE (%08x)",
+                 id_, live_word, live().raw());
     for (ThreadMask &b : barriers_)
         b = ThreadMask(r.u32());
-    for (BarIndex &b : blockedOn_)
+    for (BarIndex &b : blockedOn_) {
         b = r.u8();
+        sim_throw_if(b != barNone && b >= numBarriers, ErrorKind::Snapshot,
+                     "warp %u: lane blocked on invalid barrier %u", id_, b);
+    }
     sb_.restore(r);
 
-    tst_.resize(r.u64());
+    // valid, members, pc, sbId, sbCount
+    tst_.resize(r.count(1 + 4 + 4 + 1 + 1));
     for (TstEntry &e : tst_) {
         e.valid = r.b();
         e.members = ThreadMask(r.u32());

@@ -31,6 +31,9 @@ enum class ThreadState : std::uint8_t {
     Stalled,  ///< SI: demoted on a load-to-use stall, awaiting wakeup
 };
 
+inline constexpr unsigned numThreadStates =
+    unsigned(ThreadState::Stalled) + 1;
+
 /** One thread status table entry (Figure 8a): a tracked stalled subwarp. */
 struct TstEntry
 {
@@ -103,19 +106,43 @@ class Warp
     }
 
     // ---- thread status (Figure 7 state machine data) ----
+    //
+    // Stored as one lane mask per ThreadState; the five masks partition
+    // the 32 lanes, so every "which lanes are in state s" query is a
+    // single load and every transition is one mask move.
 
-    ThreadState state(unsigned lane) const { return state_[lane]; }
-    void setState(unsigned lane, ThreadState s) { state_[lane] = s; }
+    /** State of one lane (derived from the masks). */
+    ThreadState state(unsigned lane) const;
+
+    /** Move every lane in @p m to state @p s. */
+    void
+    setState(ThreadMask m, ThreadState s)
+    {
+        for (ThreadMask &lanes : lanes_)
+            lanes -= m;
+        lanes_[std::size_t(s)] |= m;
+    }
 
     std::uint32_t pc(unsigned lane) const { return pc_[lane]; }
     void setPc(unsigned lane, std::uint32_t pc) { pc_[lane] = pc; }
 
-    /** Lanes not yet exited. */
-    ThreadMask live() const { return live_; }
-    void killLanes(ThreadMask m) { live_ -= m; }
+    /** Lanes not yet exited: everything outside the INACTIVE mask. */
+    ThreadMask
+    live() const
+    {
+        return ThreadMask::full() -
+               lanes_[std::size_t(ThreadState::Inactive)];
+    }
+
+    /** Exit the lanes in @p m (they become INACTIVE). */
+    void killLanes(ThreadMask m) { setState(m, ThreadState::Inactive); }
 
     /** Lanes currently in a given state. */
-    ThreadMask lanesInState(ThreadState s) const;
+    ThreadMask
+    lanesInState(ThreadState s) const
+    {
+        return lanes_[std::size_t(s)];
+    }
 
     /** The currently executing subwarp (lanes in Active). */
     ThreadMask activeMask() const { return lanesInState(ThreadState::Active); }
@@ -129,13 +156,10 @@ class Warp
     }
 
     /** True when every lane has exited. */
-    bool done() const { return live_.empty(); }
+    bool done() const { return live().empty(); }
 
-    /**
-     * Distinct READY subwarps, grouped by PC, in ascending-PC order.
-     * Each element is (pc, lanes).
-     */
-    std::vector<std::pair<std::uint32_t, ThreadMask>> readySubwarps() const;
+    /** The lanes of @p m whose PC is @p pc. */
+    ThreadMask lanesAtPc(ThreadMask m, std::uint32_t pc) const;
 
     // ---- convergence barriers ----
     ThreadMask barrier(BarIndex b) const { return barriers_[b]; }
@@ -243,9 +267,8 @@ class Warp
 
     std::vector<std::uint32_t> regs_; ///< numRegs x 32, register-major
     std::array<std::uint8_t, warpSize> preds_{};
-    std::array<ThreadState, warpSize> state_{};
+    std::array<ThreadMask, numThreadStates> lanes_{}; ///< by ThreadState
     std::array<std::uint32_t, warpSize> pc_{};
-    ThreadMask live_;
     std::array<ThreadMask, numBarriers> barriers_{};
     std::array<BarIndex, warpSize> blockedOn_{};
     ScoreboardFile sb_;

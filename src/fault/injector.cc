@@ -128,9 +128,8 @@ FaultInjector::tryBarrierMask(Gpu &gpu, Cycle now)
             const Warp &warp = sm.warpAt(w);
             if (warp.done())
                 continue;
-            const ThreadMask blocked =
-                warp.lanesInState(ThreadState::Blocked) & warp.live();
-            for (unsigned lane : lanesOf(blocked)) {
+            for (unsigned lane :
+                 lanesOf(warp.lanesInState(ThreadState::Blocked))) {
                 const BarIndex b = warp.blockedOn(lane);
                 if (b != barNone && warp.barrier(b).test(lane))
                     victims.push_back({s, unsigned(w), lane, b});

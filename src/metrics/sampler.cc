@@ -26,6 +26,15 @@ ratio(std::uint64_t num, std::uint64_t den)
     return den ? double(num) / double(den) : 0.0;
 }
 
+/** Payload bytes of the smallest saved SmStats (no regions). */
+std::size_t
+minStatsBytes()
+{
+    SnapshotWriter w;
+    SmStats().save(w);
+    return w.payloadSize();
+}
+
 } // namespace
 
 SmStats
@@ -199,12 +208,14 @@ MetricsSampler::restore(SnapshotReader &r)
     cap_ = std::size_t(r.u64());
     lastSampleCycle_ = r.u64();
     warpSlotsPerSm_ = r.u32();
+    // prev + dropped + ring count; start + end + delta per window.
+    const std::size_t stats_bytes = minStatsBytes();
     sms_.clear();
-    sms_.resize(std::size_t(r.u64()));
+    sms_.resize(r.count(stats_bytes + 8 + 8));
     for (PerSm &ps : sms_) {
         ps.prev.restore(r);
         ps.dropped = r.u64();
-        ps.ring.resize(std::size_t(r.u64()));
+        ps.ring.resize(r.count(8 + 8 + stats_bytes));
         for (MetricsWindow &win : ps.ring) {
             win.start = r.u64();
             win.end = r.u64();

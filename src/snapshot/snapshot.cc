@@ -138,6 +138,19 @@ SnapshotReader::str()
     return s;
 }
 
+std::size_t
+SnapshotReader::count(std::size_t min_bytes_each)
+{
+    const std::size_t at = pos_;
+    const std::uint64_t n = u64();
+    sim_throw_if(n > remaining() / min_bytes_each, ErrorKind::Snapshot,
+                 "snapshot count %llu at payload offset %zu needs at "
+                 "least %zu bytes each but only %zu remain",
+                 static_cast<unsigned long long>(n), at, min_bytes_each,
+                 remaining());
+    return std::size_t(n);
+}
+
 void
 SnapshotReader::tag(SnapTag expected)
 {

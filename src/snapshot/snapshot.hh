@@ -149,6 +149,14 @@ class SnapshotReader
     bool b() { return u8() != 0; }
     std::string str();
 
+    /**
+     * Read an element count for a container the caller is about to
+     * size, each element taking at least @p min_bytes_each payload
+     * bytes. Throws when the count cannot fit in what remains, so a
+     * corrupt count fails here instead of in a huge allocation.
+     */
+    std::size_t count(std::size_t min_bytes_each);
+
     /** Consume a section tag; throws when it isn't @p expected. */
     void tag(SnapTag expected);
 

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "isa/assembler.hh"
 #include "mem/cache.hh"
 #include "mem/memory.hh"
+#include "metrics/sampler.hh"
 #include "snapshot/replay.hh"
 #include "snapshot/snapshot.hh"
 
@@ -365,6 +368,230 @@ TEST(ReplayValidator, HonorsExplicitCheckpointCycle)
     EXPECT_TRUE(rep.ok()) << rep.detail;
     EXPECT_TRUE(rep.checkpointTaken);
     EXPECT_EQ(rep.checkpointCycle, 17u);
+}
+
+// ---- corruption matrix: well-framed payloads carrying bad values ----
+//
+// Each case patches one field of a real component payload, frames it
+// again with a valid checksum, and requires restore() to fail with
+// ErrorKind::Snapshot instead of indexing out of bounds or allocating
+// whatever a count claims.
+
+std::string
+payloadOf(const std::string &container)
+{
+    return container.substr(container.size() -
+                            SnapshotReader(container).remaining());
+}
+
+void
+putUint(std::string &buf, std::size_t off, std::uint64_t v, unsigned bytes)
+{
+    ASSERT_LE(off + bytes, buf.size());
+    for (unsigned i = 0; i < bytes; ++i)
+        buf[off + i] = char((v >> (8 * i)) & 0xff);
+}
+
+std::uint64_t
+getU64(const std::string &buf, std::size_t off)
+{
+    std::uint64_t v = 0;
+    for (unsigned i = 0; i < 8; ++i)
+        v |= std::uint64_t(static_cast<unsigned char>(buf[off + i]))
+             << (8 * i);
+    return v;
+}
+
+/** A sisnap container around @p payload, with a valid checksum. */
+std::string
+reframe(const std::string &payload)
+{
+    std::string out = SnapshotWriter().finish(); // header only
+    const std::size_t header = out.size();
+    Fnv1a fnv;
+    fnv.update(payload.data(), payload.size());
+    putUint(out, header - 16, payload.size(), 8);
+    putUint(out, header - 8, fnv.digest(), 8);
+    return out + payload;
+}
+
+template <typename Component>
+std::string
+savedPayload(const Component &c)
+{
+    SnapshotWriter w;
+    c.save(w);
+    return payloadOf(w.finish());
+}
+
+/** Restore @p payload into @p target; expect a Snapshot-kind SimError. */
+void
+expectRejected(const std::string &payload,
+               const std::function<void(SnapshotReader &)> &target,
+               const char *what)
+{
+    const std::string container = reframe(payload);
+    SnapshotReader r(container);
+    try {
+        target(r);
+        ADD_FAILURE() << what << ": corrupt payload accepted";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.status().kind, ErrorKind::Snapshot) << what;
+    }
+}
+
+constexpr std::uint64_t hugeCount = 0x0000ffffffffffffull;
+
+TEST(SnapshotCorruption, WarpRejectsBadStatus)
+{
+    const Program prog = assembleOrDie("EXIT\n");
+    const Warp warp(0, 0, &prog, warpSize);
+    const std::string good = savedPayload(warp);
+
+    // tag, id/pb/cta/logical, register count + file, predicates.
+    const std::size_t regs_off = 4 + 16;
+    const std::size_t state_off = regs_off + 8 +
+                                  4 * getU64(good, regs_off) + warpSize;
+    const std::size_t live_off = state_off + warpSize + 4 * warpSize;
+    const std::size_t blocked_off = live_off + 4 + 4 * Warp::numBarriers;
+    const std::size_t tst_off =
+        blocked_off + warpSize + warpSize * ScoreboardFile::numSb;
+    ASSERT_EQ(getU64(good, tst_off), 0u) << "layout drifted";
+
+    auto into_warp = [&](SnapshotReader &r) {
+        Warp w(0, 0, &prog, warpSize);
+        w.restore(r);
+    };
+    {
+        Warp w(0, 0, &prog, warpSize);
+        const std::string container = reframe(good);
+        SnapshotReader r(container);
+        EXPECT_NO_THROW(w.restore(r)); // the unpatched control
+    }
+
+    std::string bad = good;
+    bad[state_off + 3] = char(std::uint8_t(ThreadState::Stalled) + 1);
+    expectRejected(bad, into_warp, "state byte past Stalled");
+
+    bad = good;
+    putUint(bad, live_off, 0x7fffffffu, 4);
+    expectRejected(bad, into_warp, "live word vs INACTIVE mask");
+
+    bad = good;
+    bad[blocked_off + 5] = char(Warp::numBarriers);
+    expectRejected(bad, into_warp, "blockedOn past the last barrier");
+
+    bad = good;
+    putUint(bad, tst_off, hugeCount, 8);
+    expectRejected(bad, into_warp, "TST entry count");
+}
+
+TEST(SnapshotCorruption, SmRejectsBadIndicesAndCounts)
+{
+    // One warp, never ticked: it sits in the pending-admission list,
+    // every processing block is empty, and no writeback is queued.
+    const Program prog = assembleOrDie("EXIT\n");
+    const GpuConfig cfg;
+    Memory mem;
+    auto make_sm = [&] {
+        auto sm = std::make_unique<Sm>(0, cfg, mem, nullptr);
+        sm->addWarp(std::make_unique<Warp>(0, 0, &prog, warpSize));
+        return sm;
+    };
+    const std::string good = savedPayload(*make_sm());
+
+    const std::size_t warp_bytes =
+        savedPayload(Warp(0, 0, &prog, warpSize)).size();
+    const std::size_t cache_bytes = savedPayload(Cache(cfg.l0i)).size();
+    const std::size_t pb_bytes = 4 + cache_bytes + 8 + 12;
+    const std::size_t pending_off = 4 + 4 + 4 + 8 + warp_bytes;
+    const std::size_t resident_off = pending_off + 8 + 4 + 8 + 4 +
+                                     cache_bytes;
+    const std::size_t events_off =
+        pending_off + 8 + 4 + 8 + cfg.pbsPerSm * pb_bytes;
+    ASSERT_EQ(getU64(good, pending_off), 1u) << "layout drifted";
+    ASSERT_EQ(getU64(good, resident_off), 0u) << "layout drifted";
+    ASSERT_EQ(getU64(good, events_off), 0u) << "layout drifted";
+
+    auto into_sm = [&](SnapshotReader &r) { make_sm()->restore(r); };
+
+    std::string bad = good;
+    putUint(bad, pending_off + 8, 1, 4);
+    expectRejected(bad, into_sm, "pending-admission index");
+
+    bad = good;
+    putUint(bad, resident_off, hugeCount, 8);
+    expectRejected(bad, into_sm, "resident count");
+
+    bad = good;
+    putUint(bad, resident_off, 1, 8);
+    bad.insert(resident_off + 8, std::string("\x07\0\0\0", 4));
+    expectRejected(bad, into_sm, "resident index");
+
+    bad = good;
+    putUint(bad, events_off, hugeCount, 8);
+    expectRejected(bad, into_sm, "writeback count");
+
+    // One queued writeback: due cycle, warp index, mask, sb, port.
+    auto with_writeback = [&](std::uint32_t warp_idx, std::uint8_t sb,
+                              std::uint8_t port) {
+        std::string entry(8 + 4 + 4 + 1 + 1, '\0');
+        putUint(entry, 0, 40, 8);
+        putUint(entry, 8, warp_idx, 4);
+        putUint(entry, 12, 0xffffffffu, 4);
+        entry[16] = char(sb);
+        entry[17] = char(port);
+        std::string out = good;
+        putUint(out, events_off, 1, 8);
+        out.insert(events_off + 8, entry);
+        return out;
+    };
+    {
+        auto sm = make_sm();
+        const std::string container = reframe(with_writeback(0, 3, 1));
+        SnapshotReader r(container);
+        EXPECT_NO_THROW(sm->restore(r)); // a valid entry is accepted
+        EXPECT_TRUE(sm->hasPendingWritebacks());
+    }
+    expectRejected(with_writeback(1, 0, 0), into_sm, "writeback warp");
+    expectRejected(with_writeback(0, ScoreboardFile::numSb, 0), into_sm,
+                   "writeback scoreboard");
+    expectRejected(with_writeback(0, 0, 2), into_sm, "writeback port");
+}
+
+TEST(SnapshotCorruption, StatsAndSamplerRejectHugeCounts)
+{
+    std::string bad = savedPayload(SmStats());
+    putUint(bad, bad.size() - 8, hugeCount, 8); // regions, saved last
+    expectRejected(bad, [](SnapshotReader &r) { SmStats().restore(r); },
+                   "region count");
+
+    auto sampler_payload = [](std::uint64_t sms, std::uint64_t ring) {
+        SnapshotWriter w;
+        w.u64(100);  // interval
+        w.u64(4096); // ring capacity
+        w.u64(0);    // last sample cycle
+        w.u32(32);   // warp slots per SM
+        w.u64(sms);
+        if (sms == 1) {
+            SmStats().save(w);
+            w.u64(0); // dropped
+            w.u64(ring);
+        }
+        return payloadOf(w.finish());
+    };
+    auto into_sampler = [](SnapshotReader &r) {
+        MetricsSampler(100).restore(r);
+    };
+    {
+        const std::string container = reframe(sampler_payload(1, 0));
+        SnapshotReader r(container);
+        EXPECT_NO_THROW(into_sampler(r));
+    }
+    expectRejected(sampler_payload(hugeCount, 0), into_sampler,
+                   "sampler SM count");
+    expectRejected(sampler_payload(1, hugeCount), into_sampler,
+                   "sampler window count");
 }
 
 } // namespace

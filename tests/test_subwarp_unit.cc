@@ -55,10 +55,8 @@ TEST_F(SubwarpUnitTest, DivergeSplitsActiveSet)
     EXPECT_EQ(warp_.activeMask().count(), 24u);
     EXPECT_EQ(warp_.activePc(), 11u);
     // Taken side becomes ready at pc 40.
-    const auto groups = warp_.readySubwarps();
-    ASSERT_EQ(groups.size(), 1u);
-    EXPECT_EQ(groups[0].first, 40u);
-    EXPECT_EQ(groups[0].second, taken);
+    EXPECT_EQ(warp_.lanesInState(ThreadState::Ready), taken);
+    EXPECT_EQ(warp_.lanesAtPc(taken, 40), taken);
     EXPECT_EQ(unit().stats().divergentBranches, 1u);
 }
 
@@ -100,14 +98,12 @@ TEST_F(SubwarpUnitTest, BsyncWithDeadParticipantsSucceeds)
     unit().diverge(warp_, ThreadMask::firstN(16), 30, 10);
     // The ready half dies without reaching the barrier (EXIT path);
     // model the kill directly on the warp state.
-    for (unsigned l = 0; l < 16; ++l)
-        warp_.setState(l, ThreadState::Inactive);
     warp_.killLanes(ThreadMask::firstN(16));
 
-    for (unsigned l = 16; l < 32; ++l) {
-        warp_.setState(l, ThreadState::Active);
+    warp_.setState(ThreadMask::full() - ThreadMask::firstN(16),
+                   ThreadState::Active);
+    for (unsigned l = 16; l < 32; ++l)
         warp_.setPc(l, 20);
-    }
     EXPECT_TRUE(unit().arriveBsync(warp_, 0, 20, 0));
     EXPECT_EQ(warp_.activePc(), 21u);
 }
@@ -241,25 +237,21 @@ TEST_F(SubwarpUnitTest, YieldDisabledIsNoop)
 TEST_F(SubwarpUnitTest, SelectRoundRobinAcrossPcs)
 {
     // Three ready groups at pcs 10, 20, 30; nothing active.
-    for (unsigned l = 0; l < 32; ++l) {
-        warp_.setState(l, ThreadState::Ready);
+    warp_.setState(ThreadMask::full(), ThreadState::Ready);
+    for (unsigned l = 0; l < 32; ++l)
         warp_.setPc(l, 10 + 10 * (l / 11));
-    }
     EXPECT_TRUE(unit().select(warp_, 0));
     EXPECT_EQ(warp_.activePc(), 10u);
 
-    for (unsigned l : lanesOf(warp_.activeMask()))
-        warp_.setState(l, ThreadState::Ready);
+    warp_.setState(warp_.activeMask(), ThreadState::Ready);
     EXPECT_TRUE(unit().select(warp_, 0));
     EXPECT_EQ(warp_.activePc(), 20u); // cursor advanced past 10
 
-    for (unsigned l : lanesOf(warp_.activeMask()))
-        warp_.setState(l, ThreadState::Ready);
+    warp_.setState(warp_.activeMask(), ThreadState::Ready);
     EXPECT_TRUE(unit().select(warp_, 0));
     EXPECT_EQ(warp_.activePc(), 30u);
 
-    for (unsigned l : lanesOf(warp_.activeMask()))
-        warp_.setState(l, ThreadState::Ready);
+    warp_.setState(warp_.activeMask(), ThreadState::Ready);
     EXPECT_TRUE(unit().select(warp_, 0));
     EXPECT_EQ(warp_.activePc(), 10u); // wraps
 }

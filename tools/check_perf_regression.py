@@ -11,6 +11,11 @@ A benchmark whose throughput drops more than PCT percent (default 15)
 below the baseline — or whose per-iteration time rises correspondingly
 — is a regression and fails the gate.
 
+Each side is read as its "median" aggregates (a run with
+--benchmark_repetitions=N), keyed by run_name. A file without median
+aggregates (a single-repetition recording) falls back to its plain
+iteration entries, so an old baseline still compares.
+
 Benchmark numbers are only comparable on the machine that produced the
 baseline. The gate fingerprints the host (num_cpus, mhz_per_cpu from
 the benchmark context) and, when the fingerprint differs from the
@@ -61,13 +66,22 @@ def build_type_error(doc, label):
     return None
 
 
+def entries(doc):
+    """(run_name, entry) per benchmark: medians if any, else iterations."""
+    benches = doc.get("benchmarks", [])
+    medians = [b for b in benches
+               if b.get("run_type") == "aggregate"
+               and b.get("aggregate_name") == "median"]
+    if medians:
+        return [(b.get("run_name"), b) for b in medians]
+    return [(b.get("run_name") or b.get("name"), b) for b in benches
+            if b.get("run_type") != "aggregate"]
+
+
 def metrics(doc):
-    """benchmark name -> (metric name, value, higher_is_better)."""
+    """run name -> (metric name, value, higher_is_better)."""
     out = {}
-    for b in doc.get("benchmarks", []):
-        if b.get("run_type") == "aggregate":
-            continue
-        name = b.get("name")
+    for name, b in entries(doc):
         if not name:
             continue
         rate = None
