@@ -1,57 +1,17 @@
 #include "core/sm.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/log.hh"
 #include "common/sim_error.hh"
 #include "core/invariants.hh"
+#include "isa/op_table.hh"
 #include "race/hooks.hh"
 #include "trace/events.hh"
 
 namespace si {
 
 namespace {
-
-float
-asFloat(std::uint32_t bits)
-{
-    return Instr::bitsToFloat(std::int32_t(bits));
-}
-
-std::uint32_t
-asBits(float f)
-{
-    return std::uint32_t(Instr::fbits(f));
-}
-
-bool
-compare(CmpOp op, std::int64_t a, std::int64_t b)
-{
-    switch (op) {
-      case CmpOp::LT: return a < b;
-      case CmpOp::LE: return a <= b;
-      case CmpOp::GT: return a > b;
-      case CmpOp::GE: return a >= b;
-      case CmpOp::EQ: return a == b;
-      case CmpOp::NE: return a != b;
-    }
-    return false;
-}
-
-bool
-compareF(CmpOp op, float a, float b)
-{
-    switch (op) {
-      case CmpOp::LT: return a < b;
-      case CmpOp::LE: return a <= b;
-      case CmpOp::GT: return a > b;
-      case CmpOp::GE: return a >= b;
-      case CmpOp::EQ: return a == b;
-      case CmpOp::NE: return a != b;
-    }
-    return false;
-}
 
 /**
  * Classify a lost issue slot as one of the paper's Figure 3 stall
@@ -79,6 +39,30 @@ classifyStall(const Warp &w, WarpStatus st)
         return w.lanesInState(ThreadState::Blocked).any()
                    ? StallReason::Barrier
                    : StallReason::NoReadySubwarp;
+    }
+}
+
+/**
+ * Cycles until a producer's destination register may be read. Long
+ * producers are guarded by their scoreboards and only need the issue
+ * slot.
+ */
+Cycle
+resultLatency(OpClass cls, const LatencyConfig &lat)
+{
+    switch (cls) {
+      case OpClass::HeavyAlu:
+        return lat.heavyAlu;
+      case OpClass::Transcendental:
+        return lat.transcendental;
+      case OpClass::ConstLoad:
+        return lat.constLoad;
+      case OpClass::GlobalLoad:
+      case OpClass::Texture:
+      case OpClass::RtQuery:
+        return 1;
+      default:
+        return lat.alu;
     }
 }
 
@@ -624,13 +608,6 @@ Sm::issue(unsigned warp_idx, Cycle now)
     auto rdf = [&](unsigned lane, RegIndex r) {
         return asFloat(w.reg(lane, r));
     };
-    auto srcb = [&](unsigned lane) {
-        return in.bImm ? std::uint32_t(in.imm) : w.reg(lane, in.srcB);
-    };
-    auto srcbf = [&](unsigned lane) {
-        return in.bImm ? asFloat(std::uint32_t(in.imm))
-                       : asFloat(w.reg(lane, in.srcB));
-    };
 
     // Dynamic race sanitizer feed (race/hooks.hh): per-lane addresses of
     // every global-memory access, captured at issue time.
@@ -649,212 +626,25 @@ Sm::issue(unsigned warp_idx, Cycle now)
     };
 
     const LatencyConfig &lat = config_.lat;
+    const Cycle result_lat = resultLatency(opInfo(in.op).cls, lat);
     bool advanced = false;
-    Cycle result_lat = lat.alu;
 
     switch (in.op) {
       case Opcode::NOP:
         break;
 
-      case Opcode::MOV:
-        for_exec([&](unsigned lane) {
-            w.setReg(lane, in.dst,
-                     in.bImm ? std::uint32_t(in.imm) : rd(lane, in.srcA));
-        });
-        break;
-
-      case Opcode::S2R:
-        for_exec([&](unsigned lane) {
-            std::uint32_t v = 0;
-            switch (SReg(in.imm)) {
-              case SReg::TID:
-                v = w.logicalId * warpSize + lane;
-                break;
-              case SReg::CTAID:
-                v = w.ctaId;
-                break;
-              case SReg::LANEID:
-                v = lane;
-                break;
-              case SReg::WARPID:
-                v = w.logicalId;
-                break;
-            }
-            w.setReg(lane, in.dst, v);
-        });
-        break;
-
-      case Opcode::IADD:
-        for_exec([&](unsigned lane) {
-            w.setReg(lane, in.dst, rd(lane, in.srcA) + srcb(lane));
-        });
-        break;
-      case Opcode::ISUB:
-        for_exec([&](unsigned lane) {
-            w.setReg(lane, in.dst, rd(lane, in.srcA) - srcb(lane));
-        });
-        break;
-      case Opcode::IMUL:
-        result_lat = lat.heavyAlu;
-        for_exec([&](unsigned lane) {
-            w.setReg(lane, in.dst, rd(lane, in.srcA) * srcb(lane));
-        });
-        break;
-      case Opcode::IMAD:
-        result_lat = lat.heavyAlu;
-        for_exec([&](unsigned lane) {
-            w.setReg(lane, in.dst,
-                     rd(lane, in.srcA) * srcb(lane) + rd(lane, in.srcC));
-        });
-        break;
-      case Opcode::IMIN:
-        for_exec([&](unsigned lane) {
-            w.setReg(lane, in.dst,
-                     std::uint32_t(std::min(
-                         std::int32_t(rd(lane, in.srcA)),
-                         std::int32_t(srcb(lane)))));
-        });
-        break;
-      case Opcode::IMAX:
-        for_exec([&](unsigned lane) {
-            w.setReg(lane, in.dst,
-                     std::uint32_t(std::max(
-                         std::int32_t(rd(lane, in.srcA)),
-                         std::int32_t(srcb(lane)))));
-        });
-        break;
-      case Opcode::AND:
-        for_exec([&](unsigned lane) {
-            w.setReg(lane, in.dst, rd(lane, in.srcA) & srcb(lane));
-        });
-        break;
-      case Opcode::OR:
-        for_exec([&](unsigned lane) {
-            w.setReg(lane, in.dst, rd(lane, in.srcA) | srcb(lane));
-        });
-        break;
-      case Opcode::XOR:
-        for_exec([&](unsigned lane) {
-            w.setReg(lane, in.dst, rd(lane, in.srcA) ^ srcb(lane));
-        });
-        break;
-      case Opcode::SHL:
-        for_exec([&](unsigned lane) {
-            w.setReg(lane, in.dst, rd(lane, in.srcA) << (srcb(lane) & 31));
-        });
-        break;
-      case Opcode::SHR:
-        for_exec([&](unsigned lane) {
-            w.setReg(lane, in.dst, rd(lane, in.srcA) >> (srcb(lane) & 31));
-        });
-        break;
-
-      case Opcode::FADD:
-        for_exec([&](unsigned lane) {
-            w.setReg(lane, in.dst,
-                     asBits(rdf(lane, in.srcA) + srcbf(lane)));
-        });
-        break;
-      case Opcode::FMUL:
-        for_exec([&](unsigned lane) {
-            w.setReg(lane, in.dst,
-                     asBits(rdf(lane, in.srcA) * srcbf(lane)));
-        });
-        break;
-      case Opcode::FFMA:
-        result_lat = lat.heavyAlu;
-        for_exec([&](unsigned lane) {
-            w.setReg(lane, in.dst,
-                     asBits(rdf(lane, in.srcA) * srcbf(lane) +
-                            rdf(lane, in.srcC)));
-        });
-        break;
-      case Opcode::FMIN:
-        for_exec([&](unsigned lane) {
-            w.setReg(lane, in.dst,
-                     asBits(std::fmin(rdf(lane, in.srcA), srcbf(lane))));
-        });
-        break;
-      case Opcode::FMAX:
-        for_exec([&](unsigned lane) {
-            w.setReg(lane, in.dst,
-                     asBits(std::fmax(rdf(lane, in.srcA), srcbf(lane))));
-        });
-        break;
-      case Opcode::FRCP:
-        result_lat = lat.transcendental;
-        for_exec([&](unsigned lane) {
-            const float a = rdf(lane, in.srcA);
-            w.setReg(lane, in.dst, asBits(a == 0.0f ? 0.0f : 1.0f / a));
-        });
-        break;
-      case Opcode::FSQRT:
-        result_lat = lat.transcendental;
-        for_exec([&](unsigned lane) {
-            w.setReg(lane, in.dst,
-                     asBits(std::sqrt(std::fmax(0.0f,
-                                                rdf(lane, in.srcA)))));
-        });
-        break;
-      case Opcode::I2F:
-        for_exec([&](unsigned lane) {
-            w.setReg(lane, in.dst,
-                     asBits(float(std::int32_t(rd(lane, in.srcA)))));
-        });
-        break;
-      case Opcode::F2I:
-        for_exec([&](unsigned lane) {
-            // Saturating conversion (CUDA cvt semantics); the naive
-            // cast is UB for out-of-range values.
-            const float f = rdf(lane, in.srcA);
-            std::int32_t v;
-            if (!std::isfinite(f))
-                v = f > 0 ? INT32_MAX : (f < 0 ? INT32_MIN : 0);
-            else if (f >= 2147483647.0f)
-                v = INT32_MAX;
-            else if (f <= -2147483648.0f)
-                v = INT32_MIN;
-            else
-                v = std::int32_t(f);
-            w.setReg(lane, in.dst, std::uint32_t(v));
-        });
-        break;
-
-      case Opcode::ISETP:
-        for_exec([&](unsigned lane) {
-            w.setPredicate(lane, in.pdst,
-                           compare(in.cmp,
-                                   std::int32_t(rd(lane, in.srcA)),
-                                   std::int32_t(srcb(lane))));
-        });
-        w.setPredReadyAt(in.pdst, now + lat.alu);
-        break;
-      case Opcode::FSETP:
-        for_exec([&](unsigned lane) {
-            w.setPredicate(lane, in.pdst,
-                           compareF(in.cmp, rdf(lane, in.srcA),
-                                    srcbf(lane)));
-        });
-        w.setPredReadyAt(in.pdst, now + lat.alu);
-        break;
-      case Opcode::SEL:
-        for_exec([&](unsigned lane) {
-            w.setReg(lane, in.dst,
-                     w.predicate(lane, in.pdst) ? rd(lane, in.srcA)
-                                                : srcb(lane));
-        });
-        break;
-
       case Opcode::LDC:
-        result_lat = lat.constLoad;
         for_exec([&](unsigned lane) {
             w.setReg(lane, in.dst,
                      memory_.readConst(std::uint32_t(in.imm)));
         });
         break;
 
-      case Opcode::LDG: {
-        ++stats_.ldgIssued;
+      case Opcode::LDG:
+      case Opcode::TEX:
+      case Opcode::TLD: {
+        const bool tex = in.op != Opcode::LDG;
+        ++(tex ? stats_.texIssued : stats_.ldgIssued);
         bool any_miss = false;
         // Coalesce: one L1D transaction per unique line across lanes.
         std::array<Addr, warpSize> lines;
@@ -862,7 +652,8 @@ Sm::issue(unsigned warp_idx, Cycle now)
         unsigned num_lines = 0;
         for (unsigned lane : lanesOf(exec)) {
             const Addr addr =
-                Addr(rd(lane, in.srcA)) + Addr(std::int64_t(in.imm));
+                tex ? texelAddress(rd(lane, in.srcA), rd(lane, in.srcB))
+                    : Addr(rd(lane, in.srcA)) + Addr(std::int64_t(in.imm));
             lane_addrs[lane] = addr;
             w.setReg(lane, in.dst, memory_.read(addr));
             const Addr line = l1d_.lineOf(addr);
@@ -894,10 +685,10 @@ Sm::issue(unsigned warp_idx, Cycle now)
             const Cycle done = any_miss
                                    ? missCompletion(now, lat.l1Miss)
                                    : now + lat.l1Hit;
-            pushWriteback(done, warp_idx, exec, in.wrSb, WbPort::Lsu);
+            pushWriteback(tex ? done + lat.texBase : done, warp_idx, exec,
+                          in.wrSb, tex ? WbPort::Tex : WbPort::Lsu);
         }
         ++w.longOpsSinceSwitch;
-        result_lat = 1;
         break;
       }
 
@@ -912,55 +703,6 @@ Sm::issue(unsigned warp_idx, Cycle now)
         });
         if (config_.raceHooks != nullptr && exec.any())
             race_event(true, lane_addrs);
-        break;
-      }
-
-      case Opcode::TEX:
-      case Opcode::TLD: {
-        ++stats_.texIssued;
-        bool any_miss = false;
-        std::array<Addr, warpSize> lines;
-        std::array<Addr, warpSize> lane_addrs{};
-        unsigned num_lines = 0;
-        for (unsigned lane : lanesOf(exec)) {
-            const Addr addr =
-                texelAddress(rd(lane, in.srcA), rd(lane, in.srcB));
-            lane_addrs[lane] = addr;
-            w.setReg(lane, in.dst, memory_.read(addr));
-            const Addr line = l1d_.lineOf(addr);
-            bool seen = false;
-            for (unsigned i = 0; i < num_lines; ++i)
-                seen |= lines[i] == line;
-            if (!seen)
-                lines[num_lines++] = line;
-        }
-        if (config_.raceHooks != nullptr && exec.any())
-            race_event(false, lane_addrs);
-        for (unsigned i = 0; i < num_lines; ++i) {
-            const Cache::AccessResult res = l1d_.accessEx(lines[i]);
-            any_miss |= !res.hit;
-            SI_TRACE_EVENT(config_.traceSink,
-                           cacheEvent(TraceEventKind::CacheAccess, id_, w,
-                                      now, TraceCacheLevel::L1D, res,
-                                      lines[i], pc));
-            if (!res.hit) {
-                SI_TRACE_EVENT(config_.traceSink,
-                               cacheEvent(TraceEventKind::CacheFill, id_,
-                                          w, now, TraceCacheLevel::L1D,
-                                          res, lines[i], pc));
-            }
-        }
-        stats_.gmemTransactions += num_lines;
-        if (exec.any() && in.wrSb != sbNone) {
-            w.scoreboards().incr(exec, in.wrSb);
-            const Cycle done = any_miss
-                                   ? missCompletion(now, lat.l1Miss)
-                                   : now + lat.l1Hit;
-            pushWriteback(done + lat.texBase, warp_idx, exec, in.wrSb,
-                          WbPort::Tex);
-        }
-        ++w.longOpsSinceSwitch;
-        result_lat = 1;
         break;
       }
 
@@ -992,7 +734,6 @@ Sm::issue(unsigned warp_idx, Cycle now)
                           WbPort::Tex);
         }
         ++w.longOpsSinceSwitch;
-        result_lat = 1;
         break;
       }
 
@@ -1049,9 +790,31 @@ Sm::issue(unsigned warp_idx, Cycle now)
         break;
       }
 
-      default:
-        sim_throw(ErrorKind::Internal, "unhandled opcode %s",
-                  opcodeName(in.op));
+      default: {
+        const bool lane_valued = withLaneOp(in.op, [&](auto op) {
+            constexpr OpInfo info = opInfo(decltype(op)::value);
+            for (unsigned lane : lanesOf(exec)) {
+                const LaneArgs x{rd(lane, in.srcA),
+                                 in.bImm ? std::uint32_t(in.imm)
+                                         : rd(lane, in.srcB),
+                                 rd(lane, in.srcC),
+                                 w.predicate(lane, in.pdst),
+                                 lane,
+                                 w.logicalId,
+                                 w.ctaId};
+                const std::uint32_t v = info.lane(in, x);
+                if constexpr (info.shape == OpShape::SetP)
+                    w.setPredicate(lane, in.pdst, v != 0);
+                else
+                    w.setReg(lane, in.dst, v);
+            }
+            if constexpr (info.shape == OpShape::SetP)
+                w.setPredReadyAt(in.pdst, now + result_lat);
+        });
+        sim_throw_if(!lane_valued, ErrorKind::Internal,
+                     "unhandled opcode %s", opcodeName(in.op));
+        break;
+      }
     }
 
     // Region attribution of the issued slot, after the opcode switch so
@@ -1079,8 +842,6 @@ Sm::issue(unsigned warp_idx, Cycle now)
         }
     }
 
-    // Result latency for short producers; long producers are guarded by
-    // their scoreboards and only need the issue slot.
     if (in.dst != regNone && in.op != Opcode::STG)
         w.setRegReadyAt(in.dst, now + result_lat);
     if (in.op == Opcode::RTQUERY) {

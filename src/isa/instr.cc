@@ -1,44 +1,15 @@
 #include "isa/instr.hh"
 
-#include <cstring>
+#include <cstdio>
 
-#include "common/log.hh"
+#include "isa/op_table.hh"
 
 namespace si {
 
 OpClass
 opClassOf(Opcode op)
 {
-    switch (op) {
-      case Opcode::IMUL:
-      case Opcode::IMAD:
-      case Opcode::FFMA:
-        return OpClass::HeavyAlu;
-      case Opcode::FRCP:
-      case Opcode::FSQRT:
-        return OpClass::Transcendental;
-      case Opcode::LDC:
-        return OpClass::ConstLoad;
-      case Opcode::LDG:
-        return OpClass::GlobalLoad;
-      case Opcode::STG:
-        return OpClass::Store;
-      case Opcode::TEX:
-      case Opcode::TLD:
-        return OpClass::Texture;
-      case Opcode::RTQUERY:
-        return OpClass::RtQuery;
-      case Opcode::NOP:
-      case Opcode::BRA:
-      case Opcode::BSSY:
-      case Opcode::BSYNC:
-      case Opcode::YIELD:
-      case Opcode::EXIT:
-      case Opcode::MARKER:
-        return OpClass::Control;
-      default:
-        return OpClass::Alu;
-    }
+    return opInfo(op).cls;
 }
 
 bool
@@ -75,47 +46,7 @@ accessesGlobalMemory(Opcode op)
 const char *
 opcodeName(Opcode op)
 {
-    switch (op) {
-      case Opcode::NOP: return "NOP";
-      case Opcode::MOV: return "MOV";
-      case Opcode::S2R: return "S2R";
-      case Opcode::IADD: return "IADD";
-      case Opcode::ISUB: return "ISUB";
-      case Opcode::IMUL: return "IMUL";
-      case Opcode::IMAD: return "IMAD";
-      case Opcode::IMIN: return "IMIN";
-      case Opcode::IMAX: return "IMAX";
-      case Opcode::AND: return "AND";
-      case Opcode::OR: return "OR";
-      case Opcode::XOR: return "XOR";
-      case Opcode::SHL: return "SHL";
-      case Opcode::SHR: return "SHR";
-      case Opcode::FADD: return "FADD";
-      case Opcode::FMUL: return "FMUL";
-      case Opcode::FFMA: return "FFMA";
-      case Opcode::FMIN: return "FMIN";
-      case Opcode::FMAX: return "FMAX";
-      case Opcode::FRCP: return "FRCP";
-      case Opcode::FSQRT: return "FSQRT";
-      case Opcode::I2F: return "I2F";
-      case Opcode::F2I: return "F2I";
-      case Opcode::ISETP: return "ISETP";
-      case Opcode::FSETP: return "FSETP";
-      case Opcode::SEL: return "SEL";
-      case Opcode::LDG: return "LDG";
-      case Opcode::STG: return "STG";
-      case Opcode::LDC: return "LDC";
-      case Opcode::TEX: return "TEX";
-      case Opcode::TLD: return "TLD";
-      case Opcode::RTQUERY: return "RTQUERY";
-      case Opcode::BRA: return "BRA";
-      case Opcode::BSSY: return "BSSY";
-      case Opcode::BSYNC: return "BSYNC";
-      case Opcode::YIELD: return "YIELD";
-      case Opcode::EXIT: return "EXIT";
-      case Opcode::MARKER: return "MARKER";
-      default: return "???";
-    }
+    return op < Opcode::NumOpcodes ? opInfo(op).name : "???";
 }
 
 const char *
@@ -132,149 +63,141 @@ cmpName(CmpOp cmp)
     }
 }
 
-std::int32_t
-Instr::fbits(float f)
+std::string
+sregName(SReg sr)
 {
-    std::int32_t bits;
-    std::memcpy(&bits, &f, sizeof(bits));
-    return bits;
+    switch (sr) {
+      case SReg::TID: return "TID";
+      case SReg::CTAID: return "CTAID";
+      case SReg::LANEID: return "LANEID";
+      case SReg::WARPID: return "WARPID";
+      default: return "SR" + std::to_string(unsigned(sr));
+    }
 }
-
-float
-Instr::bitsToFloat(std::int32_t bits)
-{
-    float f;
-    std::memcpy(&f, &bits, sizeof(f));
-    return f;
-}
-
-namespace {
 
 std::string
-regName(RegIndex r)
+formatInstr(const Instr &in, InstrStyle style,
+            const std::vector<std::string> &regions)
 {
-    if (r == regNone)
-        return "RZ";
-    return "R" + std::to_string(unsigned(r));
-}
+    const OpInfo &info = opInfo(in.op);
+    const bool source = style == InstrStyle::Source;
 
-} // namespace
+    auto reg = [](RegIndex r) {
+        return r == regNone ? std::string("RZ")
+                            : "R" + std::to_string(unsigned(r));
+    };
+    auto pred = [&](PredIndex p) {
+        return source && p == predNone ? std::string("PT")
+                                       : "P" + std::to_string(unsigned(p));
+    };
+    auto b = [&]() -> std::string {
+        if (!in.bImm)
+            return reg(in.srcB);
+        if (!info.floatImm)
+            return std::to_string(in.imm);
+        const float f = Instr::bitsToFloat(in.imm);
+        if (!source)
+            return std::to_string(f) + "f";
+        // Enough digits to reparse bit-exactly.
+        char buf[48];
+        std::snprintf(buf, sizeof(buf), "%.9g", double(f));
+        return std::string(buf) + "f";
+    };
+    auto label = [&]() {
+        return (source ? "L" : "") + std::to_string(in.target);
+    };
+    auto bar = [&]() { return "B" + std::to_string(unsigned(in.bar)); };
+    auto addr = [&]() {
+        return "[" + reg(in.srcA) + "+" + std::to_string(in.imm) + "]";
+    };
+
+    std::string out;
+    if (in.guard != predNone) {
+        out += "@";
+        if (in.guardNeg)
+            out += "!";
+        out += "P" + std::to_string(unsigned(in.guard)) + " ";
+    }
+    out += info.name;
+
+    const std::string d = " " + reg(in.dst) + ", ";
+    switch (info.shape) {
+      case OpShape::None:
+        break;
+      case OpShape::Mov:
+        // The raw imm bits reparse exactly whether they encode an int or
+        // a float, so always print them as an integer.
+        out += d + (in.bImm ? std::to_string(in.imm) : reg(in.srcA));
+        break;
+      case OpShape::S2r:
+        out += d + sregName(SReg(in.imm));
+        break;
+      case OpShape::Unary:
+        out += d + reg(in.srcA);
+        break;
+      case OpShape::Binary:
+        out += d + reg(in.srcA) + ", " + b();
+        break;
+      case OpShape::Ternary:
+        out += d + reg(in.srcA) + ", " + b() + ", " + reg(in.srcC);
+        break;
+      case OpShape::SetP:
+        out += "." + std::string(cmpName(in.cmp)) + " " + pred(in.pdst) +
+               ", " + reg(in.srcA) + ", " + b();
+        break;
+      case OpShape::Sel:
+        out += d + reg(in.srcA) + ", " + b();
+        if (source)
+            out += ", " + pred(in.pdst);
+        break;
+      case OpShape::Load:
+        out += d + addr();
+        break;
+      case OpShape::Store:
+        out += " " + addr() + ", " + reg(in.srcB);
+        break;
+      case OpShape::Const:
+        out += d + "c[" + std::to_string(in.imm) + "]";
+        break;
+      case OpShape::Tex:
+        out += d + reg(in.srcA) + ", " + reg(in.srcB);
+        break;
+      case OpShape::Branch:
+        out += " " + label();
+        break;
+      case OpShape::Bssy:
+        out += " " + bar() + ", " + label();
+        break;
+      case OpShape::Bsync:
+        out += " " + bar();
+        break;
+      case OpShape::Marker:
+        // Source names the region: the assembler re-interns names in
+        // first-occurrence order, which is how every in-tree producer
+        // builds the table. Disasm shows the raw table index.
+        out += " " + (source && std::size_t(in.imm) < regions.size()
+                          ? regions[std::size_t(in.imm)]
+                          : std::to_string(in.imm));
+        break;
+    }
+
+    if (in.stallHint > 0)
+        out += " &hint=taken";
+    else if (in.stallHint < 0)
+        out += " &hint=fall";
+    if (in.wrSb != sbNone)
+        out += " &wr=sb" + std::to_string(unsigned(in.wrSb));
+    for (unsigned i = 0; i < 8; ++i) {
+        if (in.reqSbMask & (1u << i))
+            out += " &req=sb" + std::to_string(i);
+    }
+    return out;
+}
 
 std::string
 Instr::disasm() const
 {
-    std::string out;
-    if (guard != predNone) {
-        out += "@";
-        if (guardNeg)
-            out += "!";
-        out += "P" + std::to_string(unsigned(guard)) + " ";
-    }
-    out += opcodeName(op);
-
-    const bool is_float_imm =
-        op == Opcode::FADD || op == Opcode::FMUL || op == Opcode::FFMA ||
-        op == Opcode::FMIN || op == Opcode::FMAX || op == Opcode::FSETP ||
-        (op == Opcode::MOV && bImm && false);
-
-    auto imm_str = [&]() -> std::string {
-        if (is_float_imm)
-            return std::to_string(bitsToFloat(imm)) + "f";
-        return std::to_string(imm);
-    };
-
-    auto b_str = [&]() -> std::string {
-        return bImm ? imm_str() : regName(srcB);
-    };
-
-    switch (op) {
-      case Opcode::NOP:
-      case Opcode::YIELD:
-      case Opcode::EXIT:
-        break;
-      case Opcode::MOV:
-        out += " " + regName(dst) + ", " +
-               (bImm ? std::to_string(imm) : regName(srcA));
-        break;
-      case Opcode::S2R:
-        out += " " + regName(dst) + ", ";
-        switch (SReg(imm)) {
-          case SReg::TID: out += "TID"; break;
-          case SReg::CTAID: out += "CTAID"; break;
-          case SReg::LANEID: out += "LANEID"; break;
-          case SReg::WARPID: out += "WARPID"; break;
-          default: out += "SR" + std::to_string(imm); break;
-        }
-        break;
-      case Opcode::FRCP:
-      case Opcode::FSQRT:
-      case Opcode::I2F:
-      case Opcode::F2I:
-        out += " " + regName(dst) + ", " + regName(srcA);
-        break;
-      case Opcode::IMAD:
-      case Opcode::FFMA:
-        out += " " + regName(dst) + ", " + regName(srcA) + ", " + b_str() +
-               ", " + regName(srcC);
-        break;
-      case Opcode::ISETP:
-      case Opcode::FSETP:
-        out += "." + std::string(cmpName(cmp)) + " P" +
-               std::to_string(unsigned(pdst)) + ", " + regName(srcA) +
-               ", " + b_str();
-        break;
-      case Opcode::SEL:
-        out += " " + regName(dst) + ", " + regName(srcA) + ", " + b_str();
-        break;
-      case Opcode::LDG:
-        out += " " + regName(dst) + ", [" + regName(srcA) + "+" +
-               std::to_string(imm) + "]";
-        break;
-      case Opcode::STG:
-        out += " [" + regName(srcA) + "+" + std::to_string(imm) + "], " +
-               regName(srcB);
-        break;
-      case Opcode::LDC:
-        out += " " + regName(dst) + ", c[" + std::to_string(imm) + "]";
-        break;
-      case Opcode::TEX:
-      case Opcode::TLD:
-        out += " " + regName(dst) + ", " + regName(srcA) + ", " +
-               regName(srcB);
-        break;
-      case Opcode::RTQUERY:
-        out += " " + regName(dst) + ", " + regName(srcA);
-        break;
-      case Opcode::BRA:
-        out += " " + std::to_string(target);
-        break;
-      case Opcode::BSSY:
-        out += " B" + std::to_string(unsigned(bar)) + ", " +
-               std::to_string(target);
-        break;
-      case Opcode::BSYNC:
-        out += " B" + std::to_string(unsigned(bar));
-        break;
-      case Opcode::MARKER:
-        // The raw table index; sourceText() renders the region name.
-        out += " " + std::to_string(imm);
-        break;
-      default:
-        out += " " + regName(dst) + ", " + regName(srcA) + ", " + b_str();
-        break;
-    }
-
-    if (stallHint > 0)
-        out += " &hint=taken";
-    else if (stallHint < 0)
-        out += " &hint=fall";
-    if (wrSb != sbNone)
-        out += " &wr=sb" + std::to_string(unsigned(wrSb));
-    for (unsigned i = 0; i < 8; ++i) {
-        if (reqSbMask & (1u << i))
-            out += " &req=sb" + std::to_string(i);
-    }
-    return out;
+    return formatInstr(*this, InstrStyle::Disasm);
 }
 
 } // namespace si

@@ -8,8 +8,10 @@
 #ifndef SI_ISA_INSTR_HH
 #define SI_ISA_INSTR_HH
 
+#include <bit>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/types.hh"
 #include "isa/opcode.hh"
@@ -92,10 +94,18 @@ struct Instr
     }
 
     /** Float immediate helper: stores bits of @p f into #imm. */
-    static std::int32_t fbits(float f);
+    static std::int32_t
+    fbits(float f)
+    {
+        return std::bit_cast<std::int32_t>(f);
+    }
 
     /** Recover a float immediate. */
-    static float bitsToFloat(std::int32_t bits);
+    static float
+    bitsToFloat(std::int32_t bits)
+    {
+        return std::bit_cast<float>(bits);
+    }
 
     /** True when this instruction can change per-thread PCs. */
     bool
@@ -108,6 +118,24 @@ struct Instr
     /** Human-readable disassembly (labels resolved numerically). */
     std::string disasm() const;
 };
+
+/** Printing conventions of formatInstr(). */
+enum class InstrStyle : std::uint8_t {
+    /** For humans: numeric branch targets and MARKER indices, floats in
+     * std::to_string form, no SEL predicate operand. */
+    Disasm,
+    /** The assembler grammar, reparsing to the same instruction: branch
+     * targets as labels "L<pc>", MARKER regions by name, floats with
+     * enough digits to be bit-exact, PT for the null predicate. */
+    Source,
+};
+
+/**
+ * One instruction as text, laid out by its opcode's operand shape.
+ * @p regions names MARKER regions in Source style.
+ */
+std::string formatInstr(const Instr &in, InstrStyle style,
+                        const std::vector<std::string> &regions = {});
 
 } // namespace si
 

@@ -13,6 +13,7 @@
 #define SI_ISA_OPCODE_HH
 
 #include <cstdint>
+#include <string>
 
 namespace si {
 
@@ -124,6 +125,9 @@ const char *opcodeName(Opcode op);
 
 /** Mnemonic string for a comparison operator. */
 const char *cmpName(CmpOp cmp);
+
+/** Assembler name of a special register ("SR<n>" when out of range). */
+std::string sregName(SReg sr);
 
 } // namespace si
 

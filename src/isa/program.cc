@@ -132,172 +132,6 @@ Program::disasm() const
     return out;
 }
 
-namespace {
-
-// ---- sourceText() emission helpers --------------------------------------
-//
-// Instr::disasm() is for humans and does not round-trip: SEL omits its
-// predicate operand, ISETP/FSETP print predNone as "P7", float immediates
-// lose precision, and branch targets are numeric while the assembler only
-// accepts named labels. These helpers emit the assembler grammar exactly.
-
-std::string
-srcReg(RegIndex r)
-{
-    return r == regNone ? "RZ" : "R" + std::to_string(unsigned(r));
-}
-
-std::string
-srcPred(PredIndex p)
-{
-    return p == predNone ? "PT" : "P" + std::to_string(unsigned(p));
-}
-
-/** Float immediate with enough digits to reparse bit-exactly. */
-std::string
-srcFloatImm(std::int32_t bits)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.9g", double(Instr::bitsToFloat(bits)));
-    return std::string(buf) + "f";
-}
-
-/** The B operand: register, or int/float immediate per the opcode. */
-std::string
-srcBOperand(const Instr &in, bool float_imm)
-{
-    if (!in.bImm)
-        return srcReg(in.srcB);
-    return float_imm ? srcFloatImm(in.imm) : std::to_string(in.imm);
-}
-
-std::string
-srcAnnotations(const Instr &in)
-{
-    std::string s;
-    if (in.stallHint > 0)
-        s += " &hint=taken";
-    else if (in.stallHint < 0)
-        s += " &hint=fall";
-    if (in.wrSb != sbNone)
-        s += " &wr=sb" + std::to_string(unsigned(in.wrSb));
-    for (unsigned i = 0; i < 8; ++i) {
-        if (in.reqSbMask & (1u << i))
-            s += " &req=sb" + std::to_string(i);
-    }
-    return s;
-}
-
-std::string
-srcLine(const Instr &in, std::uint32_t pc,
-        const std::vector<std::string> &regions)
-{
-    std::string out;
-    if (in.guard != predNone) {
-        out += "@";
-        if (in.guardNeg)
-            out += "!";
-        out += "P" + std::to_string(unsigned(in.guard)) + " ";
-    }
-    out += opcodeName(in.op);
-
-    const bool float_imm =
-        in.op == Opcode::FADD || in.op == Opcode::FMUL ||
-        in.op == Opcode::FFMA || in.op == Opcode::FMIN ||
-        in.op == Opcode::FMAX || in.op == Opcode::FSETP;
-
-    auto label = [](std::uint32_t target) {
-        return "L" + std::to_string(target);
-    };
-
-    switch (in.op) {
-      case Opcode::NOP:
-      case Opcode::YIELD:
-      case Opcode::EXIT:
-        break;
-      case Opcode::MOV:
-        // The raw imm bits reparse exactly whether they encode an int or
-        // a float, so always print them as an integer.
-        out += " " + srcReg(in.dst) + ", " +
-               (in.bImm ? std::to_string(in.imm) : srcReg(in.srcA));
-        break;
-      case Opcode::S2R:
-        out += " " + srcReg(in.dst) + ", ";
-        switch (SReg(in.imm)) {
-          case SReg::TID: out += "TID"; break;
-          case SReg::CTAID: out += "CTAID"; break;
-          case SReg::LANEID: out += "LANEID"; break;
-          case SReg::WARPID: out += "WARPID"; break;
-        }
-        break;
-      case Opcode::FRCP:
-      case Opcode::FSQRT:
-      case Opcode::I2F:
-      case Opcode::F2I:
-        out += " " + srcReg(in.dst) + ", " + srcReg(in.srcA);
-        break;
-      case Opcode::IMAD:
-      case Opcode::FFMA:
-        out += " " + srcReg(in.dst) + ", " + srcReg(in.srcA) + ", " +
-               srcBOperand(in, float_imm) + ", " + srcReg(in.srcC);
-        break;
-      case Opcode::ISETP:
-      case Opcode::FSETP:
-        out += "." + std::string(cmpName(in.cmp)) + " " +
-               srcPred(in.pdst) + ", " + srcReg(in.srcA) + ", " +
-               srcBOperand(in, float_imm);
-        break;
-      case Opcode::SEL:
-        out += " " + srcReg(in.dst) + ", " + srcReg(in.srcA) + ", " +
-               srcBOperand(in, false) + ", " + srcPred(in.pdst);
-        break;
-      case Opcode::LDG:
-        out += " " + srcReg(in.dst) + ", [" + srcReg(in.srcA) + "+" +
-               std::to_string(in.imm) + "]";
-        break;
-      case Opcode::STG:
-        out += " [" + srcReg(in.srcA) + "+" + std::to_string(in.imm) +
-               "], " + srcReg(in.srcB);
-        break;
-      case Opcode::LDC:
-        out += " " + srcReg(in.dst) + ", c[" + std::to_string(in.imm) + "]";
-        break;
-      case Opcode::TEX:
-      case Opcode::TLD:
-        out += " " + srcReg(in.dst) + ", " + srcReg(in.srcA) + ", " +
-               srcReg(in.srcB);
-        break;
-      case Opcode::RTQUERY:
-        out += " " + srcReg(in.dst) + ", " + srcReg(in.srcA);
-        break;
-      case Opcode::BRA:
-        out += " " + label(in.target);
-        break;
-      case Opcode::BSSY:
-        out += " B" + std::to_string(unsigned(in.bar)) + ", " +
-               label(in.target);
-        break;
-      case Opcode::BSYNC:
-        out += " B" + std::to_string(unsigned(in.bar));
-        break;
-      case Opcode::MARKER:
-        // By name: the assembler re-interns in first-occurrence order,
-        // which is exactly how every in-tree producer builds the table.
-        out += " " + (std::size_t(in.imm) < regions.size()
-                          ? regions[std::size_t(in.imm)]
-                          : std::to_string(in.imm));
-        break;
-      default:
-        out += " " + srcReg(in.dst) + ", " + srcReg(in.srcA) + ", " +
-               srcBOperand(in, float_imm);
-        break;
-    }
-    (void)pc;
-    return out + srcAnnotations(in);
-}
-
-} // namespace
-
 std::string
 Program::sourceText() const
 {
@@ -312,7 +146,9 @@ Program::sourceText() const
     for (std::uint32_t pc = 0; pc < instrs_.size(); ++pc) {
         if (targets.count(pc))
             out += "L" + std::to_string(pc) + ":\n";
-        out += "    " + srcLine(instrs_[pc], pc, regionNames_) + "\n";
+        out += "    " +
+               formatInstr(instrs_[pc], InstrStyle::Source, regionNames_) +
+               "\n";
     }
     return out;
 }

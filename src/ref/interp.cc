@@ -1,53 +1,13 @@
 #include "ref/interp.hh"
 
 #include <algorithm>
-#include <cmath>
 
+#include "isa/op_table.hh"
 #include "rtcore/rtcore.hh"
 
 namespace si {
 
 namespace {
-
-float
-asFloat(std::uint32_t bits)
-{
-    return Instr::bitsToFloat(std::int32_t(bits));
-}
-
-std::uint32_t
-asBits(float f)
-{
-    return std::uint32_t(Instr::fbits(f));
-}
-
-bool
-compare(CmpOp op, std::int64_t a, std::int64_t b)
-{
-    switch (op) {
-      case CmpOp::LT: return a < b;
-      case CmpOp::LE: return a <= b;
-      case CmpOp::GT: return a > b;
-      case CmpOp::GE: return a >= b;
-      case CmpOp::EQ: return a == b;
-      case CmpOp::NE: return a != b;
-    }
-    return false;
-}
-
-bool
-compareF(CmpOp op, float a, float b)
-{
-    switch (op) {
-      case CmpOp::LT: return a < b;
-      case CmpOp::LE: return a <= b;
-      case CmpOp::GT: return a > b;
-      case CmpOp::GE: return a >= b;
-      case CmpOp::EQ: return a == b;
-      case CmpOp::NE: return a != b;
-    }
-    return false;
-}
 
 /**
  * Executes one warp to completion under the canonical schedule. State is
@@ -166,193 +126,10 @@ class WarpInterp
         auto rdf = [&](unsigned lane, RegIndex r) {
             return asFloat(rd(lane, r));
         };
-        auto srcb = [&](unsigned lane) {
-            return in.bImm ? std::uint32_t(in.imm) : rd(lane, in.srcB);
-        };
-        auto srcbf = [&](unsigned lane) {
-            return in.bImm ? asFloat(std::uint32_t(in.imm))
-                           : asFloat(rd(lane, in.srcB));
-        };
 
         bool advanced = false;
 
         switch (in.op) {
-          case Opcode::NOP:
-          case Opcode::YIELD:
-            break;
-
-          case Opcode::MOV:
-            for_exec([&](unsigned lane) {
-                wr(lane, in.dst,
-                   in.bImm ? std::uint32_t(in.imm) : rd(lane, in.srcA));
-            });
-            break;
-
-          case Opcode::S2R:
-            for_exec([&](unsigned lane) {
-                std::uint32_t v = 0;
-                switch (SReg(in.imm)) {
-                  case SReg::TID:
-                    v = logicalId_ * warpSize + lane;
-                    break;
-                  case SReg::CTAID:
-                    v = ctaId_;
-                    break;
-                  case SReg::LANEID:
-                    v = lane;
-                    break;
-                  case SReg::WARPID:
-                    v = logicalId_;
-                    break;
-                }
-                wr(lane, in.dst, v);
-            });
-            break;
-
-          case Opcode::IADD:
-            for_exec([&](unsigned lane) {
-                wr(lane, in.dst, rd(lane, in.srcA) + srcb(lane));
-            });
-            break;
-          case Opcode::ISUB:
-            for_exec([&](unsigned lane) {
-                wr(lane, in.dst, rd(lane, in.srcA) - srcb(lane));
-            });
-            break;
-          case Opcode::IMUL:
-            for_exec([&](unsigned lane) {
-                wr(lane, in.dst, rd(lane, in.srcA) * srcb(lane));
-            });
-            break;
-          case Opcode::IMAD:
-            for_exec([&](unsigned lane) {
-                wr(lane, in.dst,
-                   rd(lane, in.srcA) * srcb(lane) + rd(lane, in.srcC));
-            });
-            break;
-          case Opcode::IMIN:
-            for_exec([&](unsigned lane) {
-                wr(lane, in.dst,
-                   std::uint32_t(std::min(std::int32_t(rd(lane, in.srcA)),
-                                          std::int32_t(srcb(lane)))));
-            });
-            break;
-          case Opcode::IMAX:
-            for_exec([&](unsigned lane) {
-                wr(lane, in.dst,
-                   std::uint32_t(std::max(std::int32_t(rd(lane, in.srcA)),
-                                          std::int32_t(srcb(lane)))));
-            });
-            break;
-          case Opcode::AND:
-            for_exec([&](unsigned lane) {
-                wr(lane, in.dst, rd(lane, in.srcA) & srcb(lane));
-            });
-            break;
-          case Opcode::OR:
-            for_exec([&](unsigned lane) {
-                wr(lane, in.dst, rd(lane, in.srcA) | srcb(lane));
-            });
-            break;
-          case Opcode::XOR:
-            for_exec([&](unsigned lane) {
-                wr(lane, in.dst, rd(lane, in.srcA) ^ srcb(lane));
-            });
-            break;
-          case Opcode::SHL:
-            for_exec([&](unsigned lane) {
-                wr(lane, in.dst, rd(lane, in.srcA) << (srcb(lane) & 31));
-            });
-            break;
-          case Opcode::SHR:
-            for_exec([&](unsigned lane) {
-                wr(lane, in.dst, rd(lane, in.srcA) >> (srcb(lane) & 31));
-            });
-            break;
-
-          case Opcode::FADD:
-            for_exec([&](unsigned lane) {
-                wr(lane, in.dst, asBits(rdf(lane, in.srcA) + srcbf(lane)));
-            });
-            break;
-          case Opcode::FMUL:
-            for_exec([&](unsigned lane) {
-                wr(lane, in.dst, asBits(rdf(lane, in.srcA) * srcbf(lane)));
-            });
-            break;
-          case Opcode::FFMA:
-            for_exec([&](unsigned lane) {
-                wr(lane, in.dst,
-                   asBits(rdf(lane, in.srcA) * srcbf(lane) +
-                          rdf(lane, in.srcC)));
-            });
-            break;
-          case Opcode::FMIN:
-            for_exec([&](unsigned lane) {
-                wr(lane, in.dst,
-                   asBits(std::fmin(rdf(lane, in.srcA), srcbf(lane))));
-            });
-            break;
-          case Opcode::FMAX:
-            for_exec([&](unsigned lane) {
-                wr(lane, in.dst,
-                   asBits(std::fmax(rdf(lane, in.srcA), srcbf(lane))));
-            });
-            break;
-          case Opcode::FRCP:
-            for_exec([&](unsigned lane) {
-                const float a = rdf(lane, in.srcA);
-                wr(lane, in.dst, asBits(a == 0.0f ? 0.0f : 1.0f / a));
-            });
-            break;
-          case Opcode::FSQRT:
-            for_exec([&](unsigned lane) {
-                wr(lane, in.dst,
-                   asBits(std::sqrt(std::fmax(0.0f, rdf(lane, in.srcA)))));
-            });
-            break;
-          case Opcode::I2F:
-            for_exec([&](unsigned lane) {
-                wr(lane, in.dst,
-                   asBits(float(std::int32_t(rd(lane, in.srcA)))));
-            });
-            break;
-          case Opcode::F2I:
-            for_exec([&](unsigned lane) {
-                const float f = rdf(lane, in.srcA);
-                std::int32_t v;
-                if (!std::isfinite(f))
-                    v = f > 0 ? INT32_MAX : (f < 0 ? INT32_MIN : 0);
-                else if (f >= 2147483647.0f)
-                    v = INT32_MAX;
-                else if (f <= -2147483648.0f)
-                    v = INT32_MIN;
-                else
-                    v = std::int32_t(f);
-                wr(lane, in.dst, std::uint32_t(v));
-            });
-            break;
-
-          case Opcode::ISETP:
-            for_exec([&](unsigned lane) {
-                setPred(lane, in.pdst,
-                        compare(in.cmp, std::int32_t(rd(lane, in.srcA)),
-                                std::int32_t(srcb(lane))));
-            });
-            break;
-          case Opcode::FSETP:
-            for_exec([&](unsigned lane) {
-                setPred(lane, in.pdst,
-                        compareF(in.cmp, rdf(lane, in.srcA), srcbf(lane)));
-            });
-            break;
-          case Opcode::SEL:
-            for_exec([&](unsigned lane) {
-                wr(lane, in.dst,
-                   pred(lane, in.pdst) ? rd(lane, in.srcA) : srcb(lane));
-            });
-            break;
-
           case Opcode::LDC:
             for_exec([&](unsigned lane) {
                 wr(lane, in.dst, memory_.readConst(std::uint32_t(in.imm)));
@@ -450,6 +227,26 @@ class WarpInterp
           }
 
           default:
+            // Lane-valued opcodes; NOP, YIELD and MARKER have no
+            // architectural effect.
+            withLaneOp(in.op, [&](auto op) {
+                constexpr OpInfo info = opInfo(decltype(op)::value);
+                for (unsigned lane : lanesOf(exec)) {
+                    const LaneArgs x{rd(lane, in.srcA),
+                                     in.bImm ? std::uint32_t(in.imm)
+                                             : rd(lane, in.srcB),
+                                     rd(lane, in.srcC),
+                                     pred(lane, in.pdst),
+                                     lane,
+                                     logicalId_,
+                                     ctaId_};
+                    const std::uint32_t v = info.lane(in, x);
+                    if constexpr (info.shape == OpShape::SetP)
+                        setPred(lane, in.pdst, v != 0);
+                    else
+                        wr(lane, in.dst, v);
+                }
+            });
             break;
         }
 

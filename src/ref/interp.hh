@@ -13,6 +13,10 @@
  * stall/wakeup/yield, warp scheduler arbitration, and switch penalties.
  * Runnable lanes are scheduled canonically: the lowest-PC group of
  * runnable lanes executes next, always as one maximal subwarp.
+ *
+ * Control flow, convergence barriers and memory are implemented here
+ * independently of the core; per-lane ALU values come from the shared
+ * opcode table (isa/op_table.hh) and are pinned by test_alu_table.
  */
 
 #ifndef SI_REF_INTERP_HH

@@ -176,6 +176,40 @@ TEST(Assembler, ErrorReportsLineNumber)
     EXPECT_NE(e.find("line 3"), std::string::npos);
 }
 
+TEST(Assembler, ErrorIntegerLiteralOutOfRange)
+{
+    // Beyond 32 bits (including strtol overflow) is an error naming the
+    // line, not a silently truncated value — or, for MOV, a float.
+    for (const char *lit :
+         {"99999999999", "4294967296", "-2147483649", "0x100000000",
+          "99999999999999999999999"}) {
+        const std::string e = err("NOP\nMOV R1, " + std::string(lit) +
+                                  "\nEXIT\n");
+        EXPECT_NE(e.find("line 2"), std::string::npos) << lit << ": " << e;
+        EXPECT_NE(e.find("out of range"), std::string::npos) << e;
+    }
+    EXPECT_NE(err("IADD R1, R2, 5000000000\nEXIT\n").find("out of range"),
+              std::string::npos);
+    EXPECT_NE(err("LDG R1, [R2+0x1FFFFFFFF]\nEXIT\n").find("out of range"),
+              std::string::npos);
+    EXPECT_THROW(assembleOrDie("MOV R1, 99999999999\nEXIT\n"), SimError);
+
+    // The 32-bit edges still parse, signed and unsigned.
+    const Program p = ok(R"(
+MOV R1, 0x10000000
+MOV R2, 0x20000000
+MOV R3, 4294967295
+MOV R4, -2147483648
+MOV R5, 0xFFFFFFFF
+EXIT
+)");
+    EXPECT_EQ(p.at(0).imm, 0x10000000);
+    EXPECT_EQ(p.at(1).imm, 0x20000000);
+    EXPECT_EQ(p.at(2).imm, -1);
+    EXPECT_EQ(p.at(3).imm, INT32_MIN);
+    EXPECT_EQ(p.at(4).imm, -1);
+}
+
 TEST(Assembler, ErrorMissingExitViaProgramCheck)
 {
     EXPECT_NE(err("NOP\nNOP\n").find("EXIT"), std::string::npos);
