@@ -89,6 +89,10 @@ Gpu::Gpu(const GpuConfig &config, Memory &memory, const Bvh *scene)
 {
     sim_throw_if(config_.numSms == 0, ErrorKind::Config,
                  "GPU needs at least one SM");
+    sim_throw_if(config_.pbsPerSm == 0, ErrorKind::Config,
+                 "an SM needs at least one processing block");
+    sim_throw_if(config_.warpSlotsPerPb == 0, ErrorKind::Config,
+                 "a processing block needs at least one warp slot");
     sms_.reserve(config_.numSms);
     for (unsigned s = 0; s < config_.numSms; ++s)
         sms_.push_back(std::make_unique<Sm>(s, config_, memory_, scene_));

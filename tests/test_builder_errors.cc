@@ -93,6 +93,29 @@ TEST(ProgramEdge, EmptyWarpLaunchRejected)
     EXPECT_THAT(r.status.message, ::testing::HasSubstr("zero warps"));
 }
 
+TEST(ProgramEdge, ZeroSizedMachineShapeRejectedAtConstruction)
+{
+    KernelBuilder kb("k");
+    kb.exit();
+    const Program p = kb.build(8);
+    for (int field = 0; field < 3; ++field) {
+        GpuConfig cfg;
+        cfg.numSms = field == 0 ? 0 : 1;
+        cfg.pbsPerSm = field == 1 ? 0 : 4;
+        cfg.warpSlotsPerPb = field == 2 ? 0 : 8;
+        Memory mem;
+        try {
+            Gpu gpu(cfg, mem);
+            ADD_FAILURE() << "zero-sized shape " << field << " accepted";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), ErrorKind::Config) << field;
+        }
+        const GpuResult r = simulate(cfg, mem, p, {1, 1});
+        EXPECT_FALSE(r.ok());
+        EXPECT_EQ(r.status.kind, ErrorKind::Config) << field;
+    }
+}
+
 TEST(ProgramEdge, RegisterHungryKernelRejected)
 {
     KernelBuilder kb("fat");

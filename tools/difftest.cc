@@ -56,6 +56,7 @@
  *                      emitted in seed order, so stdout and the exit
  *                      status are byte-identical at any jobs value.
  *   -v                 per-seed progress output
+ *   --help, -h         print usage on stdout and exit 0
  *
  * Exit status: 0 = all seeds agree (or, with --inject, every fired fault
  * was detected); 1 = a divergence (or an undetected injected fault, or a
@@ -76,9 +77,9 @@
 namespace {
 
 void
-usage()
+usage(std::FILE *out = stderr)
 {
-    std::fprintf(stderr,
+    std::fprintf(out,
                  "usage: difftest [--seeds N] [--seed S] [--shrink]\n"
                  "                [--inject scoreboard|dropwb|barrier] "
                  "[--verify] [--snapshot]\n"
@@ -142,6 +143,13 @@ parseU64(const char *s, std::uint64_t &out)
 int
 main(int argc, char **argv)
 {
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--help") == 0 ||
+            std::strcmp(argv[i], "-h") == 0) {
+            usage(stdout);
+            return 0;
+        }
+    }
     si::verboseLogging = false;
 
     std::uint64_t num_seeds = 64;

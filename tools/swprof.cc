@@ -32,6 +32,7 @@
  *   --trace FILE       Chrome trace_event JSON of the recorded timeline
  *   --trace-bin FILE   compact binary dump of the recorded timeline
  *   --ring N           ring-buffer capacity in events (default 1Mi)
+ *   --help, -h         print usage on stdout and exit 0
  *
  * Diff mode:
  *   swprof --diff BASE.json TEST.json [--json FILE]
@@ -70,9 +71,9 @@
 namespace {
 
 void
-usage()
+usage(std::FILE *out = stderr)
 {
-    std::fprintf(stderr,
+    std::fprintf(out,
                  "usage: swprof KERNEL.sasm [--warps N] [--lat N] [--si] "
                  "[--yield]\n"
                  "              [--trigger any|half|all] [--tst N] "
@@ -178,6 +179,13 @@ diffMain(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--help") == 0 ||
+            std::strcmp(argv[i], "-h") == 0) {
+            usage(stdout);
+            return 0;
+        }
+    }
     si::verboseLogging = false;
     if (argc < 2) {
         usage();

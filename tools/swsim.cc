@@ -73,6 +73,7 @@
  *   --trace-ring N     ring-buffer capacity in events (default 1Mi)
  *   --disasm           print the kernel listing before running
  *   --compare          also run the baseline and report the speedup
+ *   --help, -h         print usage on stdout and exit 0
  *
  * Exit status: 0 on success (for --inject: fault caught), 1 on bad
  * usage, assembly error, or a failed/undetected run.
@@ -103,9 +104,9 @@
 namespace {
 
 void
-usage()
+usage(std::FILE *out = stderr)
 {
-    std::fprintf(stderr,
+    std::fprintf(out,
                  "usage: swsim KERNEL.sasm [--warps N] [--lat N] [--si] "
                  "[--yield]\n"
                  "             [--trigger any|half|all] [--tst N] "
@@ -181,6 +182,13 @@ parseUnsigned(const char *s, unsigned &out)
 int
 main(int argc, char **argv)
 {
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--help") == 0 ||
+            std::strcmp(argv[i], "-h") == 0) {
+            usage(stdout);
+            return 0;
+        }
+    }
     si::verboseLogging = false;
     if (argc < 2) {
         usage();
