@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
-# CI entry point: build and test three times — a plain Release build, an
+# CI entry point: build and test a plain Release build and an
 # AddressSanitizer + UBSan build (SI_SANITIZE, see the top CMakeLists),
-# and a Release build with the trace tier compiled out (-DSI_TRACE=OFF)
-# to prove the observability layer costs nothing when disabled.
+# plus a targeted ThreadSanitizer build of the parallel engine.
 # Each pass also runs the static kernel verifier (silint) over every
 # checked-in kernel against the golden report (with the si-lint-v1 JSON
 # export schema-checked), and the 256-seed differential sweep with
@@ -161,34 +160,6 @@ check_campaign_soak() {
     fi
 }
 
-# The windowed metrics sampler must be fully functional with the trace
-# tier compiled out — it reads SmStats directly, not trace events. Run
-# the same SI-off/SI-on metrics export + zero-residual profdiff gate on
-# the -DSI_TRACE=OFF build.
-check_metrics_notrace() {
-    local dir=$1
-    local art="$dir/artifacts"
-    mkdir -p "$art"
-    echo "=== metrics exports $dir (sampler under SI_TRACE=OFF)"
-    "$dir/tools/swsim" kernels/fig9.sasm \
-        --metrics-out "$art/fig9_metrics_base.json" \
-        --metrics-interval 100 > /dev/null
-    "$dir/tools/swsim" kernels/fig9.sasm --si \
-        --metrics-out "$art/fig9_metrics_si.json" \
-        --metrics-interval 100 > /dev/null
-    "$dir/tools/swprof" --diff \
-        "$art/fig9_metrics_base.json" "$art/fig9_metrics_si.json" \
-        --json "$art/fig9_profdiff_metrics.json" > /dev/null
-    if command -v python3 >/dev/null 2>&1; then
-        python3 tools/check_bench_json.py tools/metrics_schema.json \
-            "$art/fig9_metrics_base.json" "$art/fig9_metrics_si.json"
-        python3 tools/check_bench_json.py tools/profdiff_schema.json \
-            "$art/fig9_profdiff_metrics.json"
-    else
-        echo "=== python3 not installed; skipping the JSON schema gate"
-    fi
-}
-
 # ThreadSanitizer leg for the parallel execution engine: build with
 # -fsanitize=thread and drive the code that actually runs concurrent
 # workers — the executor/equivalence suite (test_parallel) and the
@@ -307,7 +278,5 @@ check_perf build-release
 check_fastforward_speedup build-release
 run build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSI_SANITIZE=address,undefined
 run_tsan build-tsan
-run build-notrace -DCMAKE_BUILD_TYPE=Release -DSI_TRACE=OFF
-check_metrics_notrace build-notrace
 
 echo "=== ci.sh: all green"

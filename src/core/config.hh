@@ -202,9 +202,9 @@ struct GpuConfig
      * table is bit-identical to the per-cycle run, so this is a pure
      * wall-clock optimization and is on by default. Automatically
      * pinned back to per-cycle ("faithful") execution when an observer
-     * that needs every cycle is attached: a fault-injection hook, the
-     * race sanitizer, or (in SI_TRACE builds) a trace sink consuming
-     * the per-cycle event tier. Excluded from configFingerprint —
+     * that needs every cycle is attached: a fault-injection hook or the
+     * race sanitizer. A trace sink does not pin it: no trace event
+     * fires on a quiet cycle. Excluded from configFingerprint —
      * timing-neutral by construction, so snapshots transfer across
      * modes.
      */
@@ -262,10 +262,8 @@ struct GpuConfig
      * Trace event consumer (null = tracing off). Non-owning; must
      * outlive the run. Receives the typed event stream defined in
      * trace/events.hh — instruction issues, subwarp state transitions,
-     * cache traffic, stall attribution, watchdog and fault-injection
-     * events — each stamped with cycle/SM/PB/warp. The always-on tier
-     * (Issue/WarpRetire/Watchdog/FaultInject) fires in every build;
-     * the rest compile out with -DSI_TRACE=OFF.
+     * cache traffic, watchdog and fault-injection events — each
+     * stamped with cycle/SM/PB/warp.
      */
     TraceSink *traceSink = nullptr;
 

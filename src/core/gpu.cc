@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 
 #include "common/log.hh"
 #include "common/sim_error.hh"
@@ -93,6 +94,9 @@ Gpu::Gpu(const GpuConfig &config, Memory &memory, const Bvh *scene)
                  "an SM needs at least one processing block");
     sim_throw_if(config_.warpSlotsPerPb == 0, ErrorKind::Config,
                  "a processing block needs at least one warp slot");
+    sim_throw_if(config_.numSms > traceMaxSms, ErrorKind::Config,
+                 "%u SMs exceed the %u that trace events can name",
+                 config_.numSms, traceMaxSms);
     sms_.reserve(config_.numSms);
     for (unsigned s = 0; s < config_.numSms; ++s)
         sms_.push_back(std::make_unique<Sm>(s, config_, memory_, scene_));
@@ -110,6 +114,7 @@ Gpu::launchKernels(const std::vector<KernelLaunch> &kernels)
     sim_throw_if(kernels.empty(), ErrorKind::Config,
                  "no kernels to launch");
     unsigned max_warps = 0;
+    std::uint64_t total_warps = 0;
     for (const auto &k : kernels) {
         sim_throw_if(k.program == nullptr, ErrorKind::Config,
                      "kernel without a program");
@@ -119,7 +124,15 @@ Gpu::launchKernels(const std::vector<KernelLaunch> &kernels)
         sim_throw_if(k.launch.warpsPerCta == 0, ErrorKind::Config,
                      "warpsPerCta must be nonzero");
         max_warps = std::max(max_warps, k.launch.numWarps);
+        total_warps += k.launch.numWarps;
     }
+    // Checked before any warp is allocated: an absurd launch is a
+    // configuration error, not an out-of-memory abort.
+    sim_throw_if(total_warps > traceMaxWarps, ErrorKind::Config,
+                 "launch of %llu warps exceeds the %llu that trace "
+                 "events can name",
+                 static_cast<unsigned long long>(total_warps),
+                 static_cast<unsigned long long>(traceMaxWarps));
     kernels_ = kernels;
     now_ = 0;
     lastIssued_ = 0;
@@ -267,15 +280,12 @@ Gpu::runLoop(GpuResult &result)
 bool
 Gpu::fastForwardEligible() const
 {
-    // A fault hook may mutate state at any cycle; the race sanitizer
-    // hooks observe per-access interleavings; a trace sink consuming
-    // the per-cycle event tier (StallCycle etc., SI_TRACE builds only)
-    // must see every cycle. Any of these pins the run to faithful
-    // per-cycle execution.
+    // A fault hook may mutate state at any cycle and the race sanitizer
+    // hooks observe per-access interleavings; either pins the run to
+    // faithful per-cycle execution. Trace sinks do not: no event fires
+    // on a quiet cycle (trace/events.hh).
     return config_.fastForward && !config_.faultHook &&
-           !config_.raceHooks &&
-           !(SI_TRACE_ENABLED && config_.traceSink &&
-             config_.traceSink->wantsPerCycleEvents());
+           !config_.raceHooks;
 }
 
 void
@@ -334,8 +344,8 @@ Gpu::maybeFastForward(bool eligible, bool events_pending)
 void
 Gpu::finalize(GpuResult &result)
 {
-    // Always-on tier: a failed run stamps its timeline with the watchdog
-    // verdict, so livelock/deadlock reports come with trace context.
+    // A failed run stamps its timeline with the watchdog verdict, so
+    // livelock/deadlock reports come with trace context.
     if (!result.status.ok()) {
         if (TraceSink *sink = config_.traceSink) {
             TraceEvent ev;
@@ -349,12 +359,26 @@ Gpu::finalize(GpuResult &result)
     if (config_.metricsSampler)
         config_.metricsSampler->finish(*this, now_);
 
+    std::map<std::pair<std::uint32_t, StallReason>, std::uint64_t> cells;
     for (auto &sm : sms_) {
         sm->finalizeStats();
         result.perSm.push_back(sm->stats());
         result.total.accumulate(sm->stats());
+        // Each table's last row is its "(no subwarp)" row.
+        const std::vector<StallCounts> &t = sm->stallsByPc();
+        for (std::size_t i = 0; i < t.size(); ++i) {
+            for (std::size_t k = 0; k < numStallReasons; ++k) {
+                if (t[i][k] != 0) {
+                    cells[{i + 1 == t.size() ? noSubwarpPc
+                                             : std::uint32_t(i),
+                           StallReason(k)}] += t[i][k];
+                }
+            }
+        }
     }
     result.cycles = result.total.cycles;
+    for (const auto &[key, slots] : cells)
+        result.stallsByPc.push_back({key.first, key.second, slots});
 }
 
 GpuResult

@@ -32,6 +32,19 @@ struct KernelLaunch
     LaunchParams launch;
 };
 
+/** PcStall::pc of slots lost with no pc to charge ("(no subwarp)"). */
+inline constexpr std::uint32_t noSubwarpPc = 0xffffffffu;
+
+/** Lost warp-slots charged to one (pc, StallReason) pair. */
+struct PcStall
+{
+    std::uint32_t pc;
+    StallReason reason;
+    std::uint64_t slots;
+
+    bool operator==(const PcStall &) const = default;
+};
+
 /** Outcome of one kernel simulation. */
 struct GpuResult
 {
@@ -41,6 +54,15 @@ struct GpuResult
     SmStats total;          ///< statistics summed over SMs (partial on
                             ///< failure: everything up to the error)
     std::vector<SmStats> perSm;
+
+    /**
+     * The nonzero cells of the SMs' per-pc stall tables
+     * (Sm::stallsByPc()), summed over SMs, ordered by pc then reason,
+     * with "(no subwarp)" slots last under noSubwarpPc. Kept sparse
+     * because results outlive runs, by the hundred in a sweep. The
+     * slots of each reason sum to total.stallCyclesByReason.
+     */
+    std::vector<PcStall> stallsByPc;
 
     /** True when the kernel ran to completion. */
     bool ok() const { return status.ok(); }
@@ -146,8 +168,7 @@ class Gpu
 
     /**
      * True when this run may leap: the knob is on and no per-cycle
-     * observer (fault hook, race sanitizer, or — in SI_TRACE builds —
-     * a trace sink consuming the per-cycle event tier) is attached.
+     * observer (fault hook or race sanitizer) is attached.
      */
     bool fastForwardEligible() const;
 

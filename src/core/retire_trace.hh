@@ -40,11 +40,11 @@ using WarpRetireTrace = std::array<std::vector<RetireEvent>, warpSize>;
 
 /**
  * Collects retirement traces from the cycle model's trace stream. A
- * TraceSink adapter over the always-on Issue events: install with
+ * TraceSink adapter over the Issue events: install with
  * `config.traceSink = &collector`; the collector must outlive the run.
  * Traces are keyed by warp id (for single-kernel launches this equals
- * the warp's launch index). Because Issue events are in the always-on
- * tier, the differential oracle works even in -DSI_TRACE=OFF builds.
+ * the warp's launch index; Gpu caps launches at traceMaxWarps, so ids
+ * never alias).
  */
 class RetireTraceCollector : public TraceSink
 {
@@ -60,12 +60,6 @@ class RetireTraceCollector : public TraceSink
         for (unsigned lane : lanesOf(active))
             warp[lane].push_back({ev.pc, exec.test(lane)});
     }
-
-    /**
-     * Issue events are always-on-tier; a quiet (leapable) cycle never
-     * issues, so fast-forwarding cannot change the collected traces.
-     */
-    bool wantsPerCycleEvents() const override { return false; }
 
     const std::map<unsigned, WarpRetireTrace> &traces() const
     {

@@ -15,12 +15,9 @@ namespace {
 
 /**
  * Classify a lost issue slot as one of the paper's Figure 3 stall
- * reasons, mirroring the SmStats counter switch in Sm::tick() exactly
- * so per-reason totals reconcile with the counters:
- * LoadToUse+Barrier+NoReadySubwarp == warpScoreboardStallCycles,
- * IFetch == warpFetchStallCycles, Pipe == warpPipeStallCycles,
- * Switch == warpSwitchCycles. Shared by the per-reason SmStats
- * counters and the StallCycle trace events.
+ * reasons. A ScoreboardStall or WaitWakeup warp is a load-to-use,
+ * barrier, or no-ready-subwarp slot, which is what
+ * SmStats::warpScoreboardStallCycles() sums.
  */
 StallReason
 classifyStall(const Warp &w, WarpStatus st)
@@ -66,8 +63,6 @@ resultLatency(OpClass cls, const LatencyConfig &lat)
     }
 }
 
-#if SI_TRACE_ENABLED
-
 TraceEvent
 warpEvent(unsigned sm_id, const Warp &w, TraceEventKind kind, Cycle now)
 {
@@ -94,38 +89,6 @@ cacheEvent(TraceEventKind kind, unsigned sm_id, const Warp &w, Cycle now,
     return ev;
 }
 
-/** A StallCycle event for @p w, bucketed by classifyStall(). */
-TraceEvent
-stallEvent(unsigned sm_id, const Warp &w, WarpStatus st, Cycle now)
-{
-    const StallReason reason = classifyStall(w, st);
-
-    // Attribute to the active pc; with no ACTIVE subwarp, to the first
-    // stalled TST entry's pc (the load the warp is waiting behind).
-    std::uint32_t pc = traceNoPc;
-    if (w.activeMask().any()) {
-        pc = w.activePc();
-    } else {
-        for (const auto &e : w.tst()) {
-            if (e.valid) {
-                pc = e.pc;
-                break;
-            }
-        }
-    }
-    std::uint32_t op = traceNoOpcode;
-    if (pc != traceNoPc && pc < w.program().size())
-        op = std::uint32_t(w.program().at(pc).op);
-
-    TraceEvent ev = warpEvent(sm_id, w, TraceEventKind::StallCycle, now);
-    ev.pc = pc;
-    ev.mask = w.activeMask().raw();
-    ev.arg = std::uint32_t(reason) | (op << 8);
-    return ev;
-}
-
-#endif // SI_TRACE_ENABLED
-
 } // namespace
 
 void
@@ -149,10 +112,6 @@ SmStats::accumulate(const SmStats &other)
     exposedLoadStallCycles += other.exposedLoadStallCycles;
     exposedLoadStallCyclesDivergent += other.exposedLoadStallCyclesDivergent;
     exposedFetchStallCycles += other.exposedFetchStallCycles;
-    warpScoreboardStallCycles += other.warpScoreboardStallCycles;
-    warpPipeStallCycles += other.warpPipeStallCycles;
-    warpFetchStallCycles += other.warpFetchStallCycles;
-    warpSwitchCycles += other.warpSwitchCycles;
     ldgIssued += other.ldgIssued;
     texIssued += other.texIssued;
     rtQueriesIssued += other.rtQueriesIssued;
@@ -194,10 +153,10 @@ SmStats::save(SnapshotWriter &w) const
     w.u64(exposedLoadStallCycles);
     w.f64(exposedLoadStallCyclesDivergent);
     w.u64(exposedFetchStallCycles);
-    w.u64(warpScoreboardStallCycles);
-    w.u64(warpPipeStallCycles);
-    w.u64(warpFetchStallCycles);
-    w.u64(warpSwitchCycles);
+    w.u64(warpScoreboardStallCycles());
+    w.u64(warpPipeStallCycles());
+    w.u64(warpFetchStallCycles());
+    w.u64(warpSwitchCycles());
     w.u64(ldgIssued);
     w.u64(gmemTransactions);
     w.u64(texIssued);
@@ -244,10 +203,11 @@ SmStats::restore(SnapshotReader &r)
     exposedLoadStallCycles = r.u64();
     exposedLoadStallCyclesDivergent = r.f64();
     exposedFetchStallCycles = r.u64();
-    warpScoreboardStallCycles = r.u64();
-    warpPipeStallCycles = r.u64();
-    warpFetchStallCycles = r.u64();
-    warpSwitchCycles = r.u64();
+    // The per-status words precede the reason counts they derive from;
+    // checked once those are read.
+    std::array<std::uint64_t, 4> per_status;
+    for (std::uint64_t &v : per_status)
+        v = r.u64();
     ldgIssued = r.u64();
     gmemTransactions = r.u64();
     texIssued = r.u64();
@@ -270,6 +230,12 @@ SmStats::restore(SnapshotReader &r)
     arbLossCycles = r.u64();
     for (std::uint64_t &v : stallCyclesByReason)
         v = r.u64();
+    const std::array<std::uint64_t, 4> derived{
+        warpScoreboardStallCycles(), warpPipeStallCycles(),
+        warpFetchStallCycles(), warpSwitchCycles()};
+    sim_throw_if(per_status != derived, ErrorKind::Snapshot,
+                 "stats: per-status stall words disagree with the "
+                 "per-reason counts");
     warpCyclesSubwarpFull = r.u64();
     warpCyclesSubwarpPartial = r.u64();
     warpCyclesSubwarpNone = r.u64();
@@ -329,6 +295,9 @@ Sm::addWarp(std::unique_ptr<Warp> warp)
         maxResidentPerPb_ =
             std::max(1u, std::min(config_.warpSlotsPerPb, by_regs));
     }
+    // Every pc of the largest program, plus the "(no subwarp)" row.
+    stallsByPc_.resize(
+        std::max(stallsByPc_.size(), std::size_t(warp->program().size()) + 1));
     warps_.push_back(std::move(warp));
     pendingAdmission_.push_back(unsigned(warps_.size() - 1));
     statusScratch_.resize(warps_.size(), WarpStatus::Done);
@@ -355,7 +324,7 @@ Sm::drainWritebacks(Cycle now)
         tickDirty_ = true;
         Warp &w = *warps_[wb.warpIdx];
         w.scoreboards().decr(wb.mask, wb.sb);
-        SI_TRACE_EVENT(config_.traceSink, [&] {
+        SI_EMIT_EVENT(config_.traceSink, [&] {
             TraceEvent ev =
                 warpEvent(id_, w, TraceEventKind::Writeback, now);
             ev.mask = wb.mask.raw();
@@ -464,25 +433,25 @@ Sm::evalWarp(unsigned warp_idx, Cycle now)
         const Addr line = w.program().instrAddr(pc);
         ProcessingBlock &pb = pbs_[w.pb()];
         const Cache::AccessResult l0 = pb.l0i.accessEx(line);
-        SI_TRACE_EVENT(config_.traceSink,
-                       cacheEvent(TraceEventKind::CacheAccess, id_, w, now,
-                                  TraceCacheLevel::L0I, l0, line, pc));
+        SI_EMIT_EVENT(config_.traceSink,
+                      cacheEvent(TraceEventKind::CacheAccess, id_, w, now,
+                                 TraceCacheLevel::L0I, l0, line, pc));
         w.fetchedPc = pc;
         if (!l0.hit) {
-            SI_TRACE_EVENT(config_.traceSink,
-                           cacheEvent(TraceEventKind::CacheFill, id_, w,
-                                      now, TraceCacheLevel::L0I, l0, line,
-                                      pc));
+            SI_EMIT_EVENT(config_.traceSink,
+                          cacheEvent(TraceEventKind::CacheFill, id_, w,
+                                     now, TraceCacheLevel::L0I, l0, line,
+                                     pc));
             const Cache::AccessResult l1 = l1i_.accessEx(line);
-            SI_TRACE_EVENT(config_.traceSink,
-                           cacheEvent(TraceEventKind::CacheAccess, id_, w,
-                                      now, TraceCacheLevel::L1I, l1, line,
-                                      pc));
+            SI_EMIT_EVENT(config_.traceSink,
+                          cacheEvent(TraceEventKind::CacheAccess, id_, w,
+                                     now, TraceCacheLevel::L1I, l1, line,
+                                     pc));
             if (!l1.hit) {
-                SI_TRACE_EVENT(config_.traceSink,
-                               cacheEvent(TraceEventKind::CacheFill, id_,
-                                          w, now, TraceCacheLevel::L1I, l1,
-                                          line, pc));
+                SI_EMIT_EVENT(config_.traceSink,
+                              cacheEvent(TraceEventKind::CacheFill, id_,
+                                         w, now, TraceCacheLevel::L1I, l1,
+                                         line, pc));
             }
             w.issueReadyAt = now + (l1.hit ? config_.lat.l0iMiss
                                            : config_.lat.l1iMiss);
@@ -578,21 +547,16 @@ Sm::issue(unsigned warp_idx, Cycle now)
     ++stats_.instrsIssued;
     w.lastIssueCycle = now;
 
-    // Always-on tier: the differential oracle's retirement traces are
-    // derived from Issue events, so these fire in every build.
-    if (TraceSink *sink = config_.traceSink) {
-        TraceEvent ev;
-        ev.cycle = now;
+    // The differential oracle's retirement traces are derived from
+    // Issue events.
+    SI_EMIT_EVENT(config_.traceSink, [&] {
+        TraceEvent ev = warpEvent(id_, w, TraceEventKind::Issue, now);
         ev.pc = pc;
         ev.mask = active.raw();
         ev.mask2 = exec.raw();
         ev.arg = std::uint32_t(in.op);
-        ev.warpId = std::uint16_t(w.id());
-        ev.smId = std::uint8_t(id_);
-        ev.pb = std::uint8_t(w.pb());
-        ev.kind = TraceEventKind::Issue;
-        sink->record(ev);
-    }
+        return ev;
+    }());
 
     auto advance = [&]() {
         for (unsigned lane : lanesOf(active))
@@ -668,15 +632,15 @@ Sm::issue(unsigned warp_idx, Cycle now)
         for (unsigned i = 0; i < num_lines; ++i) {
             const Cache::AccessResult res = l1d_.accessEx(lines[i]);
             any_miss |= !res.hit;
-            SI_TRACE_EVENT(config_.traceSink,
-                           cacheEvent(TraceEventKind::CacheAccess, id_, w,
-                                      now, TraceCacheLevel::L1D, res,
-                                      lines[i], pc));
+            SI_EMIT_EVENT(config_.traceSink,
+                          cacheEvent(TraceEventKind::CacheAccess, id_, w,
+                                     now, TraceCacheLevel::L1D, res,
+                                     lines[i], pc));
             if (!res.hit) {
-                SI_TRACE_EVENT(config_.traceSink,
-                               cacheEvent(TraceEventKind::CacheFill, id_,
-                                          w, now, TraceCacheLevel::L1D,
-                                          res, lines[i], pc));
+                SI_EMIT_EVENT(config_.traceSink,
+                              cacheEvent(TraceEventKind::CacheFill, id_,
+                                         w, now, TraceCacheLevel::L1D,
+                                         res, lines[i], pc));
             }
         }
         stats_.gmemTransactions += num_lines;
@@ -828,18 +792,14 @@ Sm::issue(unsigned warp_idx, Cycle now)
     if (!advanced)
         advance();
 
-    // Always-on tier: warp completion marker.
+    // Warp completion marker.
     if (w.done()) {
-        if (TraceSink *sink = config_.traceSink) {
-            TraceEvent ev;
-            ev.cycle = now;
+        SI_EMIT_EVENT(config_.traceSink, [&] {
+            TraceEvent ev =
+                warpEvent(id_, w, TraceEventKind::WarpRetire, now);
             ev.pc = pc;
-            ev.warpId = std::uint16_t(w.id());
-            ev.smId = std::uint8_t(id_);
-            ev.pb = std::uint8_t(w.pb());
-            ev.kind = TraceEventKind::WarpRetire;
-            sink->record(ev);
-        }
+            return ev;
+        }());
     }
 
     if (in.dst != regNone && in.op != Opcode::STG)
@@ -916,14 +876,6 @@ Sm::tick(Cycle now)
                 break;
               default:
                 break;
-            }
-            // One StallCycle event per lost warp-slot, bucketed by the
-            // same classification as the counters in
-            // accountWarpCycles — the profiler and the windowed
-            // metrics sampler reconcile the two exactly.
-            if (st != WarpStatus::Issuable) {
-                SI_TRACE_EVENT(config_.traceSink,
-                               stallEvent(id_, w, st, now));
             }
         }
         any_live |= live > 0;
@@ -1066,32 +1018,27 @@ Sm::accountWarpCycles(Warp &w, WarpStatus st, std::uint64_t n)
     else
         stats_.warpCyclesSubwarpPartial += n;
 
-    switch (st) {
-      case WarpStatus::ScoreboardStall:
-      case WarpStatus::WaitWakeup:
-        stats_.warpScoreboardStallCycles += n;
-        break;
-      case WarpStatus::PipeStall:
-        stats_.warpPipeStallCycles += n;
-        break;
-      case WarpStatus::FetchStall:
-        stats_.warpFetchStallCycles += n;
-        break;
-      case WarpStatus::Busy:
-        stats_.warpSwitchCycles += n;
-        break;
-      default:
-        break;
-    }
-    // One per-reason count per lost warp-slot, bucketed by the same
-    // classification as the legacy counters above.
+    // One count per lost warp-slot, per (pc, reason); the SM-wide
+    // per-reason totals are this table's column sums.
     if (st != WarpStatus::Issuable) {
-        const StallReason reason = classifyStall(w, st);
-        stats_.stallCyclesByReason[std::size_t(reason)] += n;
+        const auto reason = std::size_t(classifyStall(w, st));
+        stallsByPc_[stallRow(w)][reason] += n;
         RegionCounters &rc = regionAt(w.currentRegion);
         rc.warpCycles += n;
-        rc.stallCyclesByReason[std::size_t(reason)] += n;
+        rc.stallCyclesByReason[reason] += n;
     }
+}
+
+std::size_t
+Sm::stallRow(const Warp &w) const
+{
+    if (w.activeMask().any())
+        return w.activePc();
+    for (const TstEntry &e : w.tst()) {
+        if (e.valid)
+            return e.pc;
+    }
+    return stallsByPc_.size() - 1;
 }
 
 void
@@ -1218,6 +1165,12 @@ Sm::liveStats() const
     s.subwarpYields = us.subwarpYields;
     s.tstFullDenials = us.stallDemotionsDeniedTstFull;
 
+    s.stallCyclesByReason = {};
+    for (const StallCounts &row : stallsByPc_) {
+        for (std::size_t k = 0; k < numStallReasons; ++k)
+            s.stallCyclesByReason[k] += row[k];
+    }
+
     s.l1dHits = l1d_.hits();
     s.l1dMisses = l1d_.misses();
     s.l1iHits = l1i_.hits();
@@ -1293,6 +1246,12 @@ Sm::save(SnapshotWriter &w) const
     rtcore_.save(w);
     unit_.save(w);
     stats_.save(w);
+
+    w.u64(stallsByPc_.size());
+    for (const StallCounts &row : stallsByPc_) {
+        for (std::uint64_t v : row)
+            w.u64(v);
+    }
 }
 
 void
@@ -1376,6 +1335,17 @@ Sm::restore(SnapshotReader &r)
     rtcore_.restore(r);
     unit_.restore(r);
     stats_.restore(r);
+
+    const std::uint64_t num_rows = r.u64();
+    sim_throw_if(num_rows != stallsByPc_.size(), ErrorKind::Snapshot,
+                 "sm %u: snapshot has %llu stall-table rows, the launch "
+                 "needs %zu",
+                 id_, static_cast<unsigned long long>(num_rows),
+                 stallsByPc_.size());
+    for (StallCounts &row : stallsByPc_) {
+        for (std::uint64_t &v : row)
+            v = r.u64();
+    }
 
     statusScratch_.assign(warps_.size(), WarpStatus::Done);
     wakeScratch_.assign(warps_.size(), invalidCycle);

@@ -36,6 +36,9 @@ enum class WarpStatus : std::uint8_t {
     Done,            ///< every lane exited
 };
 
+/** Lost warp-slots per StallReason (indexed by the reason's value). */
+using StallCounts = std::array<std::uint64_t, numStallReasons>;
+
 /**
  * Warp-cycle accounting for one MARKER-delimited kernel region, indexed
  * by the program's region-table index (0 = the implicit "_entry"). The
@@ -47,7 +50,7 @@ struct RegionCounters
     std::uint64_t warpCycles = 0;
     std::uint64_t instrsIssued = 0;
     std::uint64_t arbLossCycles = 0;
-    std::array<std::uint64_t, numStallReasons> stallCyclesByReason{};
+    StallCounts stallCyclesByReason{};
 
     void accumulate(const RegionCounters &other);
     bool operator==(const RegionCounters &) const = default;
@@ -76,11 +79,30 @@ struct SmStats
     /** No-issue cycles attributable to instruction fetch. */
     std::uint64_t exposedFetchStallCycles = 0;
 
-    /** Warp-cycles spent in each blocked classification. */
-    std::uint64_t warpScoreboardStallCycles = 0;
-    std::uint64_t warpPipeStallCycles = 0;
-    std::uint64_t warpFetchStallCycles = 0;
-    std::uint64_t warpSwitchCycles = 0;
+    /**
+     * Warp-cycles spent in each blocked classification: fixed sums of
+     * stallCyclesByReason (a scoreboard stall is a load-to-use,
+     * barrier, or no-ready-subwarp slot).
+     */
+    std::uint64_t
+    warpScoreboardStallCycles() const
+    {
+        return stallCyclesByReason[std::size_t(StallReason::LoadToUse)] +
+               stallCyclesByReason[std::size_t(StallReason::Barrier)] +
+               stallCyclesByReason[std::size_t(StallReason::NoReadySubwarp)];
+    }
+    std::uint64_t warpPipeStallCycles() const
+    {
+        return stallCyclesByReason[std::size_t(StallReason::Pipe)];
+    }
+    std::uint64_t warpFetchStallCycles() const
+    {
+        return stallCyclesByReason[std::size_t(StallReason::IFetch)];
+    }
+    std::uint64_t warpSwitchCycles() const
+    {
+        return stallCyclesByReason[std::size_t(StallReason::Switch)];
+    }
 
     /** Dynamic operation mix. */
     std::uint64_t ldgIssued = 0;
@@ -112,11 +134,13 @@ struct SmStats
      * won the slot), or one of the Figure-3 stall reasons, so
      *   liveWarpCycles == instrsIssued + arbLossCycles
      *                     + sum(stallCyclesByReason)
-     * holds exactly — the zero-residual base of swprof --diff.
+     * holds exactly — the zero-residual base of swprof --diff. On a
+     * live Sm the reason counts are the column sums of
+     * Sm::stallsByPc(), folded in by liveStats().
      */
     std::uint64_t liveWarpCycles = 0;
     std::uint64_t arbLossCycles = 0;
-    std::array<std::uint64_t, numStallReasons> stallCyclesByReason{};
+    StallCounts stallCyclesByReason{};
 
     /**
      * Subwarp-mode residency: live warp-cycles split by the shape of
@@ -135,10 +159,17 @@ struct SmStats
     /** Field-wise equality (the determinism validator's contract). */
     bool operator==(const SmStats &) const = default;
 
-    /** Serialize every counter. */
+    /**
+     * Serialize every counter, the four derived per-status words
+     * included, so the serialized layout does not depend on which
+     * counters are stored.
+     */
     void save(SnapshotWriter &w) const;
 
-    /** Restore counters serialized by save(). */
+    /**
+     * Restore counters serialized by save(). Per-status words that
+     * disagree with the reason counts throw SimError(ErrorKind::Snapshot).
+     */
     void restore(SnapshotReader &r);
 };
 
@@ -208,8 +239,8 @@ class Sm
     /**
      * Bulk-apply @p n quiet cycles of accounting in one step: every
      * counter the per-cycle loop would have bumped (cycles,
-     * liveWarpCycles, subwarp-mode residency, legacy stall buckets,
-     * per-reason and per-region stall cycles, noIssue/exposed-stall
+     * liveWarpCycles, subwarp-mode residency, the per-pc stall table,
+     * per-region stall cycles, noIssue/exposed-stall
      * cycles, TST-full denials) advances by exactly n times the last
      * tick's delta. The divergent-exposure accumulator is a double
      * that the per-cycle loop grows by repeated addition, so the
@@ -260,6 +291,21 @@ class Sm
     const SmStats &stats() const { return stats_; }
     SmStats &stats() { return stats_; }
 
+    /**
+     * Lost warp-slots per (pc, StallReason) since launch — the one
+     * count of stall attribution. Row pc holds the slots charged to pc:
+     * the active subwarp's pc or, with no ACTIVE subwarp, the first
+     * valid TST entry's (the load the warp waits behind). The last row
+     * holds "(no subwarp)" slots of warps with neither. Sized by
+     * addWarp to the largest program plus that row; empty until a warp
+     * arrives. Exact under fast-forward. Its column sums are
+     * stallCyclesByReason (see liveStats()).
+     */
+    const std::vector<StallCounts> &stallsByPc() const
+    {
+        return stallsByPc_;
+    }
+
     Cache &l1d() { return l1d_; }
     Cache &l1i() { return l1i_; }
     RtCore &rtCore() { return rtcore_; }
@@ -281,14 +327,15 @@ class Sm
     /**
      * Serialize the complete SM: every warp, processing block, cache,
      * the writeback event queue, MSHR timers, RT core, subwarp unit,
-     * and statistics.
+     * statistics, and the per-pc stall table.
      */
     void save(SnapshotWriter &w) const;
 
     /**
      * Restore state serialized by save(). The SM must already hold the
      * same warp population (the resume path re-runs the kernel launch
-     * before restoring); mismatched warp counts or ids throw
+     * before restoring); mismatched warp counts or ids, or a per-pc
+     * table sized for another launch, throw
      * SimError(ErrorKind::Snapshot).
      */
     void restore(SnapshotReader &r);
@@ -345,16 +392,18 @@ class Sm
     /**
      * Per-warp-cycle accounting shared by tick() (n = 1) and
      * applyQuietCycles() (n = skipped cycles): liveWarpCycles, the
-     * subwarp-mode residency bucket, the legacy per-status counter,
-     * and — for non-issuable warps — the per-reason and per-region
-     * stall attribution. One code path for both so the per-cycle and
-     * fast-forward accountings cannot drift.
+     * subwarp-mode residency bucket, and — for non-issuable warps —
+     * the per-pc and per-region stall attribution. One code path for
+     * both so the per-cycle and fast-forward accountings cannot drift.
      */
     void accountWarpCycles(Warp &warp, WarpStatus status,
                            std::uint64_t n);
 
     /** Per-region counter slot for @p idx, growing the table on demand. */
     RegionCounters &regionAt(std::uint32_t idx);
+
+    /** The stallsByPc_ row a lost slot of @p warp is charged to. */
+    std::size_t stallRow(const Warp &warp) const;
 
     unsigned id_;
     const GpuConfig &config_;
@@ -401,6 +450,10 @@ class Sm
     std::uint64_t ffDeniedDelta_ = 0; ///< TST-full denials in last tick
 
     SmStats stats_;
+
+    /** See stallsByPc(). Kept out of SmStats so sampler windows do not
+     *  copy it. */
+    std::vector<StallCounts> stallsByPc_;
 };
 
 } // namespace si

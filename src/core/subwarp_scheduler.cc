@@ -34,7 +34,7 @@ SubwarpUnit::SubwarpUnit(const GpuConfig &config, std::uint64_t rng_seed,
 void
 SubwarpUnit::diverge(Warp &warp, ThreadMask taken, std::uint32_t taken_pc,
                      std::uint32_t fallthrough_pc, std::int8_t stall_hint,
-                     [[maybe_unused]] Cycle now)
+                     Cycle now)
 {
     const ThreadMask active = warp.activeMask();
     const ThreadMask not_taken = active - taken;
@@ -72,9 +72,9 @@ SubwarpUnit::diverge(Warp &warp, ThreadMask taken, std::uint32_t taken_pc,
         warp.setPc(lane, demote_pc);
     warp.setState(demote, ThreadState::Ready);
     ++stats_.divergentBranches;
-    SI_TRACE_EVENT(config_.traceSink,
-                   makeEvent(warp, TraceEventKind::SubwarpDiverge, now,
-                             keep_pc, keep.raw(), demote.raw(), demote_pc));
+    SI_EMIT_EVENT(config_.traceSink,
+                  makeEvent(warp, TraceEventKind::SubwarpDiverge, now,
+                            keep_pc, keep.raw(), demote.raw(), demote_pc));
 }
 
 bool
@@ -106,9 +106,9 @@ SubwarpUnit::arriveBsync(Warp &warp, BarIndex bar, std::uint32_t sync_pc,
                                       (participants | active).raw(),
                                       sync_pc, now);
         }
-        SI_TRACE_EVENT(config_.traceSink,
-                       makeEvent(warp, TraceEventKind::SubwarpReconverge,
-                                 now, sync_pc, participants.raw(), 0, bar));
+        SI_EMIT_EVENT(config_.traceSink,
+                      makeEvent(warp, TraceEventKind::SubwarpReconverge,
+                                now, sync_pc, participants.raw(), 0, bar));
         return true;
     }
 
@@ -116,16 +116,15 @@ SubwarpUnit::arriveBsync(Warp &warp, BarIndex bar, std::uint32_t sync_pc,
     warp.setState(active, ThreadState::Blocked);
     for (unsigned lane : lanesOf(active))
         warp.setBlockedOn(lane, bar);
-    SI_TRACE_EVENT(config_.traceSink,
-                   makeEvent(warp, TraceEventKind::SubwarpBlock, now,
-                             sync_pc, active.raw(), 0, bar));
+    SI_EMIT_EVENT(config_.traceSink,
+                  makeEvent(warp, TraceEventKind::SubwarpBlock, now,
+                            sync_pc, active.raw(), 0, bar));
     select(warp, now);
     return false;
 }
 
 void
-SubwarpUnit::releaseBarrier(Warp &warp, BarIndex bar,
-                            [[maybe_unused]] Cycle now)
+SubwarpUnit::releaseBarrier(Warp &warp, BarIndex bar, Cycle now)
 {
     // The full barrier mask (dead lanes included) — the exited
     // participants whose completion triggered this release are a
@@ -143,9 +142,9 @@ SubwarpUnit::releaseBarrier(Warp &warp, BarIndex bar,
         config_.raceHooks->onSync(warp.logicalId, all_participants.raw(),
                                   0, now);
     }
-    SI_TRACE_EVENT(config_.traceSink,
-                   makeEvent(warp, TraceEventKind::BarrierRelease, now, 0,
-                             blocked.raw(), 0, bar));
+    SI_EMIT_EVENT(config_.traceSink,
+                  makeEvent(warp, TraceEventKind::BarrierRelease, now, 0,
+                            blocked.raw(), 0, bar));
 }
 
 void
@@ -193,11 +192,15 @@ SubwarpUnit::subwarpStall(Warp &warp, std::uint8_t req_mask, Cycle now)
     }
     if (!entry) {
         ++stats_.stallDemotionsDeniedTstFull;
-        SI_TRACE_EVENT(config_.traceSink,
-                       makeEvent(warp, TraceEventKind::TstFull, now,
-                                 warp.activePc(), active.raw()));
+        if (!warp.tstFullSignalled) {
+            warp.tstFullSignalled = true;
+            SI_EMIT_EVENT(config_.traceSink,
+                          makeEvent(warp, TraceEventKind::TstFull, now,
+                                    warp.activePc(), active.raw()));
+        }
         return false;
     }
+    warp.tstFullSignalled = false;
 
     const ScoreboardFile &sb = warp.scoreboards();
     entry->valid = true;
@@ -212,9 +215,9 @@ SubwarpUnit::subwarpStall(Warp &warp, std::uint8_t req_mask, Cycle now)
 
     warp.setState(active, ThreadState::Stalled);
     ++stats_.subwarpStalls;
-    SI_TRACE_EVENT(config_.traceSink,
-                   makeEvent(warp, TraceEventKind::SubwarpStall, now,
-                             entry->pc, active.raw(), 0, entry->sbId));
+    SI_EMIT_EVENT(config_.traceSink,
+                  makeEvent(warp, TraceEventKind::SubwarpStall, now,
+                            entry->pc, active.raw(), 0, entry->sbId));
 
     select(warp, now);
     return true;
@@ -239,9 +242,9 @@ SubwarpUnit::subwarpYield(Warp &warp, Cycle now)
 
     warp.setState(active, ThreadState::Ready);
     ++stats_.subwarpYields;
-    SI_TRACE_EVENT(config_.traceSink,
-                   makeEvent(warp, TraceEventKind::SubwarpYield, now,
-                             yielded_pc, active.raw()));
+    SI_EMIT_EVENT(config_.traceSink,
+                  makeEvent(warp, TraceEventKind::SubwarpYield, now,
+                            yielded_pc, active.raw()));
 
     if (!select(warp, now, yielded_pc)) {
         // Unreachable given the pre-check, but keep the warp runnable.
@@ -252,7 +255,7 @@ SubwarpUnit::subwarpYield(Warp &warp, Cycle now)
 }
 
 void
-SubwarpUnit::wakeup(Warp &warp, SbIndex sb, [[maybe_unused]] Cycle now)
+SubwarpUnit::wakeup(Warp &warp, SbIndex sb, Cycle now)
 {
     const ScoreboardFile &sbf = warp.scoreboards();
     for (auto &entry : warp.tst()) {
@@ -270,11 +273,11 @@ SubwarpUnit::wakeup(Warp &warp, SbIndex sb, [[maybe_unused]] Cycle now)
                           ThreadState::Ready);
             entry.valid = false;
             ++stats_.subwarpWakeups;
-            SI_TRACE_EVENT(config_.traceSink,
-                           makeEvent(warp, TraceEventKind::SubwarpWakeup,
-                                     now, entry.pc,
-                                     (entry.members & warp.live()).raw(),
-                                     0, sb));
+            SI_EMIT_EVENT(config_.traceSink,
+                          makeEvent(warp, TraceEventKind::SubwarpWakeup,
+                                    now, entry.pc,
+                                    (entry.members & warp.live()).raw(),
+                                    0, sb));
         }
     }
 }
@@ -316,9 +319,9 @@ SubwarpUnit::select(Warp &warp, Cycle now, std::uint32_t avoid_pc)
                                  now + config_.switchLatency);
     warp.inFetchStall = false;
     ++stats_.subwarpSelects;
-    SI_TRACE_EVENT(config_.traceSink,
-                   makeEvent(warp, TraceEventKind::SubwarpSelect, now, pc,
-                             chosen.raw()));
+    SI_EMIT_EVENT(config_.traceSink,
+                  makeEvent(warp, TraceEventKind::SubwarpSelect, now, pc,
+                            chosen.raw()));
     return true;
 }
 

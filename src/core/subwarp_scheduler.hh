@@ -84,6 +84,9 @@ class SubwarpUnit
      * scoreboards in @p req_mask) to STALLED and select a READY
      * successor. Fails when SI is off, no READY subwarp exists, or all
      * TST entries are occupied (the binning limit of Section V-C-3).
+     * Every TST-full denial is counted; only the first since a
+     * demotion last found a free entry emits TstFull
+     * (Warp::tstFullSignalled).
      * @return true when the demotion happened.
      */
     bool subwarpStall(Warp &warp, std::uint8_t req_mask, Cycle now);
@@ -118,7 +121,8 @@ class SubwarpUnit
      * quiet cycle every denied attempt repeats identically (the TST
      * cannot drain without a writeback), so the leap engine replays the
      * per-tick denial delta as an exact multiple (see Sm::
-     * applyQuietCycles).
+     * applyQuietCycles). A repeated denial emits no event, so skipping
+     * the attempts drops nothing from the trace stream.
      */
     void addDeniedDemotions(std::uint64_t n)
     {

@@ -97,6 +97,7 @@ Warp::save(SnapshotWriter &w) const
     w.u64(lastIssueCycle);
     w.u32(fetchedPc);
     w.u32(currentRegion);
+    w.b(tstFullSignalled);
 }
 
 void
@@ -166,6 +167,7 @@ Warp::restore(SnapshotReader &r)
     lastIssueCycle = r.u64();
     fetchedPc = r.u32();
     currentRegion = r.u32();
+    tstFullSignalled = r.b();
 }
 
 } // namespace si

@@ -224,6 +224,13 @@ class Warp
     /** Scheduler bookkeeping: last cycle this warp issued. */
     Cycle lastIssueCycle = 0;
 
+    /**
+     * A TstFull event has fired since a stall demotion last found a
+     * free TST entry: later denials stay silent (edge-triggered), so no
+     * trace event repeats on quiet cycles.
+     */
+    bool tstFullSignalled = false;
+
     /** PC whose instruction is resident in the per-warp fetch buffer. */
     std::uint32_t fetchedPc = 0xffffffffu;
 

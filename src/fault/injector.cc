@@ -38,9 +38,9 @@ FaultInjector::onCycle(Gpu &gpu, Cycle now)
         break;
     }
 
-    // Always-on tier: stamp the corruption into the trace timeline so a
-    // campaign's livelock report carries the moment of injection. The
-    // fired_ guard above makes this fire exactly once.
+    // Stamp the corruption into the trace timeline so a campaign's
+    // livelock report carries the moment of injection. The fired_ guard
+    // above makes this fire exactly once.
     if (fired_) {
         if (TraceSink *sink = gpu.config().traceSink) {
             TraceEvent ev;

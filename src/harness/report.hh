@@ -1,8 +1,9 @@
 /**
  * @file
- * Human-readable statistics reports built on the stats package:
- * renders a GpuResult as a gem5-style "stat value" listing, per SM and
- * aggregated.
+ * Reports over a GpuResult: a gem5-style "stat value" listing per SM
+ * and aggregated, its si-stats-v1 JSON form, and the stall-attribution
+ * report swprof prints (per-reason, per-pc and per-opcode lost issue
+ * slots, text and si-stall-v1 JSON).
  */
 
 #ifndef SI_HARNESS_REPORT_HH
@@ -63,6 +64,18 @@ struct StatsJsonOptions
 std::string statsJson(const GpuResult &result,
                       const std::string &kernel = "",
                       const StatsJsonOptions &options = {});
+
+/**
+ * Stall-attribution report: the per-reason split of lost issue slots,
+ * then the top-@p top_n rows of result.stallsByPc per pc and per
+ * opcode (folded through prog.at(pc).op). Rows sort by descending
+ * total, key ascending on ties. Deterministic (golden-tested).
+ */
+std::string stallReport(const GpuResult &result, const Program &prog,
+                        std::size_t top_n = 10);
+
+/** Machine-readable form of the same data, every row ("si-stall-v1"). */
+std::string stallReportJson(const GpuResult &result, const Program &prog);
 
 } // namespace si
 

@@ -52,12 +52,6 @@ statsDelta(const SmStats &prev, const SmStats &cur)
         prev.exposedLoadStallCyclesDivergent;
     d.exposedFetchStallCycles =
         cur.exposedFetchStallCycles - prev.exposedFetchStallCycles;
-    d.warpScoreboardStallCycles =
-        cur.warpScoreboardStallCycles - prev.warpScoreboardStallCycles;
-    d.warpPipeStallCycles = cur.warpPipeStallCycles - prev.warpPipeStallCycles;
-    d.warpFetchStallCycles =
-        cur.warpFetchStallCycles - prev.warpFetchStallCycles;
-    d.warpSwitchCycles = cur.warpSwitchCycles - prev.warpSwitchCycles;
     d.ldgIssued = cur.ldgIssued - prev.ldgIssued;
     d.gmemTransactions = cur.gmemTransactions - prev.gmemTransactions;
     d.texIssued = cur.texIssued - prev.texIssued;

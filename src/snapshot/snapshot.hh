@@ -1,7 +1,7 @@
 /**
  * @file
  * Checkpoint/restore serialization primitives: the versioned, checksummed
- * `sisnap-v1` binary container every stateful simulator component writes
+ * `sisnap-v2` binary container every stateful simulator component writes
  * itself into. The format is deliberately dumb — little-endian fixed-width
  * integers, length-prefixed byte strings, and four-byte section tags — so
  * that a snapshot taken by one build restores bit-exactly under another
@@ -27,7 +27,7 @@
 namespace si {
 
 /** Container magic; bumped when the payload layout changes. */
-inline constexpr char snapshotMagic[] = "sisnap-v1";
+inline constexpr char snapshotMagic[] = "sisnap-v2";
 
 /** FNV-1a 64-bit, the container checksum (and fingerprint hash). */
 class Fnv1a
@@ -85,7 +85,7 @@ std::string snapTagName(SnapTag tag);
 
 /**
  * Serializes one snapshot payload. Components append typed fields in a
- * fixed order; finish() wraps the payload in the sisnap-v1 header
+ * fixed order; finish() wraps the payload in the sisnap-v2 header
  * (magic, payload length, FNV-1a checksum).
  */
 class SnapshotWriter
@@ -129,7 +129,7 @@ class SnapshotWriter
 };
 
 /**
- * Deserializes a sisnap-v1 container. The constructor validates magic,
+ * Deserializes a sisnap-v2 container. The constructor validates magic,
  * length, and checksum; every read throws SimError(ErrorKind::Snapshot)
  * on truncation, and tag() throws on section-order mismatch, so a
  * corrupt checkpoint can never restore partially.

@@ -202,9 +202,8 @@ chromeTraceJson(const std::vector<TraceEvent> &events, const Program *prog,
             w.endObject();
             w.endObject();
             break;
-          case TraceEventKind::StallCycle:
           case TraceEventKind::Writeback:
-            // Folded by the profiler; charting every lost slot would
+            // One per drained scoreboard release; charting them would
             // swamp the timeline.
             break;
         }

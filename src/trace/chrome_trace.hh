@@ -7,8 +7,8 @@
  * living version of the paper's Figure 10.
  */
 
-#ifndef SI_TRACE_CHROME_TRACE_HH
-#define SI_TRACE_CHROME_TRACE_HH
+#ifndef SI_TRACING_CHROME_TRACE_HH
+#define SI_TRACING_CHROME_TRACE_HH
 
 #include <string>
 #include <vector>
@@ -48,4 +48,4 @@ std::string chromeTraceJson(const std::vector<TraceEvent> &events,
 
 } // namespace si
 
-#endif // SI_TRACE_CHROME_TRACE_HH
+#endif // SI_TRACING_CHROME_TRACE_HH

@@ -19,7 +19,6 @@ traceEventKindName(TraceEventKind kind)
       case TraceEventKind::SubwarpWakeup: return "subwarp-wakeup";
       case TraceEventKind::SubwarpYield: return "subwarp-yield";
       case TraceEventKind::TstFull: return "tst-full";
-      case TraceEventKind::StallCycle: return "stall-cycle";
       case TraceEventKind::CacheAccess: return "cache-access";
       case TraceEventKind::CacheFill: return "cache-fill";
       case TraceEventKind::Writeback: return "writeback";

@@ -7,33 +7,26 @@
  * stamped with cycle / SM / processing block / warp, and carries the
  * subwarp (lane mask) it concerns plus a small kind-specific payload.
  *
- * Overhead model — events come in two tiers:
+ * There is one emission tier: every event kind is emitted whenever a
+ * sink is installed, in every build. Emission goes through
+ * SI_EMIT_EVENT(), whose lazy argument evaluation means event
+ * construction is skipped when no sink is installed — the cost is then
+ * one branch per emission site.
  *
- *  - **Always-on** (Issue, WarpRetire, Watchdog, FaultInject): emitted
- *    whenever a sink is installed, in every build. Issue events are
- *    correctness-relevant — the differential-testing oracle derives its
- *    per-lane retirement traces from them — so they cannot be compiled
- *    out; their cost (one pointer test per instruction issued) predates
- *    this layer (the old IssueHook). Watchdog/FaultInject live on
- *    failure paths where overhead is irrelevant.
- *
- *  - **Compile-gated** (StallCycle, CacheAccess/CacheFill, Writeback,
- *    and all Subwarp* transitions): emitted through SI_TRACE_EVENT(),
- *    which compiles to nothing when the build sets SI_TRACE_ENABLED=0
- *    (cmake -DSI_TRACE=OFF). These fire up to once per warp per cycle,
- *    so the zero-overhead story matters; with tracing compiled out the
- *    hot loops contain no trace code at all, and the macro's lazy
- *    argument evaluation means event construction is skipped whenever
- *    no sink is installed even in tracing builds.
- *
- * With no sink installed the cost in a tracing build is one branch per
- * emission site; event payload expressions are never evaluated.
+ * No event fires on a quiet cycle (one that issues nothing and changes
+ * no machine state; see Sm::lastTickQuiet). Every event marks a state
+ * change, and the one repeating condition, TstFull, is edge-triggered.
+ * So the fast-forward engine may leap over quiet stretches with any
+ * sink installed and the recorded stream is identical to a per-cycle
+ * run's. Stall attribution is not an event stream: the core counts lost
+ * warp-slots per (pc, StallReason) itself (Sm::stallsByPc).
  */
 
-#ifndef SI_TRACE_EVENTS_HH
-#define SI_TRACE_EVENTS_HH
+#ifndef SI_TRACING_EVENTS_HH
+#define SI_TRACING_EVENTS_HH
 
 #include <cstdint>
+#include <limits>
 
 #include "common/types.hh"
 
@@ -41,14 +34,11 @@ namespace si {
 
 /** What happened. See the emitting site for exact payload semantics. */
 enum class TraceEventKind : std::uint8_t {
-    // ---- always-on tier ----
     Issue,       ///< instruction issued: pc, mask=active, mask2=exec,
                  ///< arg=opcode
     WarpRetire,  ///< every lane of the warp has exited
     Watchdog,    ///< run failed: arg=ErrorKind (livelock, deadlock, ...)
     FaultInject, ///< fault-injection campaign corrupted state: arg=FaultKind
-
-    // ---- compile-gated tier (SI_TRACE_EVENT) ----
     SubwarpDiverge,    ///< branch split: mask=kept, mask2=demoted,
                        ///< pc=kept pc, arg=demoted pc
     SubwarpReconverge, ///< BSYNC completed: mask=participants, arg=barrier
@@ -59,29 +49,27 @@ enum class TraceEventKind : std::uint8_t {
                        ///< arg=scoreboard
     SubwarpWakeup,     ///< TST entry drained, lanes READY: mask, pc, arg=sb
     SubwarpYield,      ///< ACTIVE subwarp yielded: mask, pc
-    TstFull,           ///< stall demotion denied, no free TST entry
-    StallCycle,        ///< warp lost an issue slot this cycle:
-                       ///< arg=StallReason | opcode<<8, pc (0xffffffff
-                       ///< when no active subwarp)
+    TstFull,           ///< stall demotion denied, no free TST entry;
+                       ///< edge-triggered: once per warp until a
+                       ///< demotion next finds a free entry
     CacheAccess,       ///< arg=CacheLevel | hit<<8; addr=line address
     CacheFill,         ///< miss fill: arg=CacheLevel | evicted<<9;
                        ///< addr=line
     Writeback,         ///< scoreboard release drained: mask, arg=sb|port<<8
 };
 
+/** The highest TraceEventKind (binary-trace validation). */
+inline constexpr TraceEventKind lastTraceEventKind = TraceEventKind::Writeback;
+
 /** Short stable name ("issue", "subwarp-stall", ...). */
 const char *traceEventKindName(TraceEventKind kind);
 
 /**
  * Why a warp lost an issue slot (the paper's Figure 3 reason buckets,
- * at warp-cycle granularity so totals reconcile exactly with SmStats):
- *
- *   LoadToUse + Barrier + NoReadySubwarp == warpScoreboardStallCycles
- *   IFetch                               == warpFetchStallCycles
- *   Pipe                                 == warpPipeStallCycles
- *   Switch                               == warpSwitchCycles
- *
- * Pipe and Switch together form the paper's "structural" bucket.
+ * at warp-cycle granularity). SmStats derives the coarser per-status
+ * counters from these (SmStats::warpScoreboardStallCycles() and
+ * friends). Pipe and Switch together form the paper's "structural"
+ * bucket.
  */
 enum class StallReason : std::uint8_t {
     LoadToUse,      ///< &req scoreboard outstanding (load-to-use)
@@ -102,12 +90,6 @@ enum class TraceCacheLevel : std::uint8_t { L1D, L1I, L0I };
 
 /** Short stable name ("l1d", ...). */
 const char *traceCacheLevelName(TraceCacheLevel level);
-
-/** Sentinel pc for events with no active subwarp. */
-inline constexpr std::uint32_t traceNoPc = 0xffffffffu;
-
-/** Sentinel opcode payload for events with no instruction context. */
-inline constexpr std::uint32_t traceNoOpcode = 0xffu;
 
 /**
  * One trace record. Fixed-size POD: this exact layout is what the
@@ -131,6 +113,17 @@ struct TraceEvent
 };
 
 /**
+ * The most warps (ids 0..65535) and SMs (ids 0..255) a TraceEvent can
+ * name. Gpu rejects larger launches and machines with ErrorKind::Config
+ * rather than let two warps' events alias.
+ */
+inline constexpr std::uint64_t traceMaxWarps =
+    std::uint64_t(std::numeric_limits<decltype(TraceEvent::warpId)>::max()) +
+    1;
+inline constexpr unsigned traceMaxSms =
+    unsigned(std::numeric_limits<decltype(TraceEvent::smId)>::max()) + 1;
+
+/**
  * Consumer interface. record() is called synchronously from the cycle
  * model's hot paths — implementations must be cheap and must not throw.
  * Sinks are installed via GpuConfig::traceSink (non-owning) and must
@@ -141,42 +134,19 @@ class TraceSink
   public:
     virtual ~TraceSink() = default;
     virtual void record(const TraceEvent &event) = 0;
-
-    /**
-     * True when this sink consumes the compile-gated per-cycle tier
-     * (StallCycle, TstFull, ...). In SI_TRACE builds such a sink pins
-     * the fast-forward engine to per-cycle ("faithful") execution so
-     * its event stream is unchanged; a sink that only reads the
-     * always-on tier (e.g. RetireTraceCollector) overrides this to
-     * return false — quiet cycles emit no always-on events, so leaping
-     * over them cannot drop anything it would see. Conservative default:
-     * pin.
-     */
-    virtual bool wantsPerCycleEvents() const { return true; }
 };
 
-#ifndef SI_TRACE_ENABLED
-#define SI_TRACE_ENABLED 1
-#endif
-
-#if SI_TRACE_ENABLED
 /**
- * Emit a compile-gated trace event. @p sink is evaluated once; the
- * event expression is evaluated only when the sink is non-null.
- * Compiles to nothing when SI_TRACE_ENABLED is 0.
+ * Emit a trace event. @p sink is evaluated once; the event expression
+ * is evaluated only when the sink is non-null.
  */
-#define SI_TRACE_EVENT(sink, ...) \
+#define SI_EMIT_EVENT(sink, ...) \
     do { \
-        ::si::TraceSink *si_trace_sink_ = (sink); \
-        if (si_trace_sink_) \
-            si_trace_sink_->record(__VA_ARGS__); \
+        ::si::TraceSink *si_emit_sink_ = (sink); \
+        if (si_emit_sink_) \
+            si_emit_sink_->record(__VA_ARGS__); \
     } while (0)
-#else
-#define SI_TRACE_EVENT(sink, ...) \
-    do { \
-    } while (0)
-#endif
 
 } // namespace si
 
-#endif // SI_TRACE_EVENTS_HH
+#endif // SI_TRACING_EVENTS_HH

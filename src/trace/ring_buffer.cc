@@ -9,7 +9,7 @@ namespace si {
 namespace {
 
 constexpr char binaryMagic[8] = {'S', 'I', 'T', 'R', 'A', 'C', 'E', '1'};
-constexpr std::uint32_t binaryVersion = 1;
+constexpr std::uint32_t binaryVersion = 2;
 
 void
 putU32(std::ostream &os, std::uint32_t v)
@@ -106,11 +106,19 @@ RingBufferSink::readBinary(std::istream &is, std::vector<TraceEvent> &out,
     }
     if (version != binaryVersion || rec_size != sizeof(TraceEvent))
         return false;
-    std::vector<TraceEvent> events;
-    events.resize(count);
+    // The count is untrusted: it must fit in the bytes actually left
+    // before anything is allocated for it.
+    const std::istream::pos_type here = is.tellg();
+    if (here == std::istream::pos_type(-1) || !is.seekg(0, std::ios::end))
+        return false;
+    const auto remaining = std::uint64_t(is.tellg() - here);
+    is.seekg(here);
+    if (!is || count > remaining / sizeof(TraceEvent))
+        return false;
+    std::vector<TraceEvent> events(count);
     for (TraceEvent &ev : events) {
         is.read(reinterpret_cast<char *>(&ev), sizeof(ev));
-        if (!is)
+        if (!is || ev.kind > lastTraceEventKind)
             return false;
     }
     out = std::move(events);

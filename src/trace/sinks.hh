@@ -7,8 +7,8 @@
  * defines the compact binary trace format.
  */
 
-#ifndef SI_TRACE_SINKS_HH
-#define SI_TRACE_SINKS_HH
+#ifndef SI_TRACING_SINKS_HH
+#define SI_TRACING_SINKS_HH
 
 #include <cstdint>
 #include <iosfwd>
@@ -71,8 +71,10 @@ class RingBufferSink : public TraceSink
     void writeBinary(std::ostream &os) const;
 
     /**
-     * Parse a writeBinary() stream. Returns false (and leaves outputs
-     * untouched) on bad magic, version, or record-size mismatch.
+     * Parse a writeBinary() stream from a seekable @p is. Returns false
+     * (and leaves outputs untouched) on bad magic, version, or
+     * record-size mismatch, a record count the remaining bytes cannot
+     * hold, or an event kind past lastTraceEventKind.
      */
     static bool readBinary(std::istream &is, std::vector<TraceEvent> &out,
                            std::uint64_t &dropped_out);
@@ -102,4 +104,4 @@ class TeeSink : public TraceSink
 
 } // namespace si
 
-#endif // SI_TRACE_SINKS_HH
+#endif // SI_TRACING_SINKS_HH

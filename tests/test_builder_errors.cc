@@ -116,6 +116,39 @@ TEST(ProgramEdge, ZeroSizedMachineShapeRejectedAtConstruction)
     }
 }
 
+TEST(ProgramEdge, LaunchBeyondTraceIdsRejected)
+{
+    // TraceEvent names warps in 16 bits and SMs in 8: a larger launch
+    // or machine would alias ids (merging retire traces), so both are
+    // configuration errors — and the launch check runs before any warp
+    // is allocated, so an absurd size fails fast instead of exhausting
+    // memory.
+    KernelBuilder kb("k");
+    kb.exit();
+    const Program p = kb.build(8);
+    GpuConfig cfg;
+    cfg.numSms = 1;
+    Memory mem;
+    for (const unsigned warps : {65537u, 4000000000u}) {
+        const GpuResult r = simulate(cfg, mem, p, {warps, 4});
+        EXPECT_FALSE(r.ok()) << warps;
+        EXPECT_EQ(r.status.kind, ErrorKind::Config) << warps;
+    }
+    // The cap is on the whole launch, across co-scheduled kernels.
+    {
+        Gpu gpu(cfg, mem);
+        const GpuResult r = gpu.runMulti(
+            {{&p, LaunchParams{40000, 4}}, {&p, LaunchParams{40000, 4}}});
+        EXPECT_EQ(r.status.kind, ErrorKind::Config);
+    }
+
+    cfg.numSms = 257;
+    const GpuResult r = simulate(cfg, mem, p, {1, 1});
+    EXPECT_EQ(r.status.kind, ErrorKind::Config);
+    cfg.numSms = 256;
+    EXPECT_NO_THROW(Gpu(cfg, mem));
+}
+
 TEST(ProgramEdge, RegisterHungryKernelRejected)
 {
     KernelBuilder kb("fat");

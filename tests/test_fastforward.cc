@@ -8,9 +8,10 @@
  * generated kernels on the full difftest matrix, on a memory-latency-
  * dominated kernel that leaps through >90% of its cycles, through
  * windowed metrics, and across checkpoints taken mid-quiet-stretch —
- * and pin down the faithful-mode guards (fault hook, race sanitizer,
- * per-cycle trace sinks disable leaping; the always-on-tier retirement
- * collector does not).
+ * and pin down the faithful-mode guards (a fault hook or the race
+ * sanitizer disables leaping; trace sinks do not, because no trace
+ * event fires on a quiet cycle: the full event stream, the per-pc
+ * stall table, and the reports built on them match across modes).
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +29,7 @@
 #include "ref/difftest.hh"
 #include "ref/kernelgen.hh"
 #include "snapshot/snapshot.hh"
+#include "trace/chrome_trace.hh"
 #include "trace/sinks.hh"
 
 using namespace si;
@@ -54,6 +56,67 @@ loop:
     EXIT
 )";
 
+/** The paper's Figure 9 kernel (kernels/fig9.sasm). */
+const char *fig9Source = R"(
+.kernel fig9
+.regs 24
+    S2R R0, LANEID
+    S2R R8, TID
+    SHL R9, R8, 8
+    ISETP.LT P0, R0, 16
+    BSSY B0, syncPoint
+    @P0 BRA Else
+    TLD R2, R0, R9 &wr=sb5
+    FMUL R10, R5, 2.0
+    FMUL R2, R2, R10 &req=sb5
+    BRA syncPoint
+Else:
+    TEX R1, R8, R9 &wr=sb2
+    FADD R1, R1, R3 &req=sb2
+    BRA syncPoint
+syncPoint:
+    BSYNC B0
+    EXIT
+)";
+
+/**
+ * Four-way divergence under one barrier, a load and its use on every
+ * path: with a one-entry TST, stall demotions get denied.
+ */
+const char *split4Source = R"(
+.kernel split4
+.regs 16
+    S2R R0, LANEID
+    S2R R8, TID
+    SHL R9, R8, 8
+    AND R1, R0, 3
+    BSSY B0, join
+    ISETP.EQ P0, R1, 0
+    @P0 BRA A
+    ISETP.EQ P1, R1, 1
+    @P1 BRA B
+    ISETP.EQ P2, R1, 2
+    @P2 BRA C
+    TEX R2, R8, R9 &wr=sb0
+    FADD R2, R2, R2 &req=sb0
+    BRA join
+A:
+    TEX R3, R0, R9 &wr=sb1
+    FADD R3, R3, R3 &req=sb1
+    BRA join
+B:
+    TEX R4, R8, R0 &wr=sb2
+    FADD R4, R4, R4 &req=sb2
+    BRA join
+C:
+    TEX R5, R0, R0 &wr=sb3
+    FADD R5, R5, R5 &req=sb3
+    BRA join
+join:
+    BSYNC B0
+    EXIT
+)";
+
 GpuConfig
 memlatConfig()
 {
@@ -69,7 +132,9 @@ struct RunArtifacts
     GpuResult result;
     Memory mem;
     std::map<unsigned, WarpRetireTrace> traces;
+    std::vector<TraceEvent> events;
     std::string statsJson;
+    std::string stallReport;
     std::uint64_t leaps = 0;
     std::uint64_t skipped = 0;
 };
@@ -82,11 +147,15 @@ runOnce(const Program &prog, GpuConfig cfg, bool fast_forward,
     cfg.fastForward = fast_forward;
     a.mem = makeInputImage(99);
     RetireTraceCollector col;
-    cfg.traceSink = &col;
+    VectorSink all;
+    TeeSink tee(col, all);
+    cfg.traceSink = &tee;
     Gpu gpu(cfg, a.mem);
     a.result = gpu.run(prog, LaunchParams{warps, 4});
     a.traces = col.traces();
+    a.events = all.events();
     a.statsJson = statsJson(a.result, prog.name(), {});
+    a.stallReport = stallReport(a.result, prog);
     a.leaps = gpu.fastForwardLeaps();
     a.skipped = gpu.fastForwardCyclesSkipped();
     return a;
@@ -104,6 +173,9 @@ expectIdentical(const RunArtifacts &on, const RunArtifacts &off,
     EXPECT_FALSE(on.mem.firstDifference(off.mem, diff_addr))
         << label << ": memory differs at 0x" << std::hex << diff_addr;
     EXPECT_EQ(on.traces, off.traces) << label;
+    EXPECT_TRUE(on.events == off.events) << label << ": trace streams differ";
+    EXPECT_EQ(on.result.stallsByPc, off.result.stallsByPc) << label;
+    EXPECT_EQ(on.stallReport, off.stallReport) << label;
 }
 
 } // namespace
@@ -141,6 +213,52 @@ TEST(FastForward, HighLatencyRunLeapsAndStaysBitIdentical)
         << "leaps: " << on.leaps;
     EXPECT_EQ(off.leaps, 0u);
     EXPECT_EQ(off.skipped, 0u);
+}
+
+TEST(FastForward, StallTableAndTraceExactWhileLeaping)
+{
+    // swprof's report and swsim --trace-out's Chrome trace come from a
+    // leaping run; they must match the faithful run's byte for byte.
+    // fig9 runs with SI on; split4 with a one-entry TST, so demotions
+    // are denied and TstFull (edge-triggered) fires.
+    GpuConfig fig9_si;
+    fig9_si.numSms = 1;
+    fig9_si.siEnabled = true;
+    fig9_si.yieldEnabled = true;
+    GpuConfig tst1 = fig9_si;
+    tst1.maxSubwarps = 1;
+    tst1.trigger = SelectTrigger::AnyStalled;
+    struct Case
+    {
+        const char *name;
+        const char *source;
+        GpuConfig cfg;
+    };
+    const Case cases[] = {{"memlat", memlatSource, memlatConfig()},
+                          {"fig9", fig9Source, fig9_si},
+                          {"split4-tst1", split4Source, tst1}};
+    for (const Case &c : cases) {
+        const Program prog = assembleOrDie(c.source);
+        const RunArtifacts on = runOnce(prog, c.cfg, true, 8);
+        const RunArtifacts off = runOnce(prog, c.cfg, false, 8);
+        ASSERT_TRUE(on.result.ok()) << c.name;
+        expectIdentical(on, off, c.name);
+        EXPECT_EQ(chromeTraceJson(on.events, &prog),
+                  chromeTraceJson(off.events, &prog))
+            << c.name;
+        EXPECT_GT(on.leaps, 0u) << c.name;
+        EXPECT_FALSE(on.result.stallsByPc.empty()) << c.name;
+    }
+
+    // The one-entry TST really does deny demotions, and TstFull fires
+    // at most once per denial streak, not once per denied cycle.
+    const Program prog = assembleOrDie(split4Source);
+    const RunArtifacts run = runOnce(prog, tst1, true, 8);
+    std::uint64_t tst_full_events = 0;
+    for (const TraceEvent &ev : run.events)
+        tst_full_events += ev.kind == TraceEventKind::TstFull;
+    EXPECT_GT(tst_full_events, 0u);
+    EXPECT_LT(tst_full_events, run.result.total.tstFullDenials);
 }
 
 TEST(FastForward, BackFillPreservesTheWarpCyclePartition)
@@ -292,35 +410,18 @@ TEST(FastForward, FaultHookAndRaceHooksPinFaithfulMode)
     }
 }
 
-TEST(FastForward, TraceSinksPinByCapabilityNotByPresence)
+TEST(FastForward, TraceSinksDoNotPinFaithfulMode)
 {
+    // No trace event fires on a quiet cycle, so a sink — whether it
+    // records the whole stream or, like the differential oracle's
+    // retirement collector, only Issue events — leaves leaping on.
     const Program prog = assembleOrDie(memlatSource);
-
-    // A per-cycle-tier consumer (the default TraceSink capability)
-    // pins faithful mode in SI_TRACE builds; with the tier compiled
-    // out there is nothing to observe and leaping stays legal.
-    {
+    RingBufferSink ring(1 << 12);
+    RetireTraceCollector col;
+    for (TraceSink *sink : {static_cast<TraceSink *>(&ring),
+                            static_cast<TraceSink *>(&col)}) {
         GpuConfig cfg = memlatConfig();
-        RingBufferSink ring(1 << 12);
-        cfg.traceSink = &ring;
-        Memory mem = makeInputImage(99);
-        Gpu gpu(cfg, mem);
-#if SI_TRACE_ENABLED
-        EXPECT_FALSE(gpu.fastForwardEligible());
-        ASSERT_TRUE(gpu.run(prog, LaunchParams{8, 4}).ok());
-        EXPECT_EQ(gpu.fastForwardLeaps(), 0u);
-#else
-        EXPECT_TRUE(gpu.fastForwardEligible());
-#endif
-    }
-
-    // The retirement collector only reads always-on Issue events,
-    // which quiet cycles never emit — it must NOT pin, or the whole
-    // differential oracle would silently run per-cycle.
-    {
-        GpuConfig cfg = memlatConfig();
-        RetireTraceCollector col;
-        cfg.traceSink = &col;
+        cfg.traceSink = sink;
         Memory mem = makeInputImage(99);
         Gpu gpu(cfg, mem);
         EXPECT_TRUE(gpu.fastForwardEligible());

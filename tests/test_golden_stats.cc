@@ -63,11 +63,11 @@ renderStats(const GpuResult &r)
       << "noIssueCycles " << t.noIssueCycles << "\n"
       << "exposedLoadStallCycles " << t.exposedLoadStallCycles << "\n"
       << "exposedFetchStallCycles " << t.exposedFetchStallCycles << "\n"
-      << "warpScoreboardStallCycles " << t.warpScoreboardStallCycles
+      << "warpScoreboardStallCycles " << t.warpScoreboardStallCycles()
       << "\n"
-      << "warpPipeStallCycles " << t.warpPipeStallCycles << "\n"
-      << "warpFetchStallCycles " << t.warpFetchStallCycles << "\n"
-      << "warpSwitchCycles " << t.warpSwitchCycles << "\n"
+      << "warpPipeStallCycles " << t.warpPipeStallCycles() << "\n"
+      << "warpFetchStallCycles " << t.warpFetchStallCycles() << "\n"
+      << "warpSwitchCycles " << t.warpSwitchCycles() << "\n"
       << "ldgIssued " << t.ldgIssued << "\n"
       << "texIssued " << t.texIssued << "\n"
       << "stgIssued " << t.stgIssued << "\n"

@@ -161,7 +161,7 @@ TEST(SmIntegration, InstructionFetchStallsWithTinyL0i)
     kb.bra(top).pred(0);
     kb.exit();
     const GpuResult r = simulate(cfg, mem, kb.build(16), {1, 1});
-    EXPECT_GT(r.total.warpFetchStallCycles, 0u);
+    EXPECT_GT(r.total.warpFetchStallCycles(), 0u);
     EXPECT_GT(r.total.l0iMisses, 30u); // ~9 lines x 4 iterations
 }
 

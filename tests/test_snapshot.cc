@@ -1,6 +1,6 @@
 /**
  * @file
- * Checkpoint/restore tests: the sisnap-v1 container round-trips every
+ * Checkpoint/restore tests: the sisnap-v2 container round-trips every
  * primitive and fails loudly on any corruption; component and whole-GPU
  * snapshots restore bit-exactly; fingerprint mismatches (wrong config,
  * wrong program) are rejected instead of resurrecting a wrong machine;
@@ -557,6 +557,70 @@ TEST(SnapshotCorruption, SmRejectsBadIndicesAndCounts)
     expectRejected(with_writeback(0, ScoreboardFile::numSb, 0), into_sm,
                    "writeback scoreboard");
     expectRejected(with_writeback(0, 0, 2), into_sm, "writeback port");
+}
+
+TEST(SnapshotCorruption, SmRejectsStallTableForAnotherLaunch)
+{
+    // The per-pc stall table is saved last: a row count, then six u64
+    // reason counts per row (one row per pc plus "(no subwarp)").
+    const Program exit_only = assembleOrDie("EXIT\n");
+    const Program longer = assembleOrDie("NOP\nEXIT\n");
+    const GpuConfig cfg;
+    Memory mem;
+    auto make_sm = [&](const Program &prog) {
+        auto sm = std::make_unique<Sm>(0, cfg, mem, nullptr);
+        sm->addWarp(std::make_unique<Warp>(0, 0, &prog, warpSize));
+        return sm;
+    };
+    const std::string good = savedPayload(*make_sm(exit_only));
+    const std::size_t rows_off =
+        good.size() - 8 - 2 * 8 * std::size_t(numStallReasons);
+    ASSERT_EQ(getU64(good, rows_off), 2u) << "layout drifted";
+    {
+        const std::string container = reframe(good);
+        SnapshotReader r(container);
+        EXPECT_NO_THROW(make_sm(exit_only)->restore(r));
+    }
+
+    // A launch whose largest program is longer needs a larger table.
+    expectRejected(
+        good, [&](SnapshotReader &r) { make_sm(longer)->restore(r); },
+        "stall table of a shorter program");
+
+    std::string bad = good;
+    putUint(bad, rows_off, hugeCount, 8);
+    expectRejected(
+        bad, [&](SnapshotReader &r) { make_sm(exit_only)->restore(r); },
+        "stall-table row count");
+}
+
+TEST(SnapshotCorruption, StatsRejectPerStatusWordsOffTheReasonCounts)
+{
+    // LoadToUse, IFetch, Barrier, NoReadySubwarp, Pipe, Switch.
+    SmStats stats;
+    stats.stallCyclesByReason = {1, 2, 3, 4, 5, 6};
+    const std::string good = savedPayload(stats);
+
+    // tag, five u64 counters, the f64 divergent share, one more u64;
+    // then scoreboard (1+3+4), pipe, fetch, switch.
+    const std::size_t words_off = 4 + 5 * 8 + 8 + 8;
+    const std::uint64_t derived[] = {8, 5, 2, 6};
+    for (std::size_t i = 0; i < 4; ++i)
+        ASSERT_EQ(getU64(good, words_off + 8 * i), derived[i]) << i;
+    {
+        const std::string container = reframe(good);
+        SnapshotReader r(container);
+        SmStats back;
+        back.restore(r);
+        EXPECT_EQ(back, stats);
+    }
+
+    for (std::size_t i = 0; i < 4; ++i) {
+        std::string bad = good;
+        putUint(bad, words_off + 8 * i, derived[i] + 1, 8);
+        expectRejected(bad, [](SnapshotReader &r) { SmStats().restore(r); },
+                       "per-status word off its reason counts");
+    }
 }
 
 TEST(SnapshotCorruption, StatsAndSamplerRejectHugeCounts)

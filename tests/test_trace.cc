@@ -8,18 +8,20 @@
  *    round-trip;
  *  - Chrome trace_event export: parses back as JSON, carries the
  *    subwarp-residency slices ("a living Figure 10") and the schema tag;
- *  - the stall-attribution profiler's reconciliation identity against
- *    the SmStats warp-status counters — exactly, not approximately;
- *  - a golden swprof-style report (regenerate with --update-golden or
+ *  - the per-pc stall table's reconciliation identity against the
+ *    SmStats stall counters — exactly, not approximately;
+ *  - a golden swprof report (regenerate with --update-golden or
  *    SI_UPDATE_GOLDEN=1, then review the diff);
  *  - StatGroup duplicate-registration detection and JSON dumps;
- *  - always-on tier: Watchdog and FaultInject events fire even when a
- *    run fails.
+ *  - failure events: Watchdog and FaultInject events fire when a run
+ *    fails.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -34,7 +36,6 @@
 #include "harness/table.hh"
 #include "isa/assembler.hh"
 #include "trace/chrome_trace.hh"
-#include "trace/profiler.hh"
 #include "trace/sinks.hh"
 
 using namespace si;
@@ -132,7 +133,6 @@ TEST(TraceStream, OneIssueEventPerIssuedInstruction)
     EXPECT_EQ(retires, r.total.warpsRetired);
 }
 
-#if SI_TRACE_ENABLED
 TEST(TraceStream, DivergenceEmitsSubwarpEvents)
 {
     VectorSink sink;
@@ -153,22 +153,6 @@ TEST(TraceStream, DivergenceEmitsSubwarpEvents)
     EXPECT_EQ(reconverges, r.total.reconvergences);
     EXPECT_EQ(selects, r.total.subwarpSelects);
 }
-#else
-TEST(TraceStream, GatedEventsCompiledOut)
-{
-    VectorSink sink;
-    const GpuResult r = runFig9(sink, true);
-    ASSERT_TRUE(r.ok());
-    for (const TraceEvent &ev : sink.events()) {
-        // Only the always-on tier may appear in an SI_TRACE=OFF build.
-        EXPECT_TRUE(ev.kind == TraceEventKind::Issue ||
-                    ev.kind == TraceEventKind::WarpRetire ||
-                    ev.kind == TraceEventKind::Watchdog ||
-                    ev.kind == TraceEventKind::FaultInject)
-            << traceEventKindName(ev.kind);
-    }
-}
-#endif
 
 // ---------------------------------------------------------------------
 // Ring buffer + binary format
@@ -228,6 +212,67 @@ TEST(RingBuffer, BinaryRejectsBadMagic)
     EXPECT_TRUE(back.empty());
 }
 
+namespace {
+
+/** A writeBinary() stream of @p n synthetic events. */
+std::string
+binaryTrace(std::size_t n)
+{
+    RingBufferSink ring(16);
+    for (std::uint64_t c = 0; c < n; ++c)
+        ring.record(syntheticEvent(c));
+    std::stringstream ss;
+    ring.writeBinary(ss);
+    return ss.str();
+}
+
+bool
+readsBack(const std::string &bytes)
+{
+    std::stringstream ss(bytes);
+    std::vector<TraceEvent> back;
+    std::uint64_t dropped = 0;
+    const bool ok = RingBufferSink::readBinary(ss, back, dropped);
+    EXPECT_TRUE(ok || back.empty()) << "outputs touched on failure";
+    return ok;
+}
+
+// magic, version, record size, then the u64 record count.
+constexpr std::size_t binaryCountOffset = 8 + 4 + 4;
+constexpr std::size_t binaryHeaderBytes = binaryCountOffset + 8 + 8;
+
+} // namespace
+
+TEST(RingBuffer, BinaryRejectsCountBeyondStream)
+{
+    const std::string good = binaryTrace(3);
+    ASSERT_TRUE(readsBack(good));
+
+    // A count one past the records present, and one so large that
+    // resizing for it would exhaust memory: both rejected up front.
+    for (const std::uint64_t count :
+         {std::uint64_t(4), std::uint64_t(1) << 60}) {
+        std::string bad = good;
+        std::memcpy(&bad[binaryCountOffset], &count, sizeof(count));
+        EXPECT_FALSE(readsBack(bad)) << count;
+    }
+}
+
+TEST(RingBuffer, BinaryRejectsUnknownEventKind)
+{
+    const std::string good = binaryTrace(3);
+    ASSERT_TRUE(readsBack(good));
+
+    std::string bad = good;
+    const std::size_t kind_off = binaryHeaderBytes + sizeof(TraceEvent) +
+                                 offsetof(TraceEvent, kind);
+    bad[kind_off] = char(std::uint8_t(lastTraceEventKind) + 1);
+    EXPECT_FALSE(readsBack(bad));
+
+    bad[kind_off] = char(lastTraceEventKind);
+    EXPECT_TRUE(readsBack(bad));
+}
+
 // ---------------------------------------------------------------------
 // Chrome trace export
 // ---------------------------------------------------------------------
@@ -280,14 +325,13 @@ TEST(ChromeTrace, EmptyStreamStillValid)
 }
 
 // ---------------------------------------------------------------------
-// Stall-attribution profiler
+// Stall attribution: the core's per-pc table and the swprof report
 // ---------------------------------------------------------------------
 
-#if SI_TRACE_ENABLED
-// The reconciliation identity: the profiler's per-reason totals are a
-// *decomposition* of the SmStats warp-status counters, not a separate
-// estimate. Run several machines and check exact equality on each.
-TEST(StallProfiler, ReconcilesExactlyWithSmStats)
+// The reconciliation identity: the per-pc table is a *decomposition*
+// of the SmStats stall counters, not a separate estimate. Run several
+// machines and check exact equality on each.
+TEST(StallAttribution, ReconcilesExactlyWithSmStats)
 {
     struct Point
     {
@@ -299,52 +343,47 @@ TEST(StallProfiler, ReconcilesExactlyWithSmStats)
         {false, 4, 1}, {true, 4, 1}, {true, 8, 2}};
 
     for (const Point &p : points) {
-        StallProfiler prof;
-        const GpuResult r = runFig9(prof, p.si, p.warps, p.sms);
+        VectorSink sink;
+        const GpuResult r = runFig9(sink, p.si, p.warps, p.sms);
         ASSERT_TRUE(r.ok());
 
-        EXPECT_EQ(prof.issued(), r.total.instrsIssued);
-        EXPECT_EQ(prof.total(StallReason::LoadToUse) +
-                      prof.total(StallReason::Barrier) +
-                      prof.total(StallReason::NoReadySubwarp),
-                  r.total.warpScoreboardStallCycles);
-        EXPECT_EQ(prof.total(StallReason::IFetch),
-                  r.total.warpFetchStallCycles);
-        EXPECT_EQ(prof.total(StallReason::Pipe),
-                  r.total.warpPipeStallCycles);
-        EXPECT_EQ(prof.total(StallReason::Switch),
-                  r.total.warpSwitchCycles);
+        // The table's per-reason sums are the per-reason counters.
+        StallCounts sums{};
+        for (const PcStall &c : r.stallsByPc) {
+            EXPECT_NE(c.slots, 0u) << "zero cells are dropped";
+            sums[std::size_t(c.reason)] += c.slots;
+        }
+        EXPECT_EQ(sums, r.total.stallCyclesByReason);
+
+        // The four per-status counters are their fixed sums.
+        auto reason = [&](StallReason k) { return sums[std::size_t(k)]; };
+        EXPECT_EQ(reason(StallReason::LoadToUse) +
+                      reason(StallReason::Barrier) +
+                      reason(StallReason::NoReadySubwarp),
+                  r.total.warpScoreboardStallCycles());
+        EXPECT_EQ(reason(StallReason::IFetch),
+                  r.total.warpFetchStallCycles());
+        EXPECT_EQ(reason(StallReason::Pipe), r.total.warpPipeStallCycles());
+        EXPECT_EQ(reason(StallReason::Switch), r.total.warpSwitchCycles());
+
+        // ... and with issues and arbitration losses they close the
+        // warp-cycle partition.
+        std::uint64_t accounted = r.total.instrsIssued +
+                                  r.total.arbLossCycles;
+        for (const std::uint64_t v : sums)
+            accounted += v;
+        EXPECT_EQ(accounted, r.total.liveWarpCycles);
     }
 }
 
-TEST(StallProfiler, FoldMatchesStreaming)
+TEST(StallAttribution, ReportJsonParsesBack)
 {
+    const Program prog = assembleOrDie(fig9);
     VectorSink sink;
     const GpuResult r = runFig9(sink, true);
     ASSERT_TRUE(r.ok());
 
-    StallProfiler offline;
-    offline.fold(sink.events());
-
-    StallProfiler streaming;
-    const GpuResult r2 = runFig9(streaming, true);
-    ASSERT_TRUE(r2.ok());
-
-    EXPECT_EQ(offline.totalStalls(), streaming.totalStalls());
-    EXPECT_EQ(offline.issued(), streaming.issued());
-    for (std::size_t i = 0; i < numStallReasons; ++i)
-        EXPECT_EQ(offline.total(StallReason(i)),
-                  streaming.total(StallReason(i)));
-}
-
-TEST(StallProfiler, ReportJsonParsesBack)
-{
-    const Program prog = assembleOrDie(fig9);
-    StallProfiler prof;
-    const GpuResult r = runFig9(prof, true);
-    ASSERT_TRUE(r.ok());
-
-    const json::ParseResult parsed = json::parse(prof.reportJson(&prog));
+    const json::ParseResult parsed = json::parse(stallReportJson(r, prog));
     ASSERT_TRUE(parsed.ok) << parsed.error;
     const json::Value *schema = parsed.value.find("schema");
     ASSERT_NE(schema, nullptr);
@@ -355,20 +394,23 @@ TEST(StallProfiler, ReportJsonParsesBack)
     double sum = 0;
     for (const auto &kv : by_reason->object)
         sum += kv.second.number;
-    EXPECT_EQ(std::uint64_t(sum), prof.totalStalls());
+    std::uint64_t total = 0;
+    for (const std::uint64_t v : r.total.stallCyclesByReason)
+        total += v;
+    EXPECT_EQ(std::uint64_t(sum), total);
 }
 
-// Golden swprof-style report: the deterministic text rendering of the
+// Golden swprof report: the deterministic text rendering of the
 // Figure 9 profile. Regenerate with --update-golden after intentional
 // timing-model changes and review the diff.
-TEST(StallProfiler, GoldenFig9Report)
+TEST(StallAttribution, GoldenFig9Report)
 {
     const Program prog = assembleOrDie(fig9);
-    StallProfiler prof;
-    const GpuResult r = runFig9(prof, true);
+    VectorSink sink;
+    const GpuResult r = runFig9(sink, true);
     ASSERT_TRUE(r.ok());
 
-    const std::string got = prof.report(&prog, 10);
+    const std::string got = stallReport(r, prog, 10);
     const std::string path =
         std::string(SI_GOLDEN_DIR) + "/swprof_fig9.txt";
     if (update_golden) {
@@ -386,18 +428,12 @@ TEST(StallProfiler, GoldenFig9Report)
         << "swprof report changed; if intentional, regenerate with "
         << "--update-golden and review the diff";
 }
-#else
-TEST(StallProfiler, SkippedWithoutTraceTier)
-{
-    GTEST_SKIP() << "stall attribution requires SI_TRACE=ON";
-}
-#endif
 
 // ---------------------------------------------------------------------
-// Always-on tier: watchdog + fault injection
+// Failure events: watchdog + fault injection
 // ---------------------------------------------------------------------
 
-TEST(AlwaysOnTier, WatchdogEventOnCycleLimit)
+TEST(FailureEvents, WatchdogEventOnCycleLimit)
 {
     VectorSink sink;
     GpuConfig cfg;
@@ -419,7 +455,7 @@ TEST(AlwaysOnTier, WatchdogEventOnCycleLimit)
     EXPECT_TRUE(saw);
 }
 
-TEST(AlwaysOnTier, InjectionCampaignEmitsFaultAndWatchdogEvents)
+TEST(FailureEvents, InjectionCampaignEmitsFaultAndWatchdogEvents)
 {
     const Program prog = assembleOrDie(fig9);
     Memory mem;

@@ -4,12 +4,13 @@
  *
  *   swprof KERNEL.sasm [options]
  *
- * Runs the kernel with the trace pipeline attached, folds the StallCycle
- * event stream into the paper's Figure 3 stall buckets, and prints a
- * per-reason / per-PC / per-opcode report of lost issue slots. Can also
- * export the raw event timeline as a Chrome trace_event JSON (loadable
- * in Perfetto — one track per warp slot, so subwarp interleaving is
- * directly visible) or as the compact binary ring format.
+ * Runs the kernel and prints a per-reason / per-PC / per-opcode report
+ * of lost issue slots, bucketed by the paper's Figure 3 stall reasons
+ * from the core's own per-pc stall table (exact with fast-forward on).
+ * Can also export the raw event timeline as a Chrome trace_event JSON
+ * (loadable in Perfetto — one track per warp slot, so subwarp
+ * interleaving is directly visible) or as the compact binary ring
+ * format.
  *
  * Machine-model options (same meaning as swsim):
  *   --warps N          warps to launch (default 4)
@@ -65,7 +66,6 @@
 #include "isa/stall_hints.hh"
 #include "metrics/profdiff.hh"
 #include "trace/chrome_trace.hh"
-#include "trace/profiler.hh"
 #include "trace/sinks.hh"
 
 namespace {
@@ -285,14 +285,6 @@ main(int argc, char **argv)
         }
     }
 
-#if !SI_TRACE_ENABLED
-    std::fprintf(stderr,
-                 "swprof: built with SI_TRACE=OFF — stall and cache "
-                 "events are compiled out;\n"
-                 "swprof: the report will only show issued instructions. "
-                 "Rebuild with -DSI_TRACE=ON.\n");
-#endif
-
     std::ifstream in(path);
     if (!in) {
         std::fprintf(stderr, "swprof: cannot open '%s'\n", path.c_str());
@@ -320,14 +312,12 @@ main(int argc, char **argv)
     cfg.yieldEnabled = yield;
     cfg.maxOutstandingMisses = mshrs;
 
-    // The profiler always streams; the ring only exists when a timeline
-    // export was requested (it is the memory-heavy part).
+    // A sink only when a timeline export was requested (the ring is
+    // the memory-heavy part); the stall report needs none.
     const bool record = !trace_path.empty() || !trace_bin_path.empty();
-    si::StallProfiler prof;
     si::RingBufferSink ring(record ? ring_cap : 1);
-    si::TeeSink tee(prof, ring);
-    cfg.traceSink = record ? static_cast<si::TraceSink *>(&tee)
-                           : static_cast<si::TraceSink *>(&prof);
+    if (record)
+        cfg.traceSink = &ring;
 
     si::Memory mem;
     const si::GpuResult r = si::simulate(cfg, mem, prog, {warps, 4});
@@ -354,7 +344,7 @@ main(int argc, char **argv)
         }
     }
     if (!json_path.empty())
-        writeFile(json_path, prof.reportJson(&prog));
+        writeFile(json_path, si::stallReportJson(r, prog));
     if (!stats_json_path.empty()) {
         si::StatsJsonOptions opts;
         opts.regionNames = prog.regionNames();
@@ -378,6 +368,6 @@ main(int argc, char **argv)
                 r.smCycleSum()
                     ? double(r.total.instrsIssued) / double(r.smCycleSum())
                     : 0.0);
-    std::printf("%s", prof.report(&prog, top_n).c_str());
+    std::printf("%s", si::stallReport(r, prog, top_n).c_str());
     return r.ok() ? 0 : 1;
 }

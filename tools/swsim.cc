@@ -36,7 +36,7 @@
  *                      window spanning the whole run)
  *   --metrics-ring N   windows retained per SM (default 4096); older
  *                      windows are dropped (and counted) beyond this
- *   --checkpoint-every N  write a sisnap-v1 checkpoint every N cycles
+ *   --checkpoint-every N  write a sisnap-v2 checkpoint every N cycles
  *   --checkpoint FILE  checkpoint path (default KERNEL.sasm.ckpt)
  *   --resume FILE      restore a checkpoint and continue the run; the
  *                      resumed run is bit-exact with an uninterrupted one
@@ -61,8 +61,7 @@
  *                      one step with exact stats back-fill; every
  *                      artifact is bit-identical either way. =off forces
  *                      faithful per-cycle execution. Auto-pinned to
- *                      faithful mode by --race, --inject, and (in
- *                      SI_TRACE builds) --trace/--trace-out
+ *                      faithful mode by --race and --inject
  *   --ff-report        print fast-forward diagnostics (leaps taken and
  *                      cycles skipped) after the run
  *   --trace            print the per-issue timeline
@@ -467,15 +466,6 @@ main(int argc, char **argv)
         cfg.traceSink = &print_sink;
     else if (record)
         cfg.traceSink = &ring;
-
-#if !SI_TRACE_ENABLED
-    if (record || trace)
-        std::fprintf(stderr,
-                     "swsim: built with SI_TRACE=OFF — stall, cache, and "
-                     "subwarp events are compiled out;\n"
-                     "swsim: the trace will only contain issue/retire "
-                     "events. Rebuild with -DSI_TRACE=ON.\n");
-#endif
 
     auto write_trace = [&]() {
         if (!record)
