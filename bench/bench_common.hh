@@ -9,11 +9,12 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 #include "harness/campaign.hh"
@@ -47,41 +48,25 @@ class BenchJson
               bool campaign_capable = false, bool metrics_capable = false)
         : bench_(std::move(bench))
     {
-        for (int i = 1; i < argc; ++i) {
-            const std::string a = argv[i];
-            if (a == "--json" && i + 1 < argc) {
-                path_ = argv[++i];
-            } else if (a == "--jobs" && i + 1 < argc) {
-                jobs_ = parallel::resolveJobs(
-                    unsigned(std::strtoul(argv[++i], nullptr, 10)));
-            } else if (campaign_capable && a == "--campaign-state" &&
-                       i + 1 < argc) {
-                campaign_dir_ = argv[++i];
-            } else if (campaign_capable && a == "--campaign-resume") {
-                campaign_resume_ = true;
-            } else if (metrics_capable && a == "--metrics-out" &&
-                       i + 1 < argc) {
-                metrics_out_ = argv[++i];
-            } else if (a == "--fast-forward" ||
-                       a == "--fast-forward=on") {
-                fast_forward_ = true;
-            } else if (a == "--fast-forward=off") {
-                fast_forward_ = false;
-            } else {
-                std::fprintf(stderr,
-                             "%s: unknown option '%s' "
-                             "(supported: --json FILE, --jobs N, "
-                             "--fast-forward[=off]%s%s)\n",
-                             bench_.c_str(), a.c_str(),
-                             campaign_capable
-                                 ? ", --campaign-state DIR, "
-                                   "--campaign-resume"
-                                 : "",
-                             metrics_capable ? ", --metrics-out PREFIX"
-                                             : "");
-                std::exit(1);
-            }
+        cli::Parser cli(bench_, "[options]");
+        cli.text("--json", path_, "FILE",
+                 "also write the si-bench-v1 document; - is stdout")
+            .jobs(jobs_)
+            .fastForward(fast_forward_);
+        if (campaign_capable) {
+            cli.text("--campaign-state", campaign_dir_, "DIR",
+                     "run the sweep as a crash-resumable campaign with its "
+                     "si-campaign-v1 manifest in DIR")
+                .flag("--campaign-resume", campaign_resume_,
+                      "continue the campaign recorded in DIR");
         }
+        if (metrics_capable) {
+            cli.text("--metrics-out", metrics_out_, "PREFIX",
+                     "write each app's si-stats-v1 documents, SI off and "
+                     "on, to PREFIX_<app>_base.json and PREFIX_<app>_si.json");
+        }
+        if (const std::optional<int> status = cli.parse(argc, argv))
+            std::exit(*status);
     }
 
     /**
@@ -89,7 +74,7 @@ class BenchJson
      * default is 1, the serial path). Output is byte-identical at any
      * value — the engine collects by cell index, not completion order.
      */
-    unsigned jobs() const { return jobs_; }
+    unsigned jobs() const { return parallel::resolveJobs(jobs_); }
 
     /** Campaign state directory ("" = run the sweep in-process). */
     const std::string &campaignDir() const { return campaign_dir_; }
@@ -137,19 +122,7 @@ class BenchJson
             w.key(m.first).value(m.second);
         w.endObject();
         w.endObject();
-        const std::string doc = w.take();
-        if (path_ == "-") {
-            std::fwrite(doc.data(), 1, doc.size(), stdout);
-            return true;
-        }
-        std::ofstream f(path_, std::ios::binary);
-        if (!f) {
-            std::fprintf(stderr, "%s: cannot write '%s'\n",
-                         bench_.c_str(), path_.c_str());
-            return false;
-        }
-        f << doc;
-        return bool(f);
+        return cli::writeOutput(path_, w.take(), bench_);
     }
 
   private:

@@ -13,6 +13,7 @@
 #include "bench_common.hh"
 
 #include <cctype>
+#include <fstream>
 
 #include "harness/report.hh"
 

@@ -21,6 +21,17 @@ faultKindName(FaultKind kind)
     return "?";
 }
 
+const std::vector<std::pair<std::string, FaultKind>> &
+faultKindCliNames()
+{
+    static const std::vector<std::pair<std::string, FaultKind>> names = {
+        {"scoreboard", FaultKind::ScoreboardCorruption},
+        {"dropwb", FaultKind::DroppedWriteback},
+        {"barrier", FaultKind::BarrierMaskCorruption},
+    };
+    return names;
+}
+
 void
 FaultInjector::onCycle(Gpu &gpu, Cycle now)
 {

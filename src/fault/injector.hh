@@ -13,6 +13,7 @@
 #define SI_FAULT_INJECTOR_HH
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -49,6 +50,9 @@ enum class FaultKind : std::uint8_t {
 
 /** Short stable name ("scoreboard-corruption", ...). */
 const char *faultKindName(FaultKind kind);
+
+/** The command-line name of each kind (--inject scoreboard|dropwb|barrier). */
+const std::vector<std::pair<std::string, FaultKind>> &faultKindCliNames();
 
 /** One fault to inject into one run. */
 struct FaultSpec

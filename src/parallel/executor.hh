@@ -31,6 +31,7 @@
 #ifndef SI_PARALLEL_EXECUTOR_HH
 #define SI_PARALLEL_EXECUTOR_HH
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -137,8 +138,8 @@ struct OrderedDelivery
 } // namespace detail
 
 /**
- * Execute @p fn(0..n-1) with up to @p jobs concurrent workers and
- * deterministic, index-keyed collection.
+ * Execute @p fn(0..n-1) with up to @p jobs concurrent workers (never
+ * more than @p n) and deterministic, index-keyed collection.
  *
  * @param in_order  optional streaming callback, invoked as (index,
  *                  result) in strict index order once the contiguous
@@ -163,8 +164,10 @@ mapIndexed(unsigned jobs, std::size_t n,
     if (n == 0)
         return results;
 
-    jobs = resolveJobs(jobs);
-    if (jobs <= 1 || n == 1) {
+    // Never more workers than cells; results are index-keyed, so the
+    // bound is invisible in the output.
+    jobs = unsigned(std::min<std::size_t>(resolveJobs(jobs), n));
+    if (jobs <= 1) {
         // Serial path: no threads, strict index order. Exceptions
         // propagate immediately — with one worker the lowest failing
         // index is by definition the first one reached.

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -95,6 +96,13 @@ TEST(Executor, MoreJobsThanCells)
         });
     EXPECT_EQ(results, (std::vector<std::size_t>{0, 1, 4}));
     EXPECT_EQ(delivered, (std::vector<std::size_t>{0, 1, 2}));
+
+    // Workers are capped at the cell count, so a huge jobs value starts
+    // three workers instead of exhausting memory on four billion.
+    EXPECT_EQ(parallel::mapIndexed<std::size_t>(
+                  std::numeric_limits<unsigned>::max(), 3,
+                  [](std::size_t i) { return i + 1; }),
+              (std::vector<std::size_t>{1, 2, 3}));
 }
 
 TEST(Executor, OrderedDeliveryIsStrictUnderScrambledCompletion)

@@ -8,66 +8,24 @@
  * architectural divergence: final memory, registers, predicates, or
  * per-lane retirement traces.
  *
- *   difftest [options]
+ *   difftest [options]     (difftest --help lists every option)
  *
- * Options:
- *   --seeds N          number of consecutive seeds to test (default 64)
- *   --seed S           first seed (default 1); with --seeds 1 tests just S
- *   --shrink           on failure, greedily shrink the failing kernel
- *   --inject K         K = scoreboard|dropwb|barrier: inject that fault
- *                      into every cycle-model run. Barrier-mask
- *                      corruption is architectural, so every *fired*
- *                      fault must make the oracle disagree (exit 1 on
- *                      any escape). Scoreboard faults only perturb
- *                      timing — values transfer at issue — so a fired
- *                      fault can be architecturally invisible; those
- *                      modes only require that at least one fault is
- *                      detected.
- *   --verify           additionally run the static verifier (src/verify)
- *                      over every generated kernel. Fails when the
- *                      verifier finds errors OR warnings (the generator
- *                      is supposed to emit spotless programs), and
- *                      cross-checks the two oracles: any kernel the
- *                      verifier blesses must also agree dynamically.
- *   --race             SI-hazard soundness mode: run every seed through
- *                      the whole matrix with the happens-before race
- *                      sanitizer attached (race/detector) and check it
- *                      against the static may-race set (verify/memdep).
- *                      A clean generated kernel must carry no static
- *                      si-order-dependent pair and no dynamic race; the
- *                      same seed regenerated with the racy-witness
- *                      diamond must be flagged statically AND race
- *                      dynamically with the witness pc pair; and every
- *                      dynamic race anywhere must lie inside the static
- *                      may-race set (dynamic subset-of static).
- *   --snapshot         additionally validate the determinism contract
- *                      (third oracle): each kernel runs fresh, fresh
- *                      with a mid-run checkpoint, and restored from that
- *                      checkpoint, on a baseline and an SI config point;
- *                      any divergence in final memory, registers, stats,
- *                      or retirement traces fails the seed.
- *   --fast-forward[=off]  run the cycle model with (default) or without
- *                      the event-driven fast-forward engine. The flag
- *                      must be invisible to every oracle; CI runs the
- *                      suite both ways to cross-validate that contract.
- *   --dump             print each generated kernel before testing
- *   --jobs N           test N seeds concurrently (default 1 = serial;
- *                      0 = all cores). Per-seed output is buffered and
- *                      emitted in seed order, so stdout and the exit
- *                      status are byte-identical at any jobs value.
- *   -v                 per-seed progress output
- *   --help, -h         print usage on stdout and exit 0
+ * Optional oracles ride along: the static verifier (--verify), the
+ * race sanitizer against the static may-race set (--race) and
+ * checkpoint replay (--snapshot). --inject corrupts every cycle-model
+ * run instead, to prove the oracle notices.
  *
  * Exit status: 0 = all seeds agree (or, with --inject, every fired fault
  * was detected); 1 = a divergence (or an undetected injected fault, or a
- * --verify finding).
+ * --verify finding), or bad usage.
  */
 
 #include <cstdarg>
 #include <cstdio>
-#include <cstring>
+#include <optional>
 #include <string>
 
+#include "common/cli.hh"
 #include "common/log.hh"
 #include "parallel/executor.hh"
 #include "ref/difftest.hh"
@@ -75,17 +33,6 @@
 #include "verify/verifier.hh"
 
 namespace {
-
-void
-usage(std::FILE *out = stderr)
-{
-    std::fprintf(out,
-                 "usage: difftest [--seeds N] [--seed S] [--shrink]\n"
-                 "                [--inject scoreboard|dropwb|barrier] "
-                 "[--verify] [--snapshot]\n"
-                 "                [--race] [--fast-forward[=off]] "
-                 "[--dump] [--jobs N] [-v]\n");
-}
 
 /** printf into a per-seed output buffer (emitted later in seed order). */
 void
@@ -127,31 +74,11 @@ struct SeedReport
     std::string out; ///< buffered stdout text
 };
 
-bool
-parseU64(const char *s, std::uint64_t &out)
-{
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 0);
-    if (end == s || *end != '\0')
-        return false;
-    out = v;
-    return true;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--help") == 0 ||
-            std::strcmp(argv[i], "-h") == 0) {
-            usage(stdout);
-            return 0;
-        }
-    }
-    si::verboseLogging = false;
-
     std::uint64_t num_seeds = 64;
     std::uint64_t first_seed = 1;
     bool shrink = false;
@@ -161,72 +88,49 @@ main(int argc, char **argv)
     bool dump = false;
     bool verbose = false;
     unsigned jobs = 1;
+    std::optional<si::FaultKind> inject;
     si::DiffOptions opts;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (arg == "--seeds") {
-            const char *v = next();
-            if (!v || !parseU64(v, num_seeds) || num_seeds == 0) {
-                usage();
-                return 1;
-            }
-        } else if (arg == "--seed") {
-            const char *v = next();
-            if (!v || !parseU64(v, first_seed)) {
-                usage();
-                return 1;
-            }
-        } else if (arg == "--shrink") {
-            shrink = true;
-        } else if (arg == "--verify") {
-            verify = true;
-        } else if (arg == "--race") {
-            race = true;
-        } else if (arg == "--snapshot") {
-            snapshot = true;
-        } else if (arg == "--fast-forward" ||
-                   arg == "--fast-forward=on") {
-            opts.fastForward = true;
-        } else if (arg == "--fast-forward=off") {
-            opts.fastForward = false;
-        } else if (arg == "--dump") {
-            dump = true;
-        } else if (arg == "--jobs") {
-            const char *v = next();
-            std::uint64_t j = 0;
-            if (!v || !parseU64(v, j)) {
-                usage();
-                return 1;
-            }
-            jobs = si::parallel::resolveJobs(unsigned(j));
-        } else if (arg == "-v") {
-            verbose = true;
-        } else if (arg == "--inject") {
-            const char *v = next();
-            if (!v) {
-                usage();
-                return 1;
-            }
-            opts.inject = true;
-            if (std::strcmp(v, "scoreboard") == 0) {
-                opts.injectKind = si::FaultKind::ScoreboardCorruption;
-            } else if (std::strcmp(v, "dropwb") == 0) {
-                opts.injectKind = si::FaultKind::DroppedWriteback;
-            } else if (std::strcmp(v, "barrier") == 0) {
-                opts.injectKind = si::FaultKind::BarrierMaskCorruption;
-            } else {
-                usage();
-                return 1;
-            }
-        } else {
-            usage();
-            return 1;
-        }
-    }
+    si::cli::Parser cli("difftest", "[options]");
+    cli.number("--seeds", num_seeds,
+               "number of consecutive seeds to test, 1..1000000 (default "
+               "64)",
+               1, 1000000)
+        .number("--seed", first_seed,
+                "first seed (default 1); with --seeds 1 tests just N")
+        .flag("--shrink", shrink,
+              "on failure, greedily shrink the failing kernel")
+        .choice("--inject", inject, si::faultKindCliNames(),
+                "inject that fault into every cycle-model run. Barrier-mask "
+                "corruption is architectural, so every fired fault must "
+                "make the oracle disagree (exit 1 on any escape); "
+                "scoreboard faults only perturb timing, so those modes "
+                "only require that at least one fault is detected")
+        .flag("--verify", verify,
+              "also run the static verifier over every generated kernel: "
+              "fail on any error or warning, and on a verifier-blessed "
+              "kernel that diverges dynamically")
+        .flag("--race", race,
+              "SI-hazard soundness mode: run every seed with the race "
+              "sanitizer and check it against the static may-race set. A "
+              "clean kernel must show no static pair and no dynamic race; "
+              "the same seed with the racy-witness diamond must be caught "
+              "by both; every dynamic race must lie in the static set")
+        .flag("--snapshot", snapshot,
+              "also check the determinism contract: each kernel runs "
+              "fresh, fresh with a mid-run checkpoint, and restored from "
+              "it, on a baseline and an SI point; any divergence fails "
+              "the seed")
+        .fastForward(opts.fastForward)
+        .flag("--dump", dump, "print each generated kernel before testing")
+        .jobs(jobs)
+        .flag("-v", verbose, "per-seed progress output");
+    if (const std::optional<int> status = cli.parse(argc, argv))
+        return *status;
+    si::verboseLogging = false;
+    opts.inject = inject.has_value();
+    opts.injectKind = inject.value_or(opts.injectKind);
+
     if (verify && opts.inject) {
         // Injected faults corrupt live machine state the static pass
         // cannot see; combining the modes only muddles the accounting.

@@ -6,52 +6,32 @@
  *
  *   silint [options] kernel.sasm...
  *
- * Options:
- *   --Werror      exit nonzero on warnings, not just errors
- *   --no-notes    suppress Note-severity diagnostics
- *   --report      append a one-line per-file summary
- *                 ("file: N errors, N warnings, N notes") — the format
- *                 the CI golden file (tests/golden/silint_kernels.txt)
- *                 records for every checked-in kernel
- *   --quiet       print summaries/exit status only, not diagnostics
- *   --json FILE   additionally write a machine-readable si-lint-v1
- *                 report (schema: tools/lint_schema.json); FILE = -
- *                 writes it to stdout
- *   --jobs N      lint N files concurrently (default 1 = serial; 0 =
- *                 all cores). Output is buffered per file and emitted
- *                 in argument order; within a file diagnostics are
- *                 sorted by line then severity — stdout, the JSON
- *                 document, and the exit status are byte-identical at
- *                 any jobs value.
+ * `silint --help` lists every option. --report prints the one-line
+ * per-file summary that the CI golden file (tests/golden/silint_kernels.txt)
+ * records for every checked-in kernel; --json writes si-lint-v1
+ * (schema: tools/lint_schema.json).
  *
  * Exit status: 0 = every file assembled and carries no error (nor
  * warning under --Werror); 1 = some file has findings at the gating
- * severity; 2 = file unreadable or failed to assemble.
+ * severity; 2 = file unreadable or failed to assemble, or bad usage.
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 #include "parallel/executor.hh"
 #include "verify/verifier.hh"
 
 namespace {
-
-void
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: silint [--Werror] [--no-notes] [--report] "
-                 "[--quiet]\n"
-                 "              [--json FILE] [--jobs N] file.sasm...\n");
-}
 
 /** Strip directories: diagnostics and reports stay path-independent. */
 std::string
@@ -133,45 +113,22 @@ main(int argc, char **argv)
     si::VerifyOptions opts;
     std::vector<std::string> files;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--Werror") {
-            werror = true;
-        } else if (arg == "--no-notes") {
-            opts.notes = false;
-        } else if (arg == "--report") {
-            report = true;
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (arg == "--json") {
-            if (i + 1 >= argc) {
-                usage();
-                return 2;
-            }
-            json_path = argv[++i];
-        } else if (arg == "--jobs") {
-            if (i + 1 >= argc) {
-                usage();
-                return 2;
-            }
-            char *end = nullptr;
-            const unsigned long v = std::strtoul(argv[++i], &end, 0);
-            if (end == argv[i] || *end != '\0') {
-                usage();
-                return 2;
-            }
-            jobs = si::parallel::resolveJobs(unsigned(v));
-        } else if (!arg.empty() && arg[0] == '-') {
-            usage();
-            return 2;
-        } else {
-            files.push_back(arg);
-        }
-    }
-    if (files.empty()) {
-        usage();
-        return 2;
-    }
+    si::cli::Parser cli("silint", "[options] file.sasm...", 2);
+    cli.positional(files, "file.sasm", 1, SIZE_MAX)
+        .flag("--Werror", werror, "exit nonzero on warnings, not just errors")
+        .flag("--no-notes", [&opts] { opts.notes = false; },
+              "suppress Note-severity diagnostics")
+        .flag("--report", report,
+              "append a one-line per-file summary (\"file: N errors, N "
+              "warnings, N notes\")")
+        .flag("--quiet", quiet,
+              "print summaries/exit status only, not diagnostics")
+        .text("--json", json_path, "FILE",
+              "also write a machine-readable si-lint-v1 report; - is "
+              "stdout")
+        .jobs(jobs);
+    if (const std::optional<int> status = cli.parse(argc, argv))
+        return *status;
 
     bool gated = false;
     bool broken = false;
@@ -257,18 +214,8 @@ main(int argc, char **argv)
         w.endObject();
         w.key("exit_status").value(status);
         w.endObject();
-        const std::string doc = w.take() + "\n";
-        if (json_path == "-") {
-            std::fwrite(doc.data(), 1, doc.size(), stdout);
-        } else {
-            std::ofstream out(json_path, std::ios::binary);
-            if (!out) {
-                std::fprintf(stderr, "silint: cannot write '%s'\n",
-                             json_path.c_str());
-                return 2;
-            }
-            out << doc;
-        }
+        if (!si::cli::writeOutput(json_path, w.take() + "\n", "silint"))
+            return 2;
     }
     return status;
 }

@@ -12,28 +12,8 @@
  * interleaving is directly visible) or as the compact binary ring
  * format.
  *
- * Machine-model options (same meaning as swsim):
- *   --warps N          warps to launch (default 4)
- *   --lat N            L1 miss latency in cycles (default 600)
- *   --si               enable Subwarp Interleaving (SOS)
- *   --yield            also enable subwarp-yield (implies --si)
- *   --trigger any|half|all   selection trigger (default half)
- *   --tst N            thread status table entries (default 32)
- *   --sms N            number of SMs (default 2)
- *   --slots N          warp slots per processing block (default 8)
- *   --mshrs N          outstanding-miss budget (default unlimited)
- *   --hints            run the static stall-hint pass + hint policy
- *   --sched gto|lrr    warp scheduler (default gto)
- *
- * Profiler options:
- *   --top N            rows per hotspot table (default 10)
- *   --json FILE        machine-readable stall report (si-stall-v1);
- *                      FILE = - writes to stdout
- *   --stats-json FILE  machine-readable run statistics (si-stats-v1)
- *   --trace FILE       Chrome trace_event JSON of the recorded timeline
- *   --trace-bin FILE   compact binary dump of the recorded timeline
- *   --ring N           ring-buffer capacity in events (default 1Mi)
- *   --help, -h         print usage on stdout and exit 0
+ * `swprof --help` lists every option; the machine-model ones are
+ * shared with swsim.
  *
  * Diff mode:
  *   swprof --diff BASE.json TEST.json [--json FILE]
@@ -54,11 +34,13 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "common/cli.hh"
 #include "common/log.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
@@ -70,48 +52,7 @@
 
 namespace {
 
-void
-usage(std::FILE *out = stderr)
-{
-    std::fprintf(out,
-                 "usage: swprof KERNEL.sasm [--warps N] [--lat N] [--si] "
-                 "[--yield]\n"
-                 "              [--trigger any|half|all] [--tst N] "
-                 "[--sms N] [--slots N]\n"
-                 "              [--mshrs N] [--hints] [--sched gto|lrr] "
-                 "[--top N]\n"
-                 "              [--json FILE] [--stats-json FILE] "
-                 "[--trace FILE]\n"
-                 "              [--trace-bin FILE] [--ring N]\n"
-                 "       swprof --diff BASE.json TEST.json [--json FILE]\n");
-}
-
-bool
-writeFile(const std::string &path, const std::string &content)
-{
-    if (path == "-") {
-        std::fwrite(content.data(), 1, content.size(), stdout);
-        return true;
-    }
-    std::ofstream f(path, std::ios::binary);
-    if (!f) {
-        std::fprintf(stderr, "swprof: cannot write '%s'\n", path.c_str());
-        return false;
-    }
-    f << content;
-    return bool(f);
-}
-
-bool
-parseUnsigned(const char *s, unsigned &out)
-{
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(s, &end, 0);
-    if (end == s || *end != '\0')
-        return false;
-    out = unsigned(v);
-    return true;
-}
+const char *const diffSynopsis = "--diff BASE.json TEST.json [--json FILE]";
 
 /** swprof --diff BASE.json TEST.json [--json FILE] */
 int
@@ -119,27 +60,14 @@ diffMain(int argc, char **argv)
 {
     std::string json_path;
     std::vector<std::string> files;
-    for (int i = 2; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "--json") {
-            if (i + 1 >= argc) {
-                usage();
-                return 1;
-            }
-            json_path = argv[++i];
-        } else if (!a.empty() && a[0] == '-' && a != "-") {
-            std::fprintf(stderr, "swprof: unknown diff option '%s'\n",
-                         a.c_str());
-            usage();
-            return 1;
-        } else {
-            files.push_back(a);
-        }
-    }
-    if (files.size() != 2) {
-        usage();
-        return 1;
-    }
+    si::cli::Parser cli("swprof", diffSynopsis);
+    cli.positional(files, "BASE.json TEST.json", 2, 2)
+        .flag("--diff", [] {},
+              "diff two si-stats-v1/si-metrics-v1 documents per region")
+        .text("--json", json_path, "FILE",
+              "also write the diff as si-profdiff-v1; - is stdout");
+    if (const std::optional<int> status = cli.parse(argc, argv))
+        return *status;
 
     si::ProfSide sides[2];
     for (int s = 0; s < 2; ++s) {
@@ -159,16 +87,16 @@ diffMain(int argc, char **argv)
         }
     }
 
-    const si::ProfDiff diff = si::diffProf(sides[0], sides[1]);
-    std::printf("%s", si::profDiffReport(diff).c_str());
+    const si::ProfDiff result = si::diffProf(sides[0], sides[1]);
+    std::printf("%s", si::profDiffReport(result).c_str());
     if (!json_path.empty() &&
-        !writeFile(json_path, si::profDiffJson(diff)))
+        !si::cli::writeOutput(json_path, si::profDiffJson(result), "swprof"))
         return 1;
-    if (diff.residual != 0) {
+    if (result.residual != 0) {
         std::fprintf(stderr,
                      "swprof: nonzero residual %lld — the inputs do not "
                      "reconcile with the warp-cycle partition\n",
-                     static_cast<long long>(diff.residual));
+                     static_cast<long long>(result.residual));
         return 1;
     }
     return 0;
@@ -179,111 +107,37 @@ diffMain(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--help") == 0 ||
-            std::strcmp(argv[i], "-h") == 0) {
-            usage(stdout);
-            return 0;
-        }
-    }
-    si::verboseLogging = false;
-    if (argc < 2) {
-        usage();
-        return 1;
-    }
-    if (std::strcmp(argv[1], "--diff") == 0)
+    // Diff mode has its own option table.
+    if (argc > 1 && std::string(argv[1]) == "--diff")
         return diffMain(argc, argv);
 
-    const std::string path = argv[1];
-    si::GpuConfig cfg;
-    unsigned warps = 4;
-    unsigned mshrs = 0;
+    si::MachineOptions machine;
+    si::GpuConfig &cfg = machine.config;
+    std::vector<std::string> kernel;
     unsigned ring_cap = 1u << 20;
     unsigned top_n = 10;
-    bool si_on = false, yield = false, hints = false;
     std::string json_path, stats_json_path, trace_path, trace_bin_path;
 
-    for (int i = 2; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next_uint = [&](unsigned &out) {
-            if (i + 1 >= argc || !parseUnsigned(argv[++i], out)) {
-                std::fprintf(stderr, "swprof: %s needs a number\n",
-                             a.c_str());
-                std::exit(1);
-            }
-        };
-        auto next_str = [&](std::string &out) {
-            if (i + 1 >= argc) {
-                usage();
-                std::exit(1);
-            }
-            out = argv[++i];
-        };
-        if (a == "--warps") {
-            next_uint(warps);
-        } else if (a == "--lat") {
-            unsigned v;
-            next_uint(v);
-            cfg.lat.l1Miss = v;
-        } else if (a == "--si") {
-            si_on = true;
-        } else if (a == "--yield") {
-            si_on = yield = true;
-        } else if (a == "--trigger") {
-            std::string t;
-            next_str(t);
-            if (t == "any")
-                cfg.trigger = si::SelectTrigger::AnyStalled;
-            else if (t == "half")
-                cfg.trigger = si::SelectTrigger::HalfStalled;
-            else if (t == "all")
-                cfg.trigger = si::SelectTrigger::AllStalled;
-            else {
-                std::fprintf(stderr, "swprof: bad trigger '%s'\n",
-                             t.c_str());
-                return 1;
-            }
-        } else if (a == "--tst") {
-            next_uint(cfg.maxSubwarps);
-        } else if (a == "--sms") {
-            next_uint(cfg.numSms);
-        } else if (a == "--slots") {
-            next_uint(cfg.warpSlotsPerPb);
-        } else if (a == "--mshrs") {
-            next_uint(mshrs);
-        } else if (a == "--hints") {
-            hints = true;
-        } else if (a == "--sched") {
-            std::string s;
-            next_str(s);
-            if (s == "gto")
-                cfg.sched = si::SchedPolicy::GTO;
-            else if (s == "lrr")
-                cfg.sched = si::SchedPolicy::LRR;
-            else {
-                std::fprintf(stderr, "swprof: bad scheduler '%s'\n",
-                             s.c_str());
-                return 1;
-            }
-        } else if (a == "--top") {
-            next_uint(top_n);
-        } else if (a == "--json") {
-            next_str(json_path);
-        } else if (a == "--stats-json") {
-            next_str(stats_json_path);
-        } else if (a == "--trace") {
-            next_str(trace_path);
-        } else if (a == "--trace-bin") {
-            next_str(trace_bin_path);
-        } else if (a == "--ring") {
-            next_uint(ring_cap);
-        } else {
-            std::fprintf(stderr, "swprof: unknown option '%s'\n",
-                         a.c_str());
-            usage();
-            return 1;
-        }
-    }
+    si::cli::Parser cli("swprof", std::string("KERNEL.sasm [options]\n"
+                                              "       swprof ") +
+                                      diffSynopsis);
+    cli.positional(kernel, "KERNEL.sasm", 1, 1);
+    si::addMachineOptions(cli, machine);
+    cli.number("--top", top_n, "rows per hotspot table (default 10)")
+        .text("--json", json_path, "FILE",
+              "machine-readable stall report (si-stall-v1); - is stdout")
+        .text("--stats-json", stats_json_path, "FILE",
+              "machine-readable run statistics (si-stats-v1)")
+        .text("--trace", trace_path, "FILE",
+              "Chrome trace_event JSON of the recorded timeline")
+        .text("--trace-bin", trace_bin_path, "FILE",
+              "compact binary dump of the recorded timeline")
+        .number("--ring", ring_cap,
+                "ring-buffer capacity in events (default 1Mi)");
+    if (const std::optional<int> status = cli.parse(argc, argv))
+        return *status;
+    si::verboseLogging = false;
+    const std::string &path = kernel.front();
 
     std::ifstream in(path);
     if (!in) {
@@ -301,16 +155,12 @@ main(int argc, char **argv)
     }
     si::Program prog = std::move(assembled.program);
 
-    if (hints) {
+    if (machine.hints) {
         const si::StallHintReport rep = si::annotateStallHints(prog);
         cfg.divergeOrder = si::DivergeOrder::HintStallFirst;
         std::printf("stall hints: %u/%u branches hinted\n",
                     rep.branchesHinted, rep.branchesAnalyzed);
     }
-
-    cfg.siEnabled = si_on;
-    cfg.yieldEnabled = yield;
-    cfg.maxOutstandingMisses = mshrs;
 
     // A sink only when a timeline export was requested (the ring is
     // the memory-heavy part); the stall report needs none.
@@ -320,10 +170,12 @@ main(int argc, char **argv)
         cfg.traceSink = &ring;
 
     si::Memory mem;
-    const si::GpuResult r = si::simulate(cfg, mem, prog, {warps, 4});
+    const si::GpuResult r = si::simulate(cfg, mem, prog, {machine.warps, 4});
 
     if (!trace_path.empty() &&
-        writeFile(trace_path, si::chromeTraceJson(ring.snapshot(), &prog))) {
+        si::cli::writeOutput(trace_path,
+                             si::chromeTraceJson(ring.snapshot(), &prog),
+                             "swprof")) {
         std::fprintf(stderr, "trace: %s (%llu events, %llu dropped)\n",
                      trace_path.c_str(),
                      static_cast<unsigned long long>(ring.snapshot().size()),
@@ -344,11 +196,13 @@ main(int argc, char **argv)
         }
     }
     if (!json_path.empty())
-        writeFile(json_path, si::stallReportJson(r, prog));
+        si::cli::writeOutput(json_path, si::stallReportJson(r, prog),
+                             "swprof");
     if (!stats_json_path.empty()) {
         si::StatsJsonOptions opts;
         opts.regionNames = prog.regionNames();
-        writeFile(stats_json_path, si::statsJson(r, prog.name(), opts));
+        si::cli::writeOutput(stats_json_path,
+                             si::statsJson(r, prog.name(), opts), "swprof");
     }
 
     if (!r.ok()) {

@@ -5,87 +5,26 @@
  *
  *   swsim KERNEL.sasm [options]
  *
- * Options:
- *   --warps N          warps to launch (default 4)
- *   --lat N            L1 miss latency in cycles (default 600)
- *   --si               enable Subwarp Interleaving (SOS)
- *   --yield            also enable subwarp-yield (implies --si)
- *   --trigger any|half|all   selection trigger (default half)
- *   --tst N            thread status table entries (default 32)
- *   --sms N            number of SMs (default 2)
- *   --slots N          warp slots per processing block (default 8)
- *   --mshrs N          outstanding-miss budget (default unlimited)
- *   --hints            run the static stall-hint pass + hint policy
- *   --sched gto|lrr    warp scheduler (default gto)
- *   --check-invariants run the opt-in machine-state audits
- *   --race             attach the happens-before race sanitizer
- *                      (race/detector): report every intra-warp
- *                      subwarp-schedule-dependent access pair with both
- *                      pcs, lanes, address, and cycle; exit 1 when any
- *                      race is found
- *   --inject K         fault injection: K = scoreboard|dropwb|barrier;
- *                      corrupts live state mid-run and reports whether
- *                      the watchdog/checker caught it (exit 0 = caught)
- *   --stats            dump full statistics
- *   --stats-json FILE  write machine-readable statistics (si-stats-v1);
- *                      FILE = - writes to stdout
- *   --metrics-out FILE write windowed time-series metrics
- *                      (si-metrics-v1); FILE = - writes to stdout
- *   --metrics-csv FILE write the same series as CSV
- *   --metrics-interval N  cycles per metrics window (default 0: one
- *                      window spanning the whole run)
- *   --metrics-ring N   windows retained per SM (default 4096); older
- *                      windows are dropped (and counted) beyond this
- *   --checkpoint-every N  write a sisnap-v2 checkpoint every N cycles
- *   --checkpoint FILE  checkpoint path (default KERNEL.sasm.ckpt)
- *   --resume FILE      restore a checkpoint and continue the run; the
- *                      resumed run is bit-exact with an uninterrupted one
- *   --campaign-state DIR  campaign mode: sweep baseline + the six SI
- *                      configurations over this kernel, one forked child
- *                      per cell, with a resumable si-campaign-v1
- *                      manifest in DIR (exit 0 complete, 2 cells left)
- *   --campaign-resume  continue the campaign recorded in DIR
- *   --campaign-cells N stop after N cells (forces a mid-campaign
- *                      restart; finish later with --campaign-resume)
- *   --campaign-timeout SEC  per-cell wall budget (SIGKILL on overrun)
- *   --campaign-retries N    retries for transiently-failed cells
- *   --campaign-inject K     inject fault K into each cell's first
- *                      attempt (soak testing: retries must recover)
- *   --campaign-jobs N  run campaign cells on an in-process thread pool
- *                      with N workers instead of forking; the final
- *                      manifest is byte-identical to the fork path's
- *                      cell grid at any N (wall budgets classify as
- *                      WallClock instead of ChildTimeout)
- *   --fast-forward[=off]  event-driven cycle leaping (default on):
- *                      quiet stretches of the clock loop are skipped in
- *                      one step with exact stats back-fill; every
- *                      artifact is bit-identical either way. =off forces
- *                      faithful per-cycle execution. Auto-pinned to
- *                      faithful mode by --race and --inject
- *   --ff-report        print fast-forward diagnostics (leaps taken and
- *                      cycles skipped) after the run
- *   --trace            print the per-issue timeline
- *   --trace-out FILE   record the trace-event stream (bounded ring
- *                      buffer) and write a Chrome trace_event JSON,
- *                      loadable in Perfetto; written even when the run
- *                      fails, so livelock reports come with a timeline
- *   --trace-ring N     ring-buffer capacity in events (default 1Mi)
- *   --disasm           print the kernel listing before running
- *   --compare          also run the baseline and report the speedup
- *   --help, -h         print usage on stdout and exit 0
+ * Runs the kernel under one machine configuration, or injects a fault
+ * (--inject), sweeps it as a resumable campaign (--campaign-state),
+ * checkpoints and resumes it, attaches the race sanitizer, and exports
+ * statistics, windowed metrics and traces. `swsim --help` lists every
+ * option.
  *
  * Exit status: 0 on success (for --inject: fault caught), 1 on bad
- * usage, assembly error, or a failed/undetected run.
+ * usage, assembly error, or a failed/undetected run; in campaign mode
+ * 2 while cells remain.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
-#include <memory>
-
+#include "common/cli.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "fault/injector.hh"
@@ -101,32 +40,6 @@
 #include "trace/sinks.hh"
 
 namespace {
-
-void
-usage(std::FILE *out = stderr)
-{
-    std::fprintf(out,
-                 "usage: swsim KERNEL.sasm [--warps N] [--lat N] [--si] "
-                 "[--yield]\n"
-                 "             [--trigger any|half|all] [--tst N] "
-                 "[--sms N] [--slots N]\n"
-                 "             [--mshrs N] [--hints] [--sched gto|lrr] "
-                 "[--race] [--stats]\n"
-                 "             [--stats-json FILE] [--metrics-out FILE] "
-                 "[--metrics-csv FILE]\n"
-                 "             [--metrics-interval N] [--metrics-ring N] "
-                 "[--trace]\n"
-                 "             [--trace-out FILE]\n"
-                 "             [--trace-ring N] [--disasm] [--compare]\n"
-                 "             [--checkpoint-every N] [--checkpoint FILE]"
-                 " [--resume FILE]\n"
-                 "             [--campaign-state DIR] [--campaign-resume]"
-                 " [--campaign-cells N]\n"
-                 "             [--campaign-timeout SEC] "
-                 "[--campaign-retries N] [--campaign-inject K]\n"
-                 "             [--campaign-jobs N] [--fast-forward[=off]]"
-                 " [--ff-report]\n");
-}
 
 /** --trace: print each issue as it happens. */
 class PrintSink : public si::TraceSink
@@ -149,252 +62,111 @@ class PrintSink : public si::TraceSink
     const si::Program &prog_;
 };
 
-bool
-writeFile(const std::string &path, const std::string &content)
-{
-    if (path == "-") {
-        std::fwrite(content.data(), 1, content.size(), stdout);
-        return true;
-    }
-    std::ofstream f(path, std::ios::binary);
-    if (!f) {
-        std::fprintf(stderr, "swsim: cannot write '%s'\n", path.c_str());
-        return false;
-    }
-    f << content;
-    return bool(f);
-}
-
-bool
-parseUnsigned(const char *s, unsigned &out)
-{
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(s, &end, 0);
-    if (end == s || *end != '\0')
-        return false;
-    out = unsigned(v);
-    return true;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--help") == 0 ||
-            std::strcmp(argv[i], "-h") == 0) {
-            usage(stdout);
-            return 0;
-        }
-    }
-    si::verboseLogging = false;
-    if (argc < 2) {
-        usage();
-        return 1;
-    }
-
-    const std::string path = argv[1];
-    si::GpuConfig cfg;
-    unsigned warps = 4;
-    unsigned mshrs = 0;
+    si::MachineOptions machine;
+    si::GpuConfig &cfg = machine.config;
+    std::vector<std::string> kernel;
     unsigned trace_ring = 1u << 20;
-    bool si_on = false, yield = false, hints = false;
     bool dump_stats = false, trace = false, disasm = false;
     bool compare = false;
-    bool inject = false;
     bool race = false;
     bool ff_report = false;
     std::string stats_json_path, trace_out_path;
     std::string metrics_out_path, metrics_csv_path;
     unsigned metrics_interval = 0;
     unsigned metrics_ring = 4096;
-    si::FaultKind fault_kind = si::FaultKind::ScoreboardCorruption;
+    std::optional<si::FaultKind> inject;
     unsigned checkpoint_every = 0;
     std::string checkpoint_path, resume_path;
     std::string campaign_dir;
     bool campaign_resume = false;
-    bool campaign_inject = false;
-    si::FaultKind campaign_fault = si::FaultKind::DroppedWriteback;
+    std::optional<si::FaultKind> campaign_inject;
     unsigned campaign_cells = 0, campaign_timeout = 0;
     unsigned campaign_retries = 2;
     unsigned campaign_jobs = 0;
 
-    auto parse_fault_kind = [](const std::string &k,
-                               si::FaultKind &out) {
-        if (k == "scoreboard")
-            out = si::FaultKind::ScoreboardCorruption;
-        else if (k == "dropwb")
-            out = si::FaultKind::DroppedWriteback;
-        else if (k == "barrier")
-            out = si::FaultKind::BarrierMaskCorruption;
-        else
-            return false;
-        return true;
-    };
-
-    for (int i = 2; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next_uint = [&](unsigned &out) {
-            if (i + 1 >= argc || !parseUnsigned(argv[++i], out)) {
-                std::fprintf(stderr, "swsim: %s needs a number\n",
-                             a.c_str());
-                std::exit(1);
-            }
-        };
-        if (a == "--warps") {
-            next_uint(warps);
-        } else if (a == "--lat") {
-            unsigned v;
-            next_uint(v);
-            cfg.lat.l1Miss = v;
-        } else if (a == "--si") {
-            si_on = true;
-        } else if (a == "--yield") {
-            si_on = yield = true;
-        } else if (a == "--trigger") {
-            if (i + 1 >= argc) {
-                usage();
-                return 1;
-            }
-            const std::string t = argv[++i];
-            if (t == "any")
-                cfg.trigger = si::SelectTrigger::AnyStalled;
-            else if (t == "half")
-                cfg.trigger = si::SelectTrigger::HalfStalled;
-            else if (t == "all")
-                cfg.trigger = si::SelectTrigger::AllStalled;
-            else {
-                std::fprintf(stderr, "swsim: bad trigger '%s'\n",
-                             t.c_str());
-                return 1;
-            }
-        } else if (a == "--tst") {
-            next_uint(cfg.maxSubwarps);
-        } else if (a == "--sms") {
-            next_uint(cfg.numSms);
-        } else if (a == "--slots") {
-            next_uint(cfg.warpSlotsPerPb);
-        } else if (a == "--mshrs") {
-            next_uint(mshrs);
-        } else if (a == "--hints") {
-            hints = true;
-        } else if (a == "--sched") {
-            if (i + 1 >= argc) {
-                usage();
-                return 1;
-            }
-            const std::string s = argv[++i];
-            if (s == "gto")
-                cfg.sched = si::SchedPolicy::GTO;
-            else if (s == "lrr")
-                cfg.sched = si::SchedPolicy::LRR;
-            else {
-                std::fprintf(stderr, "swsim: bad scheduler '%s'\n",
-                             s.c_str());
-                return 1;
-            }
-        } else if (a == "--check-invariants") {
-            cfg.checkInvariants = true;
-        } else if (a == "--race") {
-            race = true;
-        } else if (a == "--inject") {
-            if (i + 1 >= argc || !parse_fault_kind(argv[++i],
-                                                   fault_kind)) {
-                std::fprintf(stderr, "swsim: --inject needs "
-                                     "scoreboard|dropwb|barrier\n");
-                return 1;
-            }
-            inject = true;
-        } else if (a == "--checkpoint-every") {
-            next_uint(checkpoint_every);
-        } else if (a == "--checkpoint") {
-            if (i + 1 >= argc) {
-                usage();
-                return 1;
-            }
-            checkpoint_path = argv[++i];
-        } else if (a == "--resume") {
-            if (i + 1 >= argc) {
-                usage();
-                return 1;
-            }
-            resume_path = argv[++i];
-        } else if (a == "--campaign-state") {
-            if (i + 1 >= argc) {
-                usage();
-                return 1;
-            }
-            campaign_dir = argv[++i];
-        } else if (a == "--campaign-resume") {
-            campaign_resume = true;
-        } else if (a == "--campaign-cells") {
-            next_uint(campaign_cells);
-        } else if (a == "--campaign-timeout") {
-            next_uint(campaign_timeout);
-        } else if (a == "--campaign-retries") {
-            next_uint(campaign_retries);
-        } else if (a == "--campaign-jobs") {
-            next_uint(campaign_jobs);
-        } else if (a == "--campaign-inject") {
-            if (i + 1 >= argc || !parse_fault_kind(argv[++i],
-                                                   campaign_fault)) {
-                std::fprintf(stderr, "swsim: --campaign-inject needs "
-                                     "scoreboard|dropwb|barrier\n");
-                return 1;
-            }
-            campaign_inject = true;
-        } else if (a == "--stats") {
-            dump_stats = true;
-        } else if (a == "--stats-json") {
-            if (i + 1 >= argc) {
-                usage();
-                return 1;
-            }
-            stats_json_path = argv[++i];
-        } else if (a == "--metrics-out") {
-            if (i + 1 >= argc) {
-                usage();
-                return 1;
-            }
-            metrics_out_path = argv[++i];
-        } else if (a == "--metrics-csv") {
-            if (i + 1 >= argc) {
-                usage();
-                return 1;
-            }
-            metrics_csv_path = argv[++i];
-        } else if (a == "--metrics-interval") {
-            next_uint(metrics_interval);
-        } else if (a == "--metrics-ring") {
-            next_uint(metrics_ring);
-        } else if (a == "--fast-forward" || a == "--fast-forward=on") {
-            cfg.fastForward = true;
-        } else if (a == "--fast-forward=off") {
-            cfg.fastForward = false;
-        } else if (a == "--ff-report") {
-            ff_report = true;
-        } else if (a == "--trace") {
-            trace = true;
-        } else if (a == "--trace-out") {
-            if (i + 1 >= argc) {
-                usage();
-                return 1;
-            }
-            trace_out_path = argv[++i];
-        } else if (a == "--trace-ring") {
-            next_uint(trace_ring);
-        } else if (a == "--disasm") {
-            disasm = true;
-        } else if (a == "--compare") {
-            compare = true;
-        } else {
-            std::fprintf(stderr, "swsim: unknown option '%s'\n",
-                         a.c_str());
-            usage();
-            return 1;
-        }
-    }
+    si::cli::Parser cli("swsim", "KERNEL.sasm [options]");
+    cli.positional(kernel, "KERNEL.sasm", 1, 1);
+    si::addMachineOptions(cli, machine);
+    cli.flag("--check-invariants", cfg.checkInvariants,
+             "run the opt-in machine-state audits")
+        .flag("--race", race,
+              "attach the happens-before race sanitizer: report every "
+              "intra-warp subwarp-schedule-dependent access pair with both "
+              "pcs, lanes, address and cycle; exit 1 when any race is found")
+        .choice("--inject", inject, si::faultKindCliNames(),
+                "corrupt live state mid-run and report whether the "
+                "watchdog or checker caught it (exit 0 = caught)")
+        .flag("--stats", dump_stats, "dump full statistics")
+        .text("--stats-json", stats_json_path, "FILE",
+              "write machine-readable statistics (si-stats-v1); - is "
+              "stdout")
+        .text("--metrics-out", metrics_out_path, "FILE",
+              "write windowed time-series metrics (si-metrics-v1); - is "
+              "stdout")
+        .text("--metrics-csv", metrics_csv_path, "FILE",
+              "write the same series as CSV")
+        .number("--metrics-interval", metrics_interval,
+                "cycles per metrics window (default 0: one window spanning "
+                "the whole run)")
+        .number("--metrics-ring", metrics_ring,
+                "windows retained per SM (default 4096); older windows are "
+                "dropped (and counted) beyond this")
+        .number("--checkpoint-every", checkpoint_every,
+                "write a checkpoint every N cycles")
+        .text("--checkpoint", checkpoint_path, "FILE",
+              "checkpoint path (default KERNEL.sasm.ckpt)")
+        .text("--resume", resume_path, "FILE",
+              "restore a checkpoint and continue the run; the resumed run "
+              "is bit-exact with an uninterrupted one")
+        .text("--campaign-state", campaign_dir, "DIR",
+              "campaign mode: sweep baseline + the six SI configurations "
+              "over this kernel, one forked child per cell, with a "
+              "resumable si-campaign-v1 manifest in DIR")
+        .flag("--campaign-resume", campaign_resume,
+              "continue the campaign recorded in DIR")
+        .number("--campaign-cells", campaign_cells,
+                "stop after N cells (forces a mid-campaign restart; finish "
+                "later with --campaign-resume)")
+        .number("--campaign-timeout", campaign_timeout,
+                "per-cell wall budget in seconds (SIGKILL on overrun)")
+        .number("--campaign-retries", campaign_retries,
+                "retries for transiently-failed cells (default 2)")
+        .choice("--campaign-inject", campaign_inject,
+                si::faultKindCliNames(),
+                "inject this fault into each cell's first attempt (soak "
+                "testing: retries must recover)")
+        .number("--campaign-jobs", campaign_jobs,
+                "run campaign cells on an in-process pool of N workers, "
+                "0.." + std::to_string(si::cli::maxJobs) +
+                    " (default 0 = fork each cell); the manifest's cell "
+                    "grid is byte-identical to the fork path's (wall "
+                    "budgets classify as WallClock, not ChildTimeout)",
+                0, si::cli::maxJobs)
+        .fastForward(cfg.fastForward)
+        .flag("--ff-report", ff_report,
+              "print fast-forward diagnostics (leaps taken and cycles "
+              "skipped) after the run; --race and --inject pin faithful "
+              "mode")
+        .flag("--trace", trace, "print the per-issue timeline")
+        .text("--trace-out", trace_out_path, "FILE",
+              "record the trace-event stream (bounded ring buffer) and "
+              "write a Chrome trace_event JSON, loadable in Perfetto; "
+              "written even when the run fails")
+        .number("--trace-ring", trace_ring,
+                "ring-buffer capacity in events (default 1Mi)")
+        .flag("--disasm", disasm, "print the kernel listing before running")
+        .flag("--compare", compare,
+              "also run the baseline and report the speedup");
+    if (const std::optional<int> status = cli.parse(argc, argv))
+        return *status;
+    si::verboseLogging = false;
+    const std::string &path = kernel.front();
+    const unsigned warps = machine.warps;
 
     std::ifstream in(path);
     if (!in) {
@@ -412,7 +184,7 @@ main(int argc, char **argv)
     }
     si::Program prog = std::move(assembled.program);
 
-    if (hints) {
+    if (machine.hints) {
         const si::StallHintReport rep = si::annotateStallHints(prog);
         cfg.divergeOrder = si::DivergeOrder::HintStallFirst;
         std::printf("stall hints: %u/%u branches hinted\n",
@@ -420,10 +192,6 @@ main(int argc, char **argv)
     }
     if (disasm)
         std::printf("%s\n", prog.disasm().c_str());
-
-    cfg.siEnabled = si_on;
-    cfg.yieldEnabled = yield;
-    cfg.maxOutstandingMisses = mshrs;
 
     // Windowed metrics: a read-only observer on the clock loop.
     const bool metrics =
@@ -471,11 +239,13 @@ main(int argc, char **argv)
         if (!record)
             return;
         // Metrics counter tracks ride along in the same timeline.
-        if (writeFile(trace_out_path,
-                      si::chromeTraceJson(
-                          ring.snapshot(), &prog,
-                          metrics ? si::metricsCounterSamples(sampler)
-                                  : std::vector<si::CounterSample>{}))) {
+        if (si::cli::writeOutput(
+                trace_out_path,
+                si::chromeTraceJson(
+                    ring.snapshot(), &prog,
+                    metrics ? si::metricsCounterSamples(sampler)
+                            : std::vector<si::CounterSample>{}),
+                "swsim")) {
             std::fprintf(
                 stderr, "trace: %s (%llu events, %llu dropped)\n",
                 trace_out_path.c_str(),
@@ -495,7 +265,7 @@ main(int argc, char **argv)
         // whether the fault-tolerance layer caught and classified it.
         si::Memory mem;
         const std::vector<si::FaultSpec> specs = {
-            {fault_kind, 500, cfg.rngSeed}};
+            {*inject, 500, cfg.rngSeed}};
         const std::vector<si::CampaignRun> runs = si::runCampaign(
             prog, {warps, 4}, mem, cfg, specs);
         const si::CampaignRun &run = runs.front();
@@ -503,7 +273,7 @@ main(int argc, char **argv)
         if (!run.injected) {
             std::fprintf(stderr,
                          "swsim: no %s injection point reached\n",
-                         si::faultKindName(fault_kind));
+                         si::faultKindName(*inject));
             return 1;
         }
         std::printf("injected: %s\n", run.description.c_str());
@@ -552,13 +322,14 @@ main(int argc, char **argv)
         opts.maxCellsThisRun = campaign_cells;
         opts.inProcessJobs = campaign_jobs;
         if (campaign_inject) {
+            const si::FaultKind fault = *campaign_inject;
             // Soak mode: each cell's FIRST attempt gets a live fault
             // injected; the retry runs clean, so a healthy campaign
             // converges to all-done. The injector leaks into the hook
             // on purpose — it must outlive the child's whole run.
             opts.faultInjectionActive = true;
             opts.childConfigHook =
-                [campaign_fault](si::GpuConfig &c,
+                [fault](si::GpuConfig &c,
                                  const si::CampaignCellRecord &rec,
                                  unsigned attempt) {
                     if (attempt > 1)
@@ -578,7 +349,7 @@ main(int argc, char **argv)
                     const std::uint64_t seed =
                         si::Rng::streamSeed(c.rngSeed, ident);
                     auto inj = std::make_shared<si::FaultInjector>(
-                        si::FaultSpec{campaign_fault, 500, seed});
+                        si::FaultSpec{fault, 500, seed});
                     c.faultHook = [inj, h = inj->hook()](
                                       si::Gpu &gpu, si::Cycle now) {
                         h(gpu, now);
@@ -678,15 +449,18 @@ main(int argc, char **argv)
             opts.traceRecorded = ring.snapshot().size();
             opts.traceDropped = ring.dropped();
         }
-        writeFile(stats_json_path, si::statsJson(r, prog.name(), opts));
+        si::cli::writeOutput(stats_json_path,
+                             si::statsJson(r, prog.name(), opts), "swsim");
     }
     if (metrics) {
         if (!metrics_out_path.empty())
-            writeFile(metrics_out_path,
-                      si::metricsJson(sampler, prog.name(),
-                                      prog.regionNames()));
+            si::cli::writeOutput(metrics_out_path,
+                                 si::metricsJson(sampler, prog.name(),
+                                                 prog.regionNames()),
+                                 "swsim");
         if (!metrics_csv_path.empty())
-            writeFile(metrics_csv_path, si::metricsCsv(sampler));
+            si::cli::writeOutput(metrics_csv_path, si::metricsCsv(sampler),
+                                 "swsim");
         if (sampler.droppedTotal() > 0)
             std::fprintf(stderr,
                          "swsim: warning: metrics ring dropped %llu "
