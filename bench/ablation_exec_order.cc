@@ -63,9 +63,10 @@ join:
 )";
 
 double
-runSkewed(si::DivergeOrder order, bool si_on)
+runSkewed(const si::GpuConfig &baseline, si::DivergeOrder order,
+          bool si_on)
 {
-    si::GpuConfig cfg = si::baselineConfig();
+    si::GpuConfig cfg = baseline;
     cfg.numSms = 1;
     cfg.divergeOrder = order;
     if (si_on)
@@ -112,8 +113,9 @@ main(int argc, char **argv)
     si::parallel::mapIndexed<SkewedPoint>(
         bj.jobs(), std::size(orders),
         [&](std::size_t i) {
-            return SkewedPoint{runSkewed(orders[i].order, false),
-                               runSkewed(orders[i].order, true)};
+            return SkewedPoint{
+                runSkewed(bj.baseline(), orders[i].order, false),
+                runSkewed(bj.baseline(), orders[i].order, true)};
         },
         [&](std::size_t i, const SkewedPoint &p) {
             t1.row({orders[i].label, si::TablePrinter::num(p.base, 0),
@@ -124,41 +126,41 @@ main(int argc, char **argv)
     t1.print();
 
     // ---- experiment 2: the application suite ----
+    // Per diverge order, a baseline and SI on top of it. The stall-hint
+    // order runs the hint-annotated apps: a second grid whose rows copy
+    // the first grid's builds, so it runs second.
+    si::bench::Grid plain(bj), hinted(bj);
+    plain.apps();
+    for (std::size_t r = 0; r < plain.numRows(); ++r) {
+        hinted.row(plain.name(r) + " +hints", [&plain, r] {
+            si::Workload wl = plain.workload(r);
+            si::annotateStallHints(wl.program);
+            return wl;
+        });
+    }
+    // Per order: its grid and its baseline column (SI is the next one).
+    std::vector<std::pair<si::bench::Grid *, std::size_t>> bases;
+    for (const OrderPoint &o : orders) {
+        si::bench::Grid &grid =
+            o.order == si::DivergeOrder::HintStallFirst ? hinted : plain;
+        si::GpuConfig base = bj.baseline();
+        base.divergeOrder = o.order;
+        bases.emplace_back(&grid, grid.column(o.label, base));
+        grid.column(std::string(o.label) + " SI",
+                    si::withSi(base, si::bestSiConfigPoint()));
+    }
+    plain.run();
+    hinted.run();
+
     si::TablePrinter t2("Ablation: mean app speedup by diverge order "
                         "(Both,N>=0.5, lat=600)");
     t2.header({"diverge order", "mean speedup"});
-    // Flattened order-major grid, index order = the serial loop nest.
-    const std::vector<si::AppId> &ids = si::allApps();
-    const std::size_t napps = ids.size();
-    std::vector<double> speedups;
-    si::parallel::mapIndexed<double>(
-        bj.jobs(), std::size(orders) * napps,
-        [&](std::size_t k) {
-            const OrderPoint &o = orders[k / napps];
-            si::Workload wl = si::buildApp(ids[k % napps]);
-            if (o.order == si::DivergeOrder::HintStallFirst)
-                si::annotateStallHints(wl.program);
-            si::GpuConfig base = si::baselineConfig();
-            base.divergeOrder = o.order;
-            si::GpuConfig si_cfg =
-                si::withSi(base, si::bestSiConfigPoint());
-            const si::GpuResult rb = si::runWorkload(wl, base);
-            const si::GpuResult rs = si::runWorkload(wl, si_cfg);
-            return si::speedupPct(rb, rs);
-        },
-        [&](std::size_t k, const double &sp) {
-            const OrderPoint &o = orders[k / napps];
-            speedups.push_back(sp);
-            std::fprintf(stderr, "  [%s %s]\n", o.label,
-                         si::appName(ids[k % napps]));
-            if (k % napps + 1 == napps) {
-                t2.row({o.label,
-                        si::TablePrinter::pct(si::mean(speedups))});
-                bj.metric(std::string("mean_speedup_pct/") + o.label,
-                          si::mean(speedups));
-                speedups.clear();
-            }
-        });
+    for (std::size_t i = 0; i < std::size(orders); ++i) {
+        const auto &[grid, b] = bases[i];
+        const double m = si::mean(grid->speedups(b, b + 1));
+        t2.row({orders[i].label, si::TablePrinter::pct(m)});
+        bj.metric(std::string("mean_speedup_pct/") + orders[i].label, m);
+    }
     t2.print();
 
     bj.table(t1);

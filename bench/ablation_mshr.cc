@@ -25,72 +25,60 @@ main(int argc, char **argv)
     auto label = [](unsigned b) {
         return b == 0 ? std::string("unlimited") : std::to_string(b);
     };
+    // Per MSHR budget, a bounded baseline and @p point on top of it.
+    auto columns = [&](si::bench::Grid &grid, const si::SiConfigPoint &point) {
+        std::vector<std::size_t> bases;
+        for (unsigned b : budgets) {
+            si::GpuConfig base = bj.baseline();
+            base.maxOutstandingMisses = b;
+            bases.push_back(grid.column("mshr=" + label(b), base));
+            grid.column("mshr=" + label(b) + " SI", si::withSi(base, point));
+        }
+        return bases;
+    };
 
     // ---- microbenchmark: SI's MLP demand is explicit ----
+    si::bench::Grid micro(bj);
+    micro.row("microbench (16-way)", [] {
+        si::MicrobenchConfig mc;
+        mc.subwarpSize = 2; // 16-way divergence
+        return si::buildMicrobench(mc);
+    });
+    const std::vector<std::size_t> micro_bases = columns(
+        micro,
+        si::SiConfigPoint{"SOS,N=1", false, si::SelectTrigger::AllStalled});
+    micro.run();
+
     si::TablePrinter t1("Ablation: microbench (16-way) SI speedup vs "
                         "MSHR budget (lat=600)");
     t1.header({"MSHRs", "baseline cycles", "SI cycles", "speedup (x)"});
-    si::MicrobenchConfig mc;
-    mc.subwarpSize = 2; // 16-way divergence
-    const si::Workload micro = si::buildMicrobench(mc);
-    struct Pair
-    {
-        si::GpuResult base, si;
-    };
-    si::parallel::mapIndexed<Pair>(
-        bj.jobs(), budgets.size(),
-        [&](std::size_t i) {
-            si::GpuConfig base = si::baselineConfig();
-            base.maxOutstandingMisses = budgets[i];
-            si::GpuConfig si_cfg = si::withSi(
-                base, si::SiConfigPoint{"SOS,N=1", false,
-                                        si::SelectTrigger::AllStalled});
-            return Pair{si::runWorkload(micro, base),
-                        si::runWorkload(micro, si_cfg)};
-        },
-        [&](std::size_t i, const Pair &p) {
-            t1.row({label(budgets[i]), std::to_string(p.base.cycles),
-                    std::to_string(p.si.cycles),
-                    si::TablePrinter::num(double(p.base.cycles) /
-                                          double(p.si.cycles))});
-            std::fprintf(stderr, "  [micro mshr=%s]\n",
-                         label(budgets[i]).c_str());
-        });
+    for (std::size_t r : micro.rows()) {
+        for (std::size_t i = 0; i < budgets.size(); ++i) {
+            const si::Cycle cb = micro.result(r, micro_bases[i]).cycles;
+            const si::Cycle cs = micro.result(r, micro_bases[i] + 1).cycles;
+            t1.row({label(budgets[i]), std::to_string(cb),
+                    std::to_string(cs),
+                    si::TablePrinter::num(double(cb) / double(cs))});
+        }
+    }
     t1.print();
 
     // ---- application suite means ----
+    si::bench::Grid apps(bj);
+    apps.apps();
+    const std::vector<std::size_t> app_bases =
+        columns(apps, si::bestSiConfigPoint());
+    apps.run();
+
     si::TablePrinter t2("Ablation: mean app speedup vs MSHR budget "
                         "(Both,N>=0.5, lat=600)");
     t2.header({"MSHRs", "mean speedup"});
-    // Flattened budget-major grid, index order = the serial loop nest.
-    const std::vector<si::AppId> &ids = si::allApps();
-    const std::size_t napps = ids.size();
-    std::vector<double> speedups;
-    si::parallel::mapIndexed<double>(
-        bj.jobs(), budgets.size() * napps,
-        [&](std::size_t k) {
-            si::GpuConfig base = si::baselineConfig();
-            base.maxOutstandingMisses = budgets[k / napps];
-            const si::GpuConfig si_cfg =
-                si::withSi(base, si::bestSiConfigPoint());
-            const si::Workload wl = si::buildApp(ids[k % napps]);
-            const si::GpuResult rb = si::runWorkload(wl, base);
-            const si::GpuResult rs = si::runWorkload(wl, si_cfg);
-            return si::speedupPct(rb, rs);
-        },
-        [&](std::size_t k, const double &sp) {
-            const unsigned b = budgets[k / napps];
-            speedups.push_back(sp);
-            std::fprintf(stderr, "  [mshr=%s %s]\n", label(b).c_str(),
-                         si::appName(ids[k % napps]));
-            if (k % napps + 1 == napps) {
-                t2.row({label(b),
-                        si::TablePrinter::pct(si::mean(speedups))});
-                bj.metric("mean_speedup_pct/mshr_" + label(b),
-                          si::mean(speedups));
-                speedups.clear();
-            }
-        });
+    for (std::size_t i = 0; i < budgets.size(); ++i) {
+        const double m =
+            si::mean(apps.speedups(app_bases[i], app_bases[i] + 1));
+        t2.row({label(budgets[i]), si::TablePrinter::pct(m)});
+        bj.metric("mean_speedup_pct/mshr_" + label(budgets[i]), m);
+    }
     t2.print();
 
     bj.table(t1);

@@ -49,9 +49,9 @@ main(int argc, char **argv)
             wl.rtc = build.rtc;
 
             Cell c;
-            c.base = si::runWorkload(wl, si::baselineConfig());
+            c.base = si::runWorkload(wl, bj.baseline());
             c.si = si::runWorkload(wl,
-                                   si::withSi(si::baselineConfig(),
+                                   si::withSi(bj.baseline(),
                                               si::bestSiConfigPoint()));
 
             // Average traversal work per query from the functional BVH.

@@ -18,56 +18,36 @@ main(int argc, char **argv)
 {
     si::verboseLogging = false;
     si::bench::BenchJson bj("ablation_yield", argc, argv);
-    const si::GpuConfig base = si::baselineConfig();
+
+    // One shared baseline, then SI (N>=0.5) at each yield threshold;
+    // threshold 0 is switch-on-stall without yield.
+    const int thresholds[] = {0, 1, 2, 4};
+    si::bench::Grid grid(bj);
+    grid.apps();
+    const std::size_t base = grid.column("baseline", bj.baseline());
+    for (int thr : thresholds) {
+        si::GpuConfig cfg = bj.baseline();
+        cfg.siEnabled = true;
+        cfg.trigger = si::SelectTrigger::HalfStalled;
+        cfg.yieldEnabled = thr > 0;
+        if (thr > 0)
+            cfg.yieldThreshold = unsigned(thr);
+        grid.column("thr=" + std::to_string(thr), cfg);
+    }
+    grid.run();
+    std::vector<std::vector<double>> cols;
+    for (std::size_t i = 0; i < std::size(thresholds); ++i)
+        cols.push_back(grid.speedups(base, base + 1 + i));
 
     si::TablePrinter t("Ablation: subwarp-yield threshold "
                        "(trigger N>=0.5, lat=600)");
     t.header({"trace", "SOS (no yield)", "thr=1", "thr=2", "thr=4"});
-
-    std::vector<std::vector<double>> cols(4);
-    std::vector<std::vector<std::string>> rows(si::allApps().size());
-    for (std::size_t a = 0; a < si::allApps().size(); ++a)
-        rows[a].push_back(si::appName(si::allApps()[a]));
-
-    // Flattened threshold-major grid, index order = the serial loops.
-    const std::vector<si::AppId> &ids = si::allApps();
-    const std::vector<int> thresholds = {0, 1, 2, 4};
-    const std::size_t napps = ids.size();
-    si::parallel::mapIndexed<double>(
-        bj.jobs(), thresholds.size() * napps,
-        [&](std::size_t k) {
-            const int thr = thresholds[k / napps];
-            si::GpuConfig cfg = base;
-            cfg.siEnabled = true;
-            cfg.trigger = si::SelectTrigger::HalfStalled;
-            cfg.yieldEnabled = thr > 0;
-            if (thr > 0)
-                cfg.yieldThreshold = unsigned(thr);
-            const si::Workload wl = si::buildApp(ids[k % napps]);
-            const si::GpuResult rb = si::runWorkload(wl, base);
-            const si::GpuResult rs = si::runWorkload(wl, cfg);
-            return si::speedupPct(rb, rs);
-        },
-        [&](std::size_t k, const double &sp) {
-            const std::size_t a = k % napps;
-            cols[k / napps].push_back(sp);
-            rows[a].push_back(si::TablePrinter::pct(sp));
-            std::fprintf(stderr, "  [thr=%d %s]\n",
-                         thresholds[k / napps], si::appName(ids[a]));
-        });
-
-    for (auto &r : rows)
-        t.row(r);
-    std::vector<std::string> mean_row = {"mean"};
-    for (auto &c : cols)
-        mean_row.push_back(si::TablePrinter::pct(si::mean(c)));
-    t.row(mean_row);
+    const std::vector<double> means = grid.pctRows(t, cols);
     t.print();
 
     bj.table(t);
     const char *labels[] = {"sos", "thr1", "thr2", "thr4"};
-    for (std::size_t i = 0; i < cols.size(); ++i)
-        bj.metric(std::string("mean_speedup_pct/") + labels[i],
-                  si::mean(cols[i]));
+    for (std::size_t i = 0; i < means.size(); ++i)
+        bj.metric(std::string("mean_speedup_pct/") + labels[i], means[i]);
     return bj.finish() ? 0 : 1;
 }

@@ -71,12 +71,12 @@ main(int argc, char **argv)
         [&](std::size_t i) {
             const si::Workload rt = si::buildApp(ids[i]);
             return Cosched{
-                runCosched(rt, compute, si::baselineConfig()),
+                runCosched(rt, compute, bj.baseline()),
                 runCosched(rt, compute,
-                           si::withSi(si::baselineConfig(),
+                           si::withSi(bj.baseline(),
                                       si::bestSiConfigPoint())),
                 runCosched(rt, compute,
-                           si::withDws(si::baselineConfig()))};
+                           si::withDws(bj.baseline()))};
         },
         [&](std::size_t i, const Cosched &c) {
             const double si_gain = si::speedupPct(c.base, c.si);

@@ -1,14 +1,17 @@
 /**
  * @file
- * Shared helpers for the per-figure bench binaries: run an application
- * suite across SI configurations once and reuse the results.
+ * Shared helpers for the per-figure bench binaries: the si-bench-v1
+ * recorder and option table every binary starts with, and the Grid
+ * that runs a set of workloads across a set of configurations.
  */
 
 #ifndef SI_BENCH_COMMON_HH
 #define SI_BENCH_COMMON_HH
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
@@ -37,15 +40,11 @@ class BenchJson
 {
   public:
     /**
-     * @param campaign_capable benches that route their sweep through the
-     * crash-resumable campaign runner pass true to additionally accept
-     * --campaign-state DIR and --campaign-resume.
-     * @param metrics_capable benches that export per-config si-stats-v1
-     * documents (swprof --diff inputs) pass true to additionally accept
-     * --metrics-out PREFIX.
+     * @param more registers the binary's own option rows (fig12a's
+     * --campaign-state, fig12b's --metrics-out) after the shared ones.
      */
     BenchJson(std::string bench, int argc, char **argv,
-              bool campaign_capable = false, bool metrics_capable = false)
+              const std::function<void(cli::Parser &)> &more = {})
         : bench_(std::move(bench))
     {
         cli::Parser cli(bench_, "[options]");
@@ -53,18 +52,8 @@ class BenchJson
                  "also write the si-bench-v1 document; - is stdout")
             .jobs(jobs_)
             .fastForward(fast_forward_);
-        if (campaign_capable) {
-            cli.text("--campaign-state", campaign_dir_, "DIR",
-                     "run the sweep as a crash-resumable campaign with its "
-                     "si-campaign-v1 manifest in DIR")
-                .flag("--campaign-resume", campaign_resume_,
-                      "continue the campaign recorded in DIR");
-        }
-        if (metrics_capable) {
-            cli.text("--metrics-out", metrics_out_, "PREFIX",
-                     "write each app's si-stats-v1 documents, SI off and "
-                     "on, to PREFIX_<app>_base.json and PREFIX_<app>_si.json");
-        }
+        if (more)
+            more(cli);
         if (const std::optional<int> status = cli.parse(argc, argv))
             std::exit(*status);
     }
@@ -76,22 +65,23 @@ class BenchJson
      */
     unsigned jobs() const { return parallel::resolveJobs(jobs_); }
 
-    /** Campaign state directory ("" = run the sweep in-process). */
-    const std::string &campaignDir() const { return campaign_dir_; }
-
-    /** Continue the campaign recorded in campaignDir(). */
-    bool campaignResume() const { return campaign_resume_; }
-
-    /** Prefix for per-config si-stats-v1 exports ("" = none). */
-    const std::string &metricsOut() const { return metrics_out_; }
-
     /**
-     * Event-driven fast-forward (--fast-forward[=off], default on).
-     * Bit-identical tables/metrics either way; the off switch exists so
-     * CI can time the faithful core and cross-validate that contract.
-     * Benches apply it via `cfg.fastForward = bj.fastForward()`.
+     * The paper's baseline at L1 miss latency @p lat, with
+     * --fast-forward[=off] applied: the one config every bench derives
+     * its configurations from. Tables and metrics are bit-identical
+     * either way; the off switch exists so CI can time the faithful
+     * core and cross-validate that contract.
      */
-    bool fastForward() const { return fast_forward_; }
+    GpuConfig
+    baseline(Cycle lat = 600) const
+    {
+        GpuConfig config = baselineConfig(lat);
+        config.fastForward = fast_forward_;
+        return config;
+    }
+
+    /** Record that a sweep dropped a row: finish() then fails. */
+    void fail() { failed_ = true; }
 
     /** Record a printed table (serialized immediately). */
     void table(const TablePrinter &t) { tables_.push_back(t.json()); }
@@ -103,12 +93,15 @@ class BenchJson
         metrics_.emplace_back(name, value);
     }
 
-    /** Write the document if --json was given. True on success. */
+    /**
+     * Write the document if --json was given. True when that write
+     * succeeded and no sweep dropped a row.
+     */
     bool
     finish() const
     {
         if (path_.empty())
-            return true;
+            return !failed_;
         json::Writer w;
         w.beginObject();
         w.key("schema").value("si-bench-v1");
@@ -122,206 +115,254 @@ class BenchJson
             w.key(m.first).value(m.second);
         w.endObject();
         w.endObject();
-        return cli::writeOutput(path_, w.take(), bench_);
+        return cli::writeOutput(path_, w.take(), bench_) && !failed_;
     }
 
   private:
     std::string bench_;
     std::string path_;
     unsigned jobs_ = 1;
-    std::string campaign_dir_;
-    bool campaign_resume_ = false;
-    std::string metrics_out_;
     bool fast_forward_ = true;
+    bool failed_ = false;
     std::vector<std::string> tables_; ///< pre-serialized JSON objects
     std::vector<std::pair<std::string, double>> metrics_;
 };
 
-/** Baseline + all six SI configurations for one workload. */
-struct AppSweep
+/**
+ * One sweep: named rows (workloads) x named columns (configurations),
+ * one GpuResult per cell. Each row is built once, in parallel, when the
+ * grid runs; each column is simulated once per row, so a baseline that
+ * several comparisons share is declared, and run, once.
+ *
+ * Cells run on --jobs workers and are delivered in (row, column) order,
+ * so the stderr notes and every table rendered from the results are
+ * byte-identical at any jobs value. Failure policy: a row with any
+ * failed cell is dropped from rows() — and so from every table and
+ * mean — with a `[SKIPPED row: column: reason]` note, and the
+ * BenchJson's finish() then fails.
+ */
+class Grid
 {
-    std::string name;
-    GpuResult base;
-    std::vector<GpuResult> si; ///< indexed like siConfigPoints()
+  public:
+    using Build = std::function<Workload()>;
+    using Simulate =
+        std::function<GpuResult(const Workload &, const GpuConfig &)>;
 
-    /** First failure status across the points ("" when all ran). */
-    std::string failure;
+    explicit Grid(BenchJson &bj) : bj_(bj) {}
 
-    bool ok() const { return failure.empty(); }
-
-    double
-    speedupOf(std::size_t config_idx) const
+    /** Declare a row; @p build runs when the grid does. */
+    void
+    row(std::string name, Build build)
     {
-        return speedupPct(base, si[config_idx]);
+        rows_.emplace_back(std::move(name), std::move(build));
     }
 
+    /**
+     * One row per trace of the suite, in figure order, launched with
+     * @p warps warps (0 = each app's calibrated launch).
+     */
+    void
+    apps(unsigned warps = 0)
+    {
+        for (AppId id : allApps()) {
+            row(appName(id), [id, warps] {
+                return warps ? buildApp(id, warps) : buildApp(id);
+            });
+        }
+    }
+
+    /** Declare a column. @return its index. */
+    std::size_t
+    column(std::string label, GpuConfig config)
+    {
+        columns_.emplace_back(std::move(label), std::move(config));
+        return columns_.size() - 1;
+    }
+
+    /** What one cell runs (default runWorkload); tests wrap it. */
+    void simulateWith(Simulate simulate) { simulate_ = std::move(simulate); }
+
+    /** Build every row and simulate every cell in this process. */
+    void
+    run()
+    {
+        build();
+        const std::size_t ncols = columns_.size();
+        std::string failure; // first failed cell of the current row
+        results_ = parallel::mapIndexed<GpuResult>(
+            bj_.jobs(), rows_.size() * ncols,
+            [&](std::size_t k) {
+                return simulate_(workloads_[k / ncols],
+                                 columns_[k % ncols].second);
+            },
+            [&](std::size_t k, const GpuResult &r) {
+                if (!r.ok() && failure.empty()) {
+                    failure = columns_[k % ncols].first + ": " +
+                              r.status.summary();
+                }
+                if (k % ncols + 1 == ncols) {
+                    settle(k / ncols, failure);
+                    failure.clear();
+                }
+            });
+    }
+
+    /**
+     * run() as a crash-resumable campaign: every cell runs under the
+     * campaign runner (wall budgets, retries, auto-checkpoints) with its
+     * si-campaign-v1 manifest in @p dir; rerun with @p resume to finish
+     * an interrupted campaign without re-simulating its terminal cells.
+     * More than one job switches the runner to its in-process
+     * thread-pool mode. The manifest records only cycle counts, so the
+     * results carry cycles alone — enough for speedups.
+     */
+    void
+    runCampaign(const std::string &dir, bool resume)
+    {
+        build();
+        CampaignOptions opts;
+        opts.stateDir = dir;
+        opts.resume = resume;
+        opts.inProcessJobs = bj_.jobs() > 1 ? bj_.jobs() : 0;
+        CampaignRunner runner(workloads_, columns_, opts);
+        const CampaignReport report = runner.run();
+        std::fprintf(stderr,
+                     "  [campaign: %u done, %u failed; manifest %s]\n",
+                     report.numDone(), report.numFailed(),
+                     report.manifestPath.c_str());
+
+        // Cells are recorded row-major, like results_.
+        results_.assign(report.cells.size(), GpuResult{});
+        for (std::size_t r = 0; r < rows_.size(); ++r) {
+            std::string failure;
+            for (std::size_t c = 0; c < columns_.size(); ++c) {
+                const std::size_t k = r * columns_.size() + c;
+                const CampaignCellRecord &cell = report.cells[k];
+                results_[k].cycles = cell.cycles;
+                if (!cell.done() && failure.empty()) {
+                    failure = cell.configLabel + ": " + cell.detail +
+                              " [" + cell.diagnosis + "]";
+                }
+            }
+            settle(r, failure);
+        }
+    }
+
+    std::size_t numRows() const { return rows_.size(); }
+
+    /** Rows every cell of which ran, in declaration order. */
+    const std::vector<std::size_t> &rows() const { return healthy_; }
+
+    const std::string &name(std::size_t row) const { return rows_[row].first; }
+
+    /** The row's built workload (valid once the grid has run). */
+    const Workload &workload(std::size_t row) const { return workloads_[row]; }
+
+    const GpuResult &
+    result(std::size_t row, std::size_t col) const
+    {
+        return results_[row * columns_.size() + col];
+    }
+
+    /** Percent speedup of column @p test over column @p base. */
     double
-    bestOf() const
+    speedup(std::size_t row, std::size_t base, std::size_t test) const
+    {
+        return speedupPct(result(row, base), result(row, test));
+    }
+
+    /**
+     * The paper's BestOf: the highest speedup(row, base, c) over the
+     * @p n columns after @p base, or 0 when none is positive.
+     */
+    double
+    bestOf(std::size_t row, std::size_t base, std::size_t n) const
     {
         double best = 0.0;
-        for (std::size_t i = 0; i < si.size(); ++i)
-            best = std::max(best, speedupOf(i));
+        for (std::size_t c = base + 1; c <= base + n; ++c)
+            best = std::max(best, speedup(row, base, c));
         return best;
     }
+
+    /** @p value of each of rows(), in order. */
+    std::vector<double>
+    perRow(const std::function<double(std::size_t row)> &value) const
+    {
+        std::vector<double> out;
+        for (std::size_t r : healthy_)
+            out.push_back(value(r));
+        return out;
+    }
+
+    /** speedup(row, base, test) for each of rows(). */
+    std::vector<double>
+    speedups(std::size_t base, std::size_t test) const
+    {
+        return perRow([&](std::size_t r) { return speedup(r, base, test); });
+    }
+
+    /**
+     * Add one line per healthy row to @p t — the row's name, then its
+     * entry in each of @p cols (perRow() vectors) as a percentage —
+     * and a closing "mean" line. @return the column means.
+     */
+    std::vector<double>
+    pctRows(TablePrinter &t,
+            const std::vector<std::vector<double>> &cols) const
+    {
+        for (std::size_t i = 0; i < healthy_.size(); ++i) {
+            std::vector<std::string> line = {name(healthy_[i])};
+            for (const auto &c : cols)
+                line.push_back(TablePrinter::pct(c[i]));
+            t.row(line);
+        }
+        std::vector<double> means;
+        std::vector<std::string> line = {"mean"};
+        for (const auto &c : cols) {
+            means.push_back(mean(c));
+            line.push_back(TablePrinter::pct(means.back()));
+        }
+        t.row(line);
+        return means;
+    }
+
+  private:
+    void
+    build()
+    {
+        healthy_.clear();
+        workloads_ = parallel::mapIndexed<Workload>(
+            bj_.jobs(), rows_.size(), [&](std::size_t r) {
+                Workload wl = rows_[r].second();
+                wl.name = rows_[r].first;
+                return wl;
+            });
+    }
+
+    /** Keep row @p r, or drop it when @p failure names a failed cell. */
+    void
+    settle(std::size_t r, const std::string &failure)
+    {
+        if (failure.empty()) {
+            healthy_.push_back(r);
+            std::fprintf(stderr, "  [swept %s]\n", name(r).c_str());
+            return;
+        }
+        std::fprintf(stderr, "  [SKIPPED %s: %s]\n", name(r).c_str(),
+                     failure.c_str());
+        bj_.fail();
+    }
+
+    BenchJson &bj_;
+    std::vector<std::pair<std::string, Build>> rows_;
+    std::vector<std::pair<std::string, GpuConfig>> columns_;
+    Simulate simulate_ = [](const Workload &wl, const GpuConfig &config) {
+        return runWorkload(wl, config);
+    };
+    std::vector<Workload> workloads_;
+    std::vector<GpuResult> results_;
+    std::vector<std::size_t> healthy_;
 };
-
-/** Run one workload through baseline + the six SI points. */
-inline AppSweep
-sweepWorkload(const Workload &wl, const GpuConfig &base_config)
-{
-    AppSweep s;
-    s.name = wl.name;
-    s.base = runWorkload(wl, base_config);
-    if (!s.base.ok())
-        s.failure = "base: " + s.base.status.summary();
-    for (const auto &pt : siConfigPoints()) {
-        s.si.push_back(runWorkload(wl, withSi(base_config, pt)));
-        if (!s.si.back().ok() && s.failure.empty()) {
-            s.failure = std::string(pt.label) + ": " +
-                        s.si.back().status.summary();
-        }
-    }
-    return s;
-}
-
-/**
- * Run the full ten-trace suite at one baseline config. An app whose run
- * fails is skipped (with a note) rather than aborting the sweep, so the
- * table still comes out for the healthy apps.
- *
- * @p jobs sweep cells (one cell = one app at one config point) run
- * concurrently (1 = serial, 0 = all cores). Results are keyed by cell
- * index and the per-app progress notes stream in app order, so stderr
- * and the returned sweeps are byte-identical at any jobs value.
- */
-inline std::vector<AppSweep>
-sweepAllApps(const GpuConfig &base_config, unsigned jobs = 1)
-{
-    const std::vector<AppId> &ids = allApps();
-    const std::vector<SiConfigPoint> &points = siConfigPoints();
-    const std::size_t per_app = 1 + points.size();
-
-    // Phase 1: scene/trace generation, one cell per app.
-    const std::vector<Workload> apps = parallel::mapIndexed<Workload>(
-        jobs, ids.size(),
-        [&](std::size_t i) { return buildApp(ids[i]); });
-
-    // Phase 2: app x {baseline + SI points} simulation cells. The
-    // in-order sink assembles each AppSweep and emits its progress note
-    // as soon as the app's last cell has been delivered.
-    std::vector<AppSweep> sweeps(ids.size());
-    parallel::mapIndexed<GpuResult>(
-        jobs, ids.size() * per_app,
-        [&](std::size_t k) {
-            const Workload &wl = apps[k / per_app];
-            const std::size_t p = k % per_app;
-            return runWorkload(wl, p == 0 ? base_config
-                                          : withSi(base_config,
-                                                   points[p - 1]));
-        },
-        [&](std::size_t k, const GpuResult &r) {
-            AppSweep &s = sweeps[k / per_app];
-            const std::size_t p = k % per_app;
-            if (p == 0) {
-                s.name = apps[k / per_app].name;
-                s.base = r;
-                if (!r.ok())
-                    s.failure = "base: " + r.status.summary();
-            } else {
-                s.si.push_back(r);
-                if (!r.ok() && s.failure.empty()) {
-                    s.failure = std::string(points[p - 1].label) + ": " +
-                                r.status.summary();
-                }
-            }
-            if (p + 1 < per_app)
-                return;
-            if (s.ok())
-                std::fprintf(stderr, "  [swept %s]\n", s.name.c_str());
-            else
-                std::fprintf(stderr, "  [SKIPPED %s: %s]\n",
-                             s.name.c_str(), s.failure.c_str());
-        });
-
-    std::vector<AppSweep> out;
-    for (AppSweep &s : sweeps) {
-        if (s.ok())
-            out.push_back(std::move(s));
-    }
-    return out;
-}
-
-/**
- * Crash-resumable variant of sweepAllApps: the same suite x {baseline +
- * six SI points} grid, but every cell runs in a forked child under the
- * campaign runner — wall budgets, retries, auto-checkpoints, and an
- * si-campaign-v1 manifest in @p state_dir. Kill the bench at any
- * instant and rerun with @p resume to finish the remaining cells;
- * terminal cells are adopted, not re-simulated. Speedup math needs only
- * cycle counts, which the manifest records, so the rebuilt sweeps feed
- * the same table code as the in-process path. An app with any failed
- * cell is skipped with a note, like sweepAllApps.
- *
- * @p jobs > 1 switches the campaign to its in-process thread-pool mode
- * (CampaignOptions::inProcessJobs) — same grid and manifest, no fork
- * isolation; jobs <= 1 keeps the fork-per-cell path.
- */
-inline std::vector<AppSweep>
-sweepAllAppsCampaign(const GpuConfig &base_config,
-                     const std::string &state_dir, bool resume,
-                     unsigned jobs = 1)
-{
-    std::vector<Workload> suite;
-    for (AppId id : allApps())
-        suite.push_back(buildApp(id));
-
-    std::vector<std::pair<std::string, GpuConfig>> configs;
-    configs.emplace_back("baseline", base_config);
-    for (const auto &pt : siConfigPoints())
-        configs.emplace_back(pt.label, withSi(base_config, pt));
-
-    CampaignOptions opts;
-    opts.stateDir = state_dir;
-    opts.resume = resume;
-    opts.inProcessJobs = jobs > 1 ? jobs : 0;
-    CampaignRunner runner(std::move(suite), std::move(configs), opts);
-    const CampaignReport report = runner.run();
-    std::fprintf(stderr, "  [campaign: %u done, %u failed; manifest %s]\n",
-                 report.numDone(), report.numFailed(),
-                 report.manifestPath.c_str());
-
-    std::vector<AppSweep> out;
-    for (AppId id : allApps()) {
-        const std::string name = buildApp(id).name;
-        AppSweep s;
-        s.name = name;
-        for (const CampaignCellRecord &cell : report.cells) {
-            if (cell.workload != name)
-                continue;
-            if (!cell.done()) {
-                if (s.failure.empty()) {
-                    s.failure = cell.configLabel + ": " + cell.detail +
-                                " [" + cell.diagnosis + "]";
-                }
-                continue;
-            }
-            GpuResult r;
-            r.cycles = cell.cycles;
-            if (cell.configLabel == "baseline")
-                s.base = r;
-            else
-                s.si.push_back(r);
-        }
-        if (!s.ok() || s.si.size() != siConfigPoints().size()) {
-            std::fprintf(stderr, "  [SKIPPED %s: %s]\n", s.name.c_str(),
-                         s.failure.empty() ? "incomplete cells"
-                                           : s.failure.c_str());
-            continue;
-        }
-        out.push_back(std::move(s));
-    }
-    return out;
-}
 
 } // namespace si::bench
 

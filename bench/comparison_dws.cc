@@ -18,67 +18,61 @@
 
 #include "bench_common.hh"
 
-namespace {
-
-double
-meanSpeedup(const si::GpuConfig &base, const si::GpuConfig &test_cfg,
-            unsigned warps_per_app, unsigned jobs)
-{
-    const std::vector<si::AppId> &ids = si::allApps();
-    std::vector<double> speedups;
-    si::parallel::mapIndexed<double>(
-        jobs, ids.size(),
-        [&](std::size_t i) {
-            const si::Workload wl = si::buildApp(ids[i], warps_per_app);
-            const si::GpuResult rb = si::runWorkload(wl, base);
-            const si::GpuResult rt = si::runWorkload(wl, test_cfg);
-            return si::speedupPct(rb, rt);
-        },
-        [&](std::size_t i, const double &sp) {
-            speedups.push_back(sp);
-            std::fprintf(stderr, "  [%s done]\n", si::appName(ids[i]));
-        });
-    return si::mean(speedups);
-}
-
-} // namespace
+#include <map>
 
 int
 main(int argc, char **argv)
 {
     si::verboseLogging = false;
     si::bench::BenchJson bj("comparison_dws", argc, argv);
+    const si::GpuConfig seed = bj.baseline();
+
+    struct Regime
+    {
+        unsigned slotsPerPb;
+        bool spare;
+        si::bench::Grid *grid = nullptr;
+        std::size_t base = 0; ///< then SI, then DWS
+    };
+    std::vector<Regime> regimes;
+    for (unsigned slots_per_pb : {4u, 8u})
+        for (bool spare : {false, true})
+            regimes.push_back({slots_per_pb, spare});
+
+    // One grid per launch size. "occupied": enough warps queued that
+    // every free slot is refilled; "spare": throttle the launch so half
+    // the slots stay empty for DWS to fork into.
+    std::map<unsigned, si::bench::Grid> grids;
+    for (Regime &rg : regimes) {
+        const unsigned warps =
+            rg.spare ? seed.numSms * seed.pbsPerSm * (rg.slotsPerPb / 2)
+                     : 64;
+        auto [it, fresh] = grids.try_emplace(warps, bj);
+        rg.grid = &it->second;
+        if (fresh)
+            rg.grid->apps(warps);
+        si::GpuConfig base = seed;
+        base.warpSlotsPerPb = rg.slotsPerPb;
+        const std::string tag = "slots=" + std::to_string(rg.slotsPerPb);
+        rg.base = rg.grid->column(tag + " baseline", base);
+        rg.grid->column(tag + " SI",
+                        si::withSi(base, si::bestSiConfigPoint()));
+        rg.grid->column(tag + " DWS", si::withDws(base));
+    }
+    for (auto &[warps, grid] : grids)
+        grid.run();
 
     si::TablePrinter t("SI vs Dynamic Warp Subdivision "
                        "(mean app speedup, lat=600)");
     t.header({"warp slots/SM", "residency", "SI (Both,N>=0.5)",
               "DWS comparator"});
-
-    for (unsigned slots_per_pb : {4u, 8u}) {
-        for (bool spare : {false, true}) {
-            si::GpuConfig base = si::baselineConfig();
-            base.warpSlotsPerPb = slots_per_pb;
-
-            // "occupied": enough warps queued that every free slot is
-            // refilled; "spare": throttle the launch so half the slots
-            // stay empty for DWS to fork into.
-            const unsigned warps =
-                spare ? base.numSms * base.pbsPerSm * (slots_per_pb / 2)
-                      : 64;
-
-            const double si_gain = meanSpeedup(
-                base, si::withSi(base, si::bestSiConfigPoint()), warps,
-                bj.jobs());
-            const double dws_gain =
-                meanSpeedup(base, si::withDws(base), warps, bj.jobs());
-
-            t.row({std::to_string(slots_per_pb * 4),
-                   spare ? "half-empty slots" : "slots saturated",
-                   si::TablePrinter::pct(si_gain),
-                   si::TablePrinter::pct(dws_gain)});
-            std::fprintf(stderr, "[slots=%u spare=%d done]\n",
-                         slots_per_pb, int(spare));
-        }
+    for (const Regime &rg : regimes) {
+        t.row({std::to_string(rg.slotsPerPb * 4),
+               rg.spare ? "half-empty slots" : "slots saturated",
+               si::TablePrinter::pct(
+                   si::mean(rg.grid->speedups(rg.base, rg.base + 1))),
+               si::TablePrinter::pct(
+                   si::mean(rg.grid->speedups(rg.base, rg.base + 2)))});
     }
     t.print();
 

@@ -45,15 +45,15 @@ main(int argc, char **argv)
             build.kernel.numWarps = frameWarps;
             auto scene = si::makeScene(build.scene);
 
-            si::GpuConfig base = si::baselineConfig();
+            si::GpuConfig base = bj.baseline();
             base.rtc = build.rtc;
 
             // Megakernel: baseline and SI.
             const si::Workload mk = si::buildApp(ids[i], frameWarps);
             AppCell c;
-            c.base = si::runWorkload(mk, si::baselineConfig());
+            c.base = si::runWorkload(mk, bj.baseline());
             c.si = si::runWorkload(mk,
-                                   si::withSi(si::baselineConfig(),
+                                   si::withSi(bj.baseline(),
                                               si::bestSiConfigPoint()));
 
             // Wavefront pipeline over the same scene/shaders.
@@ -105,15 +105,15 @@ main(int argc, char **argv)
             build.kernel.numWarps = warps;
             auto scene = si::makeScene(build.scene);
 
-            si::GpuConfig base = si::baselineConfig();
+            si::GpuConfig base = bj.baseline();
             base.rtc = build.rtc;
 
             const si::Workload mk =
                 si::buildApp(si::AppId::BFV1, warps);
             AppCell c;
-            c.base = si::runWorkload(mk, si::baselineConfig());
+            c.base = si::runWorkload(mk, bj.baseline());
             c.si = si::runWorkload(mk,
-                                   si::withSi(si::baselineConfig(),
+                                   si::withSi(bj.baseline(),
                                               si::bestSiConfigPoint()));
 
             si::WavefrontConfig wf;

@@ -16,34 +16,27 @@ main(int argc, char **argv)
 {
     si::verboseLogging = false;
     si::bench::BenchJson bj("fig03_characterization", argc, argv);
-    const si::GpuConfig base = si::baselineConfig();
+
+    si::bench::Grid grid(bj);
+    grid.apps();
+    const std::size_t base = grid.column("baseline", bj.baseline());
+    grid.run();
 
     si::TablePrinter t(
         "Figure 3: stalls normalized to kernel time (baseline, lat=600)");
     t.header({"trace", "total exposed ld-to-use", "in divergent blocks"});
-
-    const std::vector<si::AppId> &ids = si::allApps();
-    std::vector<double> totals, divergents;
-    si::parallel::mapIndexed<si::GpuResult>(
-        bj.jobs(), ids.size(),
-        [&](std::size_t i) {
-            return si::runWorkload(si::buildApp(ids[i]), base);
-        },
-        [&](std::size_t i, const si::GpuResult &r) {
-            const double total = 100.0 * r.exposedStallFraction();
-            const double div = 100.0 * r.divergentStallFraction();
-            totals.push_back(total);
-            divergents.push_back(div);
-            t.row({si::appName(ids[i]), si::TablePrinter::pct(total),
-                   si::TablePrinter::pct(div)});
-            std::fprintf(stderr, "  [ran %s]\n", si::appName(ids[i]));
-        });
-    t.row({"mean", si::TablePrinter::pct(si::mean(totals)),
-           si::TablePrinter::pct(si::mean(divergents))});
+    const std::vector<double> means = grid.pctRows(
+        t, {grid.perRow([&](std::size_t r) {
+                return 100.0 * grid.result(r, base).exposedStallFraction();
+            }),
+            grid.perRow([&](std::size_t r) {
+                return 100.0 *
+                       grid.result(r, base).divergentStallFraction();
+            })});
     t.print();
 
     bj.table(t);
-    bj.metric("mean_exposed_pct/total", si::mean(totals));
-    bj.metric("mean_exposed_pct/divergent", si::mean(divergents));
+    bj.metric("mean_exposed_pct/total", means[0]);
+    bj.metric("mean_exposed_pct/divergent", means[1]);
     return bj.finish() ? 0 : 1;
 }

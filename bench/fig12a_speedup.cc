@@ -15,19 +15,27 @@ int
 main(int argc, char **argv)
 {
     si::verboseLogging = false;
-    si::bench::BenchJson bj("fig12a_speedup", argc, argv,
-                            /*campaign_capable=*/true);
-    const si::GpuConfig base = si::baselineConfig();
+    std::string campaign_dir;
+    bool campaign_resume = false;
+    si::bench::BenchJson bj(
+        "fig12a_speedup", argc, argv, [&](si::cli::Parser &cli) {
+            cli.text("--campaign-state", campaign_dir, "DIR",
+                     "run the sweep as a crash-resumable campaign with "
+                     "its si-campaign-v1 manifest in DIR")
+                .flag("--campaign-resume", campaign_resume,
+                      "continue the campaign recorded in DIR");
+        });
     const auto &points = si::siConfigPoints();
-    // --campaign-state routes the sweep through the crash-resumable
-    // campaign runner (forked cells, resumable manifest); the default
-    // path runs in-process as before.
-    const auto sweeps =
-        bj.campaignDir().empty()
-            ? si::bench::sweepAllApps(base, bj.jobs())
-            : si::bench::sweepAllAppsCampaign(base, bj.campaignDir(),
-                                              bj.campaignResume(),
-                                              bj.jobs());
+
+    si::bench::Grid grid(bj);
+    grid.apps();
+    const std::size_t base = grid.column("baseline", bj.baseline());
+    for (const auto &pt : points)
+        grid.column(pt.label, si::withSi(bj.baseline(), pt));
+    if (campaign_dir.empty())
+        grid.run();
+    else
+        grid.runCampaign(campaign_dir, campaign_resume);
 
     si::TablePrinter t("Figure 12a: speedup over baseline (lat=600)");
     std::vector<std::string> hdr = {"trace"};
@@ -36,32 +44,20 @@ main(int argc, char **argv)
     hdr.push_back("BestOf");
     t.header(hdr);
 
-    std::vector<std::vector<double>> cols(points.size());
-    std::vector<double> best;
-    for (const auto &s : sweeps) {
-        std::vector<std::string> row = {s.name};
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            const double sp = s.speedupOf(i);
-            cols[i].push_back(sp);
-            row.push_back(si::TablePrinter::pct(sp));
-        }
-        best.push_back(s.bestOf());
-        row.push_back(si::TablePrinter::pct(best.back()));
-        t.row(row);
-    }
-
-    std::vector<std::string> mean_row = {"mean"};
-    for (auto &c : cols)
-        mean_row.push_back(si::TablePrinter::pct(si::mean(c)));
-    mean_row.push_back(si::TablePrinter::pct(si::mean(best)));
-    t.row(mean_row);
+    std::vector<std::vector<double>> cols;
+    for (std::size_t i = 0; i < points.size(); ++i)
+        cols.push_back(grid.speedups(base, base + 1 + i));
+    cols.push_back(grid.perRow([&](std::size_t r) {
+        return grid.bestOf(r, base, points.size());
+    }));
+    const std::vector<double> means = grid.pctRows(t, cols);
     t.print();
 
     bj.table(t);
     for (std::size_t i = 0; i < points.size(); ++i) {
         bj.metric(std::string("mean_speedup_pct/") + points[i].label,
-                  si::mean(cols[i]));
+                  means[i]);
     }
-    bj.metric("mean_speedup_pct/BestOf", si::mean(best));
+    bj.metric("mean_speedup_pct/BestOf", means.back());
     return bj.finish() ? 0 : 1;
 }

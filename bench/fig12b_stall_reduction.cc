@@ -30,84 +30,80 @@ slugOf(const std::string &name)
     return s;
 }
 
+/**
+ * Write row @p r's si-stats-v1 documents, SI off and on, to
+ * PREFIX_<app>_base.json and PREFIX_<app>_si.json.
+ */
+void
+writeStats(const std::string &prefix, const si::bench::Grid &grid,
+           std::size_t r, std::size_t base, std::size_t si_col)
+{
+    si::StatsJsonOptions opts;
+    opts.regionNames = grid.workload(r).program.regionNames();
+    const std::string slug = prefix + "_" + slugOf(grid.name(r));
+    for (const auto &[suffix, col] :
+         {std::pair<const char *, std::size_t>{"_base.json", base},
+          {"_si.json", si_col}}) {
+        std::ofstream f(slug + suffix, std::ios::binary);
+        if (f)
+            f << si::statsJson(grid.result(r, col), grid.name(r), opts);
+        else
+            std::fprintf(stderr, "fig12b: cannot write '%s%s'\n",
+                         slug.c_str(), suffix);
+    }
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     si::verboseLogging = false;
-    si::bench::BenchJson bj("fig12b_stall_reduction", argc, argv,
-                            /*campaign_capable=*/false,
-                            /*metrics_capable=*/true);
-    const si::GpuConfig base = si::baselineConfig();
-    const si::GpuConfig si_cfg = si::withSi(base, si::bestSiConfigPoint());
+    std::string metrics_out;
+    si::bench::BenchJson bj(
+        "fig12b_stall_reduction", argc, argv, [&](si::cli::Parser &cli) {
+            cli.text("--metrics-out", metrics_out, "PREFIX",
+                     "write each app's si-stats-v1 documents, SI off and "
+                     "on, to PREFIX_<app>_base.json and PREFIX_<app>_si.json");
+        });
 
+    si::bench::Grid grid(bj);
+    grid.apps();
+    const std::size_t base = grid.column("baseline", bj.baseline());
+    const std::size_t si_col = grid.column(
+        si::bestSiConfigPoint().label,
+        si::withSi(bj.baseline(), si::bestSiConfigPoint()));
+    grid.run();
+
+    // Per-config si-stats-v1 exports: the base/test input pair for
+    // swprof --diff's per-region CPI-stack attribution.
+    if (!metrics_out.empty()) {
+        for (std::size_t r : grid.rows())
+            writeStats(metrics_out, grid, r, base, si_col);
+    }
+
+    auto reduction = [&](auto stat) {
+        return grid.perRow([&](std::size_t r) {
+            const double before = double(stat(grid.result(r, base)));
+            const double after = double(stat(grid.result(r, si_col)));
+            return before <= 0.0 ? 0.0 : 100.0 * (before - after) / before;
+        });
+    };
     si::TablePrinter t(
         "Figure 12b: reduction in exposed load-to-use stalls "
         "(Both,N>=0.5, lat=600)");
     t.header({"trace", "total stalls", "divergent stalls"});
-
-    auto reduction = [](double before, double after) {
-        if (before <= 0.0)
-            return 0.0;
-        return 100.0 * (before - after) / before;
-    };
-
-    const std::vector<si::AppId> &ids = si::allApps();
-    struct AppPair
-    {
-        si::GpuResult base, si;
-        std::vector<std::string> regions;
-    };
-    std::vector<double> totals, divergents;
-    si::parallel::mapIndexed<AppPair>(
-        bj.jobs(), ids.size(),
-        [&](std::size_t i) {
-            const si::Workload wl = si::buildApp(ids[i]);
-            return AppPair{si::runWorkload(wl, base),
-                           si::runWorkload(wl, si_cfg),
-                           wl.program.regionNames()};
-        },
-        [&](std::size_t i, const AppPair &p) {
-            // Per-config si-stats-v1 exports: the base/test input pair
-            // for swprof --diff's per-region CPI-stack attribution.
-            if (!bj.metricsOut().empty()) {
-                si::StatsJsonOptions opts;
-                opts.regionNames = p.regions;
-                const std::string name = si::appName(ids[i]);
-                const std::string slug =
-                    bj.metricsOut() + "_" + slugOf(name);
-                for (const auto &[suffix, r] :
-                     {std::pair<const char *, const si::GpuResult *>{
-                          "_base.json", &p.base},
-                      {"_si.json", &p.si}}) {
-                    std::ofstream f(slug + suffix, std::ios::binary);
-                    if (f)
-                        f << si::statsJson(*r, name, opts);
-                    else
-                        std::fprintf(stderr,
-                                     "fig12b: cannot write '%s%s'\n",
-                                     slug.c_str(), suffix);
-                }
-            }
-            const double tot = reduction(
-                double(p.base.total.exposedLoadStallCycles),
-                double(p.si.total.exposedLoadStallCycles));
-            const double div = reduction(
-                p.base.total.exposedLoadStallCyclesDivergent,
-                p.si.total.exposedLoadStallCyclesDivergent);
-            totals.push_back(tot);
-            divergents.push_back(div);
-            t.row({si::appName(ids[i]), si::TablePrinter::pct(tot),
-                   si::TablePrinter::pct(div)});
-            std::fprintf(stderr, "  [ran %s]\n", si::appName(ids[i]));
-        });
-    t.row({"mean", si::TablePrinter::pct(si::mean(totals)),
-           si::TablePrinter::pct(si::mean(divergents))});
+    const std::vector<double> means = grid.pctRows(
+        t, {reduction([](const si::GpuResult &g) {
+                return g.total.exposedLoadStallCycles;
+            }),
+            reduction([](const si::GpuResult &g) {
+                return g.total.exposedLoadStallCyclesDivergent;
+            })});
     t.print();
 
     bj.table(t);
-    bj.metric("mean_reduction_pct/total", si::mean(totals));
-    bj.metric("mean_reduction_pct/divergent", si::mean(divergents));
+    bj.metric("mean_reduction_pct/total", means[0]);
+    bj.metric("mean_reduction_pct/divergent", means[1]);
     return bj.finish() ? 0 : 1;
 }

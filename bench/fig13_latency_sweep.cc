@@ -16,53 +16,51 @@ main(int argc, char **argv)
     si::verboseLogging = false;
     si::bench::BenchJson bj("fig13_latency_sweep", argc, argv);
     const auto &points = si::siConfigPoints();
+    const unsigned lats[] = {300, 600, 900};
+
+    // One grid: per latency, a baseline column followed by the six SI
+    // points, so each app is built once for all three latencies.
+    si::bench::Grid grid(bj);
+    grid.apps();
+    std::vector<std::size_t> bases;
+    for (unsigned lat : lats) {
+        const std::string tag = "lat" + std::to_string(lat);
+        const si::GpuConfig base = bj.baseline(lat);
+        bases.push_back(grid.column(tag + " baseline", base));
+        for (const auto &pt : points)
+            grid.column(tag + " " + pt.label, si::withSi(base, pt));
+    }
+    grid.run();
 
     si::TablePrinter t("Figure 13: average speedup vs L1 miss latency");
     std::vector<std::string> hdr = {"config"};
-    for (si::Cycle lat : {300u, 600u, 900u})
+    for (unsigned lat : lats)
         hdr.push_back("lat" + std::to_string(lat));
     t.header(hdr);
 
-    // rows[config][latency index]; last row is BestOf.
-    std::vector<std::vector<double>> grid(points.size() + 1);
-
-    unsigned lat_idx = 0;
-    for (si::Cycle lat : {300u, 600u, 900u}) {
-        std::fprintf(stderr, "[latency %llu]\n",
-                     static_cast<unsigned long long>(lat));
-        si::GpuConfig base = si::baselineConfig(lat);
-        base.fastForward = bj.fastForward();
-        const auto sweeps = si::bench::sweepAllApps(base, bj.jobs());
-        for (std::size_t c = 0; c < points.size(); ++c) {
-            std::vector<double> per_app;
-            for (const auto &s : sweeps)
-                per_app.push_back(s.speedupOf(c));
-            grid[c].push_back(si::mean(per_app));
-        }
-        std::vector<double> best;
-        for (const auto &s : sweeps)
-            best.push_back(s.bestOf());
-        grid[points.size()].push_back(si::mean(best));
-        ++lat_idx;
-    }
-
     for (std::size_t c = 0; c < points.size(); ++c) {
         std::vector<std::string> row = {points[c].label};
-        for (double v : grid[c])
-            row.push_back(si::TablePrinter::pct(v));
+        for (std::size_t b : bases) {
+            row.push_back(si::TablePrinter::pct(
+                si::mean(grid.speedups(b, b + 1 + c))));
+        }
         t.row(row);
     }
     std::vector<std::string> best_row = {"BestOf"};
-    for (double v : grid[points.size()])
-        best_row.push_back(si::TablePrinter::pct(v));
+    std::vector<double> best_means;
+    for (std::size_t b : bases) {
+        best_means.push_back(si::mean(grid.perRow([&](std::size_t r) {
+            return grid.bestOf(r, b, points.size());
+        })));
+        best_row.push_back(si::TablePrinter::pct(best_means.back()));
+    }
     t.row(best_row);
     t.print();
 
     bj.table(t);
-    const unsigned lats[] = {300, 600, 900};
-    for (std::size_t i = 0; i < grid[points.size()].size(); ++i) {
+    for (std::size_t i = 0; i < best_means.size(); ++i) {
         bj.metric("bestof_speedup_pct/lat" + std::to_string(lats[i]),
-                  grid[points.size()][i]);
+                  best_means[i]);
     }
     return bj.finish() ? 0 : 1;
 }

@@ -18,53 +18,28 @@ main(int argc, char **argv)
     si::verboseLogging = false;
     si::bench::BenchJson bj("fig14_warp_slots", argc, argv);
 
+    // Per slot budget, a throttled baseline and SI on top of it.
+    const std::vector<unsigned> slot_cfgs = {2u, 4u, 8u};
+    si::bench::Grid grid(bj);
+    grid.apps();
+    std::vector<std::size_t> bases;
+    for (unsigned slots : slot_cfgs) {
+        si::GpuConfig base = bj.baseline();
+        base.warpSlotsPerPb = slots;
+        const std::string tag = "slots=" + std::to_string(slots * 4);
+        bases.push_back(grid.column(tag + " baseline", base));
+        grid.column(tag + " SI", si::withSi(base, si::bestSiConfigPoint()));
+    }
+    grid.run();
+    std::vector<std::vector<double>> cols;
+    for (std::size_t b : bases)
+        cols.push_back(grid.speedups(b, b + 1));
+
     si::TablePrinter t(
         "Figure 14: speedup vs equally-throttled baseline "
         "(Both,N>=0.5, lat=600)");
     t.header({"trace", "8 warps", "16 warps", "32 warps"});
-
-    std::vector<std::vector<double>> per_app(si::allApps().size());
-    std::vector<double> means;
-
-    std::vector<std::vector<std::string>> rows(si::allApps().size());
-    for (std::size_t a = 0; a < si::allApps().size(); ++a)
-        rows[a].push_back(si::appName(si::allApps()[a]));
-
-    // Flattened slot-major grid: cell k = (slot k / napps, app k % napps),
-    // so index order matches the serial loop nest exactly.
-    const std::vector<si::AppId> &ids = si::allApps();
-    const std::vector<unsigned> slot_cfgs = {2u, 4u, 8u};
-    const std::size_t napps = ids.size();
-    std::vector<double> speedups;
-    si::parallel::mapIndexed<double>(
-        bj.jobs(), slot_cfgs.size() * napps,
-        [&](std::size_t k) {
-            si::GpuConfig base = si::baselineConfig();
-            base.warpSlotsPerPb = slot_cfgs[k / napps];
-            const si::GpuConfig si_cfg =
-                si::withSi(base, si::bestSiConfigPoint());
-            const si::Workload wl = si::buildApp(ids[k % napps]);
-            const si::GpuResult rb = si::runWorkload(wl, base);
-            const si::GpuResult rs = si::runWorkload(wl, si_cfg);
-            return si::speedupPct(rb, rs);
-        },
-        [&](std::size_t k, const double &sp) {
-            const std::size_t a = k % napps;
-            speedups.push_back(sp);
-            rows[a].push_back(si::TablePrinter::pct(sp));
-            std::fprintf(stderr, "  [slots=%u %s]\n",
-                         slot_cfgs[k / napps] * 4, si::appName(ids[a]));
-            if (a + 1 == napps) {
-                means.push_back(si::mean(speedups));
-                speedups.clear();
-            }
-        });
-
-    for (auto &r : rows)
-        t.row(r);
-    t.row({"mean", si::TablePrinter::pct(means[0]),
-           si::TablePrinter::pct(means[1]),
-           si::TablePrinter::pct(means[2])});
+    const std::vector<double> means = grid.pctRows(t, cols);
     t.print();
 
     bj.table(t);

@@ -15,53 +15,29 @@ main(int argc, char **argv)
 {
     si::verboseLogging = false;
     si::bench::BenchJson bj("fig15_subwarp_count", argc, argv);
-    const si::GpuConfig base = si::baselineConfig();
+
+    // One shared baseline, then SI at each TST subwarp budget.
+    const std::vector<unsigned> budgets = {2, 4, 6, 32};
+    si::bench::Grid grid(bj);
+    grid.apps();
+    const std::size_t base = grid.column("baseline", bj.baseline());
+    for (unsigned budget : budgets) {
+        si::GpuConfig si_cfg =
+            si::withSi(bj.baseline(), si::bestSiConfigPoint());
+        si_cfg.maxSubwarps = budget;
+        grid.column("tst=" + std::to_string(budget), si_cfg);
+    }
+    grid.run();
+    std::vector<std::vector<double>> cols;
+    for (std::size_t i = 0; i < budgets.size(); ++i)
+        cols.push_back(grid.speedups(base, base + 1 + i));
 
     si::TablePrinter t(
         "Figure 15: speedup vs TST subwarp budget "
         "(Both,N>=0.5, lat=600, 32 peak warps)");
     t.header({"trace", "2 subwarps", "4 subwarps", "6 subwarps",
               "unlimited"});
-
-    const std::vector<unsigned> budgets = {2, 4, 6, 32};
-    std::vector<std::vector<std::string>> rows(si::allApps().size());
-    for (std::size_t a = 0; a < si::allApps().size(); ++a)
-        rows[a].push_back(si::appName(si::allApps()[a]));
-    std::vector<double> means;
-
-    // Flattened budget-major grid, index order = the serial loop nest.
-    const std::vector<si::AppId> &ids = si::allApps();
-    const std::size_t napps = ids.size();
-    std::vector<double> speedups;
-    si::parallel::mapIndexed<double>(
-        bj.jobs(), budgets.size() * napps,
-        [&](std::size_t k) {
-            si::GpuConfig si_cfg =
-                si::withSi(base, si::bestSiConfigPoint());
-            si_cfg.maxSubwarps = budgets[k / napps];
-            const si::Workload wl = si::buildApp(ids[k % napps]);
-            const si::GpuResult rb = si::runWorkload(wl, base);
-            const si::GpuResult rs = si::runWorkload(wl, si_cfg);
-            return si::speedupPct(rb, rs);
-        },
-        [&](std::size_t k, const double &sp) {
-            const std::size_t a = k % napps;
-            speedups.push_back(sp);
-            rows[a].push_back(si::TablePrinter::pct(sp));
-            std::fprintf(stderr, "  [tst=%u %s]\n", budgets[k / napps],
-                         si::appName(ids[a]));
-            if (a + 1 == napps) {
-                means.push_back(si::mean(speedups));
-                speedups.clear();
-            }
-        });
-
-    for (auto &r : rows)
-        t.row(r);
-    std::vector<std::string> mean_row = {"mean"};
-    for (double m : means)
-        mean_row.push_back(si::TablePrinter::pct(m));
-    t.row(mean_row);
+    const std::vector<double> means = grid.pctRows(t, cols);
 
     if (means.back() > 0) {
         std::printf("\n4-subwarp configuration captures %.0f%% of the "

@@ -17,53 +17,29 @@ main(int argc, char **argv)
     si::verboseLogging = false;
     si::bench::BenchJson bj("sec5c4_icache_sizing", argc, argv);
 
+    // Per icache size, a baseline and SI on top of it.
+    si::bench::Grid grid(bj);
+    grid.apps();
+    std::vector<std::size_t> bases;
+    for (const bool small : {false, true}) {
+        si::GpuConfig base = bj.baseline();
+        if (small) {
+            base.l0i.sizeBytes = 4 * 1024;
+            base.l1i.sizeBytes = 16 * 1024;
+        }
+        const std::string tag = small ? "small icache" : "full icache";
+        bases.push_back(grid.column(tag + " baseline", base));
+        grid.column(tag + " SI", si::withSi(base, si::bestSiConfigPoint()));
+    }
+    grid.run();
+
     si::TablePrinter t(
         "Section V-C-4: SI speedup vs instruction cache size "
         "(Both,N>=0.5, lat=600)");
     t.header({"trace", "L0I 16KB / L1I 64KB", "L0I 4KB / L1I 16KB"});
-
-    std::vector<std::vector<std::string>> rows(si::allApps().size());
-    for (std::size_t a = 0; a < si::allApps().size(); ++a)
-        rows[a].push_back(si::appName(si::allApps()[a]));
-    std::vector<double> means;
-
-    // Flattened size-major grid, index order = the serial loop nest.
-    const std::vector<si::AppId> &ids = si::allApps();
-    const std::size_t napps = ids.size();
-    std::vector<double> speedups;
-    si::parallel::mapIndexed<double>(
-        bj.jobs(), 2 * napps,
-        [&](std::size_t k) {
-            const bool small = k / napps == 1;
-            si::GpuConfig base = si::baselineConfig();
-            if (small) {
-                base.l0i.sizeBytes = 4 * 1024;
-                base.l1i.sizeBytes = 16 * 1024;
-            }
-            const si::GpuConfig si_cfg =
-                si::withSi(base, si::bestSiConfigPoint());
-            const si::Workload wl = si::buildApp(ids[k % napps]);
-            const si::GpuResult rb = si::runWorkload(wl, base);
-            const si::GpuResult rs = si::runWorkload(wl, si_cfg);
-            return si::speedupPct(rb, rs);
-        },
-        [&](std::size_t k, const double &sp) {
-            const std::size_t a = k % napps;
-            speedups.push_back(sp);
-            rows[a].push_back(si::TablePrinter::pct(sp));
-            std::fprintf(stderr, "  [%s icache, %s]\n",
-                         k / napps == 1 ? "small" : "full",
-                         si::appName(ids[a]));
-            if (a + 1 == napps) {
-                means.push_back(si::mean(speedups));
-                speedups.clear();
-            }
-        });
-
-    for (auto &r : rows)
-        t.row(r);
-    t.row({"mean", si::TablePrinter::pct(means[0]),
-           si::TablePrinter::pct(means[1])});
+    const std::vector<double> means = grid.pctRows(
+        t, {grid.speedups(bases[0], bases[0] + 1),
+            grid.speedups(bases[1], bases[1] + 1)});
     t.print();
 
     if (means[0] > 0) {

@@ -19,46 +19,41 @@ main(int argc, char **argv)
     si::verboseLogging = false;
     si::bench::BenchJson bj("table3_microbenchmark", argc, argv);
 
-    si::GpuConfig base = si::baselineConfig();
+    const std::vector<unsigned> sizes = {16u, 8u, 4u, 2u, 1u};
+    si::bench::Grid grid(bj);
+    for (unsigned size : sizes) {
+        si::MicrobenchConfig mc;
+        mc.subwarpSize = size;
+        grid.row("SUBWARP_SIZE=" + std::to_string(size),
+                 [mc] { return si::buildMicrobench(mc); });
+    }
+    const std::size_t base = grid.column("baseline", bj.baseline());
     // SOS is sufficient for the microbenchmark; use the least
     // aggressive trigger (N=1), as a single warp per PB is resident.
-    si::GpuConfig si_cfg = si::withSi(
-        base, si::SiConfigPoint{"SOS,N=1", false,
-                                si::SelectTrigger::AllStalled});
+    const std::size_t si_col = grid.column(
+        "SOS,N=1",
+        si::withSi(bj.baseline(),
+                   si::SiConfigPoint{"SOS,N=1", false,
+                                     si::SelectTrigger::AllStalled}));
+    grid.run();
 
     si::TablePrinter t(
         "Table III: microbenchmark speedup vs divergence (lat=600)");
     t.header({"SUBWARP_SIZE", "divergence factor", "speedup (x)",
               "fetch-stall cycles (SI)"});
-
-    const std::vector<unsigned> sizes = {16u, 8u, 4u, 2u, 1u};
-    struct Cell
-    {
-        si::GpuResult base, si;
-        unsigned divergence;
-    };
-    si::parallel::mapIndexed<Cell>(
-        bj.jobs(), sizes.size(),
-        [&](std::size_t i) {
-            si::MicrobenchConfig mc;
-            mc.subwarpSize = sizes[i];
-            const si::Workload wl = si::buildMicrobench(mc);
-            return Cell{si::runWorkload(wl, base),
-                        si::runWorkload(wl, si_cfg),
-                        si::divergenceFactor(mc)};
-        },
-        [&](std::size_t i, const Cell &c) {
-            const double speedup =
-                double(c.base.cycles) / double(c.si.cycles);
-            t.row({std::to_string(sizes[i]),
-                   std::to_string(c.divergence),
-                   si::TablePrinter::num(speedup),
-                   std::to_string(c.si.total.exposedFetchStallCycles)});
-            std::fprintf(stderr, "  [ran d=%u]\n", c.divergence);
-            bj.metric("speedup_x/divergence" +
-                          std::to_string(c.divergence),
-                      speedup);
-        });
+    for (std::size_t r : grid.rows()) {
+        si::MicrobenchConfig mc;
+        mc.subwarpSize = sizes[r];
+        const unsigned divergence = si::divergenceFactor(mc);
+        const si::GpuResult &rs = grid.result(r, si_col);
+        const double speedup =
+            double(grid.result(r, base).cycles) / double(rs.cycles);
+        t.row({std::to_string(sizes[r]), std::to_string(divergence),
+               si::TablePrinter::num(speedup),
+               std::to_string(rs.total.exposedFetchStallCycles)});
+        bj.metric("speedup_x/divergence" + std::to_string(divergence),
+                  speedup);
+    }
     t.print();
 
     bj.table(t);

@@ -9,13 +9,14 @@
 # 256-seed race-sanitizer soundness sweep (difftest --race).
 # The Release pass additionally exercises the machine-readable
 # exporters: a bench --json run validated against the checked-in
-# si-bench-v1 schema, and a swprof trace + stall-report export. It also
+# si-bench-v1 schema (whose table must match the same bench run as a
+# campaign), and a swprof trace + stall-report export. It also
 # runs the campaign soak: a short sweep under fault injection with a
 # forced mid-campaign restart, whose resumable si-campaign-v1 manifest
 # is validated against tools/campaign_schema.json. The Release pass
 # also cross-validates the event-driven fast-forward execution core:
 # the 256-seed sweep, the memlat stats/metrics exports, and the fig13
-# tables must be byte-identical with cycle leaping forced on and off,
+# and fig15 tables must be byte-identical with cycle leaping forced on and off,
 # and the perf gate's BM_FastForwardSweep pair feeds a soft-fail >=2x
 # speedup report.
 set -euo pipefail
@@ -90,7 +91,12 @@ check_exports() {
     mkdir -p "$art"
     echo "=== bench --json $dir (si-bench-v1 schema check)"
     "$dir/bench/fig12a_speedup" --json "$art/fig12a_speedup.json" \
-        > /dev/null
+        > "$art/fig12a_speedup.txt"
+    echo "=== bench campaign path $dir (fig12a table, campaign vs in-process)"
+    rm -rf "$art/fig12a-campaign"
+    "$dir/bench/fig12a_speedup" --campaign-state "$art/fig12a-campaign" \
+        > "$art/fig12a_campaign.txt" 2> /dev/null
+    cmp "$art/fig12a_speedup.txt" "$art/fig12a_campaign.txt"
     echo "=== swprof $dir (trace + stall report export)"
     "$dir/tools/swprof" kernels/fig9.sasm --si \
         --trace "$art/swprof_fig9_trace.json" \
@@ -212,6 +218,12 @@ check_fastforward() {
     "$dir/bench/fig13_latency_sweep" --jobs 0 --fast-forward=off \
         > "$art/fig13_ff_off.txt" 2> /dev/null
     cmp "$art/fig13_ff_on.txt" "$art/fig13_ff_off.txt"
+    echo "=== fast-forward fig15 $dir (golden tables, on vs off)"
+    "$dir/bench/fig15_subwarp_count" --jobs 0 \
+        > "$art/fig15_ff_on.txt" 2> /dev/null
+    "$dir/bench/fig15_subwarp_count" --jobs 0 --fast-forward=off \
+        > "$art/fig15_ff_off.txt" 2> /dev/null
+    cmp "$art/fig15_ff_on.txt" "$art/fig15_ff_off.txt"
 }
 
 # Fast-forward speedup report (soft-fail): the perf-gate run already

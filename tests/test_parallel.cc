@@ -38,6 +38,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "common/sim_error.hh"
@@ -354,65 +355,47 @@ TEST(ParallelEquivalence, SuiteSafeMatchesSerialAndIsolatesFailures)
 
 /**
  * A fig12a-style mini-sweep: one workload through baseline plus the
- * first two SI config points, rendered exactly the way the bench
- * binaries do (streamed stderr-style lines, a TablePrinter, per-run
- * stats JSON, retirement traces). Returns one string capturing every
- * byte of output the sweep produces.
+ * first two SI config points, driven by the bench binaries' own
+ * bench::Grid and rendered the way they render it (the grid's stderr
+ * notes, a TablePrinter, per-run stats JSON, retirement traces).
+ * Returns one string capturing every byte of output the sweep
+ * produces.
  */
 std::string
 miniSweepFingerprint(unsigned jobs)
 {
-    const Workload wl = makeWorkload("divloads");
+    std::string arg0 = "mini_sweep", flag = "--jobs";
+    std::string value = std::to_string(jobs);
+    char *argv[] = {arg0.data(), flag.data(), value.data()};
+    bench::BenchJson bj(arg0, 3, argv);
 
-    std::vector<std::pair<std::string, GpuConfig>> cells;
+    // One trace collector per column: with a single row, each column
+    // is exactly one run.
+    const auto &points = siConfigPoints();
+    std::vector<RetireTraceCollector> traces(3);
+    std::vector<std::string> labels = {"base", points[0].label,
+                                       points[1].label};
+    bench::Grid grid(bj);
+    grid.row("divloads", [] { return makeWorkload("divloads"); });
     GpuConfig base;
     base.numSms = 1;
-    cells.emplace_back("base", base);
-    const auto &points = siConfigPoints();
-    for (std::size_t p = 0; p < 2; ++p)
-        cells.emplace_back(points[p].label, withSi(base, points[p]));
+    for (std::size_t c = 0; c < labels.size(); ++c) {
+        GpuConfig cfg = c == 0 ? base : withSi(base, points[c - 1]);
+        cfg.traceSink = &traces[c];
+        grid.column(labels[c], cfg);
+    }
+    ::testing::internal::CaptureStderr();
+    grid.run();
+    std::string out = ::testing::internal::GetCapturedStderr();
 
-    struct Cell
-    {
-        GpuResult result;
-        std::string stats;
-        std::string traces;
-    };
-
-    std::string log;
     TablePrinter t("mini fig12a sweep");
-    t.header({"config", "cycles", "speedup_pct"});
-    std::uint64_t base_cycles = 0;
-
-    const auto results = parallel::mapIndexed<Cell>(
-        jobs, cells.size(),
-        [&](std::size_t i) {
-            GpuConfig cfg = cells[i].second;
-            RetireTraceCollector col;
-            cfg.traceSink = &col;
-            Cell c;
-            c.result = runWorkload(wl, cfg);
-            c.stats = statsJson(c.result, cells[i].first);
-            c.traces = traceDigest(col);
-            return c;
-        },
-        [&](std::size_t i, const Cell &c) {
-            // Strict in-order delivery means the baseline (cell 0) has
-            // always arrived by the time any SI point needs it.
-            if (i == 0)
-                base_cycles = c.result.cycles;
-            const double pct =
-                100.0 * (double(base_cycles) - double(c.result.cycles)) /
-                double(base_cycles);
-            t.row({cells[i].first, std::to_string(c.result.cycles),
-                   std::to_string(pct)});
-            log += "  [swept " + cells[i].first + "]\n";
-        });
-
-    std::string out = log + t.render();
-    for (const Cell &c : results)
-        out += c.stats + "\n" + c.traces;
-    out += "base_cycles=" + std::to_string(base_cycles) + "\n";
+    t.header({"trace", labels[1], labels[2]});
+    grid.pctRows(t, {grid.speedups(0, 1), grid.speedups(0, 2)});
+    out += t.render();
+    for (std::size_t c = 0; c < labels.size(); ++c) {
+        out += statsJson(grid.result(0, c), labels[c]) + "\n" +
+               traceDigest(traces[c]);
+    }
     return out;
 }
 
@@ -420,7 +403,7 @@ TEST(ParallelEquivalence, MiniSweepByteIdenticalAtAnyJobs)
 {
     const std::string serial = miniSweepFingerprint(1);
     EXPECT_THAT(serial, HasSubstr("si-stats-v1"));
-    EXPECT_THAT(serial, HasSubstr("[swept base]"));
+    EXPECT_THAT(serial, HasSubstr("[swept divloads]"));
     for (unsigned jobs : {2u, 4u, 8u})
         EXPECT_EQ(serial, miniSweepFingerprint(jobs))
             << "mini-sweep output diverged at jobs=" << jobs;
