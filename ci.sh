@@ -18,7 +18,8 @@
 # the 256-seed sweep, the memlat stats/metrics exports, and the fig13
 # and fig15 tables must be byte-identical with cycle leaping forced on and off,
 # and the perf gate's BM_FastForwardSweep pair feeds a soft-fail >=2x
-# speedup report.
+# speedup report. Finally the perfbench workloads' statistics digests
+# must match tests/golden/perfbench_digests.txt.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -226,6 +227,37 @@ check_fastforward() {
     cmp "$art/fig15_ff_on.txt" "$art/fig15_ff_off.txt"
 }
 
+# Perfbench digest gate: every workload's seed-0 statistics digest is
+# pinned in tests/golden/perfbench_digests.txt, so a speed-only change
+# proves in CI that it changed nothing simulated. --trace 1 also re-runs
+# sampled cells with fast-forward off; those twins must all match.
+check_perfbench_digests() {
+    local dir=$1
+    local art="$dir/artifacts"
+    mkdir -p "$art"
+    if ! command -v python3 >/dev/null 2>&1; then
+        echo "=== python3 not installed; skipping the perfbench digests"
+        return 0
+    fi
+    echo "=== perfbench digests $dir (vs tests/golden/perfbench_digests.txt)"
+    : > "$art/perfbench_digests.txt"
+    local workload out
+    for workload in rt-sweep memlat-ff subwarp-micro; do
+        out=$(CARGO_TARGET_DIR="$dir/perfbench-target" \
+            python3 perfbench/run.py --workload "$workload" --seed 0 \
+            --seconds 1 --trace 1 2>> "$art/perfbench_build.log")
+        if ! grep -q '"correct": true' <<< "$out" ||
+            ! grep -q 'ff twins: .*, 0 mismatched' <<< "$out"; then
+            echo "perfbench $workload: incorrect run or ff twin mismatch" >&2
+            echo "$out" >&2
+            exit 1
+        fi
+        grep '^ *digest ' <<< "$out" | sed 's/^ *//' \
+            >> "$art/perfbench_digests.txt"
+    done
+    diff -u tests/golden/perfbench_digests.txt "$art/perfbench_digests.txt"
+}
+
 # Fast-forward speedup report (soft-fail): the perf-gate run already
 # timed BM_FastForwardSweep in both modes; require the event-driven
 # core's median to clear 2x the faithful core's median sim_cycles/s on
@@ -286,6 +318,7 @@ check_race build-release
 check_exports build-release
 check_campaign_soak build-release
 check_fastforward build-release
+check_perfbench_digests build-release
 check_perf build-release
 check_fastforward_speedup build-release
 run build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSI_SANITIZE=address,undefined

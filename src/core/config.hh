@@ -197,10 +197,11 @@ struct GpuConfig
      * Event-driven fast-forward ("cycle leap"): when a tick ends with
      * no issuable warp and no state-changing work pending before a
      * known future cycle, advance the clock to the next-event horizon
-     * in one step, bulk-applying the per-cycle accounting as exact
-     * multiples. Every stat, metrics window, snapshot, and golden
-     * table is bit-identical to the per-cycle run, so this is a pure
-     * wall-clock optimization and is on by default. Automatically
+     * in one step: open warp spans run on to it and the SM-level
+     * counters advance in closed form. Every stat, metrics window,
+     * snapshot, and golden table is bit-identical to the per-cycle
+     * run, so this is a pure wall-clock optimization and is on by
+     * default. Automatically
      * pinned back to per-cycle ("faithful") execution when an observer
      * that needs every cycle is attached: a fault-injection hook or the
      * race sanitizer. A trace sink does not pin it: no trace event

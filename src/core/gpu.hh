@@ -203,9 +203,10 @@ class Gpu
      * Cycle-leap step: with every SM quiet after the tick at now_ - 1,
      * compute the next-event horizon (min over per-SM wakeups/events,
      * the watchdog deadlines, and every hook/sampler boundary) and
-     * advance now_ to it in one step, bulk-applying per-cycle
-     * accounting via Sm::applyQuietCycles. @p events_pending is the
-     * loop's hasPendingWritebacks() disjunction for this iteration.
+     * advance now_ to it in one step; Sm::applyQuietCycles advances
+     * each SM's counters while its open warp spans run on.
+     * @p events_pending is the loop's hasPendingWritebacks()
+     * disjunction for this iteration.
      */
     void maybeFastForward(bool eligible, bool events_pending);
 

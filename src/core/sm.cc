@@ -63,6 +63,33 @@ resultLatency(OpClass cls, const LatencyConfig &lat)
     }
 }
 
+/** Per-region counter slot of @p s for @p idx, growing the table. */
+RegionCounters &
+regionAt(SmStats &s, std::uint32_t idx)
+{
+    if (s.regions.size() <= idx)
+        s.regions.resize(std::size_t(idx) + 1);
+    return s.regions[idx];
+}
+
+const char *
+statusName(WarpStatus st)
+{
+    static constexpr const char *names[] = {
+        "Issuable",  "Busy",       "FetchStall", "ScoreboardStall",
+        "PipeStall", "WaitWakeup", "Done"};
+    return names[std::size_t(st)];
+}
+
+/** True for the statuses evalWarp reaches with the active pc fetched. */
+bool
+pastFetch(WarpStatus st)
+{
+    return st == WarpStatus::Issuable ||
+           st == WarpStatus::ScoreboardStall ||
+           st == WarpStatus::PipeStall;
+}
+
 TraceEvent
 warpEvent(unsigned sm_id, const Warp &w, TraceEventKind kind, Cycle now)
 {
@@ -258,7 +285,8 @@ Sm::Sm(unsigned id, const GpuConfig &config, Memory &memory,
       l1d_(config.l1d),
       l1i_(config.l1i),
       rtcore_(scene, config.rtc),
-      unit_(config, Rng::streamSeed(config.rngSeed, id), id)
+      unit_(config, Rng::streamSeed(config.rngSeed, id), id),
+      cutPb_(config.pbsPerSm)
 {
     pbs_.reserve(config.pbsPerSm);
     for (unsigned p = 0; p < config.pbsPerSm; ++p)
@@ -298,22 +326,16 @@ Sm::addWarp(std::unique_ptr<Warp> warp)
     // Every pc of the largest program, plus the "(no subwarp)" row.
     stallsByPc_.resize(
         std::max(stallsByPc_.size(), std::size_t(warp->program().size()) + 1));
+    liveWarps_ += !warp->done();
     warps_.push_back(std::move(warp));
+    spans_.emplace_back();
     pendingAdmission_.push_back(unsigned(warps_.size() - 1));
-    statusScratch_.resize(warps_.size(), WarpStatus::Done);
-    wakeScratch_.resize(warps_.size(), invalidCycle);
 }
 
 bool
 Sm::done() const
 {
-    if (!pendingAdmission_.empty())
-        return false;
-    for (const auto &w : warps_) {
-        if (!w->done())
-            return false;
-    }
-    return true;
+    return liveWarps_ == 0 && pendingAdmission_.empty();
 }
 
 void
@@ -322,6 +344,7 @@ Sm::drainWritebacks(Cycle now)
     while (!events_.empty() && events_.front().when <= now) {
         const Writeback wb = popWriteback();
         tickDirty_ = true;
+        arm(wb.warpIdx, now);
         Warp &w = *warps_[wb.warpIdx];
         w.scoreboards().decr(wb.mask, wb.sb);
         SI_EMIT_EVENT(config_.traceSink, [&] {
@@ -337,32 +360,41 @@ Sm::drainWritebacks(Cycle now)
 }
 
 void
-Sm::admitWarps()
+Sm::admitWarps(Cycle now)
 {
-    for (auto &pb : pbs_) {
-        auto &resident = pb.resident;
-        // Single-pass stable compaction: each retired warp is swept in
-        // O(1) instead of the former erase-in-loop's O(n) shift, and
-        // the survivors keep their relative order, so the GTO/LRR scans
-        // (which walk resident order / positions) pick identical warps.
-        std::size_t out = 0;
-        for (std::size_t i = 0; i < resident.size(); ++i) {
-            const unsigned wi = resident[i];
-            if (!warps_[wi]->done()) {
-                resident[out++] = wi;
-                continue;
+    // Slots are recycled the tick after EXIT, and only when a warp did
+    // retire: a single-pass stable compaction whose survivors keep
+    // their relative order, so the GTO/LRR picks (which walk resident
+    // order) are unchanged.
+    if (retiring_) {
+        retiring_ = false;
+        for (auto &pb : pbs_) {
+            auto &resident = pb.resident;
+            std::size_t out = 0;
+            for (std::size_t i = 0; i < resident.size(); ++i) {
+                const unsigned wi = resident[i];
+                if (!warps_[wi]->done()) {
+                    resident[out++] = wi;
+                    continue;
+                }
+                tickDirty_ = true;
+                ++stats_.warpsRetired;
+                if (pb.gtoCurrent == int(wi))
+                    pb.gtoCurrent = -1;
+                pb.regsInUse -= warps_[wi]->program().numRegs() * warpSize;
+                closeSpan(pb, spans_[wi], now);
+                spans_[wi] = WarpSpan{};
             }
-            tickDirty_ = true;
-            ++stats_.warpsRetired;
-            if (pb.gtoCurrent == int(wi))
-                pb.gtoCurrent = -1;
-            pb.regsInUse -= warps_[wi]->program().numRegs() * warpSize;
+            if (out != resident.size()) {
+                resident.resize(out);
+                reindex(pb);
+            }
         }
-        resident.resize(out);
     }
     // Admission into the least-loaded processing block that has both a
     // free warp slot and register-file headroom for this warp. In-order
     // admission (head-of-line blocking), as launch queues drain FIFO.
+    // An admitted warp is due at once: its span opens this tick.
     while (!pendingAdmission_.empty()) {
         const unsigned wi = pendingAdmission_.front();
         const unsigned warp_regs =
@@ -384,31 +416,39 @@ Sm::admitWarps()
         warps_[wi]->setPb(unsigned(best - pbs_.data()));
         best->resident.push_back(wi);
         best->regsInUse += warp_regs;
+        spans_[wi] = WarpSpan{};
+        reindex(*best);
+        arm(wi, now);
     }
 }
 
-WarpStatus
-Sm::evalWarp(unsigned warp_idx, Cycle now)
+void
+Sm::reindex(ProcessingBlock &pb)
 {
-    Warp &w = *warps_[warp_idx];
-    // Status-expiry scratch for the fast-forward horizon: overwritten
-    // below on paths whose status ends at a known cycle; statuses that
-    // only a writeback (events_) can change leave it at invalidCycle.
-    wakeScratch_[warp_idx] = invalidCycle;
+    pb.issuable.reset(pb.resident.size());
+    pb.demotable.reset(pb.resident.size());
+    for (std::size_t pos = 0; pos < pb.resident.size(); ++pos) {
+        WarpSpan &sp = spans_[pb.resident[pos]];
+        sp.pos = std::uint32_t(pos);
+        pb.issuable.assign(pos, sp.charge.status == WarpStatus::Issuable);
+        pb.demotable.assign(pos, sp.charge.demotable);
+    }
+}
+
+Sm::Verdict
+Sm::classifyWarp(const Warp &w, Cycle now) const
+{
     if (w.done())
-        return WarpStatus::Done;
+        return {WarpStatus::Done};
 
     if (w.activeMask().empty()) {
         if (w.lanesInState(ThreadState::Ready).any()) {
-            if (now >= w.issueReadyAt) {
-                tickDirty_ = true;
-                unit_.select(w, now);
-            }
-            wakeScratch_[warp_idx] = w.issueReadyAt;
-            return WarpStatus::Busy;
+            return {WarpStatus::Busy, w.issueReadyAt,
+                    now >= w.issueReadyAt ? EvalAction::Select
+                                          : EvalAction::None};
         }
         if (w.lanesInState(ThreadState::Stalled).any())
-            return WarpStatus::WaitWakeup;
+            return {WarpStatus::WaitWakeup};
         // Every live lane is BLOCKED and no subwarp can ever arrive to
         // complete a barrier: this warp is deadlocked. Unwind with the
         // full machinery state so the failure is diagnosable.
@@ -421,53 +461,22 @@ Sm::evalWarp(unsigned warp_idx, Cycle now)
     }
 
     if (now < w.issueReadyAt) {
-        wakeScratch_[warp_idx] = w.issueReadyAt;
-        return w.inFetchStall ? WarpStatus::FetchStall : WarpStatus::Busy;
+        return {w.inFetchStall ? WarpStatus::FetchStall : WarpStatus::Busy,
+                w.issueReadyAt};
     }
 
     // Front end: the instruction at the active PC must sit in the
-    // per-warp fetch buffer, fed by L0I -> L1I.
+    // per-warp fetch buffer, fed by L0I -> L1I. A stale buffer is
+    // evalWarp's fetch; the rest of the verdict holds once it hits.
     const std::uint32_t pc = w.activePc();
-    if (w.fetchedPc != pc) {
-        tickDirty_ = true;
-        const Addr line = w.program().instrAddr(pc);
-        ProcessingBlock &pb = pbs_[w.pb()];
-        const Cache::AccessResult l0 = pb.l0i.accessEx(line);
-        SI_EMIT_EVENT(config_.traceSink,
-                      cacheEvent(TraceEventKind::CacheAccess, id_, w, now,
-                                 TraceCacheLevel::L0I, l0, line, pc));
-        w.fetchedPc = pc;
-        if (!l0.hit) {
-            SI_EMIT_EVENT(config_.traceSink,
-                          cacheEvent(TraceEventKind::CacheFill, id_, w,
-                                     now, TraceCacheLevel::L0I, l0, line,
-                                     pc));
-            const Cache::AccessResult l1 = l1i_.accessEx(line);
-            SI_EMIT_EVENT(config_.traceSink,
-                          cacheEvent(TraceEventKind::CacheAccess, id_, w,
-                                     now, TraceCacheLevel::L1I, l1, line,
-                                     pc));
-            if (!l1.hit) {
-                SI_EMIT_EVENT(config_.traceSink,
-                              cacheEvent(TraceEventKind::CacheFill, id_,
-                                         w, now, TraceCacheLevel::L1I, l1,
-                                         line, pc));
-            }
-            w.issueReadyAt = now + (l1.hit ? config_.lat.l0iMiss
-                                           : config_.lat.l1iMiss);
-            w.inFetchStall = true;
-            wakeScratch_[warp_idx] = w.issueReadyAt;
-            return WarpStatus::FetchStall;
-        }
-    }
-    w.inFetchStall = false;
+    const EvalAction action =
+        w.fetchedPc != pc ? EvalAction::Fetch : EvalAction::None;
 
     const Instr &in = w.program().at(pc);
-    const ThreadMask active = w.activeMask();
 
     // Load-to-use stall: a required count-based scoreboard is nonzero.
-    if (in.reqSbMask && !w.scoreboards().ready(active, in.reqSbMask))
-        return WarpStatus::ScoreboardStall;
+    if (in.reqSbMask && !w.scoreboards().ready(w.activeMask(), in.reqSbMask))
+        return {WarpStatus::ScoreboardStall, invalidCycle, action};
 
     // Short-latency operand dependences.
     Cycle ready_at = 0;
@@ -478,12 +487,135 @@ Sm::evalWarp(unsigned warp_idx, Cycle now)
     ready_at = std::max(ready_at, w.predReadyAt(in.guard));
     if (in.op == Opcode::SEL)
         ready_at = std::max(ready_at, w.predReadyAt(in.pdst));
-    if (ready_at > now) {
-        wakeScratch_[warp_idx] = ready_at;
-        return WarpStatus::PipeStall;
-    }
+    if (ready_at > now)
+        return {WarpStatus::PipeStall, ready_at, action};
 
-    return WarpStatus::Issuable;
+    return {WarpStatus::Issuable, invalidCycle, action};
+}
+
+Sm::Verdict
+Sm::evalWarp(unsigned warp_idx, Cycle now)
+{
+    Warp &w = *warps_[warp_idx];
+    Verdict v = classifyWarp(w, now);
+    switch (v.action) {
+      case EvalAction::None:
+        break;
+      case EvalAction::Select:
+        tickDirty_ = true;
+        unit_.select(w, now);
+        return {WarpStatus::Busy, w.issueReadyAt};
+      case EvalAction::Fetch:
+        tickDirty_ = true;
+        if (!fetch(w, now))
+            return {WarpStatus::FetchStall, w.issueReadyAt};
+        v.action = EvalAction::None;
+        break;
+    }
+    if (pastFetch(v.status))
+        w.inFetchStall = false;
+    return v;
+}
+
+bool
+Sm::fetch(Warp &w, Cycle now)
+{
+    const std::uint32_t pc = w.activePc();
+    const Addr line = w.program().instrAddr(pc);
+    ProcessingBlock &pb = pbs_[w.pb()];
+    const Cache::AccessResult l0 = pb.l0i.accessEx(line);
+    SI_EMIT_EVENT(config_.traceSink,
+                  cacheEvent(TraceEventKind::CacheAccess, id_, w, now,
+                             TraceCacheLevel::L0I, l0, line, pc));
+    w.fetchedPc = pc;
+    if (l0.hit)
+        return true;
+    SI_EMIT_EVENT(config_.traceSink,
+                  cacheEvent(TraceEventKind::CacheFill, id_, w, now,
+                             TraceCacheLevel::L0I, l0, line, pc));
+    const Cache::AccessResult l1 = l1i_.accessEx(line);
+    SI_EMIT_EVENT(config_.traceSink,
+                  cacheEvent(TraceEventKind::CacheAccess, id_, w, now,
+                             TraceCacheLevel::L1I, l1, line, pc));
+    if (!l1.hit) {
+        SI_EMIT_EVENT(config_.traceSink,
+                      cacheEvent(TraceEventKind::CacheFill, id_, w, now,
+                                 TraceCacheLevel::L1I, l1, line, pc));
+    }
+    w.issueReadyAt = now + (l1.hit ? config_.lat.l0iMiss
+                                   : config_.lat.l1iMiss);
+    w.inFetchStall = true;
+    return false;
+}
+
+void
+Sm::reevaluate(ProcessingBlock &pb, unsigned warp_idx, Cycle now)
+{
+    const Verdict v = evalWarp(warp_idx, now);
+    WarpSpan &sp = spans_[warp_idx];
+    sp.dueAt = v.wakeAt == invalidCycle ? invalidCycle
+                                        : std::max(v.wakeAt, now + 1);
+    // Sampled after evalWarp, so a subwarp selected this cycle counts
+    // as active. An unchanged charge simply extends the open span.
+    const WarpSpan::Charge charge = chargeOf(*warps_[warp_idx], v.status);
+    if (charge == sp.charge)
+        return;
+    closeSpan(pb, sp, now);
+    sp.charge = charge;
+    sp.start = now;
+    tally(pb, sp, true);
+}
+
+void
+Sm::closeSpan(ProcessingBlock &pb, const WarpSpan &sp, Cycle now)
+{
+    tally(pb, sp, false);
+    accountWarpCycles(sp.charge, now - sp.start, stats_,
+                      stallsByPc_[sp.charge.row]);
+}
+
+Sm::WarpSpan::Charge
+Sm::chargeOf(const Warp &w, WarpStatus st) const
+{
+    WarpSpan::Charge c;
+    c.status = st;
+    if (st == WarpStatus::Done)
+        return c;
+    const ThreadMask active = w.activeMask();
+    c.residency = active.empty()        ? Residency::None
+                  : active == w.live() ? Residency::Full
+                                       : Residency::Partial;
+    c.region = w.currentRegion;
+    if (st != WarpStatus::Issuable) {
+        c.reason = classifyStall(w, st);
+        c.row = std::uint32_t(stallRow(w));
+    }
+    c.divergent = stallIsDivergent(w, st);
+    c.demotable = st == WarpStatus::ScoreboardStall &&
+                  w.lanesInState(ThreadState::Ready).any();
+    return c;
+}
+
+void
+Sm::tally(ProcessingBlock &pb, const WarpSpan &sp, bool add)
+{
+    const WarpSpan::Charge &c = sp.charge;
+    if (c.status == WarpStatus::Done)
+        return;
+    auto bump = [add](unsigned &n) { n = add ? n + 1 : n - 1; };
+    bump(pb.live);
+    if (c.status == WarpStatus::ScoreboardStall ||
+        c.status == WarpStatus::WaitWakeup) {
+        bump(pb.stalled);
+        if (c.divergent)
+            bump(memStalledDivergent_);
+    } else if (c.status == WarpStatus::FetchStall) {
+        bump(fetchStalled_);
+    }
+    if (c.status == WarpStatus::Issuable)
+        pb.issuable.assign(sp.pos, add);
+    if (c.demotable)
+        pb.demotable.assign(sp.pos, add);
 }
 
 void
@@ -502,14 +634,6 @@ Sm::popWriteback()
     const Writeback wb = events_.back();
     events_.pop_back();
     return wb;
-}
-
-RegionCounters &
-Sm::regionAt(std::uint32_t idx)
-{
-    if (stats_.regions.size() <= idx)
-        stats_.regions.resize(std::size_t(idx) + 1);
-    return stats_.regions[idx];
 }
 
 bool
@@ -784,7 +908,7 @@ Sm::issue(unsigned warp_idx, Cycle now)
     // Region attribution of the issued slot, after the opcode switch so
     // a MARKER's own issue lands in the region it opens.
     {
-        RegionCounters &rc = regionAt(w.currentRegion);
+        RegionCounters &rc = regionAt(stats_, w.currentRegion);
         ++rc.warpCycles;
         ++rc.instrsIssued;
     }
@@ -792,8 +916,10 @@ Sm::issue(unsigned warp_idx, Cycle now)
     if (!advanced)
         advance();
 
-    // Warp completion marker.
+    // Retirement: the slot is recycled by the next tick's compaction.
     if (w.done()) {
+        --liveWarps_;
+        retiring_ = true;
         SI_EMIT_EVENT(config_.traceSink, [&] {
             TraceEvent ev =
                 warpEvent(id_, w, TraceEventKind::WarpRetire, now);
@@ -824,209 +950,194 @@ Sm::tick(Cycle now)
 {
     if (done()) {
         // A finished SM is trivially quiet and can never wake: it must
-        // not hold the other SMs' horizon down with stale scratch.
+        // not hold the other SMs' horizon down.
         lastTickQuiet_ = true;
         nextEventAt_ = invalidCycle;
-        ffAnyLive_ = false;
-        ffDeniedDelta_ = 0;
+        deniedLastTick_ = 0;
         return;
     }
     ++stats_.cycles;
     tickDirty_ = false;
+    cutPb_ = 0;
+    cutPos_ = 0;
     const std::uint64_t denied_before =
         unit_.stats().stallDemotionsDeniedTstFull;
     drainWritebacks(now);
-    admitWarps();
+    if (retiring_ || !pendingAdmission_.empty())
+        admitWarps(now);
 
-    unsigned issued_total = 0;
-    bool any_live = false;
-    unsigned mem_stalled_warps = 0;
-    unsigned mem_stalled_divergent = 0;
-    bool any_fetch_stall = false;
+    bool issued = false;
     Cycle next_wake = invalidCycle;
-
-    for (auto &pb : pbs_) {
-        unsigned live = 0;
-        unsigned stalled = 0;
-
-        for (unsigned wi : pb.resident) {
-            const WarpStatus st = evalWarp(wi, now);
-            statusScratch_[wi] = st;
-            if (st == WarpStatus::Done)
-                continue;
-            ++live;
-            Warp &w = *warps_[wi];
-
-            // Warp-cycle partition and subwarp-mode residency (sampled
-            // after evalWarp, so a subwarp promoted this cycle counts
-            // as active).
-            accountWarpCycles(w, st, 1);
-            next_wake = std::min(next_wake, wakeScratch_[wi]);
-
-            switch (st) {
-              case WarpStatus::ScoreboardStall:
-              case WarpStatus::WaitWakeup:
-                ++stalled;
-                ++mem_stalled_warps;
-                if (stallIsDivergent(w, st))
-                    ++mem_stalled_divergent;
-                break;
-              case WarpStatus::FetchStall:
-                any_fetch_stall = true;
-                break;
-              default:
-                break;
-            }
-        }
-        any_live |= live > 0;
-
-        // ---- warp scheduler: pick one issuable warp ----
-        int pick = -1;
-        if (config_.sched == SchedPolicy::GTO) {
-            if (pb.gtoCurrent >= 0 &&
-                statusScratch_[pb.gtoCurrent] == WarpStatus::Issuable) {
-                pick = pb.gtoCurrent;
-            } else {
-                for (unsigned wi : pb.resident) {
-                    if (statusScratch_[wi] == WarpStatus::Issuable) {
-                        pick = int(wi);
-                        break;
-                    }
-                }
-            }
-        } else { // LRR
-            const std::size_t n = pb.resident.size();
-            for (std::size_t k = 0; k < n; ++k) {
-                const std::size_t pos = (pb.lrrCursor + 1 + k) % n;
+    for (unsigned p = 0; p < pbs_.size(); ++p) {
+        ProcessingBlock &pb = pbs_[p];
+        cutPb_ = p;
+        // Re-evaluate only the warps with a due event, in resident
+        // order (the L0I/L1I access order of their fetches); every
+        // other warp's cached status is what evalWarp would return.
+        if (pb.nextDue <= now) {
+            Cycle next_due = invalidCycle;
+            for (std::size_t pos = 0; pos < pb.resident.size(); ++pos) {
                 const unsigned wi = pb.resident[pos];
-                if (statusScratch_[wi] == WarpStatus::Issuable) {
-                    pick = int(wi);
-                    pb.lrrCursor = unsigned(pos);
-                    break;
+                if (spans_[wi].dueAt <= now) {
+                    cutPos_ = pos;
+                    reevaluate(pb, wi, now);
                 }
+                next_due = std::min(next_due, spans_[wi].dueAt);
+            }
+            pb.nextDue = next_due;
+        }
+        cutPos_ = pb.resident.size();
+        next_wake = std::min(next_wake, pb.nextDue);
+
+        if (pb.issuable.any()) {
+            const unsigned pick = pickWarp(pb);
+            issue(pick, now);
+            arm(pick, now + 1);
+            pb.gtoCurrent = int(pick);
+            issued = true;
+
+            // Arbitration losses: issuable warps that lost the slot to
+            // the pick. Together with the spans and the issue itself
+            // this closes the per-cycle warp-cycle partition.
+            for (std::size_t pos = pb.issuable.next(0);
+                 pos != PosMask::npos; pos = pb.issuable.next(pos + 1)) {
+                const unsigned wi = pb.resident[pos];
+                if (wi == pick)
+                    continue;
+                ++stats_.arbLossCycles;
+                RegionCounters &rc =
+                    regionAt(stats_, warps_[wi]->currentRegion);
+                ++rc.warpCycles;
+                ++rc.arbLossCycles;
             }
         }
 
-        if (pick >= 0) {
-            issue(unsigned(pick), now);
-            pb.gtoCurrent = pick;
-            ++issued_total;
-        }
-
-        // Arbitration losses: issuable warps that lost the slot to the
-        // pick. Together with the per-reason stall counts and the issue
-        // itself this closes the per-cycle warp-cycle partition.
-        for (unsigned wi : pb.resident) {
-            if (statusScratch_[wi] != WarpStatus::Issuable ||
-                int(wi) == pick) {
-                continue;
-            }
-            ++stats_.arbLossCycles;
-            RegionCounters &rc = regionAt(warps_[wi]->currentRegion);
-            ++rc.warpCycles;
-            ++rc.arbLossCycles;
-        }
-
-        // ---- SI: policy-gated subwarp-stall demotion ----
-        if (config_.siEnabled && stalled > 0 && live > 0) {
-            bool trigger = false;
-            switch (config_.trigger) {
-              case SelectTrigger::AnyStalled:
-                trigger = stalled > 0;
-                break;
-              case SelectTrigger::HalfStalled:
-                trigger = 2 * stalled >= live;
-                break;
-              case SelectTrigger::AllStalled:
-                trigger = stalled == live;
-                break;
-            }
-            // DWS comparator: a split needs a free warp slot in this
-            // processing block to host it (see config.dwsEnabled).
-            if (trigger && config_.dwsEnabled) {
-                unsigned splits_live = 0;
-                for (unsigned wi : pb.resident)
-                    splits_live += warps_[wi]->tstOccupancy();
-                const unsigned free_slots =
-                    config_.warpSlotsPerPb > pb.resident.size()
-                        ? config_.warpSlotsPerPb -
-                              unsigned(pb.resident.size())
-                        : 0;
-                if (splits_live >= free_slots)
-                    trigger = false;
-            }
-
-            if (trigger) {
-                // Lowest-numbered stalled warp with a READY subwarp.
-                for (unsigned wi : pb.resident) {
-                    if (statusScratch_[wi] != WarpStatus::ScoreboardStall)
-                        continue;
-                    Warp &w = *warps_[wi];
-                    if (w.lanesInState(ThreadState::Ready).empty())
-                        continue;
-                    const Instr &in = w.program().at(w.activePc());
-                    if (unit_.subwarpStall(w, in.reqSbMask, now)) {
-                        tickDirty_ = true;
-                        break;
-                    }
-                }
-            }
-        }
+        if (config_.siEnabled && pb.demotable.any())
+            demote(pb, now);
     }
+    cutPb_ = unsigned(pbs_.size());
 
-    // ---- SM-level exposed stall accounting (paper Section I) ----
-    if (any_live && issued_total == 0) {
-        ++stats_.noIssueCycles;
-        if (mem_stalled_warps > 0) {
-            ++stats_.exposedLoadStallCycles;
-            // Attribute the cycle to divergent code in proportion to
-            // the memory-stalled warps whose stalling subwarp is
-            // divergent (separates Coll-style convergent stalls).
-            stats_.exposedLoadStallCyclesDivergent +=
-                double(mem_stalled_divergent) / double(mem_stalled_warps);
-        } else if (any_fetch_stall) {
-            ++stats_.exposedFetchStallCycles;
-        }
-    }
+    if (!issued)
+        accountNoIssueCycles(1);
 
     // ---- fast-forward classification (see applyQuietCycles) ----
-    // An issuable warp always issues, so issued_total == 0 already
-    // implies no warp was Issuable; tickDirty_ covers every other
-    // mutation site (writeback drain, retire/admit, fetch initiation,
-    // subwarp select, successful stall demotion).
-    lastTickQuiet_ = issued_total == 0 && !tickDirty_;
+    // An issuable warp always issues, so !issued already implies no
+    // warp was Issuable; tickDirty_ covers every other mutation site
+    // (writeback drain, retire/admit, fetch initiation, subwarp
+    // select, successful stall demotion).
+    lastTickQuiet_ = !issued && !tickDirty_;
     const Cycle next_event =
         events_.empty() ? invalidCycle : events_.front().when;
     nextEventAt_ = std::min(next_wake, next_event);
-    ffAnyLive_ = any_live;
-    ffMemStalled_ = mem_stalled_warps;
-    ffMemStalledDiv_ = mem_stalled_divergent;
-    ffAnyFetch_ = any_fetch_stall;
-    ffDeniedDelta_ =
+    deniedLastTick_ =
         unit_.stats().stallDemotionsDeniedTstFull - denied_before;
 }
 
-void
-Sm::accountWarpCycles(Warp &w, WarpStatus st, std::uint64_t n)
+unsigned
+Sm::pickWarp(ProcessingBlock &pb)
 {
-    stats_.liveWarpCycles += n;
-    const ThreadMask active_now = w.activeMask();
-    if (active_now.empty())
-        stats_.warpCyclesSubwarpNone += n;
-    else if (active_now == w.live())
-        stats_.warpCyclesSubwarpFull += n;
-    else
-        stats_.warpCyclesSubwarpPartial += n;
+    if (config_.sched == SchedPolicy::GTO) {
+        // Ride the current warp while it stays issuable, else take the
+        // oldest (lowest-positioned) issuable one.
+        if (pb.gtoCurrent >= 0 &&
+            spans_[pb.gtoCurrent].charge.status == WarpStatus::Issuable)
+            return unsigned(pb.gtoCurrent);
+        return pb.resident[pb.issuable.next(0)];
+    }
+    // LRR: the first issuable position after the cursor, wrapping.
+    std::size_t pos =
+        pb.issuable.next((pb.lrrCursor + 1) % pb.resident.size());
+    if (pos == PosMask::npos)
+        pos = pb.issuable.next(0);
+    pb.lrrCursor = unsigned(pos);
+    return pb.resident[pos];
+}
+
+void
+Sm::demote(ProcessingBlock &pb, Cycle now)
+{
+    bool trigger = false;
+    switch (config_.trigger) {
+      case SelectTrigger::AnyStalled:
+        trigger = true;
+        break;
+      case SelectTrigger::HalfStalled:
+        trigger = 2 * pb.stalled >= pb.live;
+        break;
+      case SelectTrigger::AllStalled:
+        trigger = pb.stalled == pb.live;
+        break;
+    }
+    // DWS comparator: a split needs a free warp slot in this
+    // processing block to host it (see config.dwsEnabled).
+    if (trigger && config_.dwsEnabled) {
+        unsigned splits_live = 0;
+        for (unsigned wi : pb.resident)
+            splits_live += warps_[wi]->tstOccupancy();
+        const unsigned free_slots =
+            config_.warpSlotsPerPb > pb.resident.size()
+                ? config_.warpSlotsPerPb - unsigned(pb.resident.size())
+                : 0;
+        if (splits_live >= free_slots)
+            trigger = false;
+    }
+    if (!trigger)
+        return;
+
+    // Lowest-positioned stalled warp with a READY subwarp.
+    for (std::size_t pos = pb.demotable.next(0); pos != PosMask::npos;
+         pos = pb.demotable.next(pos + 1)) {
+        const unsigned wi = pb.resident[pos];
+        Warp &w = *warps_[wi];
+        const Instr &in = w.program().at(w.activePc());
+        if (unit_.subwarpStall(w, in.reqSbMask, now)) {
+            tickDirty_ = true;
+            arm(wi, now + 1);
+            return;
+        }
+    }
+}
+
+void
+Sm::accountWarpCycles(const WarpSpan::Charge &c, std::uint64_t n,
+                      SmStats &s, StallCounts &stalls)
+{
+    if (c.status == WarpStatus::Done || n == 0)
+        return;
+    s.liveWarpCycles += n;
+    switch (c.residency) {
+      case Residency::Full:
+        s.warpCyclesSubwarpFull += n;
+        break;
+      case Residency::Partial:
+        s.warpCyclesSubwarpPartial += n;
+        break;
+      case Residency::None:
+        s.warpCyclesSubwarpNone += n;
+        break;
+    }
 
     // One count per lost warp-slot, per (pc, reason); the SM-wide
-    // per-reason totals are this table's column sums.
-    if (st != WarpStatus::Issuable) {
-        const auto reason = std::size_t(classifyStall(w, st));
-        stallsByPc_[stallRow(w)][reason] += n;
-        RegionCounters &rc = regionAt(w.currentRegion);
+    // per-reason totals are the stall table's column sums.
+    if (c.status != WarpStatus::Issuable) {
+        const auto reason = std::size_t(c.reason);
+        stalls[reason] += n;
+        RegionCounters &rc = regionAt(s, c.region);
         rc.warpCycles += n;
         rc.stallCyclesByReason[reason] += n;
     }
+}
+
+std::uint64_t
+Sm::openCycles(unsigned warp_idx) const
+{
+    // A live SM's cycle count is its clock: the cycle after the last
+    // tick. A warp the current tick's scan has not reached yet was not
+    // charged for that tick's cycle.
+    const WarpSpan &sp = spans_[warp_idx];
+    const unsigned pb = warps_[warp_idx]->pb();
+    const bool passed = pb < cutPb_ || (pb == cutPb_ && sp.pos < cutPos_);
+    return stats_.cycles - sp.start - (passed ? 0 : 1);
 }
 
 std::size_t
@@ -1042,51 +1153,51 @@ Sm::stallRow(const Warp &w) const
 }
 
 void
+Sm::accountNoIssueCycles(std::uint64_t n)
+{
+    unsigned live = 0;
+    unsigned stalled = 0;
+    for (const ProcessingBlock &pb : pbs_) {
+        live += pb.live;
+        stalled += pb.stalled;
+    }
+    if (live == 0)
+        return;
+    stats_.noIssueCycles += n;
+    if (stalled > 0) {
+        stats_.exposedLoadStallCycles += n;
+        if (memStalledDivergent_ > 0) {
+            // Attribute each cycle to divergent code in proportion to
+            // the memory-stalled warps whose stalling subwarp is
+            // divergent (separates Coll-style convergent stalls). The
+            // sum is repeated IEEE754 addition, so a leap repeats the
+            // addition n times: n * frac would round differently.
+            const double frac =
+                double(memStalledDivergent_) / double(stalled);
+            for (std::uint64_t i = 0; i < n; ++i)
+                stats_.exposedLoadStallCyclesDivergent += frac;
+        }
+    } else if (fetchStalled_ > 0) {
+        stats_.exposedFetchStallCycles += n;
+    }
+}
+
+void
 Sm::applyQuietCycles(std::uint64_t n)
 {
     if (n == 0 || done())
         return;
+    // Every open span runs on to the horizon: the caller leaps at most
+    // to nextEventAt(), so no warp is due before it and each span is
+    // charged in full when it closes.
     stats_.cycles += n;
-
-    // Statuses are stable over the leap: the caller leaps at most to
-    // nextEventAt(), and every status either expires at its warp's
-    // wakeScratch_ cycle (folded into nextEventAt) or only a writeback
-    // (also folded in) can change it. So the per-warp accounting of
-    // each skipped cycle equals the last real tick's, n times over.
-    for (auto &pb : pbs_) {
-        for (unsigned wi : pb.resident) {
-            const WarpStatus st = statusScratch_[wi];
-            if (st == WarpStatus::Done)
-                continue;
-            accountWarpCycles(*warps_[wi], st, n);
-        }
-    }
 
     // Denied TST-full demotion attempts repeat identically each quiet
     // cycle (nothing can free an entry without a writeback).
-    if (ffDeniedDelta_ > 0)
-        unit_.addDeniedDemotions(ffDeniedDelta_ * n);
+    if (deniedLastTick_ > 0)
+        unit_.addDeniedDemotions(deniedLastTick_ * n);
 
-    // SM-level exposure: a quiet tick by definition issued nothing.
-    if (ffAnyLive_) {
-        stats_.noIssueCycles += n;
-        if (ffMemStalled_ > 0) {
-            stats_.exposedLoadStallCycles += n;
-            if (ffMemStalledDiv_ > 0) {
-                // The per-cycle loop accumulates the divergent fraction
-                // by repeated IEEE754 addition; n * frac rounds
-                // differently, so bit-identity requires repeating the
-                // addition. Leaps are latency-bounded, so this stays
-                // far cheaper than n full ticks.
-                const double frac =
-                    double(ffMemStalledDiv_) / double(ffMemStalled_);
-                for (std::uint64_t i = 0; i < n; ++i)
-                    stats_.exposedLoadStallCyclesDivergent += frac;
-            }
-        } else if (ffAnyFetch_) {
-            stats_.exposedFetchStallCycles += n;
-        }
-    }
+    accountNoIssueCycles(n);
 }
 
 std::string
@@ -1109,6 +1220,52 @@ Sm::auditInvariants() const
                    std::to_string(w.id()) + ": " + violation + "\n" +
                    describeWarpState(w);
         }
+    }
+
+    // Stale-cache oracle: a warp the next tick skips must classify to
+    // its cached status and charge, with no side effect pending.
+    const Cycle next = stats_.cycles;
+    unsigned div = 0, fetch = 0;
+    for (const ProcessingBlock &pb : pbs_) {
+        unsigned live = 0, stalled = 0;
+        for (std::size_t pos = 0; pos < pb.resident.size(); ++pos) {
+            const unsigned wi = pb.resident[pos];
+            const WarpSpan &sp = spans_[wi];
+            const WarpStatus st = sp.charge.status;
+            live += st != WarpStatus::Done;
+            stalled += st == WarpStatus::ScoreboardStall ||
+                       st == WarpStatus::WaitWakeup;
+            div += sp.charge.divergent;
+            fetch += st == WarpStatus::FetchStall;
+            const Warp &w = *warps_[wi];
+            if (sp.pos != pos ||
+                pb.issuable.test(pos) != (st == WarpStatus::Issuable) ||
+                pb.demotable.test(pos) != sp.charge.demotable) {
+                return "sm" + std::to_string(id_) + " warp " +
+                       std::to_string(w.id()) +
+                       ": scheduler masks disagree with its cached status";
+            }
+            if (w.done() || sp.dueAt <= next)
+                continue;
+            const Verdict v = classifyWarp(w, next);
+            if (v.action != EvalAction::None ||
+                !(chargeOf(w, v.status) == sp.charge)) {
+                return "sm" + std::to_string(id_) + " warp " +
+                       std::to_string(w.id()) + ": stale cached status " +
+                       statusName(st) + " (re-derived " +
+                       statusName(v.status) + ") at cycle " +
+                       std::to_string(next) + "\n" + describeWarpState(w);
+            }
+        }
+        if (live != pb.live || stalled != pb.stalled) {
+            return "sm" + std::to_string(id_) +
+                   ": processing-block totals disagree with the cached "
+                   "statuses";
+        }
+    }
+    if (div != memStalledDivergent_ || fetch != fetchStalled_) {
+        return "sm" + std::to_string(id_) +
+               ": SM totals disagree with the cached statuses";
     }
     return "";
 }
@@ -1148,13 +1305,9 @@ Sm::liveStats() const
 {
     SmStats s = stats_;
 
-    // Retirement is otherwise only observed when a slot is recycled;
-    // recount here so warps that finish last are included.
-    s.warpsRetired = 0;
-    for (const auto &w : warps_) {
-        if (w->done())
-            ++s.warpsRetired;
-    }
+    // Slots are recycled a tick after retirement; count every retired
+    // warp, so warps that finish last are included.
+    s.warpsRetired = warps_.size() - liveWarps_;
 
     const SubwarpUnitStats &us = unit_.stats();
     s.divergentBranches = us.divergentBranches;
@@ -1169,6 +1322,10 @@ Sm::liveStats() const
     for (const StallCounts &row : stallsByPc_) {
         for (std::size_t k = 0; k < numStallReasons; ++k)
             s.stallCyclesByReason[k] += row[k];
+    }
+    for (unsigned wi = 0; wi < spans_.size(); ++wi) {
+        accountWarpCycles(spans_[wi].charge, openCycles(wi), s,
+                          s.stallCyclesByReason);
     }
 
     s.l1dHits = l1d_.hits();
@@ -1188,8 +1345,16 @@ Sm::liveStats() const
 void
 Sm::finalizeStats()
 {
-    // Every fold in liveStats() is set-not-add, so finalizing is
-    // idempotent and safe after any number of mid-run samples.
+    // Charge every open span and restart it at the clock; the other
+    // folds in liveStats() are set-not-add, so finalizing is idempotent
+    // and safe after any number of mid-run samples.
+    for (unsigned wi = 0; wi < spans_.size(); ++wi) {
+        WarpSpan &sp = spans_[wi];
+        accountWarpCycles(sp.charge, openCycles(wi), stats_,
+                          stallsByPc_[sp.charge.row]);
+        sp.start = stats_.cycles;
+    }
+    cutPb_ = unsigned(pbs_.size());
     stats_ = liveStats();
 }
 
@@ -1245,10 +1410,19 @@ Sm::save(SnapshotWriter &w) const
     l1i_.save(w);
     rtcore_.save(w);
     unit_.save(w);
-    stats_.save(w);
 
-    w.u64(stallsByPc_.size());
-    for (const StallCounts &row : stallsByPc_) {
+    // The open spans are folded into the copy written, so the bytes are
+    // those of a per-cycle accounting at this boundary.
+    SmStats stats = stats_;
+    std::vector<StallCounts> by_pc = stallsByPc_;
+    for (unsigned wi = 0; wi < spans_.size(); ++wi) {
+        const WarpSpan::Charge &c = spans_[wi].charge;
+        accountWarpCycles(c, openCycles(wi), stats, by_pc[c.row]);
+    }
+    stats.save(w);
+
+    w.u64(by_pc.size());
+    for (const StallCounts &row : by_pc) {
         for (std::uint64_t v : row)
             w.u64(v);
     }
@@ -1347,19 +1521,28 @@ Sm::restore(SnapshotReader &r)
             v = r.u64();
     }
 
-    statusScratch_.assign(warps_.size(), WarpStatus::Done);
-    wakeScratch_.assign(warps_.size(), invalidCycle);
-
-    // Leap scratch is per-tick and never serialized: a resumed run
-    // re-derives it on its first tick, before any leap is considered.
+    // Cached statuses are not serialized (the saved statistics hold
+    // their spans up to the boundary): every warp is re-armed, so the
+    // first tick re-evaluates it and compacts any slot a retired warp
+    // still holds. Leap state is likewise re-derived on that tick.
+    spans_.assign(warps_.size(), WarpSpan{});
+    for (ProcessingBlock &pb : pbs_) {
+        pb.live = 0;
+        pb.stalled = 0;
+        pb.nextDue = 0;
+        reindex(pb);
+    }
+    liveWarps_ = 0;
+    for (const auto &warp : warps_)
+        liveWarps_ += !warp->done();
+    memStalledDivergent_ = 0;
+    fetchStalled_ = 0;
+    retiring_ = true;
+    cutPb_ = unsigned(pbs_.size());
     tickDirty_ = false;
     lastTickQuiet_ = false;
     nextEventAt_ = invalidCycle;
-    ffAnyLive_ = false;
-    ffMemStalled_ = 0;
-    ffMemStalledDiv_ = 0;
-    ffAnyFetch_ = false;
-    ffDeniedDelta_ = 0;
+    deniedLastTick_ = 0;
 }
 
 } // namespace si

@@ -11,6 +11,7 @@
 #define SI_CORE_SM_HH
 
 #include <array>
+#include <bit>
 #include <deque>
 #include <memory>
 #include <vector>
@@ -174,6 +175,43 @@ struct SmStats
 };
 
 /**
+ * One bit per resident position of a processing block: ascending bit
+ * order is ProcessingBlock::resident order. Sized to the resident list
+ * whenever that list changes (admission and retirement compaction).
+ */
+class PosMask
+{
+  public:
+    static constexpr std::size_t npos = ~std::size_t(0);
+
+    void reset(std::size_t n) { words_.assign((n + 63) / 64, 0); }
+    void assign(std::size_t i, bool v)
+    {
+        const std::uint64_t bit = std::uint64_t(1) << (i % 64);
+        words_[i / 64] = v ? words_[i / 64] | bit : words_[i / 64] & ~bit;
+    }
+    bool test(std::size_t i) const { return words_[i / 64] >> (i % 64) & 1; }
+    bool any() const { return next(0) != npos; }
+
+    /** Lowest set position at or after @p from; npos when none. */
+    std::size_t
+    next(std::size_t from) const
+    {
+        for (std::size_t k = from / 64; k < words_.size(); ++k) {
+            std::uint64_t w = words_[k];
+            if (k == from / 64)
+                w &= ~std::uint64_t(0) << (from % 64);
+            if (w)
+                return k * 64 + std::size_t(std::countr_zero(w));
+        }
+        return npos;
+    }
+
+  private:
+    std::vector<std::uint64_t> words_;
+};
+
+/**
  * One processing block: warp slots, an L0 instruction cache, and the
  * warp-scheduler arbitration state. Pure data; the issue logic lives
  * in Sm.
@@ -190,6 +228,14 @@ struct ProcessingBlock
     unsigned regsInUse = 0;         ///< register-file words allocated
     unsigned lrrCursor = 0;
     int gtoCurrent = -1; ///< warp index the greedy scheduler is riding
+
+    // ---- running totals over the residents' cached statuses (see
+    // Sm::WarpSpan); never serialized, re-derived after a restore ----
+    unsigned live = 0;    ///< residents not Done
+    unsigned stalled = 0; ///< ScoreboardStall or WaitWakeup residents
+    PosMask issuable;     ///< Issuable residents
+    PosMask demotable;    ///< ScoreboardStall residents with a READY subwarp
+    Cycle nextDue = 0;    ///< no resident is due before this cycle
 };
 
 /** One streaming multiprocessor. */
@@ -211,7 +257,10 @@ class Sm
     /** True when every assigned warp has retired. */
     bool done() const;
 
-    /** Advance one core clock. */
+    /**
+     * Advance one core clock. Only warps with a due event are
+     * re-evaluated (see WarpSpan); the rest keep their cached status.
+     */
     void tick(Cycle now);
 
     // ---- event-driven fast-forward (cycle leap) support ----
@@ -230,35 +279,34 @@ class Sm
      * Earliest future cycle at which this SM's state can change: the
      * head of the writeback completion queue (which also bounds every
      * scoreboard drain, MSHR fill, and subwarp wakeup) or the earliest
-     * per-warp timer expiry (switch/fetch penalty, short-latency
+     * resident warp's due cycle (switch/fetch penalty, short-latency
      * operand). invalidCycle when nothing is pending. Valid after
      * tick(); meaningful for leaping only when lastTickQuiet().
      */
     Cycle nextEventAt() const { return nextEventAt_; }
 
     /**
-     * Bulk-apply @p n quiet cycles of accounting in one step: every
-     * counter the per-cycle loop would have bumped (cycles,
-     * liveWarpCycles, subwarp-mode residency, the per-pc stall table,
-     * per-region stall cycles, noIssue/exposed-stall
-     * cycles, TST-full denials) advances by exactly n times the last
-     * tick's delta. The divergent-exposure accumulator is a double
-     * that the per-cycle loop grows by repeated addition, so the
-     * back-fill repeats the addition n times rather than adding n*frac
-     * — bit-identical IEEE754 behaviour, not just mathematically equal.
-     * Callable only while the machine is quiet (the caller leaps at
-     * most to nextEventAt()); no machine state other than statistics
-     * changes.
+     * Leap @p n quiet cycles. Every open warp span simply runs on to
+     * the horizon (it is charged when it closes), so only the SM-level
+     * counters advance: cycles, the no-issue and exposed-stall cycles
+     * from the running totals, and the TST-full denials the last tick
+     * repeated. Callable only while the machine is quiet (the caller
+     * leaps at most to nextEventAt()); no machine state other than
+     * statistics changes.
      */
     void applyQuietCycles(std::uint64_t n);
 
-    /** Finalize statistics (fold in unit/cache counters). */
+    /**
+     * Finalize statistics: charge every open warp span up to the clock
+     * (restarting it there) and fold in unit/cache counters.
+     * Idempotent; afterwards stats() == liveStats().
+     */
     void finalizeStats();
 
     /**
-     * Current statistics with the unit/cache counters folded in, valid
-     * at any cycle boundary — what the windowed metrics sampler reads
-     * mid-run. finalizeStats() is exactly stats() = liveStats().
+     * Current statistics with the open warp spans and the unit/cache
+     * counters folded in, valid at any cycle boundary — what the
+     * windowed metrics sampler reads mid-run.
      */
     SmStats liveStats() const;
 
@@ -270,7 +318,10 @@ class Sm
     /**
      * Audit every resident warp against the invariants of
      * core/invariants.hh (scoreboard release balance vs the in-flight
-     * writeback queue, TST leaks, mask discipline).
+     * writeback queue, TST leaks, mask discipline), and the stale-cache
+     * oracle: a warp not due at the next tick must classify to exactly
+     * its cached status and span, with no side effect pending, and the
+     * running totals must match the cached statuses.
      * @return empty when clean, else a violation report plus the
      *         offending warp's full state dump.
      */
@@ -288,6 +339,11 @@ class Sm
      */
     std::string dropPendingWriteback();
 
+    /**
+     * Raw counters. Warp-cycle counters (liveWarpCycles, residency,
+     * stall and region cycles) lag by the open spans until
+     * finalizeStats(); liveStats() is exact at any cycle boundary.
+     */
     const SmStats &stats() const { return stats_; }
     SmStats &stats() { return stats_; }
 
@@ -298,8 +354,9 @@ class Sm
      * valid TST entry's (the load the warp waits behind). The last row
      * holds "(no subwarp)" slots of warps with neither. Sized by
      * addWarp to the largest program plus that row; empty until a warp
-     * arrives. Exact under fast-forward. Its column sums are
-     * stallCyclesByReason (see liveStats()).
+     * arrives. Exact under fast-forward once finalizeStats() has
+     * charged the open spans. Its column sums are stallCyclesByReason
+     * (see liveStats()).
      */
     const std::vector<StallCounts> &stallsByPc() const
     {
@@ -314,8 +371,19 @@ class Sm
     /** Number of warps assigned over the run (tests). */
     std::size_t numWarps() const { return warps_.size(); }
 
-    /** Direct warp access (tests). */
-    Warp &warpAt(std::size_t i) { return *warps_[i]; }
+    /**
+     * Direct warp access (tests, fault injection). Mutable access
+     * re-arms the warp: its status is re-derived at the next tick, so
+     * an outside mutation is seen exactly when per-cycle evaluation
+     * would see it.
+     */
+    Warp &
+    warpAt(std::size_t i)
+    {
+        arm(unsigned(i), 0);
+        return *warps_[i];
+    }
+    const Warp &warpAt(std::size_t i) const { return *warps_[i]; }
 
     /**
      * Warps concurrently resident per PB under the *first* admitted
@@ -359,15 +427,133 @@ class Sm
         }
     };
 
-    void drainWritebacks(Cycle now);
-    void admitWarps();
+    /** What evalWarp must do before a warp's status holds. */
+    enum class EvalAction : std::uint8_t { None, Select, Fetch };
+
+    /** classifyWarp's answer for one warp at one cycle. */
+    struct Verdict
+    {
+        WarpStatus status;
+        /** Cycle the status expires by itself; invalidCycle when only
+         *  an event (writeback, issue, demotion) can change it. */
+        Cycle wakeAt = invalidCycle;
+        EvalAction action = EvalAction::None;
+    };
+
+    /** Subwarp-mode residency bucket of a warp-cycle. */
+    enum class Residency : std::uint8_t { Full, Partial, None };
 
     /**
-     * Classify @p warp for this cycle. Side effects: triggers subwarp
-     * selection when the warp has no ACTIVE subwarp, and initiates
-     * instruction fetch when the buffered PC is stale.
+     * A warp's cached status and the span of cycles it has held it.
+     * The span opened at @c start, at the last evaluation that changed
+     * its charge; each of its cycles charges exactly @c charge, which
+     * was recorded then. It stays valid until @c dueAt (the status's own expiry) or
+     * an event re-arms the warp: a writeback landing on it, its issue,
+     * a stall demotion, admission, retirement, or mutable warpAt()
+     * access. Skip invariant: a warp is skipped only when evalWarp
+     * would return the same status and charge and have no side effect.
      */
-    WarpStatus evalWarp(unsigned warp_idx, Cycle now);
+    struct WarpSpan
+    {
+        /** What each cycle of the span charges. */
+        struct Charge
+        {
+            WarpStatus status = WarpStatus::Done; ///< Done charges nothing
+            StallReason reason = StallReason::LoadToUse;
+            Residency residency = Residency::Full;
+            bool divergent = false; ///< a divergent memory stall
+            bool demotable = false; ///< ScoreboardStall, READY subwarp
+            std::uint32_t region = 0;
+            std::uint32_t row = 0; ///< stallsByPc_ row
+
+            bool operator==(const Charge &) const = default;
+        };
+
+        Charge charge;
+        Cycle start = 0;         ///< first cycle of the span
+        Cycle dueAt = 0;         ///< next cycle evalWarp must run
+        std::uint32_t pos = 0;   ///< index in its PB's resident list
+    };
+
+    /** Make warp @p warp_idx due for re-evaluation no later than @p at. */
+    void
+    arm(unsigned warp_idx, Cycle at)
+    {
+        WarpSpan &sp = spans_[warp_idx];
+        sp.dueAt = std::min(sp.dueAt, at);
+        Cycle &pb_due = pbs_[warps_[warp_idx]->pb()].nextDue;
+        pb_due = std::min(pb_due, at);
+    }
+
+    void drainWritebacks(Cycle now);
+
+    /**
+     * Recycle the slots of warps that retired last tick (only when one
+     * did), then admit pending warps.
+     */
+    void admitWarps(Cycle now);
+
+    /** Re-index a PB's resident positions and rebuild its masks. */
+    void reindex(ProcessingBlock &pb);
+
+    /**
+     * The status definition: classify @p warp at @p now with no side
+     * effect, naming the select or fetch evalWarp must do first. The
+     * status given with a fetch holds if it hits in L0I; a miss makes
+     * it FetchStall.
+     */
+    Verdict classifyWarp(const Warp &warp, Cycle now) const;
+
+    /** classifyWarp plus its side effects (subwarp select, fetch). */
+    Verdict evalWarp(unsigned warp_idx, Cycle now);
+
+    /**
+     * Initiate the instruction fetch of the active PC through
+     * L0I -> L1I. @return true when it hit in L0I (no fetch stall).
+     */
+    bool fetch(Warp &warp, Cycle now);
+
+    /**
+     * Re-evaluate a due warp. A changed charge closes its span at
+     * @p now, charging it, and opens the next one, keeping the running
+     * totals.
+     */
+    void reevaluate(ProcessingBlock &pb, unsigned warp_idx, Cycle now);
+
+    /** Charge @p span up to @p now and drop it from the totals. */
+    void closeSpan(ProcessingBlock &pb, const WarpSpan &span, Cycle now);
+
+    /** The charge of one cycle of @p warp under @p status. */
+    WarpSpan::Charge chargeOf(const Warp &warp, WarpStatus status) const;
+
+    /** Add @p span to (or remove it from) the running totals. */
+    void tally(ProcessingBlock &pb, const WarpSpan &span, bool add);
+
+    /** Warp the PB's scheduler issues this cycle (some is issuable). */
+    unsigned pickWarp(ProcessingBlock &pb);
+
+    /** SI: the policy-gated subwarp-stall demotion of a PB with a
+     *  demotion candidate. */
+    void demote(ProcessingBlock &pb, Cycle now);
+
+    /**
+     * Charge @p n cycles of a span: liveWarpCycles, the residency
+     * bucket and, for a lost slot, the region and @p stalls, which is
+     * the span's stallsByPc row (or one per-reason array when folding
+     * into a copy of the statistics).
+     */
+    static void accountWarpCycles(const WarpSpan::Charge &c,
+                                  std::uint64_t n, SmStats &s,
+                                  StallCounts &stalls);
+
+    /** Cycles the open span of warp @p warp_idx covers at the clock. */
+    std::uint64_t openCycles(unsigned warp_idx) const;
+
+    /**
+     * SM-level exposure of @p n cycles without an issue (paper
+     * Section I), read from the running totals.
+     */
+    void accountNoIssueCycles(std::uint64_t n);
 
     /** Issue the active subwarp's next instruction. */
     void issue(unsigned warp_idx, Cycle now);
@@ -388,19 +574,6 @@ class Sm
 
     /** True when the stalling subwarp(s) of @p warp are divergent. */
     bool stallIsDivergent(const Warp &warp, WarpStatus status) const;
-
-    /**
-     * Per-warp-cycle accounting shared by tick() (n = 1) and
-     * applyQuietCycles() (n = skipped cycles): liveWarpCycles, the
-     * subwarp-mode residency bucket, and — for non-issuable warps —
-     * the per-pc and per-region stall attribution. One code path for
-     * both so the per-cycle and fast-forward accountings cannot drift.
-     */
-    void accountWarpCycles(Warp &warp, WarpStatus status,
-                           std::uint64_t n);
-
-    /** Per-region counter slot for @p idx, growing the table on demand. */
-    RegionCounters &regionAt(std::uint32_t idx);
 
     /** The stallsByPc_ row a lost slot of @p warp is charged to. */
     std::size_t stallRow(const Warp &warp) const;
@@ -426,28 +599,36 @@ class Sm
     /** Per-MSHR busy-until times (empty = unlimited MSHRs). */
     std::vector<Cycle> mshrFreeAt_;
 
-    /** Per-cycle scratch: status of each resident warp. */
-    std::vector<WarpStatus> statusScratch_;
+    /** Per warp (indexed like warps_): cached status and open span. */
+    std::vector<WarpSpan> spans_;
+
+    // ---- SM-level running totals (see ProcessingBlock for per-PB) ----
+    unsigned liveWarps_ = 0;         ///< assigned warps not yet done
+    unsigned memStalledDivergent_ = 0; ///< divergent memory stalls
+    unsigned fetchStalled_ = 0;      ///< FetchStall residents
+    bool retiring_ = false;          ///< a warp retired; compact slots
 
     /**
-     * Per-cycle scratch: the cycle each warp's status expires on its
-     * own (issueReadyAt for Busy/FetchStall, the operand ready_at for
-     * PipeStall; invalidCycle for statuses that only a writeback can
-     * change). Written by evalWarp, folded into nextEventAt_ by tick.
+     * Scan position of the current tick: warps before (cutPb_,
+     * cutPos_) have been charged this cycle. A tick cut short by a
+     * SimError leaves it mid-way, so folds charge exactly the warps a
+     * per-cycle scan had reached; between ticks it is past the end.
      */
-    std::vector<Cycle> wakeScratch_;
+    unsigned cutPb_ = 0;
+    std::size_t cutPos_ = 0;
 
-    // ---- fast-forward tick classification (per-tick scratch; none of
-    // this is serialized — a restored SM re-derives it on its first
-    // tick, and leaps never span a checkpoint boundary) ----
+    // ---- leap classification of the last tick (not serialized; a
+    // restored SM re-derives it on its first tick, and leaps never span
+    // a checkpoint boundary) ----
     bool tickDirty_ = false;      ///< tick mutated state (set by sites)
     bool lastTickQuiet_ = false;
     Cycle nextEventAt_ = invalidCycle;
-    bool ffAnyLive_ = false;      ///< last tick's any_live
-    unsigned ffMemStalled_ = 0;   ///< last tick's mem_stalled_warps
-    unsigned ffMemStalledDiv_ = 0;///< last tick's mem_stalled_divergent
-    bool ffAnyFetch_ = false;     ///< last tick's any_fetch_stall
-    std::uint64_t ffDeniedDelta_ = 0; ///< TST-full denials in last tick
+    /**
+     * TST-full denials in the last tick: a quiet tick repeats them each
+     * cycle, and no running total holds them (they are counted by the
+     * demotion search, not by a status).
+     */
+    std::uint64_t deniedLastTick_ = 0;
 
     SmStats stats_;
 

@@ -67,6 +67,7 @@ annotateStallHints(Program &program, unsigned horizon)
                     program.numRegs());
     updated.setBaseAddr(program.baseAddr());
     updated.setLabels(program.labels());
+    updated.setRegions(program.regionNames());
     program = std::move(updated);
     return report;
 }

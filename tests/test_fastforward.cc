@@ -199,6 +199,33 @@ TEST(FastForward, GeneratedKernelsBitIdenticalAcrossTheMatrix)
     }
 }
 
+TEST(FastForward, CachedStatusesPassTheStaleCacheAuditEveryCycle)
+{
+    // Warps are re-evaluated only when something they wait on changes.
+    // The audit's stale-cache oracle re-derives every skipped warp's
+    // status at every cycle boundary: it must find nothing, and
+    // auditing must not perturb the run.
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        const Program prog = generateKernel(seed);
+        for (const DiffPoint &pt : diffMatrix()) {
+            GpuConfig audited = pt.config;
+            audited.checkInvariants = true;
+            audited.invariantCheckInterval = 1;
+            const RunArtifacts plain = runOnce(prog, pt.config, true);
+            const RunArtifacts checked = runOnce(prog, audited, true);
+            const std::string label =
+                "seed " + std::to_string(seed) + " @ " + pt.name;
+            EXPECT_NE(checked.result.status.kind,
+                      ErrorKind::InvariantViolation)
+                << label << ": " << checked.result.status.diagnostic;
+            EXPECT_EQ(checked.result.status.kind, plain.result.status.kind)
+                << label;
+            EXPECT_TRUE(checked.result.perSm == plain.result.perSm)
+                << label;
+        }
+    }
+}
+
 TEST(FastForward, HighLatencyRunLeapsAndStaysBitIdentical)
 {
     const Program prog = assembleOrDie(memlatSource);

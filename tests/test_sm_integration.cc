@@ -10,6 +10,7 @@
 #include "core/gpu.hh"
 #include "isa/assembler.hh"
 #include "isa/builder.hh"
+#include "trace/sinks.hh"
 
 using namespace si;
 
@@ -27,6 +28,124 @@ stallKernel(unsigned num_regs = 32)
     kb.fadd(3, 2, 2).req(0);
     kb.exit();
     return kb.build(num_regs);
+}
+
+/**
+ * Scheduler-pick kernel for one PB of four warps. Warp 1 parks on an
+ * L1-miss LDG whose &req consumer follows at once; the others spin
+ * through @p iters loop iterations of ALU work whose dependent
+ * instructions sit more than the ALU latency apart, so once the loop
+ * is in L0I a spinning warp is issuable every cycle. With
+ * @p early_exit warp 2 exits at once, retiring from the middle of the
+ * PB's resident list.
+ */
+Program
+pickKernel(unsigned iters, bool early_exit)
+{
+    return assembleOrDie(std::string(R"(
+.kernel pick
+.regs 16
+    S2R R0, WARPID
+    MOV R7, 0
+    ISETP.EQ P2, R0, 2
+    ISETP.NE P0, R0, 1
+)") + (early_exit ? "    @P2 EXIT\n" : "    NOP\n") +
+                         R"(
+    @P0 BRA spin
+    SHL R1, R0, 12
+    IADD R1, R1, 0x100000
+    LDG R2, [R1+0] &wr=sb0
+    FADD R3, R2, R2 &req=sb0
+    EXIT
+spin:
+    IADD R7, R7, 1
+    IADD R8, R0, 1
+    IADD R9, R0, 2
+    IADD R10, R0, 3
+    IADD R11, R0, 4
+    ISETP.LT P1, R7, )" + std::to_string(iters) + R"(
+    IADD R12, R0, 5
+    IADD R13, R0, 6
+    IADD R14, R0, 7
+    IADD R15, R0, 8
+    @P1 BRA spin
+    EXIT
+)");
+}
+
+constexpr std::uint32_t pickLdgPc = 8;   ///< warp 1's LDG
+constexpr std::uint32_t pickBackPc = 21; ///< loop back-edge BRA
+
+/** Issue and writeback events of one single-PB pickKernel run. */
+std::vector<TraceEvent>
+runPick(SchedPolicy policy, unsigned iters, bool early_exit,
+        Cycle miss_latency)
+{
+    GpuConfig cfg;
+    cfg.numSms = 1;
+    cfg.pbsPerSm = 1;
+    cfg.warpSlotsPerPb = 4;
+    cfg.sched = policy;
+    cfg.lat.l1Miss = miss_latency;
+    cfg.lat.l0iMiss = 4; // short fetch stalls: the warps overlap early
+    cfg.lat.l1iMiss = 8;
+    VectorSink sink;
+    cfg.traceSink = &sink;
+    Memory mem;
+    const GpuResult r =
+        simulate(cfg, mem, pickKernel(iters, early_exit), {4, 4});
+    EXPECT_TRUE(r.ok()) << r.status.message;
+    EXPECT_EQ(r.total.warpsRetired, 4u);
+    std::vector<TraceEvent> out;
+    for (const TraceEvent &ev : sink.events()) {
+        if (ev.kind == TraceEventKind::Issue ||
+            ev.kind == TraceEventKind::Writeback)
+            out.push_back(ev);
+    }
+    return out;
+}
+
+/** Warp 1's writeback cycle; checks it issues nothing while parked. */
+Cycle
+parkedWindow(const std::vector<TraceEvent> &events)
+{
+    Cycle ldg = invalidCycle, wb = invalidCycle;
+    for (const TraceEvent &ev : events) {
+        if (ev.warpId != 1)
+            continue;
+        if (ev.kind == TraceEventKind::Issue && ev.pc == pickLdgPc) {
+            ldg = ev.cycle;
+        } else if (ev.kind == TraceEventKind::Writeback) {
+            wb = ev.cycle;
+        } else if (ev.kind == TraceEventKind::Issue && ldg != invalidCycle) {
+            EXPECT_NE(wb, invalidCycle)
+                << "warp 1 issued pc " << ev.pc
+                << " with its scoreboard outstanding";
+        }
+    }
+    EXPECT_NE(ldg, invalidCycle);
+    EXPECT_GT(wb, ldg);
+    return wb;
+}
+
+/** Run-length string of the issuing warps ("2x3 0" = 2, 2, 2, 0). */
+std::string
+issueOrder(const std::vector<TraceEvent> &events)
+{
+    std::vector<unsigned> warps;
+    for (const TraceEvent &ev : events) {
+        if (ev.kind == TraceEventKind::Issue)
+            warps.push_back(ev.warpId);
+    }
+    std::string out;
+    for (std::size_t i = 0, j = 0; i < warps.size(); i = j) {
+        while (j < warps.size() && warps[j] == warps[i])
+            ++j;
+        out += (i ? " " : "") + std::to_string(warps[i]);
+        if (j - i > 1)
+            out += "x" + std::to_string(j - i);
+    }
+    return out;
 }
 
 } // namespace
@@ -80,6 +199,85 @@ TEST(SmIntegration, GtoAndLrrBothComplete)
         EXPECT_FALSE(r.timedOut);
         EXPECT_EQ(r.total.warpsRetired, 16u);
     }
+}
+
+TEST(SmIntegration, LrrRotatesPastAParkedWarp)
+{
+    const std::vector<TraceEvent> events =
+        runPick(SchedPolicy::LRR, 24, false, 600);
+    const Cycle wb = parkedWindow(events);
+
+    // Once every spinning warp has looped (the loop is in L0I) and
+    // until warp 1 wakes, the slot rotates 0 -> 2 -> 3 -> 0 in
+    // resident order, one issue per cycle, skipping the parked warp.
+    std::vector<unsigned> looped(4, 0);
+    const TraceEvent *prev = nullptr;
+    unsigned checked = 0;
+    for (const TraceEvent &ev : events) {
+        if (ev.kind != TraceEventKind::Issue || ev.cycle >= wb)
+            continue;
+        if (prev && looped[0] && looped[2] && looped[3]) {
+            EXPECT_EQ(ev.cycle, prev->cycle + 1);
+            EXPECT_EQ(ev.warpId, prev->warpId == 0 ? 2u
+                                 : prev->warpId == 2 ? 3u
+                                                     : 0u)
+                << "cycle " << ev.cycle;
+            ++checked;
+        }
+        if (ev.pc == pickBackPc)
+            ++looped[ev.warpId];
+        prev = &ev;
+    }
+    EXPECT_GT(checked, 300u);
+}
+
+TEST(SmIntegration, GtoRidesItsCurrentWarp)
+{
+    const std::vector<TraceEvent> events =
+        runPick(SchedPolicy::GTO, 24, false, 600);
+    parkedWindow(events);
+
+    // After warp 0's first pass warms L0I, the greedy scheduler keeps
+    // issuing the warp it rides until that warp exits or parks on its
+    // load; it never switches to another issuable warp, the woken
+    // warp 1 included.
+    bool warm = false;
+    const TraceEvent *prev = nullptr;
+    unsigned switches = 0;
+    for (const TraceEvent &ev : events) {
+        if (ev.kind != TraceEventKind::Issue)
+            continue;
+        if (warm && prev && ev.warpId != prev->warpId) {
+            EXPECT_TRUE(prev->arg == std::uint32_t(Opcode::EXIT) ||
+                        prev->pc == pickLdgPc)
+                << "switched from warp " << prev->warpId << " to "
+                << ev.warpId << " at cycle " << ev.cycle;
+            ++switches;
+        }
+        warm |= ev.warpId == 0 && ev.pc == pickBackPc;
+        prev = &ev;
+    }
+    EXPECT_EQ(switches, 4u) << issueOrder(events);
+}
+
+TEST(SmIntegration, MidBlockRetirementKeepsTheIssueOrder)
+{
+    // Warp 2 exits at once: compaction shifts warp 3 down a resident
+    // position while warp 1 is parked. The expected sequences were
+    // recorded from the scheduler that scanned every resident warp
+    // each cycle; the position masks must reproduce them.
+    const std::vector<TraceEvent> lrr =
+        runPick(SchedPolicy::LRR, 3, true, 60);
+    parkedWindow(lrr);
+    EXPECT_EQ(issueOrder(lrr),
+              "1 2 3 1 2 3 1 2 3 0 1 2 3 0 1 2 0 1 3 0 1 3 0x2 1 0x3 1 0 3 "
+              "0 3x8 0 3 0 3 0 3 0 3 0 3 0 3 0 3 0 3 0 3 0 3 0 3 0 3 0 3 "
+              "0 3 0 3 0 3 0 3 0 3 0 3 0 3 0 3 0 3 0 3 0 3 0 1 3 1 0x4");
+    const std::vector<TraceEvent> gto =
+        runPick(SchedPolicy::GTO, 3, true, 60);
+    parkedWindow(gto);
+    EXPECT_EQ(issueOrder(gto),
+              "1x2 2x2 1x2 2x2 0x2 1x3 0x2 2 1 0x7 3x2 1 3x38 0x29 1x2");
 }
 
 TEST(SmIntegration, ExposedStallAccountingBounds)

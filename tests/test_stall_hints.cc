@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "core/gpu.hh"
+#include "harness/runner.hh"
 #include "isa/assembler.hh"
 #include "isa/stall_hints.hh"
+#include "rt/apps.hh"
 
 using namespace si;
 
@@ -145,4 +147,24 @@ TEST(StallHints, AnnotationPreservesProgramSemantics)
     }
     EXPECT_EQ(p.check(), "");
     EXPECT_EQ(p.labels(), original.labels());
+}
+
+TEST(StallHints, AnnotatedAppWithMarkersRunsToCompletion)
+{
+    // Annotation rebuilds the Program; it must keep the region table
+    // the app's MARKERs index, or validation rejects the kernel.
+    Workload wl = buildApp(AppId::BFV1, 8);
+    const std::vector<std::string> regions = wl.program.regionNames();
+    ASSERT_GT(regions.size(), 1u) << "app has no MARKER regions";
+    const StallHintReport rep = annotateStallHints(wl.program);
+    EXPECT_GT(rep.branchesAnalyzed, 0u);
+    EXPECT_EQ(wl.program.regionNames(), regions);
+    EXPECT_EQ(wl.program.check(), "");
+
+    GpuConfig cfg;
+    cfg.siEnabled = true;
+    cfg.divergeOrder = DivergeOrder::HintStallFirst;
+    const GpuResult r = runWorkload(wl, cfg);
+    ASSERT_TRUE(r.ok()) << r.status.message;
+    EXPECT_EQ(r.total.warpsRetired, 8u);
 }

@@ -61,6 +61,50 @@ TEST(Watchdog, BarrierDeadlockClassifiedWithDiagnostic)
     EXPECT_THAT(r.status.diagnostic, HasSubstr("barrier B1"));
 }
 
+TEST(Watchdog, DeadlockFoundMidTickKeepsTheWarpCyclePartition)
+{
+    // Warp 3 deadlocks while the other warps still wait on a load. The
+    // failure unwinds from the middle of a tick's warp scan; the
+    // statistics charge that cycle only to the warps the scan had
+    // reached, so the partition
+    //   liveWarpCycles == instrsIssued + arbLossCycles + sum(stalls)
+    // still closes.
+    const char *src = R"(
+S2R R0, LANEID
+S2R R5, WARPID
+ISETP.LT P0, R0, 16
+ISETP.NE P1, R5, 3
+MOV R1, 0x200000
+LDG R2, [R1+0] &wr=sb0
+FADD R3, R2, R2 &req=sb0
+@P1 EXIT
+BSSY B0, j0
+BSSY B1, j1
+@P0 BRA waitB1
+BSYNC B0
+j0:
+EXIT
+waitB1:
+BSYNC B1
+j1:
+EXIT
+)";
+    GpuConfig cfg;
+    cfg.numSms = 1;
+    Memory mem;
+    const GpuResult r = simulate(cfg, mem, assembleOrDie(src), {16, 4});
+    ASSERT_EQ(r.status.kind, ErrorKind::BarrierDeadlock);
+    const SmStats &s = r.total;
+    std::uint64_t stalls = 0;
+    for (std::uint64_t c : s.stallCyclesByReason)
+        stalls += c;
+    EXPECT_GT(s.liveWarpCycles, 0u);
+    EXPECT_EQ(s.liveWarpCycles, s.instrsIssued + s.arbLossCycles + stalls);
+    EXPECT_EQ(s.liveWarpCycles, s.warpCyclesSubwarpFull +
+                                    s.warpCyclesSubwarpPartial +
+                                    s.warpCyclesSubwarpNone);
+}
+
 TEST(Watchdog, LivelockDetectedAndDumped)
 {
     // A phantom scoreboard increment (no writeback will ever drain it)
