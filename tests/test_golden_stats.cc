@@ -4,6 +4,10 @@
  * (baseline, SI, SI+yield) and the three example kernels under fixed
  * configurations, renders the full counter set as stable key-value
  * text, and compares against checked-in snapshots in tests/golden/.
+ * A two-SM fig9 SI run also pins the exact bytes of the statistics
+ * exports: the statsReport text, the si-stats-v1 document, and an
+ * FNV-1a digest of a mid-run checkpoint (whose Stats sections are
+ * SmStats::save's layout).
  *
  * To regenerate snapshots after an intentional timing-model change:
  *
@@ -21,7 +25,9 @@
 #include <string>
 
 #include "core/gpu.hh"
+#include "harness/report.hh"
 #include "isa/assembler.hh"
+#include "snapshot/snapshot.hh"
 
 using namespace si;
 
@@ -30,9 +36,9 @@ namespace {
 bool update_golden = false;
 
 std::string
-goldenPath(const std::string &name)
+goldenPath(const std::string &name, const std::string &ext = ".txt")
 {
-    return std::string(SI_GOLDEN_DIR) + "/" + name + ".txt";
+    return std::string(SI_GOLDEN_DIR) + "/" + name + ext;
 }
 
 std::string
@@ -89,11 +95,12 @@ renderStats(const GpuResult &r)
     return o.str();
 }
 
+/** Compare @p got with the golden file @p name + @p ext. */
 void
-checkGolden(const std::string &name, const GpuResult &r)
+checkGoldenText(const std::string &name, const std::string &got,
+                const std::string &ext = ".txt")
 {
-    const std::string got = renderStats(r);
-    const std::string path = goldenPath(name);
+    const std::string path = goldenPath(name, ext);
     if (update_golden) {
         std::ofstream out(path);
         ASSERT_TRUE(out.good()) << "cannot write " << path;
@@ -104,8 +111,14 @@ checkGolden(const std::string &name, const GpuResult &r)
     ASSERT_FALSE(want.empty())
         << path << " missing — run with --update-golden to create it";
     EXPECT_EQ(got, want)
-        << name << " counters changed; if intentional, regenerate with "
+        << name << " changed; if intentional, regenerate with "
         << "--update-golden and review the diff";
+}
+
+void
+checkGolden(const std::string &name, const GpuResult &r)
+{
+    checkGoldenText(name, renderStats(r));
 }
 
 // The Figure 9 walkthrough kernel (same shape as
@@ -166,7 +179,73 @@ runKernelFile(const std::string &name, bool si)
     return simulate(cfg, mem, assembleOrDie(src), {4, 4});
 }
 
+/** Cycle the export goldens' checkpoint is frozen at (mid-run). */
+constexpr Cycle kCheckpointCycle = 400;
+
+/**
+ * The fig9 kernel under runKernelFile's SI config on two SMs, so the
+ * aggregate folds (sums, the cycles max) are exercised; @p checkpoint
+ * receives the container frozen at kCheckpointCycle.
+ */
+GpuResult
+runFig9TwoSms(std::string *checkpoint = nullptr,
+              std::vector<std::string> *region_names = nullptr)
+{
+    const Program prog = assembleOrDie(readFile(kernelPath("fig9")));
+    if (region_names)
+        *region_names = prog.regionNames();
+    GpuConfig cfg;
+    cfg.numSms = 2;
+    cfg.siEnabled = true;
+    cfg.yieldEnabled = true;
+    cfg.trigger = SelectTrigger::HalfStalled;
+    if (checkpoint) {
+        cfg.checkpointInterval = 1;
+        cfg.checkpointHook = [checkpoint](const Gpu &gpu, Cycle now) {
+            if (now != kCheckpointCycle)
+                return;
+            SnapshotWriter w;
+            gpu.save(w);
+            *checkpoint = w.finish();
+        };
+    }
+    Memory mem;
+    return simulate(cfg, mem, prog, {4, 4});
+}
+
 } // namespace
+
+TEST(GoldenStats, Fig9StatsReport)
+{
+    const GpuResult r = runFig9TwoSms();
+    ASSERT_TRUE(r.ok()) << r.status.summary();
+    checkGoldenText("fig9_si_report", statsReport(r));
+}
+
+TEST(GoldenStats, Fig9StatsJson)
+{
+    StatsJsonOptions opts;
+    const GpuResult r = runFig9TwoSms(nullptr, &opts.regionNames);
+    ASSERT_TRUE(r.ok()) << r.status.summary();
+    checkGoldenText("fig9_si_stats", statsJson(r, "fig9", opts) + "\n",
+                    ".json");
+}
+
+TEST(GoldenStats, Fig9CheckpointDigest)
+{
+    std::string container;
+    const GpuResult r = runFig9TwoSms(&container);
+    ASSERT_TRUE(r.ok()) << r.status.summary();
+    ASSERT_FALSE(container.empty())
+        << "run retired before cycle " << kCheckpointCycle;
+    Fnv1a h;
+    h.update(container);
+    char line[64];
+    std::snprintf(line, sizeof(line), "cycle %llu bytes %zu fnv1a %016llx\n",
+                  (unsigned long long)kCheckpointCycle, container.size(),
+                  (unsigned long long)h.digest());
+    checkGoldenText("fig9_si_checkpoint", line);
+}
 
 TEST(GoldenStats, Fig10Baseline)
 {
