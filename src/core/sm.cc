@@ -116,53 +116,72 @@ cacheEvent(TraceEventKind kind, unsigned sm_id, const Warp &w, Cycle now,
     return ev;
 }
 
+/** How a counter folds across SMs: the max for Max rows, else a sum. */
+constexpr auto foldStat = [](StatKind kind, auto a, auto b) {
+    return kind == StatKind::Max ? std::max(a, b) : a + b;
+};
+
+template <class S, std::size_t N>
+void
+saveStatFields(SnapshotWriter &w, const S &s,
+               const StatField<S> (&fields)[N])
+{
+    for (const StatField<S> &f : fields) {
+        if (f.kind == StatKind::Real) {
+            w.f64(s.*f.f64);
+        } else if (f.kind == StatKind::Reasons) {
+            for (std::uint64_t v : s.*f.reasons)
+                w.u64(v);
+        } else {
+            w.u64(f.word(s));
+        }
+    }
+}
+
+/**
+ * Read rows written by saveStatFields. A Derived word precedes the
+ * reason counts it derives from, so all are checked once the rows are
+ * read.
+ */
+template <class S, std::size_t N>
+void
+restoreStatFields(SnapshotReader &r, S &s,
+                  const StatField<S> (&fields)[N])
+{
+    std::array<std::uint64_t, N> derived{};
+    for (std::size_t i = 0; i < N; ++i) {
+        const StatField<S> &f = fields[i];
+        if (f.kind == StatKind::Real) {
+            s.*f.f64 = r.f64();
+        } else if (f.kind == StatKind::Reasons) {
+            for (std::uint64_t &v : s.*f.reasons)
+                v = r.u64();
+        } else {
+            (f.kind == StatKind::Derived ? derived[i] : s.*f.u64) = r.u64();
+        }
+    }
+    for (std::size_t i = 0; i < N; ++i) {
+        sim_throw_if(fields[i].kind == StatKind::Derived &&
+                         derived[i] != fields[i].word(s),
+                     ErrorKind::Snapshot,
+                     "stats: per-status word %s disagrees with the "
+                     "per-reason counts",
+                     fields[i].key);
+    }
+}
+
 } // namespace
 
 void
 RegionCounters::accumulate(const RegionCounters &other)
 {
-    warpCycles += other.warpCycles;
-    instrsIssued += other.instrsIssued;
-    arbLossCycles += other.arbLossCycles;
-    for (std::size_t i = 0; i < stallCyclesByReason.size(); ++i)
-        stallCyclesByReason[i] += other.stallCyclesByReason[i];
+    zipStatFields(regionStatFields, *this, *this, other, foldStat);
 }
 
 void
 SmStats::accumulate(const SmStats &other)
 {
-    cycles = std::max(cycles, other.cycles);
-    instrsIssued += other.instrsIssued;
-    warpsRetired += other.warpsRetired;
-    noIssueCycles += other.noIssueCycles;
-    gmemTransactions += other.gmemTransactions;
-    exposedLoadStallCycles += other.exposedLoadStallCycles;
-    exposedLoadStallCyclesDivergent += other.exposedLoadStallCyclesDivergent;
-    exposedFetchStallCycles += other.exposedFetchStallCycles;
-    ldgIssued += other.ldgIssued;
-    texIssued += other.texIssued;
-    rtQueriesIssued += other.rtQueriesIssued;
-    stgIssued += other.stgIssued;
-    divergentBranches += other.divergentBranches;
-    reconvergences += other.reconvergences;
-    subwarpSelects += other.subwarpSelects;
-    subwarpStalls += other.subwarpStalls;
-    subwarpWakeups += other.subwarpWakeups;
-    subwarpYields += other.subwarpYields;
-    tstFullDenials += other.tstFullDenials;
-    l1dHits += other.l1dHits;
-    l1dMisses += other.l1dMisses;
-    l1iHits += other.l1iHits;
-    l1iMisses += other.l1iMisses;
-    l0iHits += other.l0iHits;
-    l0iMisses += other.l0iMisses;
-    liveWarpCycles += other.liveWarpCycles;
-    arbLossCycles += other.arbLossCycles;
-    for (std::size_t i = 0; i < stallCyclesByReason.size(); ++i)
-        stallCyclesByReason[i] += other.stallCyclesByReason[i];
-    warpCyclesSubwarpFull += other.warpCyclesSubwarpFull;
-    warpCyclesSubwarpPartial += other.warpCyclesSubwarpPartial;
-    warpCyclesSubwarpNone += other.warpCyclesSubwarpNone;
+    zipStatFields(smStatFields, *this, *this, other, foldStat);
     if (regions.size() < other.regions.size())
         regions.resize(other.regions.size());
     for (std::size_t i = 0; i < other.regions.size(); ++i)
@@ -173,108 +192,21 @@ void
 SmStats::save(SnapshotWriter &w) const
 {
     w.tag(SnapTag::Stats);
-    w.u64(cycles);
-    w.u64(instrsIssued);
-    w.u64(warpsRetired);
-    w.u64(noIssueCycles);
-    w.u64(exposedLoadStallCycles);
-    w.f64(exposedLoadStallCyclesDivergent);
-    w.u64(exposedFetchStallCycles);
-    w.u64(warpScoreboardStallCycles());
-    w.u64(warpPipeStallCycles());
-    w.u64(warpFetchStallCycles());
-    w.u64(warpSwitchCycles());
-    w.u64(ldgIssued);
-    w.u64(gmemTransactions);
-    w.u64(texIssued);
-    w.u64(rtQueriesIssued);
-    w.u64(stgIssued);
-    w.u64(divergentBranches);
-    w.u64(reconvergences);
-    w.u64(subwarpSelects);
-    w.u64(subwarpStalls);
-    w.u64(subwarpWakeups);
-    w.u64(subwarpYields);
-    w.u64(tstFullDenials);
-    w.u64(l1dHits);
-    w.u64(l1dMisses);
-    w.u64(l1iHits);
-    w.u64(l1iMisses);
-    w.u64(l0iHits);
-    w.u64(l0iMisses);
-    w.u64(liveWarpCycles);
-    w.u64(arbLossCycles);
-    for (std::uint64_t v : stallCyclesByReason)
-        w.u64(v);
-    w.u64(warpCyclesSubwarpFull);
-    w.u64(warpCyclesSubwarpPartial);
-    w.u64(warpCyclesSubwarpNone);
+    saveStatFields(w, *this, smStatFields);
     w.u64(regions.size());
-    for (const RegionCounters &rc : regions) {
-        w.u64(rc.warpCycles);
-        w.u64(rc.instrsIssued);
-        w.u64(rc.arbLossCycles);
-        for (std::uint64_t v : rc.stallCyclesByReason)
-            w.u64(v);
-    }
+    for (const RegionCounters &rc : regions)
+        saveStatFields(w, rc, regionStatFields);
 }
 
 void
 SmStats::restore(SnapshotReader &r)
 {
     r.tag(SnapTag::Stats);
-    cycles = r.u64();
-    instrsIssued = r.u64();
-    warpsRetired = r.u64();
-    noIssueCycles = r.u64();
-    exposedLoadStallCycles = r.u64();
-    exposedLoadStallCyclesDivergent = r.f64();
-    exposedFetchStallCycles = r.u64();
-    // The per-status words precede the reason counts they derive from;
-    // checked once those are read.
-    std::array<std::uint64_t, 4> per_status;
-    for (std::uint64_t &v : per_status)
-        v = r.u64();
-    ldgIssued = r.u64();
-    gmemTransactions = r.u64();
-    texIssued = r.u64();
-    rtQueriesIssued = r.u64();
-    stgIssued = r.u64();
-    divergentBranches = r.u64();
-    reconvergences = r.u64();
-    subwarpSelects = r.u64();
-    subwarpStalls = r.u64();
-    subwarpWakeups = r.u64();
-    subwarpYields = r.u64();
-    tstFullDenials = r.u64();
-    l1dHits = r.u64();
-    l1dMisses = r.u64();
-    l1iHits = r.u64();
-    l1iMisses = r.u64();
-    l0iHits = r.u64();
-    l0iMisses = r.u64();
-    liveWarpCycles = r.u64();
-    arbLossCycles = r.u64();
-    for (std::uint64_t &v : stallCyclesByReason)
-        v = r.u64();
-    const std::array<std::uint64_t, 4> derived{
-        warpScoreboardStallCycles(), warpPipeStallCycles(),
-        warpFetchStallCycles(), warpSwitchCycles()};
-    sim_throw_if(per_status != derived, ErrorKind::Snapshot,
-                 "stats: per-status stall words disagree with the "
-                 "per-reason counts");
-    warpCyclesSubwarpFull = r.u64();
-    warpCyclesSubwarpPartial = r.u64();
-    warpCyclesSubwarpNone = r.u64();
-    regions.resize(
-        r.count(sizeof(std::uint64_t) * (3 + numStallReasons)));
-    for (RegionCounters &rc : regions) {
-        rc.warpCycles = r.u64();
-        rc.instrsIssued = r.u64();
-        rc.arbLossCycles = r.u64();
-        for (std::uint64_t &v : rc.stallCyclesByReason)
-            v = r.u64();
-    }
+    restoreStatFields(r, *this, smStatFields);
+    // A region saves exactly the members it stores.
+    regions.resize(r.count(storedBytes(regionStatFields)));
+    for (RegionCounters &rc : regions)
+        restoreStatFields(r, rc, regionStatFields);
 }
 
 Sm::Sm(unsigned id, const GpuConfig &config, Memory &memory,

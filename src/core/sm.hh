@@ -41,6 +41,109 @@ enum class WarpStatus : std::uint8_t {
 using StallCounts = std::array<std::uint64_t, numStallReasons>;
 
 /**
+ * What one row of a statistics field list (regionStatFields,
+ * smStatFields) holds, and with it how the row is folded across SMs,
+ * differenced per metrics window, serialized and listed in si-stats-v1.
+ */
+enum class StatKind : std::uint8_t {
+    Sum,     ///< u64 member, summed across SMs
+    Max,     ///< u64 member, the max across SMs
+    Real,    ///< f64 member, summed; listed only through a formula
+    Derived, ///< u64 word derived from the per-reason counts: saved
+             ///< (checked on restore) and listed, never stored
+    Reasons, ///< StallCounts member, one entry per StallReason
+};
+
+/**
+ * One row of a statistics field list: its si-stats-v1 key (for Reasons
+ * the prefix of the per-reason keys) and the member it names.
+ */
+template <class S>
+struct StatField
+{
+    constexpr StatField(const char *k, std::uint64_t S::*m,
+                        StatKind fold = StatKind::Sum)
+        : kind(fold), key(k), u64(m)
+    {
+    }
+    constexpr StatField(const char *k, double S::*m)
+        : kind(StatKind::Real), key(k), f64(m)
+    {
+    }
+    constexpr StatField(const char *k, std::uint64_t (S::*fn)() const)
+        : kind(StatKind::Derived), key(k), derived(fn)
+    {
+    }
+    constexpr StatField(const char *k, StallCounts S::*m)
+        : kind(StatKind::Reasons), key(k), reasons(m)
+    {
+    }
+
+    /** The u64 a Sum, Max or Derived row holds in @p s. */
+    std::uint64_t
+    word(const S &s) const
+    {
+        return kind == StatKind::Derived ? (s.*derived)() : s.*u64;
+    }
+
+    StatKind kind;
+    const char *key;
+    std::uint64_t S::*u64 = nullptr;
+    double S::*f64 = nullptr;
+    std::uint64_t (S::*derived)() const = nullptr;
+    StallCounts S::*reasons = nullptr;
+};
+
+/**
+ * out = op(kind, a, b) member by member over every stored row of
+ * @p fields (a Reasons row entry by entry): the one loop behind
+ * accumulate() and the metrics windows' deltas.
+ */
+template <class S, std::size_t N, class Op>
+void
+zipStatFields(const StatField<S> (&fields)[N], S &out, const S &a,
+              const S &b, Op op)
+{
+    for (const StatField<S> &f : fields) {
+        if (f.kind == StatKind::Real) {
+            out.*f.f64 = op(f.kind, a.*f.f64, b.*f.f64);
+        } else if (f.kind == StatKind::Reasons) {
+            for (std::size_t k = 0; k < numStallReasons; ++k)
+                (out.*f.reasons)[k] =
+                    op(f.kind, (a.*f.reasons)[k], (b.*f.reasons)[k]);
+        } else if (f.kind != StatKind::Derived) {
+            out.*f.u64 = op(f.kind, a.*f.u64, b.*f.u64);
+        }
+    }
+}
+
+/**
+ * Bytes of S the rows of @p fields store, or 0 when two rows name the
+ * same stored member. Checked against sizeof(S) below, so a member
+ * added without its row fails to compile. (Derived rows store nothing;
+ * member-function pointers are not compared, which sanitizer builds
+ * cannot do at compile time.)
+ */
+template <class S, std::size_t N>
+constexpr std::size_t
+storedBytes(const StatField<S> (&fields)[N])
+{
+    std::size_t bytes = 0;
+    for (std::size_t i = 0; i < N; ++i) {
+        const StatField<S> &f = fields[i];
+        if (f.kind == StatKind::Derived)
+            continue;
+        for (std::size_t j = 0; j < i; ++j) {
+            const StatField<S> &g = fields[j];
+            if (f.u64 == g.u64 && f.f64 == g.f64 && f.reasons == g.reasons)
+                return 0;
+        }
+        bytes += f.kind == StatKind::Reasons ? sizeof(StallCounts) : 8;
+    }
+    return bytes;
+}
+
+/**
  * Warp-cycle accounting for one MARKER-delimited kernel region, indexed
  * by the program's region-table index (0 = the implicit "_entry"). The
  * same partition identity as the SM-wide counters holds per region:
@@ -57,7 +160,21 @@ struct RegionCounters
     bool operator==(const RegionCounters &) const = default;
 };
 
-/** Aggregate statistics for one SM (and, summed, for the GPU). */
+/** RegionCounters' field list, in sisnap and si-stats-v1 order. */
+inline constexpr StatField<RegionCounters> regionStatFields[] = {
+    {"warp_cycles", &RegionCounters::warpCycles},
+    {"instrs_issued", &RegionCounters::instrsIssued},
+    {"arb_loss_cycles", &RegionCounters::arbLossCycles},
+    {"stall_cycles", &RegionCounters::stallCyclesByReason},
+};
+static_assert(sizeof(RegionCounters) == storedBytes(regionStatFields),
+              "every RegionCounters member needs one regionStatFields row");
+
+/**
+ * Aggregate statistics for one SM (and, summed, for the GPU). Every
+ * counter has one row in smStatFields below; the region table has its
+ * own, regionStatFields.
+ */
 struct SmStats
 {
     std::uint64_t cycles = 0;
@@ -173,6 +290,55 @@ struct SmStats
      */
     void restore(SnapshotReader &r);
 };
+
+/**
+ * SmStats' field list, in sisnap order, which is also the order of the
+ * si-stats-v1 scalars (statsGroup). accumulate(), statsDelta(), save(),
+ * restore() and statsGroup() loop over it; a new counter is one member
+ * plus one row here (and, since the sisnap layout changes, a format
+ * bump).
+ */
+inline constexpr StatField<SmStats> smStatFields[] = {
+    {"cycles", &SmStats::cycles, StatKind::Max},
+    {"instrs_issued", &SmStats::instrsIssued},
+    {"warps_retired", &SmStats::warpsRetired},
+    {"no_issue_cycles", &SmStats::noIssueCycles},
+    {"exposed_load_stall_cycles", &SmStats::exposedLoadStallCycles},
+    {"exposed_load_stall_cycles_divergent",
+     &SmStats::exposedLoadStallCyclesDivergent},
+    {"exposed_fetch_stall_cycles", &SmStats::exposedFetchStallCycles},
+    {"warp_scoreboard_stall_cycles", &SmStats::warpScoreboardStallCycles},
+    {"warp_pipe_stall_cycles", &SmStats::warpPipeStallCycles},
+    {"warp_fetch_stall_cycles", &SmStats::warpFetchStallCycles},
+    {"warp_switch_cycles", &SmStats::warpSwitchCycles},
+    {"ldg_issued", &SmStats::ldgIssued},
+    {"gmem_transactions", &SmStats::gmemTransactions},
+    {"tex_issued", &SmStats::texIssued},
+    {"rt_queries_issued", &SmStats::rtQueriesIssued},
+    {"stg_issued", &SmStats::stgIssued},
+    {"divergent_branches", &SmStats::divergentBranches},
+    {"reconvergences", &SmStats::reconvergences},
+    {"subwarp_selects", &SmStats::subwarpSelects},
+    {"subwarp_stalls", &SmStats::subwarpStalls},
+    {"subwarp_wakeups", &SmStats::subwarpWakeups},
+    {"subwarp_yields", &SmStats::subwarpYields},
+    {"tst_full_denials", &SmStats::tstFullDenials},
+    {"l1d_hits", &SmStats::l1dHits},
+    {"l1d_misses", &SmStats::l1dMisses},
+    {"l1i_hits", &SmStats::l1iHits},
+    {"l1i_misses", &SmStats::l1iMisses},
+    {"l0i_hits", &SmStats::l0iHits},
+    {"l0i_misses", &SmStats::l0iMisses},
+    {"live_warp_cycles", &SmStats::liveWarpCycles},
+    {"arb_loss_cycles", &SmStats::arbLossCycles},
+    {"stall_cycles", &SmStats::stallCyclesByReason},
+    {"warp_cycles_subwarp_full", &SmStats::warpCyclesSubwarpFull},
+    {"warp_cycles_subwarp_partial", &SmStats::warpCyclesSubwarpPartial},
+    {"warp_cycles_subwarp_none", &SmStats::warpCyclesSubwarpNone},
+};
+static_assert(sizeof(SmStats) == storedBytes(smStatFields) +
+                                     sizeof(std::vector<RegionCounters>),
+              "every SmStats counter needs one smStatFields row");
 
 /**
  * One bit per resident position of a processing block: ascending bit

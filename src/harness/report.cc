@@ -60,17 +60,6 @@ opcodeLabel(std::uint32_t op)
     return op == noOpcode ? "(none)" : opcodeName(static_cast<Opcode>(op));
 }
 
-/** "load-to-use" -> "load_to_use": stat-scalar-safe reason name. */
-std::string
-reasonKey(unsigned reason)
-{
-    std::string s = stallReasonName(StallReason(reason));
-    for (char &c : s)
-        if (c == '-')
-            c = '_';
-    return s;
-}
-
 } // namespace
 
 StatGroup
@@ -79,43 +68,17 @@ statsGroup(const std::string &name, const SmStats &s,
 {
     const std::uint64_t norm = norm_cycles ? norm_cycles : s.cycles;
     StatGroup g(name);
-    g.scalar("cycles") = s.cycles;
-    g.scalar("instrs_issued") = s.instrsIssued;
-    g.scalar("warps_retired") = s.warpsRetired;
-    g.scalar("no_issue_cycles") = s.noIssueCycles;
-    g.scalar("exposed_load_stall_cycles") = s.exposedLoadStallCycles;
-    g.scalar("exposed_fetch_stall_cycles") = s.exposedFetchStallCycles;
-    g.scalar("warp_scoreboard_stall_cycles") =
-        s.warpScoreboardStallCycles();
-    g.scalar("warp_pipe_stall_cycles") = s.warpPipeStallCycles();
-    g.scalar("warp_fetch_stall_cycles") = s.warpFetchStallCycles();
-    g.scalar("warp_switch_cycles") = s.warpSwitchCycles();
-    g.scalar("ldg_issued") = s.ldgIssued;
-    g.scalar("gmem_transactions") = s.gmemTransactions;
-    g.scalar("tex_issued") = s.texIssued;
-    g.scalar("rt_queries_issued") = s.rtQueriesIssued;
-    g.scalar("stg_issued") = s.stgIssued;
-    g.scalar("divergent_branches") = s.divergentBranches;
-    g.scalar("reconvergences") = s.reconvergences;
-    g.scalar("subwarp_selects") = s.subwarpSelects;
-    g.scalar("subwarp_stalls") = s.subwarpStalls;
-    g.scalar("subwarp_wakeups") = s.subwarpWakeups;
-    g.scalar("subwarp_yields") = s.subwarpYields;
-    g.scalar("tst_full_denials") = s.tstFullDenials;
-    g.scalar("l1d_hits") = s.l1dHits;
-    g.scalar("l1d_misses") = s.l1dMisses;
-    g.scalar("l1i_hits") = s.l1iHits;
-    g.scalar("l1i_misses") = s.l1iMisses;
-    g.scalar("l0i_hits") = s.l0iHits;
-    g.scalar("l0i_misses") = s.l0iMisses;
-    g.scalar("live_warp_cycles") = s.liveWarpCycles;
-    g.scalar("arb_loss_cycles") = s.arbLossCycles;
-    for (unsigned k = 0; k < numStallReasons; ++k)
-        g.scalar("stall_cycles_" + reasonKey(k)) =
-            s.stallCyclesByReason[k];
-    g.scalar("warp_cycles_subwarp_full") = s.warpCyclesSubwarpFull;
-    g.scalar("warp_cycles_subwarp_partial") = s.warpCyclesSubwarpPartial;
-    g.scalar("warp_cycles_subwarp_none") = s.warpCyclesSubwarpNone;
+    for (const StatField<SmStats> &f : smStatFields) {
+        if (f.kind == StatKind::Reasons) {
+            for (unsigned k = 0; k < numStallReasons; ++k)
+                g.scalar(std::string(f.key) + "_" +
+                         stallReasonKey(StallReason(k))) =
+                    (s.*f.reasons)[k];
+        } else if (f.kind != StatKind::Real) {
+            // Real rows are listed as exposed_stall_frac_divergent.
+            g.scalar(f.key) = f.word(s);
+        }
+    }
 
     g.formula("ipc", [&s]() {
         return s.cycles ? double(s.instrsIssued) / double(s.cycles) : 0.0;
@@ -191,14 +154,18 @@ statsJson(const GpuResult &result, const std::string &kernel,
         w.key("name").value(i < options.regionNames.size()
                                 ? options.regionNames[i]
                                 : "region" + std::to_string(i));
-        w.key("warp_cycles").value(rc.warpCycles);
-        w.key("instrs_issued").value(rc.instrsIssued);
-        w.key("arb_loss_cycles").value(rc.arbLossCycles);
-        w.key("stall_cycles").beginObject();
-        for (unsigned k = 0; k < numStallReasons; ++k)
-            w.key(stallReasonName(StallReason(k)))
-                .value(rc.stallCyclesByReason[k]);
-        w.endObject();
+        for (const StatField<RegionCounters> &f : regionStatFields) {
+            w.key(f.key);
+            if (f.kind != StatKind::Reasons) {
+                w.value(f.word(rc));
+                continue;
+            }
+            w.beginObject();
+            for (unsigned k = 0; k < numStallReasons; ++k)
+                w.key(stallReasonName(StallReason(k)))
+                    .value((rc.*f.reasons)[k]);
+            w.endObject();
+        }
         w.endObject();
     }
     w.endArray();

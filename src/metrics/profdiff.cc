@@ -10,17 +10,6 @@ namespace si {
 
 namespace {
 
-/** "load-to-use" -> "load_to_use" (si-stats-v1 scalar key suffix). */
-std::string
-reasonKey(unsigned reason)
-{
-    std::string s = stallReasonName(StallReason(reason));
-    for (char &c : s)
-        if (c == '-')
-            c = '_';
-    return s;
-}
-
 std::uint64_t
 u64Of(const json::Value &v)
 {
@@ -82,7 +71,8 @@ loadStatsV1(const json::Value &doc, ProfSide &out, std::string &error)
         return false;
     }
     for (unsigned k = 0; k < numStallReasons; ++k)
-        out.stall[k] = u64Field(*scalars, "stall_cycles_" + reasonKey(k));
+        out.stall[k] = u64Field(
+            *scalars, "stall_cycles_" + stallReasonKey(StallReason(k)));
 
     const json::Value *regions = doc.find("regions");
     if (!regions || !regions->isArray()) {

@@ -9,17 +9,6 @@ namespace si {
 
 namespace {
 
-/** "load-to-use" -> "load_to_use": CSV/scalar-safe reason name. */
-std::string
-reasonKey(unsigned reason)
-{
-    std::string s = stallReasonName(StallReason(reason));
-    for (char &c : s)
-        if (c == '-')
-            c = '_';
-    return s;
-}
-
 double
 ratio(std::uint64_t num, std::uint64_t den)
 {
@@ -40,63 +29,17 @@ minStatsBytes()
 SmStats
 statsDelta(const SmStats &prev, const SmStats &cur)
 {
+    const auto minus = [](StatKind, auto p, auto c) { return c - p; };
     SmStats d;
-    d.cycles = cur.cycles - prev.cycles;
-    d.instrsIssued = cur.instrsIssued - prev.instrsIssued;
-    d.warpsRetired = cur.warpsRetired - prev.warpsRetired;
-    d.noIssueCycles = cur.noIssueCycles - prev.noIssueCycles;
-    d.exposedLoadStallCycles =
-        cur.exposedLoadStallCycles - prev.exposedLoadStallCycles;
-    d.exposedLoadStallCyclesDivergent =
-        cur.exposedLoadStallCyclesDivergent -
-        prev.exposedLoadStallCyclesDivergent;
-    d.exposedFetchStallCycles =
-        cur.exposedFetchStallCycles - prev.exposedFetchStallCycles;
-    d.ldgIssued = cur.ldgIssued - prev.ldgIssued;
-    d.gmemTransactions = cur.gmemTransactions - prev.gmemTransactions;
-    d.texIssued = cur.texIssued - prev.texIssued;
-    d.rtQueriesIssued = cur.rtQueriesIssued - prev.rtQueriesIssued;
-    d.stgIssued = cur.stgIssued - prev.stgIssued;
-    d.divergentBranches = cur.divergentBranches - prev.divergentBranches;
-    d.reconvergences = cur.reconvergences - prev.reconvergences;
-    d.subwarpSelects = cur.subwarpSelects - prev.subwarpSelects;
-    d.subwarpStalls = cur.subwarpStalls - prev.subwarpStalls;
-    d.subwarpWakeups = cur.subwarpWakeups - prev.subwarpWakeups;
-    d.subwarpYields = cur.subwarpYields - prev.subwarpYields;
-    d.tstFullDenials = cur.tstFullDenials - prev.tstFullDenials;
-    d.l1dHits = cur.l1dHits - prev.l1dHits;
-    d.l1dMisses = cur.l1dMisses - prev.l1dMisses;
-    d.l1iHits = cur.l1iHits - prev.l1iHits;
-    d.l1iMisses = cur.l1iMisses - prev.l1iMisses;
-    d.l0iHits = cur.l0iHits - prev.l0iHits;
-    d.l0iMisses = cur.l0iMisses - prev.l0iMisses;
-    d.liveWarpCycles = cur.liveWarpCycles - prev.liveWarpCycles;
-    d.arbLossCycles = cur.arbLossCycles - prev.arbLossCycles;
-    for (std::size_t i = 0; i < d.stallCyclesByReason.size(); ++i)
-        d.stallCyclesByReason[i] =
-            cur.stallCyclesByReason[i] - prev.stallCyclesByReason[i];
-    d.warpCyclesSubwarpFull =
-        cur.warpCyclesSubwarpFull - prev.warpCyclesSubwarpFull;
-    d.warpCyclesSubwarpPartial =
-        cur.warpCyclesSubwarpPartial - prev.warpCyclesSubwarpPartial;
-    d.warpCyclesSubwarpNone =
-        cur.warpCyclesSubwarpNone - prev.warpCyclesSubwarpNone;
+    zipStatFields(smStatFields, d, prev, cur, minus);
     // The region table only ever grows; a region absent from prev had
     // all-zero counters at the window's start.
     d.regions.resize(cur.regions.size());
     for (std::size_t i = 0; i < cur.regions.size(); ++i) {
         const RegionCounters zero;
-        const RegionCounters &p =
-            i < prev.regions.size() ? prev.regions[i] : zero;
-        d.regions[i].warpCycles = cur.regions[i].warpCycles - p.warpCycles;
-        d.regions[i].instrsIssued =
-            cur.regions[i].instrsIssued - p.instrsIssued;
-        d.regions[i].arbLossCycles =
-            cur.regions[i].arbLossCycles - p.arbLossCycles;
-        for (std::size_t k = 0; k < numStallReasons; ++k)
-            d.regions[i].stallCyclesByReason[k] =
-                cur.regions[i].stallCyclesByReason[k] -
-                p.stallCyclesByReason[k];
+        zipStatFields(regionStatFields, d.regions[i],
+                      i < prev.regions.size() ? prev.regions[i] : zero,
+                      cur.regions[i], minus);
     }
     return d;
 }
@@ -220,11 +163,80 @@ MetricsSampler::restore(SnapshotReader &r)
 
 namespace {
 
+/**
+ * One per-window export column, in si-metrics-v1 window order (after
+ * start and end), which is also the CSV column order: a counter of the
+ * window's delta, a ratio over it, or the per-reason stall block (a
+ * "stall_cycles" object in JSON, one stall_<reason> column per reason
+ * in CSV).
+ */
+struct WindowColumn
+{
+    using Ratio = double (*)(const SmStats &d, unsigned warp_slots_per_sm);
+
+    constexpr WindowColumn(const char *n, std::uint64_t SmStats::*m)
+        : name(n), count(m)
+    {
+    }
+    constexpr WindowColumn(const char *n, Ratio fn) : name(n), ratioOf(fn)
+    {
+    }
+    constexpr WindowColumn(const char *n, StallCounts SmStats::*m)
+        : name(n), reasons(m)
+    {
+    }
+
+    const char *name;
+    std::uint64_t SmStats::*count = nullptr;
+    Ratio ratioOf = nullptr;
+    StallCounts SmStats::*reasons = nullptr;
+};
+
+constexpr WindowColumn windowColumns[] = {
+    {"cycles", &SmStats::cycles},
+    {"instrs_issued", &SmStats::instrsIssued},
+    {"ipc",
+     [](const SmStats &d, unsigned) {
+         return ratio(d.instrsIssued, d.cycles);
+     }},
+    {"live_warp_cycles", &SmStats::liveWarpCycles},
+    {"arb_loss_cycles", &SmStats::arbLossCycles},
+    {"stall_cycles", &SmStats::stallCyclesByReason},
+    {"subwarp_full", &SmStats::warpCyclesSubwarpFull},
+    {"subwarp_partial", &SmStats::warpCyclesSubwarpPartial},
+    {"subwarp_none", &SmStats::warpCyclesSubwarpNone},
+    {"occupancy",
+     [](const SmStats &d, unsigned slots) {
+         return ratio(d.liveWarpCycles, d.cycles * slots);
+     }},
+    {"l1d_hits", &SmStats::l1dHits},
+    {"l1d_misses", &SmStats::l1dMisses},
+    {"l1d_hit_rate",
+     [](const SmStats &d, unsigned) {
+         return ratio(d.l1dHits, d.l1dHits + d.l1dMisses);
+     }},
+    {"l0i_hits", &SmStats::l0iHits},
+    {"l0i_misses", &SmStats::l0iMisses},
+    {"l0i_hit_rate",
+     [](const SmStats &d, unsigned) {
+         return ratio(d.l0iHits, d.l0iHits + d.l0iMisses);
+     }},
+};
+
 /** True when a region contributed nothing to this window. */
 bool
 regionZero(const RegionCounters &rc)
 {
     return rc == RegionCounters{};
+}
+
+/** Write @p v as JSON writes a u64 (the CSV's count cells). */
+void
+appendCount(std::string &out, std::uint64_t v)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "%llu", (unsigned long long)(v));
+    out += buf;
 }
 
 void
@@ -235,27 +247,20 @@ writeWindow(json::Writer &w, const MetricsWindow &win,
     w.beginObject();
     w.key("start").value(std::uint64_t(win.start));
     w.key("end").value(std::uint64_t(win.end));
-    w.key("cycles").value(d.cycles);
-    w.key("instrs_issued").value(d.instrsIssued);
-    w.key("ipc").value(ratio(d.instrsIssued, d.cycles));
-    w.key("live_warp_cycles").value(d.liveWarpCycles);
-    w.key("arb_loss_cycles").value(d.arbLossCycles);
-    w.key("stall_cycles").beginObject();
-    for (unsigned k = 0; k < numStallReasons; ++k)
-        w.key(stallReasonName(StallReason(k)))
-            .value(d.stallCyclesByReason[k]);
-    w.endObject();
-    w.key("subwarp_full").value(d.warpCyclesSubwarpFull);
-    w.key("subwarp_partial").value(d.warpCyclesSubwarpPartial);
-    w.key("subwarp_none").value(d.warpCyclesSubwarpNone);
-    w.key("occupancy")
-        .value(ratio(d.liveWarpCycles, d.cycles * warp_slots_per_sm));
-    w.key("l1d_hits").value(d.l1dHits);
-    w.key("l1d_misses").value(d.l1dMisses);
-    w.key("l1d_hit_rate").value(ratio(d.l1dHits, d.l1dHits + d.l1dMisses));
-    w.key("l0i_hits").value(d.l0iHits);
-    w.key("l0i_misses").value(d.l0iMisses);
-    w.key("l0i_hit_rate").value(ratio(d.l0iHits, d.l0iHits + d.l0iMisses));
+    for (const WindowColumn &c : windowColumns) {
+        w.key(c.name);
+        if (c.count) {
+            w.value(d.*c.count);
+        } else if (c.ratioOf) {
+            w.value(c.ratioOf(d, warp_slots_per_sm));
+        } else {
+            w.beginObject();
+            for (unsigned k = 0; k < numStallReasons; ++k)
+                w.key(stallReasonName(StallReason(k)))
+                    .value((d.*c.reasons)[k]);
+            w.endObject();
+        }
+    }
     w.key("regions").beginArray();
     for (std::size_t i = 0; i < d.regions.size(); ++i) {
         const RegionCounters &rc = d.regions[i];
@@ -263,14 +268,18 @@ writeWindow(json::Writer &w, const MetricsWindow &win,
             continue;
         w.beginObject();
         w.key("region").value(std::uint64_t(i));
-        w.key("warp_cycles").value(rc.warpCycles);
-        w.key("instrs_issued").value(rc.instrsIssued);
-        w.key("arb_loss_cycles").value(rc.arbLossCycles);
-        w.key("stall_cycles").beginObject();
-        for (unsigned k = 0; k < numStallReasons; ++k)
-            w.key(stallReasonName(StallReason(k)))
-                .value(rc.stallCyclesByReason[k]);
-        w.endObject();
+        for (const StatField<RegionCounters> &f : regionStatFields) {
+            w.key(f.key);
+            if (f.kind != StatKind::Reasons) {
+                w.value(f.word(rc));
+                continue;
+            }
+            w.beginObject();
+            for (unsigned k = 0; k < numStallReasons; ++k)
+                w.key(stallReasonName(StallReason(k)))
+                    .value((rc.*f.reasons)[k]);
+            w.endObject();
+        }
         w.endObject();
     }
     w.endArray();
@@ -318,54 +327,40 @@ metricsJson(const MetricsSampler &sampler, const std::string &kernel,
 std::string
 metricsCsv(const MetricsSampler &sampler)
 {
-    std::string out = "sm,start,end,cycles,instrs_issued,ipc,"
-                      "live_warp_cycles,arb_loss_cycles";
-    for (unsigned k = 0; k < numStallReasons; ++k)
-        out += ",stall_" + reasonKey(k);
-    out += ",subwarp_full,subwarp_partial,subwarp_none,occupancy,"
-           "l1d_hits,l1d_misses,l1d_hit_rate,l0i_hits,l0i_misses,"
-           "l0i_hit_rate\n";
+    std::string out = "sm,start,end";
+    for (const WindowColumn &c : windowColumns) {
+        if (!c.reasons) {
+            out += ',';
+            out += c.name;
+            continue;
+        }
+        for (unsigned k = 0; k < numStallReasons; ++k)
+            out += ",stall_" + stallReasonKey(StallReason(k));
+    }
+    out += '\n';
     for (unsigned i = 0; i < sampler.numSms(); ++i) {
         for (const MetricsWindow &win : sampler.windows(i)) {
             const SmStats &d = win.delta;
-            char buf[96];
-            std::snprintf(buf, sizeof(buf), "%u,%llu,%llu,%llu,%llu,",
-                          i, (unsigned long long)(win.start),
-                          (unsigned long long)(win.end),
-                          (unsigned long long)(d.cycles),
-                          (unsigned long long)(d.instrsIssued));
+            char buf[64];
+            std::snprintf(buf, sizeof(buf), "%u,%llu,%llu", i,
+                          (unsigned long long)(win.start),
+                          (unsigned long long)(win.end));
             out += buf;
-            out += json::formatNumber(ratio(d.instrsIssued, d.cycles));
-            std::snprintf(buf, sizeof(buf), ",%llu,%llu",
-                          (unsigned long long)(d.liveWarpCycles),
-                          (unsigned long long)(d.arbLossCycles));
-            out += buf;
-            for (unsigned k = 0; k < numStallReasons; ++k) {
-                std::snprintf(
-                    buf, sizeof(buf), ",%llu",
-                    (unsigned long long)(d.stallCyclesByReason[k]));
-                out += buf;
+            for (const WindowColumn &c : windowColumns) {
+                out += ',';
+                if (c.count) {
+                    appendCount(out, d.*c.count);
+                } else if (c.ratioOf) {
+                    out += json::formatNumber(
+                        c.ratioOf(d, sampler.warpSlotsPerSm()));
+                } else {
+                    for (unsigned k = 0; k < numStallReasons; ++k) {
+                        if (k)
+                            out += ',';
+                        appendCount(out, (d.*c.reasons)[k]);
+                    }
+                }
             }
-            std::snprintf(buf, sizeof(buf), ",%llu,%llu,%llu,",
-                          (unsigned long long)(d.warpCyclesSubwarpFull),
-                          (unsigned long long)(d.warpCyclesSubwarpPartial),
-                          (unsigned long long)(d.warpCyclesSubwarpNone));
-            out += buf;
-            out += json::formatNumber(ratio(
-                d.liveWarpCycles,
-                d.cycles * sampler.warpSlotsPerSm()));
-            std::snprintf(buf, sizeof(buf), ",%llu,%llu,",
-                          (unsigned long long)(d.l1dHits),
-                          (unsigned long long)(d.l1dMisses));
-            out += buf;
-            out += json::formatNumber(
-                ratio(d.l1dHits, d.l1dHits + d.l1dMisses));
-            std::snprintf(buf, sizeof(buf), ",%llu,%llu,",
-                          (unsigned long long)(d.l0iHits),
-                          (unsigned long long)(d.l0iMisses));
-            out += buf;
-            out += json::formatNumber(
-                ratio(d.l0iHits, d.l0iHits + d.l0iMisses));
             out += '\n';
         }
     }

@@ -40,6 +40,16 @@ stallReasonName(StallReason reason)
     return "unknown";
 }
 
+std::string
+stallReasonKey(StallReason reason)
+{
+    std::string s = stallReasonName(reason);
+    for (char &c : s)
+        if (c == '-')
+            c = '_';
+    return s;
+}
+
 const char *
 traceCacheLevelName(TraceCacheLevel level)
 {

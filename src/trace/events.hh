@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 
 #include "common/types.hh"
 
@@ -84,6 +85,12 @@ inline constexpr unsigned numStallReasons = 6;
 
 /** Short stable name ("load-to-use", "i-fetch", ...). */
 const char *stallReasonName(StallReason reason);
+
+/**
+ * The name as a key suffix ("load_to_use"): the per-reason si-stats-v1
+ * scalars and si-metrics CSV columns.
+ */
+std::string stallReasonKey(StallReason reason);
 
 /** Which cache a CacheAccess/CacheFill event concerns. */
 enum class TraceCacheLevel : std::uint8_t { L1D, L1I, L0I };
