@@ -94,6 +94,9 @@ Gpu::Gpu(const GpuConfig &config, Memory &memory, const Bvh *scene)
                  "an SM needs at least one processing block");
     sim_throw_if(config_.warpSlotsPerPb == 0, ErrorKind::Config,
                  "a processing block needs at least one warp slot");
+    sim_throw_if(config_.siEnabled && config_.maxSubwarps == 0,
+                 ErrorKind::Config,
+                 "subwarp interleaving needs at least one TST entry");
     sim_throw_if(config_.numSms > traceMaxSms, ErrorKind::Config,
                  "%u SMs exceed the %u that trace events can name",
                  config_.numSms, traceMaxSms);

@@ -116,6 +116,30 @@ TEST(ProgramEdge, ZeroSizedMachineShapeRejectedAtConstruction)
     }
 }
 
+TEST(ProgramEdge, SiWithZeroEntryTstRejectedAtConstruction)
+{
+    KernelBuilder kb("k");
+    kb.exit();
+    const Program p = kb.build(8);
+    GpuConfig cfg;
+    cfg.numSms = 1;
+    cfg.siEnabled = true;
+    cfg.maxSubwarps = 0;
+    Memory mem;
+    try {
+        Gpu gpu(cfg, mem);
+        ADD_FAILURE() << "SI with a zero-entry TST accepted";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::Config);
+    }
+    const GpuResult r = simulate(cfg, mem, p, {1, 1});
+    EXPECT_EQ(r.status.kind, ErrorKind::Config);
+
+    // Without SI the TST is unused, so its size does not matter.
+    cfg.siEnabled = false;
+    EXPECT_TRUE(simulate(cfg, mem, p, {1, 1}).ok());
+}
+
 TEST(ProgramEdge, LaunchBeyondTraceIdsRejected)
 {
     // TraceEvent names warps in 16 bits and SMs in 8: a larger launch
