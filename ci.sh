@@ -170,7 +170,7 @@ check_campaign_soak() {
 # ThreadSanitizer leg for the parallel execution engine: build with
 # -fsanitize=thread and drive the code that actually runs concurrent
 # workers — the executor/equivalence suite (test_parallel) and the
-# 64-seed differential matrix on the thread-pool path. A full ctest
+# 64-seed differential matrix on the worker-thread path. A full ctest
 # pass under TSan would mostly re-run single-threaded code at 5-15x
 # slowdown for no extra race coverage, so this leg stays targeted.
 run_tsan() {
@@ -186,9 +186,10 @@ run_tsan() {
 }
 
 # Fast-forward equivalence gate: the event-driven cycle-leap engine
-# must be invisible everywhere except wall-clock. Three sub-gates:
-# the 256-seed differential + determinism sweep byte-compared between
-# forced-on and forced-off (stdout and exit status both), the memlat
+# must be invisible everywhere except wall-clock. Its sub-gates: the
+# 256-seed differential + determinism sweep and the 256-seed race
+# oracle sweep, each byte-compared between forced-on and forced-off
+# (stdout and exit status both), the memlat
 # high-latency cell's si-stats-v1/si-metrics-v1 exports byte-compared
 # between modes, and the fig13 latency-sweep tables byte-compared
 # between modes.
@@ -202,6 +203,12 @@ check_fastforward() {
     "$dir/tools/difftest" --seeds 256 --snapshot --jobs 0 \
         --fast-forward=off > "$art/difftest_ff_off.txt"
     diff -u "$art/difftest_ff_on.txt" "$art/difftest_ff_off.txt"
+    echo "=== fast-forward race oracle $dir (256-seed sweep, on vs off)"
+    "$dir/tools/difftest" --seeds 256 --race --jobs 0 \
+        > "$art/difftest_race_ff_on.txt"
+    "$dir/tools/difftest" --seeds 256 --race --jobs 0 \
+        --fast-forward=off > "$art/difftest_race_ff_off.txt"
+    diff -u "$art/difftest_race_ff_on.txt" "$art/difftest_race_ff_off.txt"
     echo "=== fast-forward artifacts $dir (stats/metrics byte-identity)"
     local mode
     for mode in on off; do

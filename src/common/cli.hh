@@ -28,6 +28,13 @@ namespace si::cli {
 inline constexpr unsigned maxJobs = 1024;
 
 /**
+ * Upper bound of every trace ring-buffer capacity option (swsim
+ * --trace-ring, swprof --ring), in events: the ring is allocated up
+ * front, so an unbounded value would abort on allocation.
+ */
+inline constexpr unsigned maxTraceRing = 1u << 22;
+
+/**
  * Parse @p text as an unsigned number in [@p lo, @p hi]: decimal, or
  * hex with a 0x prefix (a leading 0 reads as octal, as strtoul does).
  * Returns the rejection reason, or "" with @p out set.

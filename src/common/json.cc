@@ -180,6 +180,17 @@ Value::find(std::string_view key) const
     return nullptr;
 }
 
+std::optional<std::uint64_t>
+asU64(const Value &v)
+{
+    // 2^64 is exactly representable as a double; NaN fails every test.
+    constexpr double twoTo64 = 18446744073709551616.0;
+    if (!v.isNumber() || !(v.number >= 0 && v.number < twoTo64) ||
+        std::trunc(v.number) != v.number)
+        return std::nullopt;
+    return std::uint64_t(v.number);
+}
+
 namespace {
 
 /** Recursive-descent parser state. */

@@ -12,6 +12,7 @@
 #define SI_COMMON_JSON_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -91,6 +92,13 @@ struct Value
     /** Member lookup for objects; nullptr when absent or not an object. */
     const Value *find(std::string_view key) const;
 };
+
+/**
+ * The unsigned 64-bit integer @p v holds: a finite, integral number in
+ * [0, 2^64). nullopt for any other number or kind — the one checked
+ * conversion of parsed (untrusted) numbers to integers.
+ */
+std::optional<std::uint64_t> asU64(const Value &v);
 
 /** Outcome of parse(): ok, or an error with a byte offset. */
 struct ParseResult

@@ -34,14 +34,20 @@ using PredIndex = std::uint8_t;
 /** Sentinel predicate meaning "always true" (PT). */
 inline constexpr PredIndex predNone = 7;
 
-/** Count-based scoreboard identifier (sb0..sb{Nsb-1}). */
+/** Count-based scoreboard identifier (sb0..sb{numScoreboards-1}). */
 using SbIndex = std::uint8_t;
+
+/** Count-based scoreboards per warp. */
+inline constexpr unsigned numScoreboards = 8;
 
 /** Sentinel scoreboard id meaning "none". */
 inline constexpr SbIndex sbNone = 255;
 
-/** Convergence barrier register index (B0..B15). */
+/** Convergence barrier register index (B0..B{numBarriers-1}). */
 using BarIndex = std::uint8_t;
+
+/** Convergence-barrier registers per warp. */
+inline constexpr unsigned numBarriers = 16;
 
 /** Sentinel barrier index. */
 inline constexpr BarIndex barNone = 255;

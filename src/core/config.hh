@@ -150,9 +150,6 @@ struct GpuConfig
     LatencyConfig lat;
     RtCoreConfig rtc;
 
-    /** Count-based scoreboards per warp. */
-    unsigned numScoreboards = 8;
-
     /**
      * Outstanding L1D misses an SM can sustain (0 = unlimited, the
      * paper's stub model). Nonzero values bound memory-level
@@ -195,17 +192,16 @@ struct GpuConfig
 
     /**
      * Event-driven fast-forward ("cycle leap"): when a tick ends with
-     * no issuable warp and no state-changing work pending before a
-     * known future cycle, advance the clock to the next-event horizon
-     * in one step: open warp spans run on to it and the SM-level
-     * counters advance in closed form. Every stat, metrics window,
-     * snapshot, and golden table is bit-identical to the per-cycle
-     * run, so this is a pure wall-clock optimization and is on by
-     * default. Automatically
-     * pinned back to per-cycle ("faithful") execution when an observer
-     * that needs every cycle is attached: a fault-injection hook or the
-     * race sanitizer. A trace sink does not pin it: no trace event
-     * fires on a quiet cycle. Excluded from configFingerprint —
+     * no warp due and no writeback landing before a known future
+     * cycle, advance the clock to that event horizon in one step: open
+     * warp spans run on to it and the SM-level counters advance in
+     * closed form. Every stat, metrics window, snapshot, and golden
+     * table is bit-identical to the per-cycle run, so this is a pure
+     * wall-clock optimization and is on by default. Automatically
+     * pinned back to per-cycle ("faithful") execution when a
+     * fault-injection hook, which may mutate state at any cycle, is
+     * attached. Trace sinks and the race sanitizer do not pin it:
+     * neither fires on a quiet cycle. Excluded from configFingerprint —
      * timing-neutral by construction, so snapshots transfer across
      * modes.
      */

@@ -56,7 +56,9 @@ configFingerprint(const GpuConfig &c)
     std::memcpy(&node_bits, &c.rtc.cyclesPerNode, sizeof(node_bits));
     h.update(std::uint64_t(node_bits));
     h.update(std::uint64_t(c.rtc.numPipes));
-    h.update(std::uint64_t(c.numScoreboards));
+    // A fixed constant, hashed in its old config slot so fingerprints
+    // (and with them sisnap bytes) do not move.
+    h.update(std::uint64_t(numScoreboards));
     h.update(std::uint64_t(c.maxOutstandingMisses));
     h.update(std::uint64_t(c.siEnabled));
     h.update(std::uint64_t(c.yieldEnabled));
@@ -175,14 +177,7 @@ Gpu::runLoop(GpuResult &result)
     // (knob + installed observers), not of any cycle: compute it once.
     const bool ff_eligible = fastForwardEligible();
     while (true) {
-        bool all_done = true;
-        for (auto &sm : sms_) {
-            if (!sm->done()) {
-                all_done = false;
-                break;
-            }
-        }
-        if (all_done)
+        if (allDone())
             break;
         if (now_ >= config_.maxCycles) {
             result.timedOut = true;
@@ -239,8 +234,8 @@ Gpu::runLoop(GpuResult &result)
             lastProgress_ = now_;
         }
 
-        // Event-driven fast-forward: when the tick just taken was quiet
-        // on every SM, leap straight to the next-event horizon. Runs
+        // Event-driven fast-forward: when no SM has an event before
+        // the next cycle, leap straight to the event horizon. Runs
         // after the progress update (so the livelock deadline below is
         // final for this quiet spell) and before the livelock and
         // invariant checks (both horizon-pinned, so they observe the
@@ -281,14 +276,20 @@ Gpu::runLoop(GpuResult &result)
 }
 
 bool
+Gpu::allDone() const
+{
+    return std::all_of(sms_.begin(), sms_.end(),
+                       [](const auto &sm) { return sm->done(); });
+}
+
+bool
 Gpu::fastForwardEligible() const
 {
-    // A fault hook may mutate state at any cycle and the race sanitizer
-    // hooks observe per-access interleavings; either pins the run to
-    // faithful per-cycle execution. Trace sinks do not: no event fires
-    // on a quiet cycle (trace/events.hh).
-    return config_.fastForward && !config_.faultHook &&
-           !config_.raceHooks;
+    // A fault hook may mutate state at any cycle, which pins the run to
+    // faithful per-cycle execution. Trace sinks and the race sanitizer
+    // do not: their hooks fire only at issue, sync and state changes,
+    // never on a cycle a leap skips (trace/events.hh).
+    return config_.fastForward && !config_.faultHook;
 }
 
 void
@@ -297,16 +298,19 @@ Gpu::maybeFastForward(bool eligible, bool events_pending)
     if (!eligible)
         return;
 
-    // Every SM must have just taken a quiet tick (nothing issued, no
-    // state-changing work) for the machine's state to be a pure
-    // function of the clock until the earliest wakeup/event. The
-    // horizon is the min over those per-SM next-event cycles.
+    // Each SM ticks identically until its event horizon (read from the
+    // warp spans and the writeback queue), so the machine's state is a
+    // pure function of the clock until the earliest one. Checked before
+    // the clamps below: most ticks leave a warp due at now_.
     Cycle horizon = invalidCycle;
-    for (const auto &sm : sms_) {
-        if (!sm->lastTickQuiet())
-            return;
+    for (const auto &sm : sms_)
         horizon = std::min(horizon, sm->nextEventAt());
-    }
+    if (horizon <= now_)
+        return;
+    // After the final EXIT every SM is done and the horizon is
+    // invalidCycle; the loop ends on its next check instead.
+    if (allDone())
+        return;
 
     // Clamp to every cycle the loop itself must observe: the watchdog
     // cap, the livelock deadline (only binding when no writeback is in

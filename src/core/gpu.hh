@@ -167,8 +167,8 @@ class Gpu
     std::uint64_t fastForwardCyclesSkipped() const { return ffSkipped_; }
 
     /**
-     * True when this run may leap: the knob is on and no per-cycle
-     * observer (fault hook or race sanitizer) is attached.
+     * True when this run may leap: the knob is on and no fault hook,
+     * which may mutate state at any cycle, is attached.
      */
     bool fastForwardEligible() const;
 
@@ -188,6 +188,9 @@ class Gpu
     /** The clock loop; runs until done or a watchdog fires. */
     void runLoop(GpuResult &result);
 
+    /** True when every SM has retired all its warps. */
+    bool allDone() const;
+
     /** Watchdog trace stamp + per-SM stats folding. */
     void finalize(GpuResult &result);
 
@@ -200,11 +203,11 @@ class Gpu
     std::vector<KernelLaunch> kernels_;
 
     /**
-     * Cycle-leap step: with every SM quiet after the tick at now_ - 1,
-     * compute the next-event horizon (min over per-SM wakeups/events,
-     * the watchdog deadlines, and every hook/sampler boundary) and
-     * advance now_ to it in one step; Sm::applyQuietCycles advances
-     * each SM's counters while its open warp spans run on.
+     * Cycle-leap step after the tick at now_ - 1: when the earliest
+     * Sm::nextEventAt() lies past now_, clamp it to the watchdog
+     * deadlines and every hook/sampler boundary and advance now_ to it
+     * in one step; Sm::applyQuietCycles advances each SM's counters
+     * while its open warp spans run on.
      * @p events_pending is the loop's hasPendingWritebacks()
      * disjunction for this iteration.
      */

@@ -31,7 +31,7 @@ enum class WbPort : std::uint8_t { Lsu, Tex };
 class ScoreboardFile
 {
   public:
-    static constexpr unsigned numSb = 8;
+    static constexpr unsigned numSb = numScoreboards;
 
     ScoreboardFile() { clear(); }
 

@@ -275,7 +275,6 @@ Sm::drainWritebacks(Cycle now)
 {
     while (!events_.empty() && events_.front().when <= now) {
         const Writeback wb = popWriteback();
-        tickDirty_ = true;
         arm(wb.warpIdx, now);
         Warp &w = *warps_[wb.warpIdx];
         w.scoreboards().decr(wb.mask, wb.sb);
@@ -309,7 +308,6 @@ Sm::admitWarps(Cycle now)
                     resident[out++] = wi;
                     continue;
                 }
-                tickDirty_ = true;
                 ++stats_.warpsRetired;
                 if (pb.gtoCurrent == int(wi))
                     pb.gtoCurrent = -1;
@@ -343,7 +341,6 @@ Sm::admitWarps(Cycle now)
         }
         if (!best)
             break;
-        tickDirty_ = true;
         pendingAdmission_.pop_front();
         warps_[wi]->setPb(unsigned(best - pbs_.data()));
         best->resident.push_back(wi);
@@ -434,11 +431,9 @@ Sm::evalWarp(unsigned warp_idx, Cycle now)
       case EvalAction::None:
         break;
       case EvalAction::Select:
-        tickDirty_ = true;
         unit_.select(w, now);
         return {WarpStatus::Busy, w.issueReadyAt};
       case EvalAction::Fetch:
-        tickDirty_ = true;
         if (!fetch(w, now))
             return {WarpStatus::FetchStall, w.issueReadyAt};
         v.action = EvalAction::None;
@@ -881,25 +876,20 @@ void
 Sm::tick(Cycle now)
 {
     if (done()) {
-        // A finished SM is trivially quiet and can never wake: it must
-        // not hold the other SMs' horizon down.
-        lastTickQuiet_ = true;
+        // A finished SM can never wake: it must not hold the other
+        // SMs' horizon down.
         nextEventAt_ = invalidCycle;
-        deniedLastTick_ = 0;
         return;
     }
     ++stats_.cycles;
-    tickDirty_ = false;
     cutPb_ = 0;
     cutPos_ = 0;
-    const std::uint64_t denied_before =
-        unit_.stats().stallDemotionsDeniedTstFull;
     drainWritebacks(now);
     if (retiring_ || !pendingAdmission_.empty())
         admitWarps(now);
 
     bool issued = false;
-    Cycle next_wake = invalidCycle;
+    Cycle horizon = invalidCycle;
     for (unsigned p = 0; p < pbs_.size(); ++p) {
         ProcessingBlock &pb = pbs_[p];
         cutPb_ = p;
@@ -919,7 +909,6 @@ Sm::tick(Cycle now)
             pb.nextDue = next_due;
         }
         cutPos_ = pb.resident.size();
-        next_wake = std::min(next_wake, pb.nextDue);
 
         if (pb.issuable.any()) {
             const unsigned pick = pickWarp(pb);
@@ -946,23 +935,16 @@ Sm::tick(Cycle now)
 
         if (config_.siEnabled && pb.demotable.any())
             demote(pb, now);
+        // Read after the issue and demotion arms (see nextEventAt()).
+        horizon = std::min(horizon, pb.nextDue);
     }
     cutPb_ = unsigned(pbs_.size());
 
     if (!issued)
         accountNoIssueCycles(1);
-
-    // ---- fast-forward classification (see applyQuietCycles) ----
-    // An issuable warp always issues, so !issued already implies no
-    // warp was Issuable; tickDirty_ covers every other mutation site
-    // (writeback drain, retire/admit, fetch initiation, subwarp
-    // select, successful stall demotion).
-    lastTickQuiet_ = !issued && !tickDirty_;
-    const Cycle next_event =
-        events_.empty() ? invalidCycle : events_.front().when;
-    nextEventAt_ = std::min(next_wake, next_event);
-    deniedLastTick_ =
-        unit_.stats().stallDemotionsDeniedTstFull - denied_before;
+    nextEventAt_ = events_.empty()
+                       ? horizon
+                       : std::min(horizon, events_.front().when);
 }
 
 unsigned
@@ -985,8 +967,8 @@ Sm::pickWarp(ProcessingBlock &pb)
     return pb.resident[pos];
 }
 
-void
-Sm::demote(ProcessingBlock &pb, Cycle now)
+bool
+Sm::demotionTriggered(const ProcessingBlock &pb) const
 {
     bool trigger = false;
     switch (config_.trigger) {
@@ -1013,7 +995,13 @@ Sm::demote(ProcessingBlock &pb, Cycle now)
         if (splits_live >= free_slots)
             trigger = false;
     }
-    if (!trigger)
+    return trigger;
+}
+
+void
+Sm::demote(ProcessingBlock &pb, Cycle now)
+{
+    if (!demotionTriggered(pb))
         return;
 
     // Lowest-positioned stalled warp with a READY subwarp.
@@ -1023,7 +1011,6 @@ Sm::demote(ProcessingBlock &pb, Cycle now)
         Warp &w = *warps_[wi];
         const Instr &in = w.program().at(w.activePc());
         if (unit_.subwarpStall(w, in.reqSbMask, now)) {
-            tickDirty_ = true;
             arm(wi, now + 1);
             return;
         }
@@ -1124,10 +1111,18 @@ Sm::applyQuietCycles(std::uint64_t n)
     // charged in full when it closes.
     stats_.cycles += n;
 
-    // Denied TST-full demotion attempts repeat identically each quiet
-    // cycle (nothing can free an entry without a writeback).
-    if (deniedLastTick_ > 0)
-        unit_.addDeniedDemotions(deniedLastTick_ * n);
+    // A quiet cycle attempts every demotion candidate of every
+    // triggered PB once, and each is denied: a success would have
+    // armed its warp for the next cycle, pinning the horizon there.
+    std::uint64_t candidates = 0;
+    if (config_.siEnabled) {
+        for (const ProcessingBlock &pb : pbs_) {
+            if (pb.demotable.any() && demotionTriggered(pb))
+                candidates += pb.demotable.count();
+        }
+    }
+    if (candidates > 0)
+        unit_.addDeniedDemotions(candidates * n);
 
     accountNoIssueCycles(n);
 }
@@ -1456,7 +1451,7 @@ Sm::restore(SnapshotReader &r)
     // Cached statuses are not serialized (the saved statistics hold
     // their spans up to the boundary): every warp is re-armed, so the
     // first tick re-evaluates it and compacts any slot a retired warp
-    // still holds. Leap state is likewise re-derived on that tick.
+    // still holds. The event horizon is likewise re-derived on that tick.
     spans_.assign(warps_.size(), WarpSpan{});
     for (ProcessingBlock &pb : pbs_) {
         pb.live = 0;
@@ -1471,10 +1466,7 @@ Sm::restore(SnapshotReader &r)
     fetchStalled_ = 0;
     retiring_ = true;
     cutPb_ = unsigned(pbs_.size());
-    tickDirty_ = false;
-    lastTickQuiet_ = false;
     nextEventAt_ = invalidCycle;
-    deniedLastTick_ = 0;
 }
 
 } // namespace si

@@ -359,6 +359,16 @@ class PosMask
     bool test(std::size_t i) const { return words_[i / 64] >> (i % 64) & 1; }
     bool any() const { return next(0) != npos; }
 
+    /** Number of set positions. */
+    std::size_t
+    count() const
+    {
+        std::size_t n = 0;
+        for (std::uint64_t w : words_)
+            n += std::size_t(std::popcount(w));
+        return n;
+    }
+
     /** Lowest set position at or after @p from; npos when none. */
     std::size_t
     next(std::size_t from) const
@@ -432,33 +442,25 @@ class Sm
     // ---- event-driven fast-forward (cycle leap) support ----
 
     /**
-     * True when the last tick() neither issued an instruction nor
-     * mutated any machine state (no writeback drained, no warp retired
-     * or admitted, no fetch initiated, no subwarp selected or demoted).
-     * Re-running such a tick at any cycle before nextEventAt() produces
-     * the exact same per-cycle accounting and changes nothing, which is
-     * what makes the bulk back-fill of applyQuietCycles() exact.
-     */
-    bool lastTickQuiet() const { return lastTickQuiet_; }
-
-    /**
-     * Earliest future cycle at which this SM's state can change: the
-     * head of the writeback completion queue (which also bounds every
-     * scoreboard drain, MSHR fill, and subwarp wakeup) or the earliest
-     * resident warp's due cycle (switch/fetch penalty, short-latency
-     * operand). invalidCycle when nothing is pending. Valid after
-     * tick(); meaningful for leaping only when lastTickQuiet().
+     * Event horizon after the last tick(): the minimum of the writeback
+     * queue's head (which also bounds every scoreboard drain, MSHR fill
+     * and subwarp wakeup) and every PB's nextDue, read after the tick's
+     * issue and demotion arms. Every cycle before it ticks identically:
+     * an issue or a successful demotion arms its warp for the next
+     * cycle, and a drained writeback, an admission, a select or a fetch
+     * re-evaluates its warp within the tick. invalidCycle when nothing
+     * is pending (and once the SM is done).
      */
     Cycle nextEventAt() const { return nextEventAt_; }
 
     /**
-     * Leap @p n quiet cycles. Every open warp span simply runs on to
-     * the horizon (it is charged when it closes), so only the SM-level
-     * counters advance: cycles, the no-issue and exposed-stall cycles
-     * from the running totals, and the TST-full denials the last tick
-     * repeated. Callable only while the machine is quiet (the caller
-     * leaps at most to nextEventAt()); no machine state other than
-     * statistics changes.
+     * Leap @p n cycles short of nextEventAt(), which all tick alike.
+     * Every open warp span simply runs on to the horizon (it is charged
+     * when it closes), so only the SM-level counters advance: cycles,
+     * the no-issue and exposed-stall cycles from the running totals,
+     * and one TST-full denial per demotion candidate of every triggered
+     * PB per cycle. The caller leaps at most to nextEventAt(); no
+     * machine state other than statistics changes.
      */
     void applyQuietCycles(std::uint64_t n);
 
@@ -698,6 +700,13 @@ class Sm
     /** Warp the PB's scheduler issues this cycle (some is issuable). */
     unsigned pickWarp(ProcessingBlock &pb);
 
+    /**
+     * SI: true when @p pb's selection trigger fires this cycle (the
+     * stalled-warp policy, then the DWS free-slot gate). demote() and
+     * the leap's denial back-fill both ask it.
+     */
+    bool demotionTriggered(const ProcessingBlock &pb) const;
+
     /** SI: the policy-gated subwarp-stall demotion of a PB with a
      *  demotion candidate. */
     void demote(ProcessingBlock &pb, Cycle now);
@@ -783,18 +792,9 @@ class Sm
     unsigned cutPb_ = 0;
     std::size_t cutPos_ = 0;
 
-    // ---- leap classification of the last tick (not serialized; a
-    // restored SM re-derives it on its first tick, and leaps never span
-    // a checkpoint boundary) ----
-    bool tickDirty_ = false;      ///< tick mutated state (set by sites)
-    bool lastTickQuiet_ = false;
+    /** See nextEventAt(). Not serialized: a restored SM re-derives it
+     *  on its first tick, and leaps never span a checkpoint boundary. */
     Cycle nextEventAt_ = invalidCycle;
-    /**
-     * TST-full denials in the last tick: a quiet tick repeats them each
-     * cycle, and no running total holds them (they are counted by the
-     * demotion search, not by a status).
-     */
-    std::uint64_t deniedLastTick_ = 0;
 
     SmStats stats_;
 

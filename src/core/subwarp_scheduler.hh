@@ -117,12 +117,12 @@ class SubwarpUnit
 
     /**
      * Fast-forward back-fill: credit @p n TST-full demotion denials
-     * without re-running the denied subwarpStall() attempts. During a
-     * quiet cycle every denied attempt repeats identically (the TST
-     * cannot drain without a writeback), so the leap engine replays the
-     * per-tick denial delta as an exact multiple (see Sm::
-     * applyQuietCycles). A repeated denial emits no event, so skipping
-     * the attempts drops nothing from the trace stream.
+     * without re-running the denied subwarpStall() attempts. A quiet
+     * cycle attempts every demotion candidate of every triggered PB
+     * once and each is denied (the TST cannot drain without a
+     * writeback), so a leap credits that count per skipped cycle (see
+     * Sm::applyQuietCycles). A repeated denial emits no event, so
+     * skipping the attempts drops nothing from the trace stream.
      */
     void addDeniedDemotions(std::uint64_t n)
     {

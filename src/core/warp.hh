@@ -52,7 +52,7 @@ struct TstEntry
 class Warp
 {
   public:
-    static constexpr unsigned numBarriers = 16;
+    static constexpr unsigned numBarriers = si::numBarriers;
 
     /**
      * @param id        global warp id

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -212,14 +213,25 @@ CampaignRunner::parseManifest(const std::string &text, CampaignReport &out,
         rec.workload = wl->str;
         rec.configLabel = cfg->str;
         rec.state = state->str;
-        rec.attempts = unsigned(attempts->number);
+        const std::optional<std::uint64_t> tries = json::asU64(*attempts);
+        if (!tries || *tries > std::numeric_limits<unsigned>::max()) {
+            error = "cell 'attempts' is not an attempt count";
+            return false;
+        }
+        rec.attempts = unsigned(*tries);
         rec.kind = errorKindFromName(kind->str);
         if (const json::Value *v = cv.find("detail"))
             rec.detail = v->str;
         if (const json::Value *v = cv.find("diagnosis"))
             rec.diagnosis = v->str;
-        if (const json::Value *v = cv.find("cycles"))
-            rec.cycles = Cycle(v->number);
+        if (const json::Value *v = cv.find("cycles")) {
+            const std::optional<std::uint64_t> cycles = json::asU64(*v);
+            if (!cycles) {
+                error = "cell 'cycles' is not a cycle count";
+                return false;
+            }
+            rec.cycles = *cycles;
+        }
         if (const json::Value *v = cv.find("checkpoint"))
             rec.checkpoint = v->str;
         out.cells.push_back(std::move(rec));
@@ -383,7 +395,11 @@ CampaignRunner::runAttempt(CampaignCellRecord &rec,
     json::ParseResult parsed = json::parse(text);
     const json::Value *kind =
         parsed.ok ? parsed.value.find("kind") : nullptr;
-    if (!kind || !kind->isString()) {
+    const json::Value *cycles =
+        parsed.ok ? parsed.value.find("cycles") : nullptr;
+    const std::optional<std::uint64_t> n_cycles =
+        cycles ? json::asU64(*cycles) : std::uint64_t(0);
+    if (!kind || !kind->isString() || !n_cycles) {
         rec.kind = ErrorKind::Internal;
         rec.detail = "cell result file is malformed";
         return;
@@ -392,9 +408,7 @@ CampaignRunner::runAttempt(CampaignCellRecord &rec,
     rec.detail = "";
     if (const json::Value *v = parsed.value.find("detail"))
         rec.detail = v->str;
-    rec.cycles = 0;
-    if (const json::Value *v = parsed.value.find("cycles"))
-        rec.cycles = Cycle(v->number);
+    rec.cycles = *n_cycles;
 }
 
 void

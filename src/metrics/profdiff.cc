@@ -10,35 +10,60 @@ namespace si {
 
 namespace {
 
-std::uint64_t
-u64Of(const json::Value &v)
+/**
+ * Reads the u64 members of an export. An absent member reads as 0; one
+ * that is not an unsigned 64-bit integer (json::asU64) reads as 0 too
+ * and is remembered, so a loader walks the document once and then
+ * refuses it through ok().
+ */
+struct U64Reader
 {
-    return v.isNumber() && v.number > 0 ? std::uint64_t(v.number) : 0;
-}
+    std::string bad; ///< first unusable member's key
 
-std::uint64_t
-u64Field(const json::Value &obj, std::string_view key)
-{
-    const json::Value *v = obj.find(key);
-    return v ? u64Of(*v) : 0;
-}
+    std::uint64_t
+    field(const json::Value &obj, std::string_view key)
+    {
+        const json::Value *v = obj.find(key);
+        return v ? of(*v, key) : 0;
+    }
 
-/** Read a {"reason-name": count, ...} object into a reason array. */
-void
-readStallMap(const json::Value *map,
+    std::uint64_t
+    of(const json::Value &v, std::string_view key)
+    {
+        const std::optional<std::uint64_t> n = json::asU64(v);
+        if (!n && bad.empty())
+            bad = key;
+        return n.value_or(0);
+    }
+
+    /** Read a {"reason-name": count, ...} object into a reason array. */
+    void
+    stallMap(const json::Value *map,
              std::array<std::uint64_t, numStallReasons> &out)
-{
-    if (!map || !map->isObject())
-        return;
-    for (const auto &[key, val] : map->object)
-        for (unsigned k = 0; k < numStallReasons; ++k)
-            if (key == stallReasonName(StallReason(k)))
-                out[k] += u64Of(val);
-}
+    {
+        if (!map || !map->isObject())
+            return;
+        for (const auto &[key, val] : map->object)
+            for (unsigned k = 0; k < numStallReasons; ++k)
+                if (key == stallReasonName(StallReason(k)))
+                    out[k] += of(val, key);
+    }
+
+    /** False, with @p error naming the member, after a bad one. */
+    bool
+    ok(std::string &error) const
+    {
+        if (!bad.empty())
+            error = "member \"" + bad +
+                    "\" is not an unsigned 64-bit integer";
+        return bad.empty();
+    }
+};
 
 bool
 loadStatsV1(const json::Value &doc, ProfSide &out, std::string &error)
 {
+    U64Reader rd;
     const json::Value *groups = doc.find("groups");
     if (!groups || !groups->isArray()) {
         error = "si-stats-v1 document has no groups array";
@@ -61,17 +86,17 @@ loadStatsV1(const json::Value &doc, ProfSide &out, std::string &error)
         error = "gpu group has no scalars object";
         return false;
     }
-    out.cycles = u64Field(doc, "cycles");
-    out.liveWarpCycles = u64Field(*scalars, "live_warp_cycles");
-    out.instrsIssued = u64Field(*scalars, "instrs_issued");
-    out.arbLossCycles = u64Field(*scalars, "arb_loss_cycles");
+    out.cycles = rd.field(doc, "cycles");
+    out.liveWarpCycles = rd.field(*scalars, "live_warp_cycles");
+    out.instrsIssued = rd.field(*scalars, "instrs_issued");
+    out.arbLossCycles = rd.field(*scalars, "arb_loss_cycles");
     if (!scalars->find("live_warp_cycles")) {
         error = "gpu group has no live_warp_cycles scalar (export "
                 "predates the warp-cycle partition?)";
         return false;
     }
     for (unsigned k = 0; k < numStallReasons; ++k)
-        out.stall[k] = u64Field(
+        out.stall[k] = rd.field(
             *scalars, "stall_cycles_" + stallReasonKey(StallReason(k)));
 
     const json::Value *regions = doc.find("regions");
@@ -87,19 +112,20 @@ loadStatsV1(const json::Value &doc, ProfSide &out, std::string &error)
             return false;
         }
         rt.name = name->str;
-        rt.warpCycles = u64Field(r, "warp_cycles");
-        rt.instrsIssued = u64Field(r, "instrs_issued");
-        rt.arbLossCycles = u64Field(r, "arb_loss_cycles");
-        readStallMap(r.find("stall_cycles"), rt.stall);
+        rt.warpCycles = rd.field(r, "warp_cycles");
+        rt.instrsIssued = rd.field(r, "instrs_issued");
+        rt.arbLossCycles = rd.field(r, "arb_loss_cycles");
+        rd.stallMap(r.find("stall_cycles"), rt.stall);
         out.regions.push_back(std::move(rt));
     }
-    return true;
+    return rd.ok(error);
 }
 
 bool
 loadMetricsV1(const json::Value &doc, ProfSide &out, std::string &error)
 {
-    if (u64Field(doc, "dropped_total") != 0) {
+    U64Reader rd;
+    if (rd.field(doc, "dropped_total") != 0) {
         error = "si-metrics-v1 input dropped windows; its series no "
                 "longer covers the run (raise the ring capacity)";
         return false;
@@ -126,16 +152,16 @@ loadMetricsV1(const json::Value &doc, ProfSide &out, std::string &error)
             continue;
         std::uint64_t sm_cycles = 0;
         for (const json::Value &win : windows->array) {
-            sm_cycles += u64Field(win, "cycles");
-            out.liveWarpCycles += u64Field(win, "live_warp_cycles");
-            out.instrsIssued += u64Field(win, "instrs_issued");
-            out.arbLossCycles += u64Field(win, "arb_loss_cycles");
-            readStallMap(win.find("stall_cycles"), out.stall);
+            sm_cycles += rd.field(win, "cycles");
+            out.liveWarpCycles += rd.field(win, "live_warp_cycles");
+            out.instrsIssued += rd.field(win, "instrs_issued");
+            out.arbLossCycles += rd.field(win, "arb_loss_cycles");
+            rd.stallMap(win.find("stall_cycles"), out.stall);
             const json::Value *regions = win.find("regions");
             if (!regions || !regions->isArray())
                 continue;
             for (const json::Value &r : regions->array) {
-                const std::uint64_t idx = u64Field(r, "region");
+                const std::uint64_t idx = rd.field(r, "region");
                 if (idx >= out.regions.size()) {
                     error = "window references region index " +
                             std::to_string(idx) +
@@ -143,15 +169,15 @@ loadMetricsV1(const json::Value &doc, ProfSide &out, std::string &error)
                     return false;
                 }
                 RegionTotals &rt = out.regions[idx];
-                rt.warpCycles += u64Field(r, "warp_cycles");
-                rt.instrsIssued += u64Field(r, "instrs_issued");
-                rt.arbLossCycles += u64Field(r, "arb_loss_cycles");
-                readStallMap(r.find("stall_cycles"), rt.stall);
+                rt.warpCycles += rd.field(r, "warp_cycles");
+                rt.instrsIssued += rd.field(r, "instrs_issued");
+                rt.arbLossCycles += rd.field(r, "arb_loss_cycles");
+                rd.stallMap(r.find("stall_cycles"), rt.stall);
             }
         }
         out.cycles = std::max(out.cycles, sm_cycles);
     }
-    return true;
+    return rd.ok(error);
 }
 
 std::int64_t

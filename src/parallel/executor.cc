@@ -1,5 +1,8 @@
 #include "parallel/executor.hh"
 
+#include <atomic>
+#include <thread>
+
 namespace si::parallel {
 
 unsigned
@@ -15,115 +18,26 @@ resolveJobs(unsigned jobs)
     return jobs == 0 ? defaultJobs() : jobs;
 }
 
-ThreadPool::ThreadPool(unsigned jobs)
-{
-    if (jobs == 0)
-        jobs = 1;
-    workers_.reserve(jobs);
-    for (unsigned i = 0; i < jobs; ++i)
-        workers_.push_back(std::make_unique<Worker>());
-    threads_.reserve(jobs);
-    for (unsigned i = 0; i < jobs; ++i)
-        threads_.emplace_back([this, i] { workerLoop(i); });
-}
+namespace detail {
 
-ThreadPool::~ThreadPool()
+void
+runCells(unsigned workers, std::size_t n,
+         const std::function<void(std::size_t)> &cell)
 {
-    wait();
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stop_ = true;
+    std::atomic<std::size_t> next{0};
+    std::vector<std::thread> threads;
+    threads.reserve(workers);
+    for (unsigned w = 0; w < workers; ++w) {
+        threads.emplace_back([&] {
+            for (std::size_t i = next++; i < n; i = next++)
+                cell(i);
+        });
     }
-    workAvailable_.notify_all();
-    for (std::thread &t : threads_)
+    for (std::thread &t : threads)
         t.join();
 }
 
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    std::size_t target;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        target = nextWorker_;
-        nextWorker_ = (nextWorker_ + 1) % workers_.size();
-        ++queued_;
-    }
-    {
-        Worker &w = *workers_[target];
-        std::lock_guard<std::mutex> lock(w.mutex);
-        w.tasks.push_back(std::move(task));
-    }
-    workAvailable_.notify_one();
-}
-
-bool
-ThreadPool::findTask(unsigned self, std::function<void()> &out)
-{
-    // Own deque first, newest task (back) — the classic Chase-Lev
-    // owner end, warm in cache when cells enqueue follow-up work.
-    {
-        Worker &w = *workers_[self];
-        std::lock_guard<std::mutex> lock(w.mutex);
-        if (!w.tasks.empty()) {
-            out = std::move(w.tasks.back());
-            w.tasks.pop_back();
-            return true;
-        }
-    }
-    // Steal from siblings, oldest task (front), scanning away from our
-    // own slot so thieves spread instead of mobbing worker 0.
-    for (std::size_t k = 1; k < workers_.size(); ++k) {
-        Worker &w = *workers_[(self + k) % workers_.size()];
-        std::lock_guard<std::mutex> lock(w.mutex);
-        if (!w.tasks.empty()) {
-            out = std::move(w.tasks.front());
-            w.tasks.pop_front();
-            return true;
-        }
-    }
-    return false;
-}
-
-void
-ThreadPool::workerLoop(unsigned self)
-{
-    while (true) {
-        std::function<void()> task;
-        if (findTask(self, task)) {
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                --queued_;
-                ++running_;
-            }
-            task();
-            bool drained;
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                --running_;
-                drained = queued_ == 0 && running_ == 0;
-            }
-            if (drained)
-                allDone_.notify_all();
-            continue;
-        }
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (stop_)
-            return;
-        if (queued_ > 0)
-            continue; // a task appeared between scan and lock
-        workAvailable_.wait(lock,
-                            [this] { return stop_ || queued_ > 0; });
-    }
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    allDone_.wait(lock,
-                  [this] { return queued_ == 0 && running_ == 0; });
-}
+} // namespace detail
 
 void
 forIndexed(unsigned jobs, std::size_t n,

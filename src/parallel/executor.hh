@@ -2,21 +2,13 @@
  * @file
  * Deterministic parallel execution engine.
  *
- * Two layers:
- *
- *  - ThreadPool: a small work-stealing thread pool. Each worker owns a
- *    deque; owners pop newest-first (cache-warm), idle workers steal
- *    oldest-first from their siblings. Nothing about the pool is
- *    deterministic — it only promises that every submitted task runs
- *    exactly once.
- *
- *  - mapIndexed(): the determinism contract on top. N independent cells
- *    are executed by up to `jobs` workers in whatever order the pool
- *    reaches them, but results are collected into an index-keyed vector
- *    and an optional `in_order` callback fires for cell 0, 1, 2, ... in
- *    strict index order regardless of completion order. A sweep whose
- *    cells are pure functions of their index therefore produces
- *    byte-identical tables, stats, and logs at any --jobs value.
+ * mapIndexed() runs N independent cells on up to `jobs` worker threads.
+ * Each worker claims the next unclaimed index from one shared counter,
+ * so cells start in index order; results are collected into an
+ * index-keyed vector and an optional `in_order` callback fires for cell
+ * 0, 1, 2, ... in strict index order regardless of completion order. A
+ * sweep whose cells are pure functions of their index therefore
+ * produces byte-identical tables, stats, and logs at any --jobs value.
  *
  * Fault isolation: a cell that throws does not poison its siblings.
  * Every cell runs to completion (or failure); the lowest-index
@@ -32,14 +24,10 @@
 #define SI_PARALLEL_EXECUTOR_HH
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 namespace si::parallel {
@@ -53,58 +41,15 @@ unsigned defaultJobs();
  */
 unsigned resolveJobs(unsigned jobs);
 
-/** Work-stealing thread pool. */
-class ThreadPool
-{
-  public:
-    /** Start @p jobs workers (clamped to >= 1). */
-    explicit ThreadPool(unsigned jobs);
-
-    /** Joins all workers; pending tasks are completed first. */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    unsigned jobs() const { return unsigned(workers_.size()); }
-
-    /**
-     * Enqueue @p task on one worker's deque (round-robin). Tasks must
-     * not throw — wrap fallible work and capture the exception (as
-     * mapIndexed() does).
-     */
-    void submit(std::function<void()> task);
-
-    /** Block until every submitted task has finished. */
-    void wait();
-
-  private:
-    struct Worker
-    {
-        std::deque<std::function<void()>> tasks;
-        std::mutex mutex;
-    };
-
-    /** Pop from own deque (newest first) or steal (oldest first). */
-    bool findTask(unsigned self, std::function<void()> &out);
-
-    void workerLoop(unsigned self);
-
-    std::vector<std::unique_ptr<Worker>> workers_;
-    std::vector<std::thread> threads_;
-
-    // Guards the counters and wakeups. Task deques have their own
-    // mutexes so submit/steal contention stays per-worker.
-    std::mutex mutex_;
-    std::condition_variable workAvailable_;
-    std::condition_variable allDone_;
-    std::size_t queued_ = 0;    ///< submitted, not yet started
-    std::size_t running_ = 0;   ///< started, not yet finished
-    std::size_t nextWorker_ = 0;
-    bool stop_ = false;
-};
-
 namespace detail {
+
+/**
+ * Run @p cell(0..n-1) on @p workers threads, each claiming the next
+ * unclaimed index from one shared counter until none is left; returns
+ * once every cell has finished. @p cell must not throw.
+ */
+void runCells(unsigned workers, std::size_t n,
+              const std::function<void(std::size_t)> &cell);
 
 /** Shared bookkeeping for one mapIndexed() batch. */
 struct OrderedDelivery
@@ -186,20 +131,14 @@ mapIndexed(unsigned jobs, std::size_t n,
             in_order(idx, results[idx]);
     };
 
-    {
-        ThreadPool pool(jobs);
-        for (std::size_t i = 0; i < n; ++i) {
-            pool.submit([&, i] {
-                try {
-                    results[i] = fn(i);
-                } catch (...) {
-                    errors[i] = std::current_exception();
-                }
-                delivery.complete(i, deliver);
-            });
+    detail::runCells(jobs, n, [&](std::size_t i) {
+        try {
+            results[i] = fn(i);
+        } catch (...) {
+            errors[i] = std::current_exception();
         }
-        pool.wait();
-    }
+        delivery.complete(i, deliver);
+    });
 
     for (std::size_t i = 0; i < n; ++i) {
         if (errors[i])

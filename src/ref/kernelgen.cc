@@ -103,7 +103,7 @@ class Generator
     void
     attachWr(Instr &in, unsigned slot)
     {
-        const unsigned n = opts_.numScoreboards;
+        const unsigned n = numScoreboards;
         SbIndex sb = sbNone;
         for (unsigned i = 0; i < n; ++i) {
             const SbIndex cand = SbIndex((sbCursor_ + i) % n);
@@ -392,7 +392,7 @@ class Generator
         // of an unsynchronized skip) can occupy sibling regions
         // concurrently, and a shared index would merge their masks into
         // one bogus barrier with two reconvergence points.
-        if (barNext_ >= opts_.numBarriers) {
+        if (barNext_ >= numBarriers) {
             forwardSkip();
             return;
         }
@@ -432,7 +432,7 @@ class Generator
         const RegIndex cnt = RegIndex(rCnt0 + loopDepth_);
         const RegIndex lim = RegIndex(rLim0 + loopDepth_);
         const bool divergent =
-            rng_.chance(0.6f) && barNext_ < opts_.numBarriers;
+            rng_.chance(0.6f) && barNext_ < numBarriers;
         const BarIndex bar = BarIndex(divergent ? barNext_++ : 0);
 
         if (divergent) {

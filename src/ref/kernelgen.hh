@@ -68,8 +68,6 @@ struct KernelGenOptions
      * race; the normal soundness contract above no longer holds.
      */
     bool racyWitness = false;
-    unsigned numScoreboards = 8; ///< must match GpuConfig::numScoreboards
-    unsigned numBarriers = 16;   ///< must match Warp::numBarriers
 };
 
 /**

@@ -13,13 +13,14 @@
  * construction is skipped when no sink is installed — the cost is then
  * one branch per emission site.
  *
- * No event fires on a quiet cycle (one that issues nothing and changes
- * no machine state; see Sm::lastTickQuiet). Every event marks a state
- * change, and the one repeating condition, TstFull, is edge-triggered.
- * So the fast-forward engine may leap over quiet stretches with any
- * sink installed and the recorded stream is identical to a per-cycle
- * run's. Stall attribution is not an event stream: the core counts lost
- * warp-slots per (pc, StallReason) itself (Sm::stallsByPc).
+ * No event fires on a quiet cycle (one before an SM's event horizon,
+ * which issues nothing and changes no machine state; see
+ * Sm::nextEventAt). Every event marks a state change, and the one
+ * repeating condition, TstFull, is edge-triggered. So the fast-forward
+ * engine may leap over quiet stretches with any sink installed and the
+ * recorded stream is identical to a per-cycle run's. Stall attribution
+ * is not an event stream: the core counts lost warp-slots per (pc,
+ * StallReason) itself (Sm::stallsByPc).
  */
 
 #ifndef SI_TRACING_EVENTS_HH

@@ -138,27 +138,27 @@ class Verifier
                 cfg_safe = false;
             }
             if ((in.op == Opcode::BSSY || in.op == Opcode::BSYNC) &&
-                in.bar >= opts_.numBarriers) {
+                in.bar >= numBarriers) {
                 diag(Severity::Error, "bad-bar-index", pc,
                      "barrier register B" + std::to_string(in.bar) +
                          " exceeds the " +
-                         std::to_string(opts_.numBarriers) +
+                         std::to_string(numBarriers) +
                          " modeled registers");
                 cfg_safe = false;
             }
-            if (in.wrSb != sbNone && in.wrSb >= opts_.numScoreboards) {
+            if (in.wrSb != sbNone && in.wrSb >= numScoreboards) {
                 diag(Severity::Error, "bad-sb-index", pc,
                      "&wr=sb" + std::to_string(in.wrSb) + " exceeds the " +
-                         std::to_string(opts_.numScoreboards) +
+                         std::to_string(numScoreboards) +
                          " modeled scoreboards");
                 cfg_safe = false;
             }
             const std::uint32_t req_hi =
-                std::uint32_t(in.reqSbMask) >> opts_.numScoreboards;
+                std::uint32_t(in.reqSbMask) >> numScoreboards;
             if (req_hi != 0) {
                 diag(Severity::Error, "bad-sb-index", pc,
                      "&req names a scoreboard past sb" +
-                         std::to_string(opts_.numScoreboards - 1));
+                         std::to_string(numScoreboards - 1));
                 cfg_safe = false;
             }
             if (in.wrSb != sbNone && !isLongLatency(in.op)) {
@@ -223,7 +223,7 @@ class Verifier
     {
         // &req first: issue waits for the counters to read zero before
         // the instruction's own &wr increments anything.
-        for (unsigned k = 0; k < opts_.numScoreboards; ++k) {
+        for (unsigned k = 0; k < numScoreboards; ++k) {
             if (!(in.reqSbMask & (1u << k)))
                 continue;
             if (emit) {
@@ -319,14 +319,14 @@ class Verifier
     void
     dataflow(const Cfg &cfg)
     {
-        AbsState entry(opts_.numScoreboards, opts_.numBarriers);
+        AbsState entry(numScoreboards, numBarriers);
         entry.reachable = true;
-        entry.sbMayNever = (1u << opts_.numScoreboards) - 1u;
-        entry.barMayUnarmed = (1u << opts_.numBarriers) - 1u;
+        entry.sbMayNever = (1u << numScoreboards) - 1u;
+        entry.barMayUnarmed = (1u << numBarriers) - 1u;
 
         std::vector<AbsState> in(
             cfg.numBlocks(),
-            AbsState(opts_.numScoreboards, opts_.numBarriers));
+            AbsState(numScoreboards, numBarriers));
         in[0] = entry;
 
         bool changed = true;
@@ -365,8 +365,8 @@ class Verifier
         const std::vector<std::uint32_t> idom = cfg.immediateDominators();
 
         // Collect the static BSSY/BSYNC sites per barrier register.
-        std::vector<std::vector<std::uint32_t>> bssys(opts_.numBarriers);
-        std::vector<std::vector<std::uint32_t>> bsyncs(opts_.numBarriers);
+        std::vector<std::vector<std::uint32_t>> bssys(numBarriers);
+        std::vector<std::vector<std::uint32_t>> bsyncs(numBarriers);
         for (std::uint32_t pc = 0; pc < prog_.size(); ++pc) {
             const Instr &in = prog_.at(pc);
             if (in.op == Opcode::BSSY)
@@ -375,7 +375,7 @@ class Verifier
                 bsyncs[in.bar].push_back(pc);
         }
 
-        for (unsigned b = 0; b < opts_.numBarriers; ++b) {
+        for (unsigned b = 0; b < numBarriers; ++b) {
             // Convergence-point hygiene and region closure per BSSY.
             for (std::uint32_t pc : bssys[b]) {
                 const Instr &target = prog_.at(prog_.at(pc).target);

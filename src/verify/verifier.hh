@@ -63,15 +63,9 @@ struct VerifyDiag
     std::string message;
 };
 
-/** Analysis knobs. Defaults match the modeled hardware. */
+/** Analysis knobs. */
 struct VerifyOptions
 {
-    /** Count-based scoreboards per warp (ScoreboardFile::numSb). */
-    unsigned numScoreboards = 8;
-
-    /** Convergence-barrier registers per warp (Warp::numBarriers). */
-    unsigned numBarriers = 16;
-
     /** Suppress Note-severity diagnostics. */
     bool notes = true;
 };

@@ -132,6 +132,62 @@ TEST(Campaign, MalformedManifestIsRejectedWithError)
         R"({"schema":"something-else","complete":true,"cells":[]})", out,
         error));
     EXPECT_THAT(error, HasSubstr("si-campaign-v1"));
+
+    // Counts must be integers in [0, 2^64): a negative, fractional or
+    // out-of-range number is refused, not cast.
+    const auto manifest = [](const std::string &attempts,
+                             const std::string &cycles) {
+        return R"({"schema":"si-campaign-v1","complete":true,"cells":[)"
+               R"({"workload":"w","config":"c","state":"done",)"
+               R"("attempts":)" +
+               attempts + R"(,"kind":"ok","cycles":)" + cycles + "}]}";
+    };
+    ASSERT_TRUE(CampaignRunner::parseManifest(manifest("1", "5"), out,
+                                              error))
+        << error;
+    EXPECT_EQ(out.cells.at(0).cycles, 5u);
+    for (const char *bad : {"-1", "2.5", "1e30"}) {
+        EXPECT_FALSE(CampaignRunner::parseManifest(manifest(bad, "5"),
+                                                   out, error))
+            << bad;
+        EXPECT_THAT(error, HasSubstr("attempts")) << bad;
+        EXPECT_FALSE(CampaignRunner::parseManifest(manifest("1", bad),
+                                                   out, error))
+            << bad;
+        EXPECT_THAT(error, HasSubstr("cycles")) << bad;
+    }
+}
+
+TEST(Campaign, ResumeIgnoresManifestWithUnusableCounts)
+{
+    CampaignOptions opts;
+    opts.stateDir = freshStateDir("campaign_resume_badcount");
+    CampaignRunner first({makeWorkload("divloads")}, makeConfigs(), opts);
+    const CampaignReport before = first.run();
+    ASSERT_TRUE(before.complete);
+
+    // Corrupt one cell's cycle count past 2^64.
+    std::string text = slurp(before.manifestPath);
+    const std::string key = "\"cycles\":" +
+                            std::to_string(before.cells.at(0).cycles);
+    const std::size_t at = text.find(key);
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, key.size(), "\"cycles\":1e30");
+    std::ofstream(before.manifestPath) << text;
+
+    opts.resume = true;
+    CampaignRunner second({makeWorkload("divloads")}, makeConfigs(),
+                          opts);
+    testing::internal::CaptureStderr();
+    const CampaignReport after = second.run();
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_THAT(log, HasSubstr("ignoring unusable manifest"));
+    EXPECT_THAT(log, HasSubstr("cycles"));
+    EXPECT_TRUE(after.complete);
+    EXPECT_EQ(after.cellsRun, before.cells.size());
+    ASSERT_EQ(after.cells.size(), before.cells.size());
+    for (std::size_t i = 0; i < after.cells.size(); ++i)
+        EXPECT_EQ(after.cells[i].cycles, before.cells[i].cycles);
 }
 
 TEST(Campaign, ResumeOfFinishedCampaignRunsNothing)

@@ -8,9 +8,9 @@
  * generated kernels on the full difftest matrix, on a memory-latency-
  * dominated kernel that leaps through >90% of its cycles, through
  * windowed metrics, and across checkpoints taken mid-quiet-stretch —
- * and pin down the faithful-mode guards (a fault hook or the race
- * sanitizer disables leaping; trace sinks do not, because no trace
- * event fires on a quiet cycle: the full event stream, the per-pc
+ * and pin down the faithful-mode guard (a fault hook disables leaping;
+ * trace sinks and the race sanitizer do not, because neither fires on
+ * a quiet cycle: the full event stream, the race report, the per-pc
  * stall table, and the reports built on them match across modes).
  */
 
@@ -113,6 +113,32 @@ C:
     FADD R5, R5, R5 &req=sb3
     BRA join
 join:
+    BSYNC B0
+    EXIT
+)";
+
+/**
+ * Sibling arms race on one word (tests/regress/si_order_dependent.sasm):
+ * lane k's store is lane k+16's load address.
+ */
+const char *racySource = R"(
+.kernel si_order_dependent
+.regs 16
+    S2R R0, LANEID
+    S2R R1, TID
+    SHL R2, R1, 2
+    MOV R3, 0x20000000
+    IADD R2, R2, R3
+    ISETP.LT P0, R0, 16
+    BSSY B0, conv
+    @!P0 BRA ReadArm
+    MOV R5, 7
+    STG [R2+64], R5
+    BRA conv
+ReadArm:
+    LDG R4, [R2+0] &wr=sb0
+    IADD R6, R4, 1 &req=sb0
+conv:
     BSYNC B0
     EXIT
 )";
@@ -247,7 +273,9 @@ TEST(FastForward, StallTableAndTraceExactWhileLeaping)
     // swprof's report and swsim --trace-out's Chrome trace come from a
     // leaping run; they must match the faithful run's byte for byte.
     // fig9 runs with SI on; split4 with a one-entry TST, so demotions
-    // are denied and TstFull (edge-triggered) fires.
+    // are denied and TstFull (edge-triggered) fires. The split4 cases
+    // cover every branch of the leap's denial back-fill (each selection
+    // trigger, and the DWS free-slot gate) with denials credited.
     GpuConfig fig9_si;
     fig9_si.numSms = 1;
     fig9_si.siEnabled = true;
@@ -255,6 +283,14 @@ TEST(FastForward, StallTableAndTraceExactWhileLeaping)
     GpuConfig tst1 = fig9_si;
     tst1.maxSubwarps = 1;
     tst1.trigger = SelectTrigger::AnyStalled;
+    GpuConfig tst1_half = tst1;
+    tst1_half.trigger = SelectTrigger::HalfStalled;
+    tst1_half.pbsPerSm = 1; // eight residents: the half trigger can miss
+    GpuConfig tst1_all = tst1;
+    tst1_all.trigger = SelectTrigger::AllStalled;
+    GpuConfig tst1_dws = tst1;
+    tst1_dws.dwsEnabled = true;
+    tst1_dws.warpSlotsPerPb = 4; // two residents: the gate opens and shuts
     struct Case
     {
         const char *name;
@@ -263,7 +299,10 @@ TEST(FastForward, StallTableAndTraceExactWhileLeaping)
     };
     const Case cases[] = {{"memlat", memlatSource, memlatConfig()},
                           {"fig9", fig9Source, fig9_si},
-                          {"split4-tst1", split4Source, tst1}};
+                          {"split4-tst1", split4Source, tst1},
+                          {"split4-tst1-half", split4Source, tst1_half},
+                          {"split4-tst1-all", split4Source, tst1_all},
+                          {"split4-tst1-dws", split4Source, tst1_dws}};
     for (const Case &c : cases) {
         const Program prog = assembleOrDie(c.source);
         const RunArtifacts on = runOnce(prog, c.cfg, true, 8);
@@ -275,6 +314,9 @@ TEST(FastForward, StallTableAndTraceExactWhileLeaping)
             << c.name;
         EXPECT_GT(on.leaps, 0u) << c.name;
         EXPECT_FALSE(on.result.stallsByPc.empty()) << c.name;
+        if (c.cfg.maxSubwarps == 1) {
+            EXPECT_GT(on.result.total.tstFullDenials, 0u) << c.name;
+        }
     }
 
     // The one-entry TST really does deny demotions, and TstFull fires
@@ -405,7 +447,7 @@ TEST(FastForward, ResumeFromMidLeapCheckpointIsBitExact)
     }
 }
 
-TEST(FastForward, FaultHookAndRaceHooksPinFaithfulMode)
+TEST(FastForward, FaultHookPinsFaithfulMode)
 {
     const Program prog = assembleOrDie(memlatSource);
 
@@ -420,20 +462,51 @@ TEST(FastForward, FaultHookAndRaceHooksPinFaithfulMode)
     }
     {
         GpuConfig cfg = memlatConfig();
-        RaceDetector det;
-        cfg.raceHooks = &det;
-        Memory mem = makeInputImage(99);
-        Gpu gpu(cfg, mem);
-        EXPECT_FALSE(gpu.fastForwardEligible());
-        ASSERT_TRUE(gpu.run(prog, LaunchParams{8, 4}).ok());
-        EXPECT_EQ(gpu.fastForwardLeaps(), 0u);
-    }
-    {
-        GpuConfig cfg = memlatConfig();
         cfg.fastForward = false;
         Memory mem = makeInputImage(99);
         Gpu gpu(cfg, mem);
         EXPECT_FALSE(gpu.fastForwardEligible());
+    }
+}
+
+TEST(FastForward, RaceSanitizerLeapsWithTheFaithfulReport)
+{
+    // The race hooks fire only at issue and at BSYNC or barrier
+    // release, never on a quiet cycle: a sanitized run leaps, and its
+    // report and statistics are the per-cycle run's.
+    GpuConfig si = memlatConfig();
+    si.siEnabled = true;
+    const struct
+    {
+        const char *name;
+        const char *source;
+        GpuConfig cfg;
+        bool racy;
+    } cases[] = {{"memlat", memlatSource, memlatConfig(), false},
+                 {"racy-si", racySource, si, true}};
+    for (const auto &c : cases) {
+        const Program prog = assembleOrDie(c.source);
+        std::string report[2];
+        std::vector<SmStats> stats[2];
+        for (bool ff : {true, false}) {
+            GpuConfig cfg = c.cfg;
+            cfg.fastForward = ff;
+            RaceDetector det;
+            cfg.raceHooks = &det;
+            Memory mem = makeInputImage(99);
+            Gpu gpu(cfg, mem);
+            EXPECT_EQ(gpu.fastForwardEligible(), ff) << c.name;
+            const GpuResult r = gpu.run(prog, LaunchParams{8, 4});
+            ASSERT_TRUE(r.ok()) << c.name;
+            report[ff ? 0 : 1] = det.report();
+            stats[ff ? 0 : 1] = r.perSm;
+            if (ff) {
+                EXPECT_GT(gpu.fastForwardLeaps(), 0u) << c.name;
+            }
+        }
+        EXPECT_EQ(report[0], report[1]) << c.name;
+        EXPECT_EQ(report[0].empty(), !c.racy) << c.name;
+        EXPECT_TRUE(stats[0] == stats[1]) << c.name;
     }
 }
 

@@ -575,6 +575,28 @@ TEST(ProfDiff, RefusesStatsPredatingThePartition)
     EXPECT_THAT(error, HasSubstr("warp-cycle partition"));
 }
 
+TEST(ProfDiff, RefusesCountsThatAreNotU64)
+{
+    // A count is an integer in [0, 2^64); anything else is a load
+    // error naming the member, never a cast.
+    const auto doc = [](const std::string &live) {
+        return R"({"schema": "si-stats-v1", "kernel": "k", "cycles": 10,
+            "groups": [{"name": "gpu", "scalars": {"live_warp_cycles": )" +
+               live + R"(}}], "regions": []})";
+    };
+    ProfSide side;
+    std::string error;
+    ASSERT_TRUE(loadProfInput(doc("40"), "ok.json", side, error)) << error;
+    EXPECT_EQ(side.liveWarpCycles, 40u);
+    for (const char *bad : {"-1", "2.5", "1e30"}) {
+        EXPECT_FALSE(loadProfInput(doc(bad), "bad.json", side, error))
+            << bad;
+        EXPECT_THAT(error, HasSubstr("\"live_warp_cycles\" is not an "
+                                     "unsigned 64-bit integer"))
+            << bad;
+    }
+}
+
 // Golden profdiff report: the deterministic text rendering of the
 // markers-kernel SI-off vs SI-on diff. Regenerate with --update-golden
 // after intentional timing-model changes and review the diff.

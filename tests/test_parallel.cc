@@ -12,7 +12,7 @@
  *    must produce byte-identical output at --jobs 1/2/4/8. This is the
  *    enforcement half of the determinism contract in DESIGN.md §10.
  *
- *  - Campaign in-process mode: manifests from the thread-pool path
+ *  - Campaign in-process mode: manifests from the worker-thread path
  *    match the fork path cell-for-cell, the chaos (fault-injected)
  *    campaign converges to the same manifest at any worker count, and
  *    a wall-budget overrun classifies as WallClock without poisoning
@@ -109,12 +109,15 @@ TEST(Executor, MoreJobsThanCells)
 TEST(Executor, OrderedDeliveryIsStrictUnderScrambledCompletion)
 {
     // Later cells finish first (earlier indices sleep longer); the
-    // in_order callback must still observe 0, 1, 2, ... exactly.
+    // in_order callback must still observe 0, 1, 2, ... exactly, and
+    // every cell runs exactly once.
     const std::size_t n = 32;
+    std::vector<std::atomic<unsigned>> runs(n);
     std::vector<std::size_t> delivered;
     const auto results = parallel::mapIndexed<std::size_t>(
         4, n,
         [&](std::size_t i) {
+            ++runs[i];
             std::this_thread::sleep_for(
                 std::chrono::microseconds(((n - i) % 5) * 400));
             return i;
@@ -127,6 +130,7 @@ TEST(Executor, OrderedDeliveryIsStrictUnderScrambledCompletion)
     for (std::size_t i = 0; i < n; ++i) {
         EXPECT_EQ(delivered[i], i);
         EXPECT_EQ(results[i], i);
+        EXPECT_EQ(runs[i].load(), 1u) << "cell " << i;
     }
 }
 
@@ -165,27 +169,6 @@ TEST(Executor, LowestIndexErrorRethrownAfterAllCellsFinish)
         if (i != 3 && i != 7)
             expected.push_back(i);
     EXPECT_EQ(delivered, expected);
-}
-
-TEST(Executor, ThreadPoolRunsEverySubmittedTaskExactlyOnce)
-{
-    const unsigned n = 100;
-    std::vector<std::atomic<unsigned>> hits(n);
-    for (auto &h : hits)
-        h = 0;
-    {
-        parallel::ThreadPool pool(4);
-        EXPECT_EQ(pool.jobs(), 4u);
-        for (unsigned i = 0; i < n; ++i)
-            pool.submit([&hits, i] { ++hits[i]; });
-        pool.wait();
-        for (unsigned i = 0; i < n; ++i)
-            EXPECT_EQ(hits[i].load(), 1u) << "task " << i;
-        // wait() is reusable: a second batch drains too.
-        pool.submit([&hits] { ++hits[0]; });
-        pool.wait();
-        EXPECT_EQ(hits[0].load(), 2u);
-    }
 }
 
 TEST(Executor, ResolveJobs)

@@ -133,7 +133,9 @@ main(int argc, char **argv)
         .text("--trace-bin", trace_bin_path, "FILE",
               "compact binary dump of the recorded timeline")
         .number("--ring", ring_cap,
-                "ring-buffer capacity in events (default 1Mi)");
+                "ring-buffer capacity in events, at most " +
+                    std::to_string(si::cli::maxTraceRing) + " (default 1Mi)",
+                0, si::cli::maxTraceRing);
     if (const std::optional<int> status = cli.parse(argc, argv))
         return *status;
     si::verboseLogging = false;

@@ -150,15 +150,16 @@ main(int argc, char **argv)
         .fastForward(cfg.fastForward)
         .flag("--ff-report", ff_report,
               "print fast-forward diagnostics (leaps taken and cycles "
-              "skipped) after the run; --race and --inject pin faithful "
-              "mode")
+              "skipped) after the run; --inject pins faithful mode")
         .flag("--trace", trace, "print the per-issue timeline")
         .text("--trace-out", trace_out_path, "FILE",
               "record the trace-event stream (bounded ring buffer) and "
               "write a Chrome trace_event JSON, loadable in Perfetto; "
               "written even when the run fails")
         .number("--trace-ring", trace_ring,
-                "ring-buffer capacity in events (default 1Mi)")
+                "ring-buffer capacity in events, at most " +
+                    std::to_string(si::cli::maxTraceRing) + " (default 1Mi)",
+                0, si::cli::maxTraceRing)
         .flag("--disasm", disasm, "print the kernel listing before running")
         .flag("--compare", compare,
               "also run the baseline and report the speedup");
@@ -223,11 +224,11 @@ main(int argc, char **argv)
     }
 
     // Trace plumbing: print-as-you-go and/or record into a bounded ring
-    // buffer for the Chrome-trace export.
+    // buffer for the Chrome-trace export (sized only when recording).
     PrintSink print_sink(prog);
-    si::RingBufferSink ring(trace_ring);
-    si::TeeSink tee(print_sink, ring);
     const bool record = !trace_out_path.empty();
+    si::RingBufferSink ring(record ? trace_ring : 1);
+    si::TeeSink tee(print_sink, ring);
     if (trace && record)
         cfg.traceSink = &tee;
     else if (trace)
