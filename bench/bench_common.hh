@@ -212,9 +212,8 @@ class Grid
      * campaign runner (wall budgets, retries, auto-checkpoints) with its
      * si-campaign-v1 manifest in @p dir; rerun with @p resume to finish
      * an interrupted campaign without re-simulating its terminal cells.
-     * More than one job switches the runner to its in-process
-     * thread-pool mode. The manifest records only cycle counts, so the
-     * results carry cycles alone — enough for speedups.
+     * --jobs children run at once. The manifest records only cycle
+     * counts, so the results carry cycles alone — enough for speedups.
      */
     void
     runCampaign(const std::string &dir, bool resume)
@@ -223,7 +222,7 @@ class Grid
         CampaignOptions opts;
         opts.stateDir = dir;
         opts.resume = resume;
-        opts.inProcessJobs = bj_.jobs() > 1 ? bj_.jobs() : 0;
+        opts.jobs = bj_.jobs();
         CampaignRunner runner(workloads_, columns_, opts);
         const CampaignReport report = runner.run();
         std::fprintf(stderr,

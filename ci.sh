@@ -10,7 +10,8 @@
 # The Release pass additionally exercises the machine-readable
 # exporters: a bench --json run validated against the checked-in
 # si-bench-v1 schema (whose table must match the same bench run as a
-# campaign), and a swprof trace + stall-report export. It also
+# campaign, with one and with four children), and a swprof trace +
+# stall-report export. It also
 # runs the campaign soak: a short sweep under fault injection with a
 # forced mid-campaign restart, whose resumable si-campaign-v1 manifest
 # is validated against tools/campaign_schema.json. The Release pass
@@ -93,11 +94,15 @@ check_exports() {
     echo "=== bench --json $dir (si-bench-v1 schema check)"
     "$dir/bench/fig12a_speedup" --json "$art/fig12a_speedup.json" \
         > "$art/fig12a_speedup.txt"
-    echo "=== bench campaign path $dir (fig12a table, campaign vs in-process)"
-    rm -rf "$art/fig12a-campaign"
+    echo "=== bench campaign path $dir (fig12a table, campaign vs grid, 1 and 4 children)"
+    rm -rf "$art/fig12a-campaign" "$art/fig12a-campaign-j4"
     "$dir/bench/fig12a_speedup" --campaign-state "$art/fig12a-campaign" \
         > "$art/fig12a_campaign.txt" 2> /dev/null
     cmp "$art/fig12a_speedup.txt" "$art/fig12a_campaign.txt"
+    "$dir/bench/fig12a_speedup" --jobs 4 \
+        --campaign-state "$art/fig12a-campaign-j4" \
+        > "$art/fig12a_campaign_j4.txt" 2> /dev/null
+    cmp "$art/fig12a_speedup.txt" "$art/fig12a_campaign_j4.txt"
     echo "=== swprof $dir (trace + stall report export)"
     "$dir/tools/swprof" kernels/fig9.sasm --si \
         --trace "$art/swprof_fig9_trace.json" \
@@ -158,7 +163,7 @@ check_campaign_soak() {
     "$dir/tools/swsim" kernels/fig9.sasm --warps 8 \
         --campaign-state "$state" --campaign-resume \
         --campaign-inject scoreboard --checkpoint-every 200 \
-        --campaign-timeout 60
+        --campaign-timeout 60 --campaign-jobs 2
     if command -v python3 >/dev/null 2>&1; then
         python3 tools/check_bench_json.py tools/campaign_schema.json \
             "$state/campaign.json"

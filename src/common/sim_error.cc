@@ -17,7 +17,6 @@ errorKindName(ErrorKind kind)
       case ErrorKind::Livelock: return "livelock";
       case ErrorKind::InvariantViolation: return "invariant-violation";
       case ErrorKind::CycleLimit: return "cycle-limit";
-      case ErrorKind::WallClock: return "wall-clock";
       case ErrorKind::ChildTimeout: return "child-timeout";
       case ErrorKind::ChildCrash: return "child-crash";
       case ErrorKind::Snapshot: return "snapshot";
@@ -37,8 +36,6 @@ errorDetectorName(ErrorKind kind)
         return "invariant checker";
       case ErrorKind::CycleLimit:
         return "runaway-cycle watchdog";
-      case ErrorKind::WallClock:
-        return "in-process wall-clock budget";
       case ErrorKind::ChildTimeout:
         return "campaign child timeout";
       case ErrorKind::ChildCrash:
@@ -54,7 +51,6 @@ errorKindIsTransient(ErrorKind kind, bool fault_injection_active)
     switch (kind) {
       case ErrorKind::ChildTimeout:
       case ErrorKind::ChildCrash:
-      case ErrorKind::WallClock:
         return true;
       case ErrorKind::Livelock:
       case ErrorKind::InvariantViolation:

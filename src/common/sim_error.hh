@@ -26,7 +26,6 @@ enum class ErrorKind : std::uint8_t {
     Livelock,           ///< no instruction retired and nothing in flight
     InvariantViolation, ///< opt-in state audit found corruption
     CycleLimit,         ///< runaway: GpuConfig::maxCycles exceeded
-    WallClock,          ///< in-process wall-clock budget exceeded
     ChildTimeout,       ///< campaign cell process killed by the parent's
                         ///< wall-clock budget (distinct from the
                         ///< simulator's own forward-progress watchdog)
@@ -47,10 +46,10 @@ const char *errorDetectorName(ErrorKind kind);
 
 /**
  * True for failures worth a bounded retry in a sweep campaign: the
- * child process crashed or overran its wall budget, the in-process
- * wall-clock budget fired, or — only while fault injection is active —
- * a detector tripped (watchdog, invariant checker, cycle cap), since
- * the injected fault is gone on the next attempt. Deterministic
+ * child process crashed or overran its wall budget, or — only while
+ * fault injection is active — a detector tripped (watchdog, invariant
+ * checker, cycle cap), since the injected fault is gone on the next
+ * attempt. Deterministic
  * failures (config, parse, barrier deadlock, snapshot corruption)
  * never retry: they would fail identically every time.
  */
@@ -83,7 +82,7 @@ struct RunStatus
 /**
  * Exception carrying a structured simulator error. Thrown from hot paths
  * that used to panic()/fatal(); caught at the run boundary
- * (Gpu::runMulti, simulate(), runWorkloadSafe()) and converted into a
+ * (Gpu::runMulti, simulate(), runWorkload()) and converted into a
  * RunStatus.
  */
 class SimError : public std::runtime_error

@@ -73,13 +73,6 @@ class CycleSampler
 using FaultHook = std::function<void(Gpu &, Cycle)>;
 
 /**
- * Optional cancellation poll, checked every cancelCheckInterval cycles.
- * Returning true aborts the run with ErrorKind::WallClock — the
- * mechanism behind runWorkloadSafe()'s wall-clock timeout.
- */
-using CancelHook = std::function<bool()>;
-
-/**
  * Optional checkpoint hook, fired every checkpointInterval cycles at the
  * top of the run loop — a cycle boundary where no SM has ticked yet, so
  * Gpu::save() captures a state the resume path can re-enter bit-exactly.
@@ -197,10 +190,12 @@ struct GpuConfig
      * warp spans run on to it and the SM-level counters advance in
      * closed form. Every stat, metrics window, snapshot, and golden
      * table is bit-identical to the per-cycle run, so this is a pure
-     * wall-clock optimization and is on by default. Automatically
-     * pinned back to per-cycle ("faithful") execution when a
-     * fault-injection hook, which may mutate state at any cycle, is
-     * attached. Trace sinks and the race sanitizer do not pin it:
+     * wall-clock optimization and is on by default. A leap stops at
+     * every checkpoint, invariant-audit and metrics-window boundary, so
+     * those observers fire at the cycles a per-cycle run fires them.
+     * Automatically pinned back to per-cycle ("faithful") execution
+     * when a fault-injection hook, which may mutate state at any cycle,
+     * is attached. Trace sinks and the race sanitizer do not pin it:
      * neither fires on a quiet cycle. Excluded from configFingerprint —
      * timing-neutral by construction, so snapshots transfer across
      * modes.
@@ -237,17 +232,14 @@ struct GpuConfig
      * audit scoreboard release balance against in-flight writebacks,
      * thread-status-table entry leaks, and per-lane state/mask
      * discipline. A violation fails the run with
-     * ErrorKind::InvariantViolation instead of drifting silently.
+     * ErrorKind::InvariantViolation instead of drifting silently. With
+     * the checker on, a zero interval is a Config error.
      */
     bool checkInvariants = false;
     std::uint64_t invariantCheckInterval = 1024;
 
     /** Fault-injection hook, called once per cycle (null = disabled). */
     FaultHook faultHook;
-
-    /** Cancellation poll for wall-clock budgets (null = disabled). */
-    CancelHook cancelHook;
-    std::uint64_t cancelCheckInterval = 8192;
 
     /** Checkpoint hook (null = disabled; see CheckpointHook). */
     CheckpointHook checkpointHook;

@@ -99,6 +99,10 @@ Gpu::Gpu(const GpuConfig &config, Memory &memory, const Bvh *scene)
     sim_throw_if(config_.siEnabled && config_.maxSubwarps == 0,
                  ErrorKind::Config,
                  "subwarp interleaving needs at least one TST entry");
+    sim_throw_if(config_.checkInvariants &&
+                     config_.invariantCheckInterval == 0,
+                 ErrorKind::Config,
+                 "the invariant audit needs a nonzero interval");
     sim_throw_if(config_.numSms > traceMaxSms, ErrorKind::Config,
                  "%u SMs exceed the %u that trace events can name",
                  config_.numSms, traceMaxSms);
@@ -180,7 +184,6 @@ Gpu::runLoop(GpuResult &result)
         if (allDone())
             break;
         if (now_ >= config_.maxCycles) {
-            result.timedOut = true;
             warn("kernel '%s' hit the %llu-cycle watchdog",
                  kernels_.front().program->name().c_str(),
                  static_cast<unsigned long long>(config_.maxCycles));
@@ -209,15 +212,6 @@ Gpu::runLoop(GpuResult &result)
 
         if (config_.faultHook)
             (config_.faultHook)(*this, now_);
-
-        if (config_.cancelHook &&
-            now_ % config_.cancelCheckInterval == 0 &&
-            (config_.cancelHook)()) {
-            throw SimError(ErrorKind::WallClock,
-                           "run cancelled (wall-clock budget "
-                           "exhausted) at cycle " +
-                               std::to_string(now_));
-        }
 
         for (auto &sm : sms_)
             sm->tick(now_);
@@ -324,9 +318,7 @@ Gpu::maybeFastForward(bool eligible, bool events_pending)
         h = std::min(h, nextBoundary(now_, config_.checkpointInterval));
     if (config_.metricsSampler)
         h = std::min(h, config_.metricsSampler->horizonPin(now_));
-    if (config_.cancelHook && config_.cancelCheckInterval)
-        h = std::min(h, nextBoundary(now_, config_.cancelCheckInterval));
-    if (config_.checkInvariants && config_.invariantCheckInterval)
+    if (config_.checkInvariants)
         h = std::min(h,
                      nextBoundary(now_, config_.invariantCheckInterval));
     if (h == invalidCycle || h <= now_)

@@ -49,7 +49,6 @@ struct PcStall
 struct GpuResult
 {
     Cycle cycles = 0;       ///< kernel runtime (max over SMs)
-    bool timedOut = false;  ///< legacy mirror of CycleLimit status
     RunStatus status;       ///< why the run ended (ok, or a failure)
     SmStats total;          ///< statistics summed over SMs (partial on
                             ///< failure: everything up to the error)

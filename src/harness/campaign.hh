@@ -3,12 +3,13 @@
  * Crash-resumable campaign runner. A campaign is the cross product of a
  * workload suite and a set of named configurations; each cell runs in a
  * forked child process so that a crash, livelock, or runaway cell can
- * never take the parent down. The parent enforces a wall-clock budget
- * per cell (SIGKILL on overrun), retries transiently-failed cells with
- * backoff, and rewrites a resumable JSON manifest ("si-campaign-v1")
- * after every cell, so a campaign killed at any instant — parent
- * included — resumes with --resume and finishes with the same report an
- * uninterrupted campaign produces.
+ * never take the parent down. The parent keeps up to `jobs` children
+ * running, enforces a wall-clock budget per child (SIGKILL on overrun),
+ * retries transiently-failed cells with backoff, and rewrites a
+ * resumable JSON manifest ("si-campaign-v1") after every cell, so a
+ * campaign killed at any instant — parent included — resumes with
+ * --resume and finishes with the same report an uninterrupted campaign
+ * produces.
  *
  * Graceful degradation: a cell that exhausts its retries is recorded as
  * failed with the detector that flagged it (errorDetectorName) and the
@@ -24,6 +25,9 @@
 #include <utility>
 #include <vector>
 
+#include <sys/types.h>
+
+#include "fault/injector.hh"
 #include "harness/runner.hh"
 
 namespace si {
@@ -59,6 +63,13 @@ struct CampaignCellRecord
     bool failed() const { return state == "failed"; }
 };
 
+/**
+ * Child-side config mutation, applied after the cell's base config and
+ * before the machine is built; @p attempt counts from 1.
+ */
+using ChildConfigHook = std::function<void(
+    GpuConfig &, const CampaignCellRecord &, unsigned attempt)>;
+
 /** Campaign policy knobs. */
 struct CampaignOptions
 {
@@ -90,27 +101,25 @@ struct CampaignOptions
     bool faultInjectionActive = false;
 
     /**
-     * In-process execution mode: 0 (default) keeps the fork-per-cell
-     * path; N >= 1 runs cells on an in-process thread pool with N
-     * workers instead of forking. Cells keep their retry/backoff,
-     * checkpoint-resume, and classification semantics (a wall-budget
-     * overrun is ErrorKind::WallClock here — the cancel hook, not a
-     * SIGKILL), results are committed in deterministic cell order, and
-     * the final manifest is byte-identical at any worker count. The
-     * trade: a cell that outright crashes the process (panic/segfault)
-     * is not isolated — prefer the fork path for untrusted cells.
+     * Children running at once (0 = all cores). Results are committed
+     * by cell index, so the final manifest is byte-identical at any
+     * value; 1 runs the attempts in the serial order.
      */
-    unsigned inProcessJobs = 0;
+    unsigned jobs = 1;
 
     /**
-     * Child-side config mutation, applied after the cell's base config
-     * and before the machine is built. The chaos tests use it to plant
-     * in-child fault hooks (e.g. SIGKILL at a seeded cycle).
+     * Applied in the child. The chaos tests use it to plant in-child
+     * fault hooks (e.g. SIGKILL at a seeded cycle).
      */
-    std::function<void(GpuConfig &, const CampaignCellRecord &,
-                       unsigned attempt)>
-        childConfigHook;
+    ChildConfigHook childConfigHook;
 };
+
+/**
+ * Soak hook: inject @p kind from cycle @p at into every cell's first
+ * attempt, seeded by the cell's identity so each cell gets its own
+ * fault site whatever order the cells run in. The retry runs clean.
+ */
+ChildConfigHook faultFirstAttempt(FaultKind kind, Cycle at);
 
 /** Outcome of one CampaignRunner::run() invocation. */
 struct CampaignReport
@@ -171,24 +180,17 @@ class CampaignRunner
                               CampaignReport &out, std::string &error);
 
   private:
-    /** Run one attempt of @p rec in a forked child; classify it. */
-    void runAttempt(CampaignCellRecord &rec, const Workload &workload,
-                    const GpuConfig &config);
+    /** Fork a child running the next attempt of @p rec. */
+    pid_t launchAttempt(CampaignCellRecord &rec, const Workload &workload,
+                        const GpuConfig &config);
 
-    /** In-process attempt: same cell semantics, no fork. */
-    void runAttemptInProcess(CampaignCellRecord &rec,
-                             const Workload &workload,
-                             const GpuConfig &config);
+    /** Record how the attempt ended from its wait status. */
+    void classifyAttempt(CampaignCellRecord &rec, int wstatus,
+                         bool timed_out) const;
 
-    /** Drive @p rec through attempts/retries to a terminal state. */
-    void runCellToCompletion(CampaignCellRecord &rec,
-                             const Workload &workload,
-                             const GpuConfig &config, bool in_process);
-
-    /** Shared cell-simulation core behind both attempt paths. */
-    GpuResult executeCell(const CampaignCellRecord &rec,
-                          const Workload &workload, GpuConfig config,
-                          bool &resumed);
+    /** Settle a classified attempt. @return true when @p rec is
+     *  terminal, false when it earned a retry. */
+    bool settleAttempt(CampaignCellRecord &rec) const;
 
     /** Never returns: simulate the cell, write its result, _exit. */
     [[noreturn]] void childMain(const CampaignCellRecord &rec,

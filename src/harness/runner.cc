@@ -1,13 +1,9 @@
 #include "harness/runner.hh"
 
-#include <chrono>
-#include <exception>
 #include <limits>
 
 #include "common/cli.hh"
-#include "common/log.hh"
 #include "common/sim_error.hh"
-#include "parallel/executor.hh"
 
 namespace si {
 
@@ -101,70 +97,17 @@ withDws(GpuConfig config)
 GpuResult
 runWorkload(const Workload &workload, GpuConfig config)
 {
-    sim_throw_if(!workload.memory, ErrorKind::Config,
-                 "workload '%s' has no memory image",
-                 workload.name.c_str());
+    if (!workload.memory) {
+        GpuResult result;
+        result.status = RunStatus::failure(
+            ErrorKind::Config,
+            "workload '" + workload.name + "' has no memory image");
+        return result;
+    }
     config.rtc = workload.rtc;
     Memory mem = *workload.memory; // fresh copy per run
     return simulate(config, mem, workload.program, workload.launch,
                     workload.bvh());
-}
-
-RunOutcome
-runWorkloadSafe(const Workload &workload, GpuConfig config,
-                double wall_timeout_sec)
-{
-    using clock = std::chrono::steady_clock;
-    const auto start = clock::now();
-    if (wall_timeout_sec > 0) {
-        const auto deadline =
-            start + std::chrono::duration_cast<clock::duration>(
-                        std::chrono::duration<double>(wall_timeout_sec));
-        config.cancelHook = [deadline] {
-            return clock::now() >= deadline;
-        };
-    }
-
-    RunOutcome outcome;
-    outcome.name = workload.name;
-    try {
-        outcome.result = runWorkload(workload, std::move(config));
-    } catch (const SimError &e) {
-        // simulate() absorbs run-time SimErrors; this catches the
-        // pre-run ones (e.g. a workload with no memory image).
-        outcome.result.status = e.status();
-    } catch (const std::exception &e) {
-        outcome.result.status = RunStatus::failure(
-            ErrorKind::Internal,
-            std::string("unexpected exception: ") + e.what());
-    }
-    outcome.wallSeconds =
-        std::chrono::duration<double>(clock::now() - start).count();
-    return outcome;
-}
-
-std::vector<RunOutcome>
-runSuiteSafe(const std::vector<Workload> &suite, const GpuConfig &config,
-             double per_run_timeout_sec, unsigned jobs)
-{
-    return parallel::mapIndexed<RunOutcome>(
-        jobs, suite.size(),
-        [&](std::size_t i) {
-            return runWorkloadSafe(suite[i], config,
-                                   per_run_timeout_sec);
-        },
-        [](std::size_t, const RunOutcome &o) {
-            if (!o.ok()) {
-                // Name the detector explicitly: a wall-clock budget
-                // kill and a forward-progress watchdog trip used to
-                // read identically here, sending people to debug the
-                // wrong mechanism.
-                warn("workload '%s' failed (%s; flagged by %s); "
-                     "continuing sweep",
-                     o.name.c_str(), o.result.status.summary().c_str(),
-                     errorDetectorName(o.result.status.kind));
-            }
-        });
 }
 
 double

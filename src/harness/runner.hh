@@ -67,46 +67,12 @@ GpuConfig withDws(GpuConfig config);
 /**
  * Simulate @p workload under @p config. The workload's memory image is
  * copied and its RT-core parameters are installed, so repeated runs are
- * independent and deterministic.
+ * independent and deterministic. No simulator error escapes: every
+ * one, a workload without a memory image included, comes back
+ * classified in GpuResult::status, so one sick cell cannot take a
+ * sweep down.
  */
 GpuResult runWorkload(const Workload &workload, GpuConfig config);
-
-/** One sweep point from the fault-tolerant runners. */
-struct RunOutcome
-{
-    std::string name;   ///< workload name
-    GpuResult result;   ///< status + whatever statistics accumulated
-    double wallSeconds = 0;
-
-    bool ok() const { return result.ok(); }
-};
-
-/**
- * Like runWorkload(), but never aborts the process and never lets an
- * exception escape: simulator errors (deadlock, livelock, invariant
- * violations, bad configs) come back classified in the outcome's
- * GpuResult::status. A nonzero @p wall_timeout_sec installs a
- * cancellation hook that fails the run with ErrorKind::WallClock once
- * the budget is spent.
- */
-RunOutcome runWorkloadSafe(const Workload &workload, GpuConfig config,
-                           double wall_timeout_sec = 0);
-
-/**
- * Sweep @p suite under @p config with skip-and-record semantics: a
- * workload that deadlocks, livelocks, or exceeds @p per_run_timeout_sec
- * is recorded as failed and the sweep moves on, so one sick kernel
- * cannot take down the table for the healthy ones.
- *
- * @p jobs workloads run concurrently (1 = the serial path, 0 = all
- * cores). Results are collected by suite index and failure warnings are
- * emitted in suite order, so the outcome vector and the log stream are
- * byte-identical at any jobs value.
- */
-std::vector<RunOutcome> runSuiteSafe(const std::vector<Workload> &suite,
-                                     const GpuConfig &config,
-                                     double per_run_timeout_sec = 0,
-                                     unsigned jobs = 1);
 
 /** Percent speedup of @p test over @p base (positive = faster). */
 double speedupPct(const GpuResult &base, const GpuResult &test);

@@ -39,17 +39,4 @@ runCells(unsigned workers, std::size_t n,
 
 } // namespace detail
 
-void
-forIndexed(unsigned jobs, std::size_t n,
-           const std::function<void(std::size_t)> &fn)
-{
-    struct Unit
-    {
-    };
-    mapIndexed<Unit>(jobs, n, [&fn](std::size_t i) {
-        fn(i);
-        return Unit{};
-    });
-}
-
 } // namespace si::parallel

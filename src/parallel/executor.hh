@@ -16,8 +16,10 @@
  * after the whole batch has finished.
  *
  * jobs == 1 never starts a thread: cells run inline on the caller, in
- * index order, which keeps the serial path fork-safe and bit-identical
- * to the pre-parallel code by construction.
+ * index order, which keeps the serial path bit-identical to the
+ * pre-parallel code by construction. Every worker is joined before
+ * mapIndexed() returns, so a caller may fork() afterwards (the campaign
+ * runner does) without a child inheriting a lock another thread holds.
  */
 
 #ifndef SI_PARALLEL_EXECUTOR_HH
@@ -146,10 +148,6 @@ mapIndexed(unsigned jobs, std::size_t n,
     }
     return results;
 }
-
-/** mapIndexed for void cells (side-effecting work). */
-void forIndexed(unsigned jobs, std::size_t n,
-                const std::function<void(std::size_t)> &fn);
 
 } // namespace si::parallel
 

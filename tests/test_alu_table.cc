@@ -68,7 +68,7 @@ expectBothExecutors(const std::string &name, const Program &p,
     cfg.numSms = 1;
     Memory sim_mem;
     const GpuResult r = simulate(cfg, sim_mem, p, launch);
-    ASSERT_FALSE(r.timedOut) << name;
+    ASSERT_TRUE(r.ok()) << name << ": " << r.status.summary();
 
     Memory ref_mem;
     const RefResult ref = interpret(

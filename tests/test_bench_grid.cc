@@ -4,7 +4,7 @@
  * rows are built once, a column shared by every row is simulated once
  * per row, a failed cell drops exactly its row (with one note and a
  * failing finish()), --fast-forward=off reaches every cell, the
- * campaign path agrees with the in-process path, and output is
+ * campaign path agrees with the plain grid, and output is
  * byte-identical at any --jobs value. Small kernels on one SM keep
  * every grid to a fraction of a second.
  */
@@ -228,14 +228,14 @@ TEST(BenchGrid, FastForwardOffReachesEveryCell)
     }
 }
 
-TEST(BenchGrid, CampaignMatchesInProcessCycles)
+TEST(BenchGrid, CampaignMatchesGridCycles)
 {
-    // Two jobs: the campaign runs in its in-process thread-pool mode.
+    // Two jobs: the campaign keeps two forked children running.
     bench::BenchJson bj = benchJson({"--jobs", "2"});
-    bench::Grid in_process(bj), campaign(bj);
-    declare(in_process, bj);
+    bench::Grid grid(bj), campaign(bj);
+    declare(grid, bj);
     declare(campaign, bj);
-    in_process.run();
+    grid.run();
 
     const std::string dir =
         std::string(::testing::TempDir()) + "bench_grid_campaign";
@@ -246,11 +246,11 @@ TEST(BenchGrid, CampaignMatchesInProcessCycles)
     EXPECT_THAT(notes, HasSubstr("[campaign: 9 done, 0 failed;"));
     EXPECT_TRUE(std::filesystem::exists(dir + "/campaign.json"));
 
-    ASSERT_EQ(campaign.rows(), in_process.rows());
+    ASSERT_EQ(campaign.rows(), grid.rows());
     for (std::size_t r : campaign.rows()) {
         for (std::size_t c = 0; c < 3; ++c) {
             EXPECT_EQ(campaign.result(r, c).cycles,
-                      in_process.result(r, c).cycles)
+                      grid.result(r, c).cycles)
                 << campaign.name(r) << " column " << c;
         }
     }
@@ -290,7 +290,7 @@ TEST(BenchGrid, OutputByteIdenticalAtAnyJobs)
     EXPECT_THAT(serial, HasSubstr("[swept div12]"));
     EXPECT_THAT(serial, HasSubstr("[SKIPPED spin: base: "));
     EXPECT_THAT(serial, HasSubstr("mean"));
-    for (unsigned jobs : {2u, 4u})
+    for (unsigned jobs : {2u, 4u, 8u})
         EXPECT_EQ(serial, gridFingerprint(jobs)) << "jobs=" << jobs;
 }
 

@@ -140,6 +140,32 @@ TEST(ProgramEdge, SiWithZeroEntryTstRejectedAtConstruction)
     EXPECT_TRUE(simulate(cfg, mem, p, {1, 1}).ok());
 }
 
+TEST(ProgramEdge, ZeroInvariantIntervalRejectedAtConstruction)
+{
+    // The run loop audits every invariantCheckInterval cycles; a zero
+    // interval used to divide by zero there instead of failing cleanly.
+    KernelBuilder kb("k");
+    kb.exit();
+    const Program p = kb.build(8);
+    GpuConfig cfg;
+    cfg.numSms = 1;
+    cfg.checkInvariants = true;
+    cfg.invariantCheckInterval = 0;
+    Memory mem;
+    try {
+        Gpu gpu(cfg, mem);
+        ADD_FAILURE() << "invariant audit with a zero interval accepted";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::Config);
+    }
+    const GpuResult r = simulate(cfg, mem, p, {1, 1});
+    EXPECT_EQ(r.status.kind, ErrorKind::Config);
+
+    // Without the audit the interval is unused.
+    cfg.checkInvariants = false;
+    EXPECT_TRUE(simulate(cfg, mem, p, {1, 1}).ok());
+}
+
 TEST(ProgramEdge, LaunchBeyondTraceIdsRejected)
 {
     // TraceEvent names warps in 16 bits and SMs in 8: a larger launch

@@ -31,7 +31,7 @@ runBoth(const std::string &src, bool si_on)
     Memory mem;
     const Program p = assembleOrDie(src);
     const GpuResult r = simulate(cfg, mem, p, {1, 1});
-    EXPECT_FALSE(r.timedOut);
+    EXPECT_TRUE(r.ok()) << r.status.summary();
     return mem;
 }
 

@@ -22,7 +22,7 @@ runKernel(const std::string &source, Memory mem = Memory())
     cfg.numSms = 1;
     const Program prog = assembleOrDie(source);
     const GpuResult r = simulate(cfg, mem, prog, {1, 1});
-    EXPECT_FALSE(r.timedOut);
+    EXPECT_TRUE(r.ok()) << r.status.summary();
     return mem;
 }
 

@@ -160,7 +160,7 @@ struct RunOutput
     std::vector<std::uint32_t> words;
     std::uint64_t instrs;
     Cycle cycles;
-    bool timedOut;
+    bool ok;
 };
 
 RunOutput
@@ -176,7 +176,7 @@ runProgram(const Program &prog, const GpuConfig &cfg, unsigned warps)
     RunOutput out;
     out.instrs = r.total.instrsIssued;
     out.cycles = r.cycles;
-    out.timedOut = r.timedOut;
+    out.ok = r.ok();
     for (unsigned t = 0; t < warps * warpSize; ++t) {
         out.words.push_back(mem.read(outBase + Addr(t) * 4));
         out.words.push_back(mem.read(outBase + 4096 + Addr(t) * 4));
@@ -200,7 +200,7 @@ checkSeed(std::uint64_t seed)
     GpuConfig base;
     base.numSms = 2;
     const RunOutput rb = runProgram(prog, base, 8);
-    ASSERT_FALSE(rb.timedOut);
+    ASSERT_TRUE(rb.ok);
 
     const std::pair<SelectTrigger, bool> points[] = {
         {SelectTrigger::AnyStalled, false},
@@ -213,7 +213,7 @@ checkSeed(std::uint64_t seed)
         cfg.yieldEnabled = pt.second;
         cfg.trigger = pt.first;
         const RunOutput rs = runProgram(prog, cfg, 8);
-        ASSERT_FALSE(rs.timedOut);
+        ASSERT_TRUE(rs.ok);
         EXPECT_EQ(rb.words, rs.words) << "seed " << seed;
         EXPECT_EQ(rb.instrs, rs.instrs) << "seed " << seed;
     }

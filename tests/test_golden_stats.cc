@@ -63,7 +63,8 @@ renderStats(const GpuResult &r)
     const SmStats &t = r.total;
     std::ostringstream o;
     o << "cycles " << r.cycles << "\n"
-      << "timedOut " << (r.timedOut ? 1 : 0) << "\n"
+      << "timedOut "
+      << (r.status.kind == ErrorKind::CycleLimit ? 1 : 0) << "\n"
       << "instrsIssued " << t.instrsIssued << "\n"
       << "warpsRetired " << t.warpsRetired << "\n"
       << "noIssueCycles " << t.noIssueCycles << "\n"

@@ -110,8 +110,8 @@ TEST_P(SiInvarianceTest, RtWorkloadFunctionallyIdenticalToBaseline)
     const auto out_base = outputsOf(wl, base, &rb);
     const auto out_si = outputsOf(wl, si_cfg, &rs);
 
-    ASSERT_FALSE(rb.timedOut);
-    ASSERT_FALSE(rs.timedOut);
+    ASSERT_TRUE(rb.ok()) << rb.status.summary();
+    ASSERT_TRUE(rs.ok()) << rs.status.summary();
 
     // Scheduling must never change architectural results.
     EXPECT_EQ(out_base, out_si);

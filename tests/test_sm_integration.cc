@@ -182,7 +182,7 @@ TEST(SmIntegration, AllWarpsRetireAcrossWaves)
     const Program p = stallKernel(64);
     // Far more warps than slots: several admission waves.
     const GpuResult r = simulate(cfg, mem, p, {96, 4});
-    EXPECT_FALSE(r.timedOut);
+    EXPECT_TRUE(r.ok()) << r.status.summary();
     EXPECT_EQ(r.total.warpsRetired, 96u);
 }
 
@@ -196,7 +196,7 @@ TEST(SmIntegration, GtoAndLrrBothComplete)
         cfg.sched = pol;
         Memory m = mem;
         const GpuResult r = simulate(cfg, m, p, {16, 4});
-        EXPECT_FALSE(r.timedOut);
+        EXPECT_TRUE(r.ok()) << r.status.summary();
         EXPECT_EQ(r.total.warpsRetired, 16u);
     }
 }
@@ -374,7 +374,7 @@ top:
 BRA top
 EXIT
 )"), {1, 1});
-    EXPECT_TRUE(r.timedOut);
+    EXPECT_EQ(r.status.kind, ErrorKind::CycleLimit);
 }
 
 TEST(SmIntegration, MultiSmSplitsWarps)
@@ -407,7 +407,7 @@ EXIT
     Memory mem;
     const GpuResult r = simulate(cfg, mem, assembleOrDie(src), {1, 1});
     EXPECT_EQ(r.total.l1dMisses + r.total.l1dHits, 1u);
-    EXPECT_FALSE(r.timedOut);
+    EXPECT_TRUE(r.ok()) << r.status.summary();
 }
 
 TEST(SmIntegrationDeath, BarrierDeadlockFailsTheRun)

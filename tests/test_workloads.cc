@@ -40,7 +40,7 @@ TEST(Megakernel, RunsToCompletionAndWritesOutput)
     Memory mem = *wl.memory;
     const GpuResult r =
         simulate(cfg, mem, wl.program, wl.launch, wl.bvh());
-    EXPECT_FALSE(r.timedOut);
+    EXPECT_TRUE(r.ok()) << r.status.summary();
     EXPECT_EQ(r.total.warpsRetired, 8u);
     EXPECT_GT(r.total.rtQueriesIssued, 0u);
     EXPECT_GT(r.total.divergentBranches, 0u);
@@ -120,7 +120,7 @@ TEST(Microbench, BaselineSerializesSubwarps)
     mc.iterations = 2;
     const Workload wl = buildMicrobench(mc);
     const GpuResult r = runWorkload(wl, baselineConfig());
-    EXPECT_FALSE(r.timedOut);
+    EXPECT_TRUE(r.ok()) << r.status.summary();
     // Every warp diverges into 2 subwarps once per iteration.
     EXPECT_GT(r.total.divergentBranches, 0u);
     // All loads are compulsory line misses by construction: one miss

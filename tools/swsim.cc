@@ -26,7 +26,6 @@
 
 #include "common/cli.hh"
 #include "common/log.hh"
-#include "common/rng.hh"
 #include "fault/injector.hh"
 #include "harness/campaign.hh"
 #include "harness/report.hh"
@@ -87,7 +86,7 @@ main(int argc, char **argv)
     std::optional<si::FaultKind> campaign_inject;
     unsigned campaign_cells = 0, campaign_timeout = 0;
     unsigned campaign_retries = 2;
-    unsigned campaign_jobs = 0;
+    unsigned campaign_jobs = 1;
 
     si::cli::Parser cli("swsim", "KERNEL.sasm [options]");
     cli.positional(kernel, "KERNEL.sasm", 1, 1);
@@ -141,11 +140,10 @@ main(int argc, char **argv)
                 "inject this fault into each cell's first attempt (soak "
                 "testing: retries must recover)")
         .number("--campaign-jobs", campaign_jobs,
-                "run campaign cells on an in-process pool of N workers, "
+                "campaign cells run as up to N forked children at once, "
                 "0.." + std::to_string(si::cli::maxJobs) +
-                    " (default 0 = fork each cell); the manifest's cell "
-                    "grid is byte-identical to the fork path's (wall "
-                    "budgets classify as WallClock, not ChildTimeout)",
+                    " (default 1; 0 = all cores); the final manifest is "
+                    "byte-identical at any N",
                 0, si::cli::maxJobs)
         .fastForward(cfg.fastForward)
         .flag("--ff-report", ff_report,
@@ -321,42 +319,14 @@ main(int argc, char **argv)
         opts.checkpointEvery = checkpoint_every;
         opts.resume = campaign_resume;
         opts.maxCellsThisRun = campaign_cells;
-        opts.inProcessJobs = campaign_jobs;
+        opts.jobs = campaign_jobs;
         if (campaign_inject) {
-            const si::FaultKind fault = *campaign_inject;
             // Soak mode: each cell's FIRST attempt gets a live fault
             // injected; the retry runs clean, so a healthy campaign
-            // converges to all-done. The injector leaks into the hook
-            // on purpose — it must outlive the child's whole run.
+            // converges to all-done.
             opts.faultInjectionActive = true;
             opts.childConfigHook =
-                [fault](si::GpuConfig &c,
-                                 const si::CampaignCellRecord &rec,
-                                 unsigned attempt) {
-                    if (attempt > 1)
-                        return;
-                    // Stream-seed by the cell's stable identity, not the
-                    // shared base seed: every cell gets its own fault
-                    // site, independent of execution order.
-                    std::uint64_t ident = 1469598103934665603ull;
-                    for (const std::string *s :
-                         {&rec.workload, &rec.configLabel}) {
-                        for (char ch : *s) {
-                            ident ^= std::uint64_t(
-                                static_cast<unsigned char>(ch));
-                            ident *= 1099511628211ull;
-                        }
-                    }
-                    const std::uint64_t seed =
-                        si::Rng::streamSeed(c.rngSeed, ident);
-                    auto inj = std::make_shared<si::FaultInjector>(
-                        si::FaultSpec{fault, 500, seed});
-                    c.faultHook = [inj, h = inj->hook()](
-                                      si::Gpu &gpu, si::Cycle now) {
-                        h(gpu, now);
-                    };
-                    c.checkInvariants = true;
-                };
+                si::faultFirstAttempt(*campaign_inject, 500);
         }
 
         si::CampaignRunner runner({wl}, configs, opts);
