@@ -14,6 +14,7 @@
 #include "harness/runner.hh"
 #include "isa/assembler.hh"
 #include "parallel/executor.hh"
+#include "rt/apps.hh"
 #include "rt/microbench.hh"
 #include "rt/scene.hh"
 
@@ -74,6 +75,34 @@ BM_BvhBuild(benchmark::State &state)
 BENCHMARK(BM_BvhBuild)->Arg(4000)->Arg(32000)
     ->Unit(benchmark::kMillisecond);
 
+/**
+ * The ten app scenes' BVH builds over pre-generated triangles: the
+ * tree work that perfbench rt-sweep's setup_s pays for.
+ */
+void
+BM_BvhBuildApps(benchmark::State &state)
+{
+    si::verboseLogging = false;
+    std::vector<std::vector<si::Triangle>> scenes;
+    std::size_t tris = 0;
+    for (si::AppId id : si::allApps()) {
+        scenes.push_back(si::makeScene(si::appBuildConfig(id).scene)
+                             ->triangles);
+        tris += scenes.back().size();
+    }
+    for (auto _ : state) {
+        for (const auto &t : scenes) {
+            const si::Bvh bvh(t);
+            benchmark::DoNotOptimize(bvh.numNodes());
+        }
+    }
+    state.counters["tris/s"] = benchmark::Counter(
+        double(tris) * double(state.iterations()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_BvhBuildApps)->Unit(benchmark::kMillisecond);
+
+/** One primary ray per iteration, traced with stats as RtCore::query does. */
 void
 BM_BvhTrace(benchmark::State &state)
 {
@@ -86,8 +115,10 @@ BM_BvhTrace(benchmark::State &state)
     for (auto _ : state) {
         const float sx = float(i % 101) / 101.0f;
         const float sy = float(i % 53) / 53.0f;
-        const si::Hit h = scene->bvh.trace(scene->primaryRay(sx, sy));
+        si::TraversalStats ts;
+        const si::Hit h = scene->bvh.trace(scene->primaryRay(sx, sy), &ts);
         benchmark::DoNotOptimize(h.t);
+        benchmark::DoNotOptimize(ts.nodesVisited);
         ++i;
     }
     state.counters["rays/s"] = benchmark::Counter(

@@ -1,42 +1,63 @@
 #include "rtcore/bvh.hh"
 
 #include <algorithm>
-#include <numeric>
+#include <bit>
+#include <cmath>
 
 #include "common/log.hh"
+#include "common/sim_error.hh"
+#include "snapshot/snapshot.hh"
 
 namespace si {
 
-Bvh::Bvh(std::vector<Triangle> triangles, BvhBuilder builder)
-    : builder_(builder), tris_(std::move(triangles))
+struct Bvh::PrimRef
 {
-    if (tris_.empty()) {
-        Node root;
-        root.box = Aabb{};
-        nodes_.push_back(root);
+    Aabb box;
+    Vec3 centroid;
+    std::uint32_t index; ///< triangle index in the builder's input
+    std::uint32_t bin;   ///< SAH bin at the node being split
+};
+
+Bvh::Bvh(std::vector<Triangle> triangles, BvhBuilder builder)
+    : builder_(builder)
+{
+    auto finite = [](const Vec3 &v) {
+        return std::isfinite(v.x) && std::isfinite(v.y) &&
+               std::isfinite(v.z);
+    };
+    for (std::size_t i = 0; i < triangles.size(); ++i) {
+        const Triangle &t = triangles[i];
+        sim_throw_if(!finite(t.v0) || !finite(t.v1) || !finite(t.v2),
+                     ErrorKind::Config,
+                     "bvh: triangle %zu has a non-finite vertex", i);
+    }
+
+    if (triangles.empty()) {
+        nodes_.emplace_back();
         return;
     }
 
-    prims_.resize(tris_.size());
-    std::iota(prims_.begin(), prims_.end(), 0u);
-    primBounds_.reserve(tris_.size());
-    primCentroids_.reserve(tris_.size());
-    for (const auto &t : tris_) {
-        primBounds_.push_back(t.bounds());
-        primCentroids_.push_back(primBounds_.back().centroid());
+    std::vector<PrimRef> refs;
+    refs.reserve(triangles.size());
+    for (const Triangle &t : triangles) {
+        const Aabb box = t.bounds();
+        refs.push_back({box, box.centroid(), std::uint32_t(refs.size()), 0});
     }
 
-    nodes_.reserve(tris_.size() * 2);
-    buildNode(0, std::uint32_t(prims_.size()));
+    nodes_.reserve(triangles.size() * 2);
+    buildNode(refs, 0, std::uint32_t(refs.size()));
 
-    primBounds_.clear();
-    primBounds_.shrink_to_fit();
-    primCentroids_.clear();
-    primCentroids_.shrink_to_fit();
+    tris_.reserve(refs.size());
+    for (const PrimRef &r : refs) {
+        const Triangle &t = triangles[r.index];
+        tris_.push_back(
+            {t.v0, t.v1 - t.v0, t.v2 - t.v0, r.index, t.materialId});
+    }
 }
 
 std::uint32_t
-Bvh::buildNode(std::uint32_t begin, std::uint32_t end)
+Bvh::buildNode(std::vector<PrimRef> &refs, std::uint32_t begin,
+               std::uint32_t end)
 {
     const std::uint32_t node_index = std::uint32_t(nodes_.size());
     nodes_.emplace_back();
@@ -44,15 +65,15 @@ Bvh::buildNode(std::uint32_t begin, std::uint32_t end)
     Aabb box;
     Aabb centroid_box;
     for (std::uint32_t i = begin; i < end; ++i) {
-        box.expand(primBounds_[prims_[i]]);
-        centroid_box.expand(primCentroids_[prims_[i]]);
+        box.expand(refs[i].box);
+        centroid_box.expand(refs[i].centroid);
     }
     nodes_[node_index].box = box;
 
     const std::uint32_t count = end - begin;
     if (count <= maxLeafSize) {
-        nodes_[node_index].firstPrim = begin;
-        nodes_[node_index].count = std::uint16_t(count);
+        nodes_[node_index].index = begin;
+        nodes_[node_index].count = count;
         return node_index;
     }
 
@@ -67,6 +88,8 @@ Bvh::buildNode(std::uint32_t begin, std::uint32_t end)
     constexpr unsigned numBins = 12;
     const float axis_lo = centroid_box.lo[axis];
     const float axis_extent = extent[axis];
+    const auto first = refs.begin() + begin;
+    const auto last = refs.begin() + end;
 
     std::uint32_t mid;
     if (axis_extent < 1e-12f) {
@@ -75,11 +98,9 @@ Bvh::buildNode(std::uint32_t begin, std::uint32_t end)
     } else if (builder_ == BvhBuilder::MedianSplit) {
         // Object-median split along the widest axis.
         mid = begin + count / 2;
-        std::nth_element(prims_.begin() + begin, prims_.begin() + mid,
-                         prims_.begin() + end,
-                         [&](std::uint32_t a, std::uint32_t b) {
-                             return primCentroids_[a][axis] <
-                                    primCentroids_[b][axis];
+        std::nth_element(first, refs.begin() + mid, last,
+                         [&](const PrimRef &a, const PrimRef &b) {
+                             return a.centroid[axis] < b.centroid[axis];
                          });
     } else {
         struct Bin
@@ -88,14 +109,11 @@ Bvh::buildNode(std::uint32_t begin, std::uint32_t end)
             std::uint32_t count = 0;
         };
         Bin bins[numBins];
-        auto bin_of = [&](std::uint32_t prim) {
-            float rel = (primCentroids_[prim][axis] - axis_lo) / axis_extent;
-            unsigned b = unsigned(rel * numBins);
-            return b >= numBins ? numBins - 1 : b;
-        };
-        for (std::uint32_t i = begin; i < end; ++i) {
-            Bin &b = bins[bin_of(prims_[i])];
-            b.box.expand(primBounds_[prims_[i]]);
+        for (auto it = first; it != last; ++it) {
+            const float rel = (it->centroid[axis] - axis_lo) / axis_extent;
+            it->bin = std::min(unsigned(rel * numBins), numBins - 1);
+            Bin &b = bins[it->bin];
+            b.box.expand(it->box);
             b.count++;
         }
 
@@ -137,21 +155,17 @@ Bvh::buildNode(std::uint32_t begin, std::uint32_t end)
         if (best_cost == std::numeric_limits<float>::infinity()) {
             mid = begin + count / 2;
         } else {
-            auto it = std::partition(
-                prims_.begin() + begin, prims_.begin() + end,
-                [&](std::uint32_t prim) {
-                    return bin_of(prim) <= best_split;
-                });
-            mid = std::uint32_t(it - prims_.begin());
+            auto it = std::partition(first, last, [&](const PrimRef &r) {
+                return r.bin <= best_split;
+            });
+            mid = std::uint32_t(it - refs.begin());
             if (mid == begin || mid == end)
                 mid = begin + count / 2;
         }
     }
 
-    buildNode(begin, mid); // left child == node_index + 1
-    const std::uint32_t right = buildNode(mid, end);
-    nodes_[node_index].rightChild = right;
-    nodes_[node_index].count = 0;
+    buildNode(refs, begin, mid); // left child == node_index + 1
+    nodes_[node_index].index = buildNode(refs, mid, end);
     return node_index;
 }
 
@@ -161,6 +175,31 @@ Bvh::bounds() const
     return nodes_.front().box;
 }
 
+std::uint64_t
+Bvh::digest() const
+{
+    Fnv1a h;
+    auto put = [&](float f) { h.update(std::bit_cast<std::uint32_t>(f)); };
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        const Node &n = nodes_[i];
+        for (const Vec3 &v : {n.box.lo, n.box.hi}) {
+            put(v.x);
+            put(v.y);
+            put(v.z);
+        }
+        h.update(std::uint64_t(n.count));
+        if (n.count) {
+            h.update(std::uint64_t(n.index));
+            for (unsigned k = 0; k < n.count; ++k)
+                h.update(std::uint64_t(tris_[n.index + k].prim));
+        } else {
+            h.update(std::uint64_t(i + 1));
+            h.update(std::uint64_t(n.index));
+        }
+    }
+    return h.digest();
+}
+
 Hit
 Bvh::trace(const Ray &ray, TraversalStats *stats) const
 {
@@ -168,73 +207,43 @@ Bvh::trace(const Ray &ray, TraversalStats *stats) const
     if (tris_.empty())
         return best;
 
+    const Vec3 inv_dir = Aabb::reciprocal(ray.dir);
     std::uint32_t stack[64];
     int sp = 0;
     stack[sp++] = 0;
 
     float t_max = ray.tMax;
+    std::uint32_t visited = 0, tested = 0;
     while (sp > 0) {
-        const Node &node = nodes_[stack[--sp]];
-        if (stats)
-            stats->nodesVisited++;
-        if (!node.box.hit(ray, t_max))
+        const std::uint32_t self = stack[--sp];
+        const Node &node = nodes_[self];
+        ++visited;
+        if (!node.box.hit(ray.origin, inv_dir, ray.tMin, t_max))
             continue;
-        if (node.isLeaf()) {
-            for (unsigned i = 0; i < node.count; ++i) {
-                const std::uint32_t prim = prims_[node.firstPrim + i];
-                if (stats)
-                    stats->trianglesTested++;
-                Hit h = intersect(ray, tris_[prim], t_max);
+        if (node.count) {
+            tested += node.count;
+            const LeafTriangle *tri = &tris_[node.index];
+            for (const LeafTriangle *end = tri + node.count; tri != end;
+                 ++tri) {
+                Hit h = intersect(ray, tri->v0, tri->e1, tri->e2, t_max);
                 if (h.valid) {
-                    h.primId = prim;
+                    h.primId = tri->prim;
+                    h.materialId = tri->materialId;
                     best = h;
                     t_max = h.t;
                 }
             }
         } else {
             panic_if(sp + 2 > 64, "BVH traversal stack overflow");
-            const std::uint32_t self =
-                std::uint32_t(&node - nodes_.data());
-            stack[sp++] = node.rightChild;
+            stack[sp++] = node.index;
             stack[sp++] = self + 1; // left child visited first
         }
     }
-    return best;
-}
-
-bool
-Bvh::occluded(const Ray &ray, TraversalStats *stats) const
-{
-    if (tris_.empty())
-        return false;
-
-    std::uint32_t stack[64];
-    int sp = 0;
-    stack[sp++] = 0;
-
-    while (sp > 0) {
-        const Node &node = nodes_[stack[--sp]];
-        if (stats)
-            stats->nodesVisited++;
-        if (!node.box.hit(ray, ray.tMax))
-            continue;
-        if (node.isLeaf()) {
-            for (unsigned i = 0; i < node.count; ++i) {
-                const std::uint32_t prim = prims_[node.firstPrim + i];
-                if (stats)
-                    stats->trianglesTested++;
-                if (intersect(ray, tris_[prim], ray.tMax).valid)
-                    return true;
-            }
-        } else {
-            panic_if(sp + 2 > 64, "BVH traversal stack overflow");
-            const std::uint32_t self =
-                std::uint32_t(&node - nodes_.data());
-            stack[sp++] = node.rightChild;
-            stack[sp++] = self + 1;
-        }
+    if (stats) {
+        stats->nodesVisited += visited;
+        stats->trianglesTested += tested;
     }
-    return false;
+    return best;
 }
 
 } // namespace si

@@ -31,14 +31,20 @@ enum class BvhBuilder {
 
 /**
  * A binary BVH over a triangle soup. Build once, query many times;
- * queries are const and thread-compatible.
+ * queries are const and thread-compatible. Nodes are stored depth
+ * first (left child next to its parent) and each leaf's triangles
+ * are stored contiguously in leaf order.
  */
 class Bvh
 {
   public:
     Bvh() = default;
 
-    /** Build over @p triangles (copied in). Empty input is allowed. */
+    /**
+     * Build over @p triangles. Empty input is allowed.
+     * @throws SimError (ErrorKind::Config) when any vertex coordinate
+     * is NaN or infinite.
+     */
     explicit Bvh(std::vector<Triangle> triangles,
                  BvhBuilder builder = BvhBuilder::BinnedSah);
 
@@ -48,12 +54,17 @@ class Bvh
      */
     Hit trace(const Ray &ray, TraversalStats *stats = nullptr) const;
 
-    /** True when any intersection exists (shadow-ray query). */
-    bool occluded(const Ray &ray, TraversalStats *stats = nullptr) const;
-
     std::size_t numTriangles() const { return tris_.size(); }
     std::size_t numNodes() const { return nodes_.size(); }
     const Aabb &bounds() const;
+
+    /**
+     * FNV-1a over the tree, field by field: each node's box bits and
+     * child indices, or its leaf range and the leaf's triangle ids.
+     * Independent of the in-memory node layout, so it pins the tree
+     * a builder produces.
+     */
+    std::uint64_t digest() const;
 
     /** Maximum leaf size the builder produces. */
     static constexpr unsigned maxLeafSize = 4;
@@ -62,23 +73,30 @@ class Bvh
     struct Node
     {
         Aabb box;
-        /** Leaf: index into prims_, count in count. Inner: left child is
-         *  index+1, right child is rightChild. */
-        std::uint32_t firstPrim = 0;
-        std::uint32_t rightChild = 0;
-        std::uint16_t count = 0; ///< 0 for inner nodes
+        /** Leaf: first of its count triangles in tris_. Inner: the
+         *  right child; the left child is the next node. */
+        std::uint32_t index = 0;
+        std::uint32_t count = 0; ///< 0 for inner nodes
+    };
+    static_assert(sizeof(Node) == 32);
 
-        bool isLeaf() const { return count != 0; }
+    /** A triangle in leaf order, pre-split for Möller–Trumbore. */
+    struct LeafTriangle
+    {
+        Vec3 v0, e1, e2;         ///< e1 = v1 - v0, e2 = v2 - v0
+        std::uint32_t prim;      ///< index in the builder's input
+        std::uint32_t materialId;
     };
 
-    std::uint32_t buildNode(std::uint32_t begin, std::uint32_t end);
+    /** Build-time record of one triangle; permuted in place. */
+    struct PrimRef;
+
+    std::uint32_t buildNode(std::vector<PrimRef> &refs,
+                            std::uint32_t begin, std::uint32_t end);
 
     BvhBuilder builder_ = BvhBuilder::BinnedSah;
-    std::vector<Triangle> tris_;
-    std::vector<std::uint32_t> prims_; ///< triangle indices, leaf-ordered
+    std::vector<LeafTriangle> tris_;
     std::vector<Node> nodes_;
-    std::vector<Aabb> primBounds_;     ///< build-time only; cleared after
-    std::vector<Vec3> primCentroids_;  ///< build-time only; cleared after
 };
 
 } // namespace si

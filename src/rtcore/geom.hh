@@ -78,13 +78,19 @@ struct Aabb
             -std::numeric_limits<float>::infinity(),
             -std::numeric_limits<float>::infinity()};
 
+    /**
+     * Grow to cover @p p. For non-NaN operands the comparisons give
+     * the same bits as libm fmin/fmax (on a tie, such as -0 vs
+     * +0, both return @p p's coordinate) but inline; NaN coordinates
+     * never get here (Bvh rejects non-finite vertices).
+     */
     void
     expand(const Vec3 &p)
     {
-        lo = {std::fmin(lo.x, p.x), std::fmin(lo.y, p.y),
-              std::fmin(lo.z, p.z)};
-        hi = {std::fmax(hi.x, p.x), std::fmax(hi.y, p.y),
-              std::fmax(hi.z, p.z)};
+        auto min = [](float x, float y) { return x < y ? x : y; };
+        auto max = [](float x, float y) { return x > y ? x : y; };
+        lo = {min(lo.x, p.x), min(lo.y, p.y), min(lo.z, p.z)};
+        hi = {max(hi.x, p.x), max(hi.y, p.y), max(hi.z, p.z)};
     }
 
     void
@@ -106,25 +112,42 @@ struct Aabb
         return 2.0f * (d.x * d.y + d.y * d.z + d.z * d.x);
     }
 
-    /** Slab test against @p ray over [tMin, tMax]. */
+    /** Slab test against @p ray over [ray.tMin, t_max]. */
     bool
     hit(const Ray &ray, float t_max) const
     {
-        float t0 = ray.tMin, t1 = t_max;
+        return hit(ray.origin, reciprocal(ray.dir), ray.tMin, t_max);
+    }
+
+    /**
+     * Slab test over [t_min, t_max] of the ray from @p origin whose
+     * direction has per-axis reciprocals @p inv_dir (computed once per
+     * ray by the caller).
+     */
+    bool
+    hit(const Vec3 &origin, const Vec3 &inv_dir, float t_min,
+        float t_max) const
+    {
+        // No per-axis early exit: t0 only grows and t1 only shrinks, so
+        // the verdict is the same, and the branch-free form is faster.
+        float t0 = t_min, t1 = t_max;
         for (int a = 0; a < 3; ++a) {
-            float origin = ray.origin[a];
-            float d = ray.dir[a];
-            float inv = 1.0f / d;
-            float ta = (lo[a] - origin) * inv;
-            float tb = (hi[a] - origin) * inv;
-            if (inv < 0)
-                std::swap(ta, tb);
-            t0 = ta > t0 ? ta : t0;
-            t1 = tb < t1 ? tb : t1;
-            if (t1 < t0)
-                return false;
+            const float inv = inv_dir[a];
+            const float ta = (lo[a] - origin[a]) * inv;
+            const float tb = (hi[a] - origin[a]) * inv;
+            const float near = inv < 0 ? tb : ta;
+            const float far = inv < 0 ? ta : tb;
+            t0 = near > t0 ? near : t0;
+            t1 = far < t1 ? far : t1;
         }
-        return true;
+        return !(t1 < t0);
+    }
+
+    /** Per-axis 1/d, the slab test's direction operand. */
+    static Vec3
+    reciprocal(const Vec3 &d)
+    {
+        return {1.0f / d.x, 1.0f / d.y, 1.0f / d.z};
     }
 };
 
@@ -162,21 +185,22 @@ struct Hit
 };
 
 /**
- * Möller–Trumbore ray/triangle intersection.
- * @return hit with t in (ray.tMin, t_max), or invalid.
+ * Möller–Trumbore ray/triangle intersection against the triangle with
+ * vertex @p v0 and edges @p e1 = v1 - v0, @p e2 = v2 - v0.
+ * @return hit with t in (ray.tMin, t_max), or invalid; primId and
+ * materialId are left for the caller.
  */
 inline Hit
-intersect(const Ray &ray, const Triangle &tri, float t_max)
+intersect(const Ray &ray, const Vec3 &v0, const Vec3 &e1, const Vec3 &e2,
+          float t_max)
 {
     Hit hit;
-    const Vec3 e1 = tri.v1 - tri.v0;
-    const Vec3 e2 = tri.v2 - tri.v0;
     const Vec3 p = ray.dir.cross(e2);
     const float det = e1.dot(p);
     if (std::fabs(det) < 1e-9f)
         return hit;
     const float inv_det = 1.0f / det;
-    const Vec3 s = ray.origin - tri.v0;
+    const Vec3 s = ray.origin - v0;
     const float u = s.dot(p) * inv_det;
     if (u < 0.0f || u > 1.0f)
         return hit;
@@ -191,7 +215,20 @@ intersect(const Ray &ray, const Triangle &tri, float t_max)
     hit.t = t;
     hit.u = u;
     hit.v = v;
-    hit.materialId = tri.materialId;
+    return hit;
+}
+
+/**
+ * Möller–Trumbore against @p tri.
+ * @return hit with t in (ray.tMin, t_max) and tri's material, or invalid.
+ */
+inline Hit
+intersect(const Ray &ray, const Triangle &tri, float t_max)
+{
+    Hit hit = intersect(ray, tri.v0, tri.v1 - tri.v0, tri.v2 - tri.v0,
+                        t_max);
+    if (hit.valid)
+        hit.materialId = tri.materialId;
     return hit;
 }
 
