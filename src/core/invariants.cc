@@ -70,18 +70,11 @@ describeWarpState(const Warp &warp)
 
     const ScoreboardFile &sb = warp.scoreboards();
     for (unsigned s = 0; s < ScoreboardFile::numSb; ++s) {
-        ThreadMask outstanding;
-        std::uint8_t max_count = 0;
-        for (unsigned lane = 0; lane < warpSize; ++lane) {
-            const std::uint8_t c = sb.count(lane, SbIndex(s));
-            if (c) {
-                outstanding.set(lane);
-                max_count = std::max(max_count, c);
-            }
-        }
+        const ThreadMask outstanding = sb.busy(SbIndex(s));
         if (outstanding.any()) {
             out += fmt("  scoreboard sb%u outstanding=0x%08x max=%u\n", s,
-                       outstanding.raw(), max_count);
+                       outstanding.raw(),
+                       sb.maxCount(outstanding, SbIndex(s)));
         }
     }
 
@@ -128,10 +121,14 @@ auditWarpInvariants(const Warp &warp, const PendingWbCounts &pending)
 
     // Scoreboard release balance: counts were incremented at issue and
     // are decremented exactly once per in-flight writeback, so every
-    // per-lane count must equal its pending-writeback coverage.
+    // per-lane count must equal its pending-writeback coverage. The
+    // busy masks are a cache of the counts, so each must name exactly
+    // the lanes with writebacks in flight (a stale mask would let a
+    // consumer issue early or stall forever).
     const ScoreboardFile &sb = warp.scoreboards();
-    for (unsigned lane = 0; lane < warpSize; ++lane) {
-        for (unsigned s = 0; s < ScoreboardFile::numSb; ++s) {
+    for (unsigned s = 0; s < ScoreboardFile::numSb; ++s) {
+        ThreadMask pending_lanes;
+        for (unsigned lane = 0; lane < warpSize; ++lane) {
             const std::uint8_t have = sb.count(lane, SbIndex(s));
             const std::uint32_t expect = pending[lane][s];
             if (have != expect) {
@@ -139,6 +136,13 @@ auditWarpInvariants(const Warp &warp, const PendingWbCounts &pending)
                            "count %u vs %u in-flight writebacks",
                            lane, s, have, expect);
             }
+            if (expect != 0)
+                pending_lanes.set(lane);
+        }
+        if (sb.busy(SbIndex(s)) != pending_lanes) {
+            return fmt("scoreboard sb%u busy mask 0x%08x is stale: lanes "
+                       "0x%08x have writebacks in flight",
+                       s, sb.busy(SbIndex(s)).raw(), pending_lanes.raw());
         }
     }
 

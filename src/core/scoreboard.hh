@@ -10,9 +10,12 @@
 #ifndef SI_CORE_SCOREBOARD_HH
 #define SI_CORE_SCOREBOARD_HH
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 
+#include "common/sim_error.hh"
 #include "common/thread_mask.hh"
 #include "common/types.hh"
 #include "snapshot/snapshot.hh"
@@ -27,11 +30,20 @@ enum class WbPort : std::uint8_t { Lsu, Tex };
  * A counter is incremented when a lane issues a long-latency operation
  * tagged &wr=sbN and decremented when that operation writes back.
  * Consumers tagged &req=sbN stall until the counter reads zero.
+ *
+ * Next to the per-lane counts the file keeps one lane mask per
+ * scoreboard, the lanes whose count is nonzero, so the readiness
+ * questions the scheduler asks every evaluation are one AND per
+ * required scoreboard. The counts stay the snapshot format and answer
+ * maxCount(); every mutator keeps the two in step.
  */
 class ScoreboardFile
 {
   public:
     static constexpr unsigned numSb = numScoreboards;
+
+    /** Largest count one lane can hold (the counters are 8-bit). */
+    static constexpr std::uint8_t maxOutstanding = 255;
 
     ScoreboardFile() { clear(); }
 
@@ -40,23 +52,40 @@ class ScoreboardFile
     {
         for (auto &lane : counts_)
             lane.fill(0);
+        busy_.fill(ThreadMask());
     }
 
-    /** Increment scoreboard @p sb for every lane in @p mask. */
+    /**
+     * Increment scoreboard @p sb for every lane in @p mask. A lane
+     * already at maxOutstanding is an invalid program (more writes in
+     * flight than the counter can hold): SimError(ErrorKind::Parse),
+     * raised before any count changes.
+     */
     void
     incr(ThreadMask mask, SbIndex sb)
     {
+        for (unsigned lane : lanesOf(mask & busy_[sb])) {
+            sim_throw_if(counts_[lane][sb] == maxOutstanding,
+                         ErrorKind::Parse,
+                         "invalid program: scoreboard sb%u overflows in "
+                         "lane %u (%u writes already outstanding; a "
+                         "&req=sb%u consumer must drain it)",
+                         unsigned(sb), lane, unsigned(maxOutstanding),
+                         unsigned(sb));
+        }
         for (unsigned lane : lanesOf(mask))
             ++counts_[lane][sb];
+        busy_[sb] |= mask;
     }
 
-    /** Decrement scoreboard @p sb for every lane in @p mask. */
+    /** Decrement scoreboard @p sb for every lane in @p mask; a lane
+     *  already at zero stays there. */
     void
     decr(ThreadMask mask, SbIndex sb)
     {
-        for (unsigned lane : lanesOf(mask)) {
-            if (counts_[lane][sb] > 0)
-                --counts_[lane][sb];
+        for (unsigned lane : lanesOf(mask & busy_[sb])) {
+            if (--counts_[lane][sb] == 0)
+                busy_[sb].clear(lane);
         }
     }
 
@@ -67,6 +96,9 @@ class ScoreboardFile
         return counts_[lane][sb];
     }
 
+    /** The lanes whose count of @p sb is nonzero. */
+    ThreadMask busy(SbIndex sb) const { return busy_[sb]; }
+
     /**
      * True when every scoreboard in @p req_mask reads zero for every
      * lane in @p mask — the issue condition for a &req consumer.
@@ -74,15 +106,7 @@ class ScoreboardFile
     bool
     ready(ThreadMask mask, std::uint8_t req_mask) const
     {
-        if (!req_mask)
-            return true;
-        for (unsigned lane : lanesOf(mask)) {
-            for (unsigned sb = 0; sb < numSb; ++sb) {
-                if ((req_mask & (1u << sb)) && counts_[lane][sb] != 0)
-                    return false;
-            }
-        }
-        return true;
+        return firstBlocking(mask, req_mask) == sbNone;
     }
 
     /**
@@ -93,13 +117,10 @@ class ScoreboardFile
     SbIndex
     firstBlocking(ThreadMask mask, std::uint8_t req_mask) const
     {
-        for (unsigned sb = 0; sb < numSb; ++sb) {
-            if (!(req_mask & (1u << sb)))
-                continue;
-            for (unsigned lane : lanesOf(mask)) {
-                if (counts_[lane][sb] != 0)
-                    return SbIndex(sb);
-            }
+        for (unsigned bits = req_mask; bits; bits &= bits - 1) {
+            const unsigned sb = std::countr_zero(bits);
+            if ((busy_[sb] & mask).any())
+                return SbIndex(sb);
         }
         return sbNone;
     }
@@ -109,7 +130,7 @@ class ScoreboardFile
     maxCount(ThreadMask mask, SbIndex sb) const
     {
         std::uint8_t m = 0;
-        for (unsigned lane : lanesOf(mask))
+        for (unsigned lane : lanesOf(mask & busy_[sb]))
             m = std::max(m, counts_[lane][sb]);
         return m;
     }
@@ -124,17 +145,23 @@ class ScoreboardFile
                 w.u8(c);
     }
 
-    /** Restore counters serialized by save(). */
+    /** Restore counters serialized by save(); the masks follow them. */
     void
     restore(SnapshotReader &r)
     {
-        for (auto &lane : counts_)
-            for (std::uint8_t &c : lane)
-                c = r.u8();
+        busy_.fill(ThreadMask());
+        for (unsigned lane = 0; lane < warpSize; ++lane) {
+            for (unsigned sb = 0; sb < numSb; ++sb) {
+                counts_[lane][sb] = r.u8();
+                if (counts_[lane][sb] != 0)
+                    busy_[sb].set(lane);
+            }
+        }
     }
 
   private:
     std::array<std::array<std::uint8_t, numSb>, warpSize> counts_;
+    std::array<ThreadMask, numSb> busy_;
 };
 
 } // namespace si

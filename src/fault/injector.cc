@@ -79,9 +79,10 @@ FaultInjector::tryScoreboard(Gpu &gpu, Cycle now)
             const Warp &warp = sm.warpAt(w);
             if (warp.done())
                 continue;
+            const ScoreboardFile &sbf = warp.scoreboards();
             for (unsigned lane : lanesOf(warp.live())) {
                 for (unsigned sb = 0; sb < ScoreboardFile::numSb; ++sb) {
-                    if (warp.scoreboards().count(lane, SbIndex(sb)))
+                    if (sbf.busy(SbIndex(sb)).test(lane))
                         victims.push_back({s, unsigned(w), lane, sb});
                 }
             }
