@@ -62,21 +62,51 @@ join:
     EXIT
 )";
 
-double
-runSkewed(const si::GpuConfig &baseline, si::DivergeOrder order,
-          bool si_on)
+struct OrderPoint
 {
-    si::GpuConfig cfg = baseline;
-    cfg.numSms = 1;
-    cfg.divergeOrder = order;
-    if (si_on)
-        cfg = si::withSi(cfg, si::bestSiConfigPoint());
-    cfg.divergeOrder = order;
-    si::Memory mem;
-    si::Program prog = si::assembleOrDie(skewed);
-    if (order == si::DivergeOrder::HintStallFirst)
-        si::annotateStallHints(prog);
-    return double(si::simulate(cfg, mem, prog, {4, 1}).cycles);
+    const char *label;
+    si::DivergeOrder order;
+};
+
+const OrderPoint orders[] = {
+    {"load side first (NotTakenFirst)", si::DivergeOrder::NotTakenFirst},
+    {"math side first (TakenFirst)", si::DivergeOrder::TakenFirst},
+    {"randomized", si::DivergeOrder::Random},
+    {"software stall hints", si::DivergeOrder::HintStallFirst},
+};
+
+/** An order's grid and its baseline column (SI is the next one). */
+using OrderColumns = std::pair<const si::bench::Grid *, std::size_t>;
+
+/**
+ * Run @p plain's rows under every diverge order over @p base: a
+ * baseline column and SI on top of it. The stall-hint order runs the
+ * hint-annotated rows: @p hinted, whose rows copy @p plain's builds,
+ * so it runs second. @return one OrderColumns per order.
+ */
+std::vector<OrderColumns>
+runOrders(si::bench::Grid &plain, si::bench::Grid &hinted,
+          si::GpuConfig base)
+{
+    for (std::size_t r = 0; r < plain.numRows(); ++r) {
+        hinted.row(plain.name(r) + " +hints", [&plain, r] {
+            si::Workload wl = plain.workload(r);
+            si::annotateStallHints(wl.program);
+            return wl;
+        });
+    }
+    std::vector<OrderColumns> columns;
+    for (const OrderPoint &o : orders) {
+        si::bench::Grid &grid =
+            o.order == si::DivergeOrder::HintStallFirst ? hinted : plain;
+        base.divergeOrder = o.order;
+        columns.emplace_back(&grid, grid.column(o.label, base));
+        grid.column(std::string(o.label) + " SI",
+                    si::withSi(base, si::bestSiConfigPoint()));
+    }
+    plain.run();
+    hinted.run();
+    return columns;
 }
 
 } // namespace
@@ -87,76 +117,48 @@ main(int argc, char **argv)
     si::verboseLogging = false;
     si::bench::BenchJson bj("ablation_exec_order", argc, argv);
 
-    // ---- experiment 1: the skewed kernel ----
+    // ---- experiment 1: the skewed kernel, four warps on one SM ----
     // The fall-through side of "@P0 BRA mathSide" carries the loads,
     // so TakenFirst models the unlucky order.
+    si::bench::Grid skewed_plain(bj), skewed_hinted(bj);
+    skewed_plain.row("skewed", [] {
+        si::Workload wl;
+        wl.program = si::assembleOrDie(skewed);
+        wl.launch = {4, 1};
+        wl.memory = std::make_shared<si::Memory>();
+        return wl;
+    });
+    si::GpuConfig one_sm = bj.baseline();
+    one_sm.numSms = 1;
+    const std::vector<OrderColumns> skewed_columns =
+        runOrders(skewed_plain, skewed_hinted, one_sm);
+
     si::TablePrinter t1("Ablation: skewed two-subwarp kernel "
                         "(loads on the fall-through side)");
     t1.header({"diverge order", "baseline cycles", "SI cycles",
                "speedup"});
-    struct OrderPoint
-    {
-        const char *label;
-        si::DivergeOrder order;
-    };
-    const OrderPoint orders[] = {
-        {"load side first (NotTakenFirst)",
-         si::DivergeOrder::NotTakenFirst},
-        {"math side first (TakenFirst)", si::DivergeOrder::TakenFirst},
-        {"randomized", si::DivergeOrder::Random},
-        {"software stall hints", si::DivergeOrder::HintStallFirst},
-    };
-    struct SkewedPoint
-    {
-        double base, si;
-    };
-    si::parallel::mapIndexed<SkewedPoint>(
-        bj.jobs(), std::size(orders),
-        [&](std::size_t i) {
-            return SkewedPoint{
-                runSkewed(bj.baseline(), orders[i].order, false),
-                runSkewed(bj.baseline(), orders[i].order, true)};
-        },
-        [&](std::size_t i, const SkewedPoint &p) {
-            t1.row({orders[i].label, si::TablePrinter::num(p.base, 0),
-                    si::TablePrinter::num(p.si, 0),
-                    si::TablePrinter::pct((p.base / p.si - 1.0) *
-                                          100.0)});
-        });
+    for (std::size_t i = 0; i < std::size(orders); ++i) {
+        const auto &[grid, b] = skewed_columns[i];
+        for (std::size_t r : grid->rows()) {
+            t1.row({orders[i].label,
+                    std::to_string(grid->result(r, b).cycles),
+                    std::to_string(grid->result(r, b + 1).cycles),
+                    si::TablePrinter::pct(grid->speedup(r, b, b + 1))});
+        }
+    }
     t1.print();
 
     // ---- experiment 2: the application suite ----
-    // Per diverge order, a baseline and SI on top of it. The stall-hint
-    // order runs the hint-annotated apps: a second grid whose rows copy
-    // the first grid's builds, so it runs second.
     si::bench::Grid plain(bj), hinted(bj);
     plain.apps();
-    for (std::size_t r = 0; r < plain.numRows(); ++r) {
-        hinted.row(plain.name(r) + " +hints", [&plain, r] {
-            si::Workload wl = plain.workload(r);
-            si::annotateStallHints(wl.program);
-            return wl;
-        });
-    }
-    // Per order: its grid and its baseline column (SI is the next one).
-    std::vector<std::pair<si::bench::Grid *, std::size_t>> bases;
-    for (const OrderPoint &o : orders) {
-        si::bench::Grid &grid =
-            o.order == si::DivergeOrder::HintStallFirst ? hinted : plain;
-        si::GpuConfig base = bj.baseline();
-        base.divergeOrder = o.order;
-        bases.emplace_back(&grid, grid.column(o.label, base));
-        grid.column(std::string(o.label) + " SI",
-                    si::withSi(base, si::bestSiConfigPoint()));
-    }
-    plain.run();
-    hinted.run();
+    const std::vector<OrderColumns> app_columns =
+        runOrders(plain, hinted, bj.baseline());
 
     si::TablePrinter t2("Ablation: mean app speedup by diverge order "
                         "(Both,N>=0.5, lat=600)");
     t2.header({"diverge order", "mean speedup"});
     for (std::size_t i = 0; i < std::size(orders); ++i) {
-        const auto &[grid, b] = bases[i];
+        const auto &[grid, b] = app_columns[i];
         const double m = si::mean(grid->speedups(b, b + 1));
         t2.row({orders[i].label, si::TablePrinter::pct(m)});
         bj.metric(std::string("mean_speedup_pct/") + orders[i].label, m);

@@ -13,73 +13,70 @@
 
 #include "bench_common.hh"
 
+namespace {
+
+/**
+ * The BFV1 megakernel over a @p tris-triangle scene, whose BVH is
+ * binned-SAH when @p sah and median-split otherwise.
+ */
+si::Workload
+buildBfv1(unsigned tris, bool sah)
+{
+    si::AppBuild build = si::appBuildConfig(si::AppId::BFV1);
+    build.scene.targetTriangles = tris;
+    auto scene = si::makeScene(build.scene);
+    if (!sah)
+        scene->bvh = si::Bvh(scene->triangles, si::BvhBuilder::MedianSplit);
+    si::Workload wl = si::buildMegakernel(build.kernel, scene);
+    wl.rtc = build.rtc;
+    return wl;
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
     si::verboseLogging = false;
     si::bench::BenchJson bj("ablation_scene_complexity", argc, argv);
 
+    // Rows: triangle count major, BVH builder minor.
+    const unsigned tri_counts[] = {2000u, 8000u, 32000u};
+    si::bench::Grid grid(bj);
+    for (unsigned tris : tri_counts) {
+        for (const bool sah : {true, false}) {
+            grid.row("tris=" + std::to_string(tris) +
+                         (sah ? " sah" : " median"),
+                     [tris, sah] { return buildBfv1(tris, sah); });
+        }
+    }
+    grid.column("baseline", bj.baseline());
+    grid.column("SI", si::withSi(bj.baseline(), si::bestSiConfigPoint()));
+    grid.run();
+
     si::TablePrinter t("Ablation: scene complexity and BVH quality vs "
                        "SI benefit (BFV1 profile, lat=600)");
     t.header({"triangles", "BVH", "RT nodes/query", "baseline cycles",
               "SI speedup"});
-
-    // Flattened tris-major, builder-minor grid, matching the serial
-    // loop nest's iteration order.
-    const std::vector<unsigned> tri_counts = {2000u, 8000u, 32000u};
-    const si::BvhBuilder builders[] = {si::BvhBuilder::BinnedSah,
-                                       si::BvhBuilder::MedianSplit};
-    struct Cell
-    {
-        si::GpuResult base, si;
-        double nodesPerQuery;
-    };
-    si::parallel::mapIndexed<Cell>(
-        bj.jobs(), tri_counts.size() * 2,
-        [&](std::size_t k) {
-            const unsigned tris = tri_counts[k / 2];
-            const si::BvhBuilder builder = builders[k % 2];
-            si::AppBuild build = si::appBuildConfig(si::AppId::BFV1);
-            build.scene.targetTriangles = tris;
-            auto scene = si::makeScene(build.scene);
-            if (builder == si::BvhBuilder::MedianSplit)
-                scene->bvh = si::Bvh(scene->triangles, builder);
-
-            si::Workload wl = si::buildMegakernel(build.kernel, scene);
-            wl.rtc = build.rtc;
-
-            Cell c;
-            c.base = si::runWorkload(wl, bj.baseline());
-            c.si = si::runWorkload(wl,
-                                   si::withSi(bj.baseline(),
-                                              si::bestSiConfigPoint()));
-
-            // Average traversal work per query from the functional BVH.
-            std::uint64_t nodes = 0;
-            unsigned probes = 0;
-            for (unsigned i = 0; i < 256; ++i) {
-                si::TraversalStats ts;
-                scene->bvh.trace(
-                    scene->primaryRay((float(i % 16) + 0.5f) / 16.0f,
-                                      (float(i / 16) + 0.5f) / 16.0f),
-                    &ts);
-                nodes += ts.nodesVisited;
-                ++probes;
-            }
-            c.nodesPerQuery = double(nodes) / probes;
-            return c;
-        },
-        [&](std::size_t k, const Cell &c) {
-            const unsigned tris = tri_counts[k / 2];
-            const bool sah = k % 2 == 0;
-            t.row({std::to_string(tris), sah ? "SAH" : "median",
-                   si::TablePrinter::num(c.nodesPerQuery, 1),
-                   std::to_string(c.base.cycles),
-                   si::TablePrinter::pct(
-                       si::speedupPct(c.base, c.si))});
-            std::fprintf(stderr, "  [tris=%u %s done]\n", tris,
-                         sah ? "sah" : "median");
-        });
+    for (std::size_t r : grid.rows()) {
+        // Average traversal work per query from the functional BVH.
+        const si::Scene &scene = *grid.workload(r).scene;
+        std::uint64_t nodes = 0;
+        const unsigned probes = 256;
+        for (unsigned i = 0; i < probes; ++i) {
+            si::TraversalStats ts;
+            scene.bvh.trace(
+                scene.primaryRay((float(i % 16) + 0.5f) / 16.0f,
+                                 (float(i / 16) + 0.5f) / 16.0f),
+                &ts);
+            nodes += ts.nodesVisited;
+        }
+        t.row({std::to_string(tri_counts[r / 2]),
+               r % 2 == 0 ? "SAH" : "median",
+               si::TablePrinter::num(double(nodes) / probes, 1),
+               std::to_string(grid.result(r, 0).cycles),
+               si::TablePrinter::pct(grid.speedup(r, 0, 1))});
+    }
     t.print();
 
     bj.table(t);

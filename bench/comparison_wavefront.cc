@@ -14,6 +14,8 @@
 
 #include "bench_common.hh"
 
+#include <map>
+
 #include "rt/wavefront.hh"
 
 int
@@ -22,63 +24,80 @@ main(int argc, char **argv)
     si::verboseLogging = false;
     si::bench::BenchJson bj("comparison_wavefront", argc, argv);
 
+    // Part 1 renders every trace at the same 8K-ray frame: wavefront
+    // pipelines live on large in-flight ray batches. Part 2 sweeps the
+    // in-flight batch on the shading-heaviest trace, since per-material
+    // queues must be deep enough to fill the machine.
+    const unsigned frameWarps = 256;
+    struct Frame
+    {
+        si::MegakernelConfig kernel;
+        si::WavefrontResult wf; ///< written by the frame's wavefront cell
+    };
+    std::map<std::string, Frame> frames; // by row name
+    si::bench::Grid mega(bj);
+    auto frame = [&](const std::string &name, si::AppId id,
+                     unsigned warps) {
+        si::MegakernelConfig &kernel = frames[name].kernel;
+        kernel = si::appBuildConfig(id).kernel;
+        kernel.numWarps = warps;
+        mega.row(name, [id, warps] { return si::buildApp(id, warps); });
+    };
+    for (si::AppId id : si::allApps())
+        frame(si::appName(id), id, frameWarps);
+    const std::size_t numApps = mega.numRows();
+    for (unsigned warps : {64u, frameWarps, 1024u})
+        frame("BFV1 x" + std::to_string(warps), si::AppId::BFV1, warps);
+    mega.column("megakernel", bj.baseline());
+    mega.column("megakernel+SI",
+                si::withSi(bj.baseline(), si::bestSiConfigPoint()));
+    mega.run();
+
+    // The wavefront pipeline renders each healthy row's frame: the same
+    // scene, shaders and rays, so it reuses the megakernel's scene.
+    si::bench::Grid wave(bj);
+    for (std::size_t r : mega.rows())
+        wave.row(mega.name(r), [&mega, r] { return mega.workload(r); });
+    wave.column("wavefront", bj.baseline());
+    wave.simulateWith(
+        [&frames](const si::Workload &mk, si::GpuConfig config) {
+            Frame &f = frames.at(mk.name);
+            config.rtc = mk.rtc;
+            f.wf = si::runWavefront({f.kernel}, mk.scene, config);
+            si::GpuResult result;
+            result.cycles = f.wf.totalCycles;
+            return result;
+        });
+    wave.run();
+
     si::TablePrinter t("Megakernel vs megakernel+SI vs wavefront "
                        "(cycles, lat=600)");
     t.header({"trace", "megakernel", "megakernel+SI", "wavefront",
               "SI speedup", "wavefront speedup", "wf launches"});
-
+    si::TablePrinter t2("BFV1: batch-size sweep (cycles)");
+    t2.header({"rays in flight", "megakernel", "megakernel+SI",
+               "wavefront", "wavefront vs megakernel"});
     std::vector<double> si_gains, wf_gains;
-    // Wavefront pipelines live on large in-flight ray batches; give
-    // both implementations the same 8K-ray frame.
-    const unsigned frameWarps = 256;
-
-    const std::vector<si::AppId> &ids = si::allApps();
-    struct AppCell
-    {
-        si::GpuResult base, si;
-        si::WavefrontResult wf;
-    };
-    si::parallel::mapIndexed<AppCell>(
-        bj.jobs(), ids.size(),
-        [&](std::size_t i) {
-            si::AppBuild build = si::appBuildConfig(ids[i]);
-            build.kernel.numWarps = frameWarps;
-            auto scene = si::makeScene(build.scene);
-
-            si::GpuConfig base = bj.baseline();
-            base.rtc = build.rtc;
-
-            // Megakernel: baseline and SI.
-            const si::Workload mk = si::buildApp(ids[i], frameWarps);
-            AppCell c;
-            c.base = si::runWorkload(mk, bj.baseline());
-            c.si = si::runWorkload(mk,
-                                   si::withSi(bj.baseline(),
-                                              si::bestSiConfigPoint()));
-
-            // Wavefront pipeline over the same scene/shaders.
-            si::WavefrontConfig wf;
-            wf.kernel = build.kernel;
-            c.wf = si::runWavefront(wf, scene, base);
-            return c;
-        },
-        [&](std::size_t i, const AppCell &c) {
-            const double si_gain = si::speedupPct(c.base, c.si);
-            const double wf_gain =
-                (double(c.base.cycles) / double(c.wf.totalCycles) -
-                 1.0) *
-                100.0;
-            si_gains.push_back(si_gain);
-            wf_gains.push_back(wf_gain);
-
-            t.row({si::appName(ids[i]), std::to_string(c.base.cycles),
-                   std::to_string(c.si.cycles),
-                   std::to_string(c.wf.totalCycles),
-                   si::TablePrinter::pct(si_gain),
-                   si::TablePrinter::pct(wf_gain),
-                   std::to_string(c.wf.kernelLaunches)});
-            std::fprintf(stderr, "  [%s done]\n", si::appName(ids[i]));
-        });
+    for (std::size_t w : wave.rows()) {
+        const std::size_t r = mega.rows()[w];
+        const Frame &f = frames.at(mega.name(r));
+        const std::string base = std::to_string(mega.result(r, 0).cycles);
+        const std::string si = std::to_string(mega.result(r, 1).cycles);
+        const std::string wf = std::to_string(f.wf.totalCycles);
+        const double wf_gain =
+            si::speedupPct(mega.result(r, 0), wave.result(w, 0));
+        if (r >= numApps) {
+            t2.row({std::to_string(f.kernel.numWarps * 32), base, si, wf,
+                    si::TablePrinter::pct(wf_gain)});
+            continue;
+        }
+        si_gains.push_back(mega.speedup(r, 0, 1));
+        wf_gains.push_back(wf_gain);
+        t.row({mega.name(r), base, si, wf,
+               si::TablePrinter::pct(si_gains.back()),
+               si::TablePrinter::pct(wf_gain),
+               std::to_string(f.wf.kernelLaunches)});
+    }
     t.row({"mean", "-", "-", "-",
            si::TablePrinter::pct(si::mean(si_gains)),
            si::TablePrinter::pct(si::mean(wf_gains)), "-"});
@@ -88,51 +107,6 @@ main(int argc, char **argv)
                 "alone beats the divergent megakernel,\nwhich is the "
                 "paper's 'algorithmic workaround' headwind for "
                 "productizing SI.\n");
-
-    // ---- part 2: batch-size sweep ----
-    // Wavefront economics depend on queue sizes: per-material queues
-    // must be deep enough to fill the machine. Sweep the in-flight ray
-    // batch on the shading-heaviest trace.
-    si::TablePrinter t2("BFV1: batch-size sweep (cycles)");
-    t2.header({"rays in flight", "megakernel", "megakernel+SI",
-               "wavefront", "wavefront vs megakernel"});
-    const std::vector<unsigned> batches = {64u, 256u, 1024u};
-    si::parallel::mapIndexed<AppCell>(
-        bj.jobs(), batches.size(),
-        [&](std::size_t i) {
-            const unsigned warps = batches[i];
-            si::AppBuild build = si::appBuildConfig(si::AppId::BFV1);
-            build.kernel.numWarps = warps;
-            auto scene = si::makeScene(build.scene);
-
-            si::GpuConfig base = bj.baseline();
-            base.rtc = build.rtc;
-
-            const si::Workload mk =
-                si::buildApp(si::AppId::BFV1, warps);
-            AppCell c;
-            c.base = si::runWorkload(mk, bj.baseline());
-            c.si = si::runWorkload(mk,
-                                   si::withSi(bj.baseline(),
-                                              si::bestSiConfigPoint()));
-
-            si::WavefrontConfig wf;
-            wf.kernel = build.kernel;
-            c.wf = si::runWavefront(wf, scene, base);
-            return c;
-        },
-        [&](std::size_t i, const AppCell &c) {
-            t2.row({std::to_string(batches[i] * 32),
-                    std::to_string(c.base.cycles),
-                    std::to_string(c.si.cycles),
-                    std::to_string(c.wf.totalCycles),
-                    si::TablePrinter::pct(
-                        (double(c.base.cycles) /
-                             double(c.wf.totalCycles) -
-                         1.0) *
-                        100.0)});
-            std::fprintf(stderr, "[batch %u done]\n", batches[i] * 32);
-        });
     t2.print();
 
     bj.table(t);

@@ -10,8 +10,9 @@
 # The Release pass additionally exercises the machine-readable
 # exporters: a bench --json run validated against the checked-in
 # si-bench-v1 schema (whose table must match the same bench run as a
-# campaign, with one and with four children), and a swprof trace +
-# stall-report export. It also
+# campaign, with one and with four children), four ported sweeps whose
+# tables and documents must match at --jobs 1 and 0, and a swprof
+# trace + stall-report export. It also
 # runs the campaign soak: a short sweep under fault injection with a
 # forced mid-campaign restart, whose resumable si-campaign-v1 manifest
 # is validated against tools/campaign_schema.json. The Release pass
@@ -85,7 +86,12 @@ check_race() {
     "$dir/tools/difftest" --seeds 256 --race --jobs 0
 }
 
-# Machine-readable exporters: run one bench with --json and validate it
+# Bench binaries whose sweeps once ran outside bench::Grid: their
+# tables and si-bench-v1 documents must not depend on --jobs.
+ported_sweeps=(async_compute ablation_scene_complexity ablation_exec_order
+               comparison_wavefront)
+
+# Machine-readable exporters: run benches with --json and validate them
 # against the checked-in schema; run swprof and check its exports parse.
 check_exports() {
     local dir=$1
@@ -103,6 +109,16 @@ check_exports() {
         --campaign-state "$art/fig12a-campaign-j4" \
         > "$art/fig12a_campaign_j4.txt" 2> /dev/null
     cmp "$art/fig12a_speedup.txt" "$art/fig12a_campaign_j4.txt"
+    echo "=== ported sweeps $dir (--jobs 1 vs --jobs 0, si-bench-v1)"
+    local b
+    for b in "${ported_sweeps[@]}"; do
+        "$dir/bench/$b" --jobs 1 --json "$art/$b.j1.json" \
+            > "$art/$b.j1.txt" 2> /dev/null
+        "$dir/bench/$b" --jobs 0 --json "$art/$b.j0.json" \
+            > "$art/$b.j0.txt" 2> /dev/null
+        cmp "$art/$b.j1.txt" "$art/$b.j0.txt"
+        cmp "$art/$b.j1.json" "$art/$b.j0.json"
+    done
     echo "=== swprof $dir (trace + stall report export)"
     "$dir/tools/swprof" kernels/fig9.sasm --si \
         --trace "$art/swprof_fig9_trace.json" \
@@ -129,6 +145,10 @@ check_exports() {
     if command -v python3 >/dev/null 2>&1; then
         python3 tools/check_bench_json.py tools/bench_schema.json \
             "$art/fig12a_speedup.json"
+        for b in "${ported_sweeps[@]}"; do
+            python3 tools/check_bench_json.py tools/bench_schema.json \
+                "$art/$b.j1.json"
+        done
         python3 -m json.tool "$art/swprof_fig9_trace.json" > /dev/null
         python3 -m json.tool "$art/swprof_fig9_stalls.json" > /dev/null
         python3 tools/check_bench_json.py tools/metrics_schema.json \

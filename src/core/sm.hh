@@ -293,8 +293,8 @@ struct SmStats
 
 /**
  * SmStats' field list, in sisnap order, which is also the order of the
- * si-stats-v1 scalars (statsGroup). accumulate(), statsDelta(), save(),
- * restore() and statsGroup() loop over it; a new counter is one member
+ * statsReport / si-stats-v1 scalars. accumulate(), statsDelta(), save(),
+ * restore() and both listings loop over it; a new counter is one member
  * plus one row here (and, since the sisnap layout changes, a format
  * bump).
  */

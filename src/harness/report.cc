@@ -1,11 +1,11 @@
 #include "harness/report.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <map>
 
 #include "common/json.hh"
-#include "common/stats.hh"
 #include "isa/opcode.hh"
 #include "isa/program.hh"
 #include "trace/events.hh"
@@ -60,60 +60,98 @@ opcodeLabel(std::uint32_t op)
     return op == noOpcode ? "(none)" : opcodeName(static_cast<Opcode>(op));
 }
 
-} // namespace
-
-StatGroup
-statsGroup(const std::string &name, const SmStats &s,
-           std::uint64_t norm_cycles)
+/**
+ * Call @p fn(key, value) for every si-stats-v1 scalar of @p s, in
+ * smStatFields order; a Reasons row expands to one <key>_<reason>
+ * scalar per reason.
+ */
+template <class Fn>
+void
+forEachScalar(const SmStats &s, Fn fn)
 {
-    const std::uint64_t norm = norm_cycles ? norm_cycles : s.cycles;
-    StatGroup g(name);
     for (const StatField<SmStats> &f : smStatFields) {
         if (f.kind == StatKind::Reasons) {
-            for (unsigned k = 0; k < numStallReasons; ++k)
-                g.scalar(std::string(f.key) + "_" +
-                         stallReasonKey(StallReason(k))) =
-                    (s.*f.reasons)[k];
+            for (unsigned k = 0; k < numStallReasons; ++k) {
+                fn(std::string(f.key) + "_" +
+                       stallReasonKey(StallReason(k)),
+                   (s.*f.reasons)[k]);
+            }
         } else if (f.kind != StatKind::Real) {
             // Real rows are listed as exposed_stall_frac_divergent.
-            g.scalar(f.key) = f.word(s);
+            fn(std::string(f.key), f.word(s));
         }
     }
-
-    g.formula("ipc", [&s]() {
-        return s.cycles ? double(s.instrsIssued) / double(s.cycles) : 0.0;
-    });
-    g.formula("exposed_stall_frac", [&s, norm]() {
-        return norm ? double(s.exposedLoadStallCycles) / double(norm)
-                    : 0.0;
-    });
-    g.formula("exposed_stall_frac_divergent", [&s, norm]() {
-        return norm ? s.exposedLoadStallCyclesDivergent / double(norm)
-                    : 0.0;
-    });
-    g.formula("l1d_miss_rate", [&s]() {
-        const double total = double(s.l1dHits + s.l1dMisses);
-        return total > 0 ? double(s.l1dMisses) / total : 0.0;
-    });
-    g.formula("l0i_miss_rate", [&s]() {
-        const double total = double(s.l0iHits + s.l0iMisses);
-        return total > 0 ? double(s.l0iMisses) / total : 0.0;
-    });
-    // Zero by the warp-cycle partition identity (core/sm.hh); anything
-    // else means the instrumentation lost a warp-cycle.
-    g.formula("warp_cycle_residual", [&s]() {
-        return double(s.liveWarpCycles) -
-               double(s.instrsIssued + s.arbLossCycles +
-                      rowTotal(s.stallCyclesByReason));
-    });
-    return g;
 }
+
+/**
+ * The derived ratios listed after the scalars. @p norm_cycles is the
+ * denominator of the fractions; 0 uses s.cycles.
+ */
+std::array<std::pair<const char *, double>, 6>
+ratios(const SmStats &s, std::uint64_t norm_cycles)
+{
+    const double norm = double(norm_cycles ? norm_cycles : s.cycles);
+    auto frac = [](double num, double den) {
+        return den > 0 ? num / den : 0.0;
+    };
+    return {{
+        {"ipc", frac(double(s.instrsIssued), double(s.cycles))},
+        {"exposed_stall_frac",
+         frac(double(s.exposedLoadStallCycles), norm)},
+        {"exposed_stall_frac_divergent",
+         frac(s.exposedLoadStallCyclesDivergent, norm)},
+        {"l1d_miss_rate",
+         frac(double(s.l1dMisses), double(s.l1dHits + s.l1dMisses))},
+        {"l0i_miss_rate",
+         frac(double(s.l0iMisses), double(s.l0iHits + s.l0iMisses))},
+        // Zero by the warp-cycle partition identity (core/sm.hh);
+        // anything else means the instrumentation lost a warp-cycle.
+        {"warp_cycle_residual",
+         double(s.liveWarpCycles) -
+             double(s.instrsIssued + s.arbLossCycles +
+                    rowTotal(s.stallCyclesByReason))},
+    }};
+}
+
+/** One si-stats-v1 "groups" object: name, scalars, formulas. */
+void
+writeGroup(json::Writer &w, const std::string &name, const SmStats &s,
+           std::uint64_t norm_cycles = 0)
+{
+    w.beginObject();
+    w.key("name").value(name);
+    w.key("scalars").beginObject();
+    forEachScalar(s, [&](const std::string &key, std::uint64_t v) {
+        w.key(key).value(v);
+    });
+    w.endObject();
+    w.key("formulas").beginObject();
+    for (const auto &[key, v] : ratios(s, norm_cycles))
+        w.key(key).value(v);
+    w.endObject();
+    w.endObject();
+}
+
+} // namespace
 
 std::string
 statsReport(const std::string &name, const SmStats &s,
             std::uint64_t norm_cycles)
 {
-    return statsGroup(name, s, norm_cycles).dump();
+    std::string out;
+    char line[160];
+    forEachScalar(s, [&](const std::string &key, std::uint64_t v) {
+        std::snprintf(line, sizeof(line), "%-48s %20llu\n",
+                      (name + "." + key).c_str(),
+                      static_cast<unsigned long long>(v));
+        out += line;
+    });
+    for (const auto &[key, v] : ratios(s, norm_cycles)) {
+        std::snprintf(line, sizeof(line), "%-48s %20.4f\n",
+                      (name + "." + key).c_str(), v);
+        out += line;
+    }
+    return out;
 }
 
 std::string
@@ -140,11 +178,9 @@ statsJson(const GpuResult &result, const std::string &kernel,
                                              : result.status.summary());
     w.key("cycles").value(std::uint64_t(result.cycles));
     w.key("groups").beginArray();
-    w.raw(statsGroup("gpu", result.total, result.smCycleSum()).dumpJson());
-    for (std::size_t i = 0; i < result.perSm.size(); ++i) {
-        w.raw(statsGroup("sm" + std::to_string(i), result.perSm[i])
-                  .dumpJson());
-    }
+    writeGroup(w, "gpu", result.total, result.smCycleSum());
+    for (std::size_t i = 0; i < result.perSm.size(); ++i)
+        writeGroup(w, "sm" + std::to_string(i), result.perSm[i]);
     w.endArray();
     // Aggregate per-region warp-cycle partition (swprof --diff input).
     w.key("regions").beginArray();

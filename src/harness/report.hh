@@ -11,27 +11,17 @@
 
 #include <string>
 
-#include "common/stats.hh"
 #include "core/gpu.hh"
 
 namespace si {
 
 /**
- * Build the StatGroup for @p stats under the group name @p name — the
- * single registration point behind both the text and JSON renderers.
- * @p norm_cycles overrides the denominator of the fraction formulas
- * (needed for aggregates, whose counters sum over SMs while cycles is
- * the max); 0 uses stats.cycles. The formulas reference @p stats, which
- * must outlive the returned group.
- */
-StatGroup statsGroup(const std::string &name, const SmStats &stats,
-                     std::uint64_t norm_cycles = 0);
-
-/**
- * Render every counter of @p stats under the group name @p name.
- * @p norm_cycles overrides the denominator of the fraction formulas
- * (needed for aggregates, whose counters sum over SMs while cycles is
- * the max); 0 uses stats.cycles.
+ * Render every counter of @p stats under the group name @p name, one
+ * "name.key  value" line each: the smStatFields scalars in list order
+ * (a stall-reason row expands to one <key>_<reason> line per reason),
+ * then the derived ratios. @p norm_cycles overrides the denominator
+ * of the fraction ratios (needed for aggregates, whose counters sum
+ * over SMs while cycles is the max); 0 uses stats.cycles.
  */
 std::string statsReport(const std::string &name, const SmStats &stats,
                         std::uint64_t norm_cycles = 0);
@@ -57,9 +47,10 @@ struct StatsJsonOptions
 
 /**
  * Machine-readable run statistics ("si-stats-v1"): run status, cycles,
- * one StatGroup JSON object per group (aggregate "gpu" first, then
- * per-SM), and the aggregate per-region warp-cycle partition, all with
- * stable key order. swsim --stats-json emits this.
+ * one object per group (aggregate "gpu" first, then per-SM) whose
+ * "scalars" and "formulas" are statsReport()'s lines, and the
+ * aggregate per-region warp-cycle partition, all with stable key
+ * order. swsim --stats-json emits this.
  */
 std::string statsJson(const GpuResult &result,
                       const std::string &kernel = "",

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "common/stats.hh"
 
 TEST(Rng, DeterministicForSameSeed)
 {
@@ -106,37 +105,3 @@ TEST(Rng, StateCapturesMidStreamPositionNotSeed)
     EXPECT_EQ(a.state(), b.state());
 }
 
-TEST(StatGroup, ScalarRegistrationAndDump)
-{
-    si::StatGroup g("sm0");
-    auto &cycles = g.scalar("cycles");
-    auto &instrs = g.scalar("instrs");
-    cycles = 100;
-    instrs = 42;
-    const std::string dump = g.dump();
-    EXPECT_NE(dump.find("sm0.cycles"), std::string::npos);
-    EXPECT_NE(dump.find("100"), std::string::npos);
-    EXPECT_NE(dump.find("42"), std::string::npos);
-}
-
-TEST(StatGroup, ScalarReferencesStableAcrossGrowth)
-{
-    si::StatGroup g("g");
-    auto &first = g.scalar("first");
-    for (int i = 0; i < 100; ++i)
-        g.scalar("s" + std::to_string(i));
-    first = 7;
-    EXPECT_NE(g.dump().find("g.first"), std::string::npos);
-    EXPECT_NE(g.dump().find("7"), std::string::npos);
-}
-
-TEST(StatGroup, FormulaEvaluatedAtDumpTime)
-{
-    si::StatGroup g("g");
-    auto &n = g.scalar("n");
-    g.formula("half", [&]() { return double(n) / 2.0; });
-    n = 10;
-    EXPECT_NE(g.dump().find("5.0000"), std::string::npos);
-    n = 30;
-    EXPECT_NE(g.dump().find("15.0000"), std::string::npos);
-}

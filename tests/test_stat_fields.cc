@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -124,7 +125,26 @@ TEST(StatFields, AccumulateThenDeltaReturnsTheAddend)
                      "region " + std::to_string(i) + ": ");
 }
 
-TEST(StatFields, StatsGroupListsEveryKeyOnceInListOrder)
+namespace {
+
+/** The si-stats-v1 "groups" object of one SM whose stats are @p s. */
+json::Value
+smGroup(const SmStats &s)
+{
+    GpuResult r;
+    r.total = s;
+    r.perSm = {s};
+    const json::ParseResult doc = json::parse(statsJson(r));
+    EXPECT_TRUE(doc.ok) << doc.error;
+    const json::Value *groups = doc.value.find("groups");
+    EXPECT_TRUE(groups && groups->array.size() == 2);
+    return groups && groups->array.size() == 2 ? groups->array[1]
+                                                : json::Value{};
+}
+
+} // namespace
+
+TEST(StatFields, StatsJsonListsEveryScalarInListOrder)
 {
     const SmStats s = distinctStats(1, 1);
     std::vector<std::pair<std::string, std::uint64_t>> want;
@@ -139,23 +159,43 @@ TEST(StatFields, StatsGroupListsEveryKeyOnceInListOrder)
         }
     }
 
-    const json::ParseResult doc =
-        json::parse(statsGroup("sm0", s).dumpJson());
-    ASSERT_TRUE(doc.ok) << doc.error;
-    const json::Value *scalars = doc.value.find("scalars");
-    const json::Value *formulas = doc.value.find("formulas");
+    const json::Value group = smGroup(s);
+    const json::Value *scalars = group.find("scalars");
     ASSERT_TRUE(scalars && scalars->isObject());
-    ASSERT_TRUE(formulas && formulas->isObject());
-
     std::vector<std::pair<std::string, std::uint64_t>> got;
     for (const auto &[key, v] : scalars->object)
         got.emplace_back(key, std::uint64_t(v.number));
     EXPECT_EQ(got, want);
+}
+
+TEST(StatFields, RenderedKeysAreUnique)
+{
+    // Every scalar key, every expanded <key>_<reason> key and every
+    // ratio name appears once in the text listing, and the JSON group
+    // lists the same keys in the same order.
+    const SmStats s = distinctStats(1, 1);
+    std::vector<std::string> text_keys;
+    std::istringstream lines(statsReport("sm0", s));
+    for (std::string line; std::getline(lines, line);) {
+        ASSERT_EQ(line.rfind("sm0.", 0), 0u) << line;
+        text_keys.push_back(line.substr(4, line.find(' ') - 4));
+    }
+
+    const json::Value group = smGroup(s);
+    const json::Value *scalars = group.find("scalars");
+    const json::Value *formulas = group.find("formulas");
+    ASSERT_TRUE(scalars && scalars->isObject());
+    ASSERT_TRUE(formulas && formulas->isObject());
+    EXPECT_EQ(formulas->object.size(), 6u);
+    std::vector<std::string> json_keys;
+    for (const json::Value *obj : {scalars, formulas}) {
+        for (const auto &[key, v] : obj->object)
+            json_keys.push_back(key);
+    }
+    EXPECT_EQ(text_keys, json_keys);
 
     std::map<std::string, int> seen;
-    for (const auto &[key, v] : scalars->object)
-        ++seen[key];
-    for (const auto &[key, v] : formulas->object)
+    for (const std::string &key : text_keys)
         ++seen[key];
     for (const auto &[key, n] : seen)
         EXPECT_EQ(n, 1) << key;

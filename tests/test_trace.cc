@@ -12,7 +12,7 @@
  *    SmStats stall counters — exactly, not approximately;
  *  - a golden swprof report (regenerate with --update-golden or
  *    SI_UPDATE_GOLDEN=1, then review the diff);
- *  - StatGroup duplicate-registration detection and JSON dumps;
+ *  - the si-stats-v1 document;
  *  - failure events: Watchdog and FaultInject events fire when a run
  *    fails.
  */
@@ -29,7 +29,6 @@
 
 #include "common/json.hh"
 #include "common/sim_error.hh"
-#include "common/stats.hh"
 #include "core/gpu.hh"
 #include "fault/injector.hh"
 #include "harness/report.hh"
@@ -487,42 +486,8 @@ TEST(FailureEvents, InjectionCampaignEmitsFaultAndWatchdogEvents)
 }
 
 // ---------------------------------------------------------------------
-// StatGroup + JSON exporters
+// JSON exporters
 // ---------------------------------------------------------------------
-
-TEST(StatGroup, DuplicateRegistrationThrows)
-{
-    StatGroup g("dup");
-    g.scalar("cycles") = 1;
-    EXPECT_THROW(g.scalar("cycles"), SimError);
-    EXPECT_THROW(g.formula("cycles", [] { return 0.0; }), SimError);
-    g.formula("ipc", [] { return 1.0; });
-    EXPECT_THROW(g.formula("ipc", [] { return 2.0; }), SimError);
-    EXPECT_THROW(g.scalar("ipc"), SimError);
-}
-
-TEST(StatGroup, DumpJsonStableOrderAndValues)
-{
-    StatGroup g("grp");
-    g.scalar("zeta") = 7;
-    g.scalar("alpha") = 3;
-    g.formula("ratio", [] { return 0.5; });
-
-    const json::ParseResult parsed = json::parse(g.dumpJson());
-    ASSERT_TRUE(parsed.ok) << parsed.error;
-    const json::Value *scalars = parsed.value.find("scalars");
-    ASSERT_NE(scalars, nullptr);
-    // Registration order, not alphabetical: that is the "stable key
-    // order" contract of every exporter built on json::Writer.
-    ASSERT_EQ(scalars->object.size(), 2u);
-    EXPECT_EQ(scalars->object[0].first, "zeta");
-    EXPECT_EQ(scalars->object[0].second.number, 7.0);
-    EXPECT_EQ(scalars->object[1].first, "alpha");
-    const json::Value *formulas = parsed.value.find("formulas");
-    ASSERT_NE(formulas, nullptr);
-    ASSERT_EQ(formulas->object.size(), 1u);
-    EXPECT_EQ(formulas->object[0].second.number, 0.5);
-}
 
 TEST(StatsJson, WellFormedAndComplete)
 {
