@@ -11,8 +11,9 @@
 # exporters: a bench --json run validated against the checked-in
 # si-bench-v1 schema (whose table must match the same bench run as a
 # campaign, with one and with four children), four ported sweeps whose
-# tables and documents must match at --jobs 1 and 0, and a swprof
-# trace + stall-report export. It also
+# tables and documents must match at --jobs 1 and 0, a swprof
+# trace + stall-report export, and fig9 swprof --diff reports that must
+# agree from si-stats-v1 and si-metrics-v1 inputs. It also
 # runs the campaign soak: a short sweep under fault injection with a
 # forced mid-campaign restart, whose resumable si-campaign-v1 manifest
 # is validated against tools/campaign_schema.json. The Release pass
@@ -138,10 +139,14 @@ check_exports() {
         --metrics-interval 100 > /dev/null
     "$dir/tools/swprof" --diff \
         "$art/fig9_stats_base.json" "$art/fig9_stats_si.json" \
-        --json "$art/fig9_profdiff.json" > /dev/null
+        --json "$art/fig9_profdiff.json" > "$art/fig9_profdiff.txt"
     "$dir/tools/swprof" --diff \
         "$art/fig9_metrics_base.json" "$art/fig9_metrics_si.json" \
-        --json "$art/fig9_profdiff_metrics.json" > /dev/null
+        --json "$art/fig9_profdiff_metrics.json" \
+        > "$art/fig9_profdiff_metrics.txt"
+    # Both input schemas tell the same story (line 1 names the inputs).
+    cmp <(tail -n +2 "$art/fig9_profdiff.txt") \
+        <(tail -n +2 "$art/fig9_profdiff_metrics.txt")
     if command -v python3 >/dev/null 2>&1; then
         python3 tools/check_bench_json.py tools/bench_schema.json \
             "$art/fig12a_speedup.json"

@@ -8,6 +8,7 @@
 #include "common/json.hh"
 #include "isa/opcode.hh"
 #include "isa/program.hh"
+#include "metrics/partition_json.hh"
 #include "trace/events.hh"
 
 namespace si {
@@ -185,23 +186,11 @@ statsJson(const GpuResult &result, const std::string &kernel,
     // Aggregate per-region warp-cycle partition (swprof --diff input).
     w.key("regions").beginArray();
     for (std::size_t i = 0; i < result.total.regions.size(); ++i) {
-        const RegionCounters &rc = result.total.regions[i];
         w.beginObject();
         w.key("name").value(i < options.regionNames.size()
                                 ? options.regionNames[i]
                                 : "region" + std::to_string(i));
-        for (const StatField<RegionCounters> &f : regionStatFields) {
-            w.key(f.key);
-            if (f.kind != StatKind::Reasons) {
-                w.value(f.word(rc));
-                continue;
-            }
-            w.beginObject();
-            for (unsigned k = 0; k < numStallReasons; ++k)
-                w.key(stallReasonName(StallReason(k)))
-                    .value((rc.*f.reasons)[k]);
-            w.endObject();
-        }
+        writeRegionCounters(w, result.total.regions[i]);
         w.endObject();
     }
     w.endArray();
@@ -301,8 +290,7 @@ stallReportJson(const GpuResult &result, const Program &prog)
     w.key("issued").value(result.total.instrsIssued);
     w.key("totalStalls").value(rowTotal(totals));
     w.key("byReason").beginObject();
-    for (unsigned r = 0; r < numStallReasons; ++r)
-        w.key(stallReasonName(StallReason(r))).value(totals[r]);
+    writeReasonCounts(w, totals);
     w.endObject();
     auto hist = [&](const char *name, const StallHistogram &rows,
                     auto label) {
@@ -311,8 +299,7 @@ stallReportJson(const GpuResult &result, const Program &prog)
             w.beginObject();
             w.key("key").value(label(key));
             w.key("total").value(rowTotal(counts));
-            for (unsigned r = 0; r < numStallReasons; ++r)
-                w.key(stallReasonName(StallReason(r))).value(counts[r]);
+            writeReasonCounts(w, counts);
             w.endObject();
         }
         w.endArray();

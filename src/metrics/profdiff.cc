@@ -2,13 +2,24 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <iterator>
 #include <map>
 
 #include "common/json.hh"
+#include "metrics/partition_json.hh"
 
 namespace si {
 
 namespace {
+
+/** A row's key in SM-wide totals (gpu scalars, windows, diff sides). */
+const char *
+totalsKey(const StatField<RegionCounters> &f)
+{
+    return f.u64 == &RegionCounters::warpCycles ? "live_warp_cycles"
+                                                 : f.key;
+}
 
 /**
  * Reads the u64 members of an export. An absent member reads as 0; one
@@ -24,29 +35,38 @@ struct U64Reader
     field(const json::Value &obj, std::string_view key)
     {
         const json::Value *v = obj.find(key);
-        return v ? of(*v, key) : 0;
-    }
-
-    std::uint64_t
-    of(const json::Value &v, std::string_view key)
-    {
-        const std::optional<std::uint64_t> n = json::asU64(v);
+        const std::optional<std::uint64_t> n =
+            v ? json::asU64(*v) : std::uint64_t(0);
         if (!n && bad.empty())
             bad = key;
         return n.value_or(0);
     }
 
-    /** Read a {"reason-name": count, ...} object into a reason array. */
+    /**
+     * Add the partition row @p obj holds into @p rc: keyed as a region
+     * entry or (@p totals) by totalsKey(), with the stall reasons as a
+     * reason object or (@p flat) as <key>_<reason key> members.
+     */
     void
-    stallMap(const json::Value *map,
-             std::array<std::uint64_t, numStallReasons> &out)
+    row(const json::Value &obj, RegionCounters &rc, bool totals,
+        bool flat = false)
     {
-        if (!map || !map->isObject())
-            return;
-        for (const auto &[key, val] : map->object)
-            for (unsigned k = 0; k < numStallReasons; ++k)
-                if (key == stallReasonName(StallReason(k)))
-                    out[k] += of(val, key);
+        for (const StatField<RegionCounters> &f : regionStatFields) {
+            const std::string key = totals ? totalsKey(f) : f.key;
+            if (f.kind != StatKind::Reasons) {
+                rc.*f.u64 += field(obj, key);
+                continue;
+            }
+            const json::Value *reasons = flat ? &obj : obj.find(key);
+            if (!reasons || !reasons->isObject())
+                continue;
+            for (unsigned k = 0; k < numStallReasons; ++k) {
+                const StallReason r = StallReason(k);
+                (rc.*f.reasons)[k] +=
+                    field(*reasons, flat ? key + "_" + stallReasonKey(r)
+                                         : stallReasonName(r));
+            }
+        }
     }
 
     /** False, with @p error naming the member, after a bad one. */
@@ -87,17 +107,13 @@ loadStatsV1(const json::Value &doc, ProfSide &out, std::string &error)
         return false;
     }
     out.cycles = rd.field(doc, "cycles");
-    out.liveWarpCycles = rd.field(*scalars, "live_warp_cycles");
-    out.instrsIssued = rd.field(*scalars, "instrs_issued");
-    out.arbLossCycles = rd.field(*scalars, "arb_loss_cycles");
-    if (!scalars->find("live_warp_cycles")) {
-        error = "gpu group has no live_warp_cycles scalar (export "
-                "predates the warp-cycle partition?)";
+    rd.row(*scalars, out.totals, /*totals=*/true, /*flat=*/true);
+    const std::string total_key = totalsKey(regionStatFields[0]);
+    if (!scalars->find(total_key)) {
+        error = "gpu group has no " + total_key +
+                " scalar (export predates the warp-cycle partition?)";
         return false;
     }
-    for (unsigned k = 0; k < numStallReasons; ++k)
-        out.stall[k] = rd.field(
-            *scalars, "stall_cycles_" + stallReasonKey(StallReason(k)));
 
     const json::Value *regions = doc.find("regions");
     if (!regions || !regions->isArray()) {
@@ -105,18 +121,14 @@ loadStatsV1(const json::Value &doc, ProfSide &out, std::string &error)
         return false;
     }
     for (const json::Value &r : regions->array) {
-        RegionTotals rt;
         const json::Value *name = r.find("name");
         if (!name || !name->isString()) {
             error = "region entry has no name";
             return false;
         }
-        rt.name = name->str;
-        rt.warpCycles = rd.field(r, "warp_cycles");
-        rt.instrsIssued = rd.field(r, "instrs_issued");
-        rt.arbLossCycles = rd.field(r, "arb_loss_cycles");
-        rd.stallMap(r.find("stall_cycles"), rt.stall);
-        out.regions.push_back(std::move(rt));
+        RegionCounters rc;
+        rd.row(r, rc, /*totals=*/false);
+        out.regions.emplace_back(name->str, rc);
     }
     return rd.ok(error);
 }
@@ -136,10 +148,10 @@ loadMetricsV1(const json::Value &doc, ProfSide &out, std::string &error)
         return false;
     }
     for (const json::Value &n : names->array) {
-        RegionTotals rt;
-        rt.name = n.isString() ? n.str
-                               : "region" + std::to_string(out.regions.size());
-        out.regions.push_back(std::move(rt));
+        out.regions.emplace_back(
+            n.isString() ? n.str
+                         : "region" + std::to_string(out.regions.size()),
+            RegionCounters{});
     }
     const json::Value *sms = doc.find("sms");
     if (!sms || !sms->isArray()) {
@@ -153,10 +165,7 @@ loadMetricsV1(const json::Value &doc, ProfSide &out, std::string &error)
         std::uint64_t sm_cycles = 0;
         for (const json::Value &win : windows->array) {
             sm_cycles += rd.field(win, "cycles");
-            out.liveWarpCycles += rd.field(win, "live_warp_cycles");
-            out.instrsIssued += rd.field(win, "instrs_issued");
-            out.arbLossCycles += rd.field(win, "arb_loss_cycles");
-            rd.stallMap(win.find("stall_cycles"), out.stall);
+            rd.row(win, out.totals, /*totals=*/true);
             const json::Value *regions = win.find("regions");
             if (!regions || !regions->isArray())
                 continue;
@@ -168,28 +177,12 @@ loadMetricsV1(const json::Value &doc, ProfSide &out, std::string &error)
                             " beyond the regions name table";
                     return false;
                 }
-                RegionTotals &rt = out.regions[idx];
-                rt.warpCycles += rd.field(r, "warp_cycles");
-                rt.instrsIssued += rd.field(r, "instrs_issued");
-                rt.arbLossCycles += rd.field(r, "arb_loss_cycles");
-                rd.stallMap(r.find("stall_cycles"), rt.stall);
+                rd.row(r, out.regions[idx].second, /*totals=*/false);
             }
         }
         out.cycles = std::max(out.cycles, sm_cycles);
     }
     return rd.ok(error);
-}
-
-std::int64_t
-diff64(std::uint64_t test, std::uint64_t base)
-{
-    return std::int64_t(test) - std::int64_t(base);
-}
-
-std::int64_t
-abs64(std::int64_t v)
-{
-    return v < 0 ? -v : v;
 }
 
 void
@@ -201,16 +194,21 @@ appendSigned(std::string &out, std::int64_t v)
 }
 
 void
-totalsLine(std::string &out, const char *label, std::uint64_t base,
-           std::uint64_t test)
+totalsLine(std::string &out, const std::string &label, std::uint64_t base,
+           std::uint64_t test, std::int64_t delta)
 {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "%-22s %12llu -> %12llu  ", label,
-                  (unsigned long long)(base), (unsigned long long)(test));
+    char buf[128];
+    std::snprintf(buf, sizeof(buf), "%-22s %12llu -> %12llu  %+lld\n",
+                  label.c_str(), (unsigned long long)(base),
+                  (unsigned long long)(test), (long long)(delta));
     out += buf;
-    appendSigned(out, diff64(test, base));
-    out += '\n';
 }
+
+/** Region-line label per regionStatFields row (reasons: their names). */
+constexpr const char *regionLabels[] = {"warp cycles", "issued", "arb",
+                                        nullptr};
+static_assert(std::size(regionLabels) == std::size(regionStatFields),
+              "every regionStatFields row needs a region-line label");
 
 void
 writeSideJson(json::Writer &w, const char *key, const ProfSide &s)
@@ -220,17 +218,20 @@ writeSideJson(json::Writer &w, const char *key, const ProfSide &s)
     w.key("schema").value(s.schema);
     w.key("kernel").value(s.kernel);
     w.key("cycles").value(s.cycles);
-    w.key("live_warp_cycles").value(s.liveWarpCycles);
-    w.key("instrs_issued").value(s.instrsIssued);
-    w.key("arb_loss_cycles").value(s.arbLossCycles);
-    w.key("stall_cycles").beginObject();
-    for (unsigned k = 0; k < numStallReasons; ++k)
-        w.key(stallReasonName(StallReason(k))).value(s.stall[k]);
-    w.endObject();
+    writeRegionCounters(w, s.totals, totalsKey);
     w.endObject();
 }
 
 } // namespace
+
+RegionCounters
+partitionDelta(const RegionCounters &base, const RegionCounters &test)
+{
+    RegionCounters d;
+    zipStatFields(regionStatFields, d, base, test,
+                  [](StatKind, auto b, auto t) { return t - b; });
+    return d;
+}
 
 bool
 loadProfInput(const std::string &text, const std::string &file,
@@ -276,54 +277,38 @@ diffProf(const ProfSide &base, const ProfSide &test)
     ProfDiff d;
     d.base = base;
     d.test = test;
-    d.deltaCycles = diff64(test.cycles, base.cycles);
-    d.deltaLiveWarpCycles = diff64(test.liveWarpCycles, base.liveWarpCycles);
-    d.deltaInstrsIssued = diff64(test.instrsIssued, base.instrsIssued);
-    d.deltaArbLossCycles = diff64(test.arbLossCycles, base.arbLossCycles);
-    for (unsigned k = 0; k < numStallReasons; ++k)
-        d.deltaStall[k] = diff64(test.stall[k], base.stall[k]);
+    d.deltaCycles = std::int64_t(test.cycles) - std::int64_t(base.cycles);
+    d.delta = partitionDelta(base.totals, test.totals);
 
     // Align regions by name: union of both sides, in base order first,
     // then test-only regions in test order.
     std::map<std::string, std::size_t> index;
-    for (const RegionTotals &rt : base.regions) {
-        index.emplace(rt.name, d.regions.size());
-        RegionDelta rd;
-        rd.name = rt.name;
-        rd.inBase = true;
-        rd.warpCycles = -std::int64_t(rt.warpCycles);
-        rd.instrsIssued = -std::int64_t(rt.instrsIssued);
-        rd.arbLossCycles = -std::int64_t(rt.arbLossCycles);
-        for (unsigned k = 0; k < numStallReasons; ++k)
-            rd.stall[k] = -std::int64_t(rt.stall[k]);
-        d.regions.push_back(std::move(rd));
+    for (const auto &[name, rc] : base.regions) {
+        index.emplace(name, d.regions.size());
+        d.regions.push_back({name, true, false, partitionDelta(rc, {})});
     }
-    for (const RegionTotals &rt : test.regions) {
-        auto [it, fresh] = index.emplace(rt.name, d.regions.size());
+    for (const auto &[name, rc] : test.regions) {
+        auto [it, fresh] = index.emplace(name, d.regions.size());
         if (fresh)
-            d.regions.push_back(RegionDelta{});
+            d.regions.push_back({name, false, false, {}});
         RegionDelta &rd = d.regions[it->second];
-        rd.name = rt.name;
         rd.inTest = true;
-        rd.warpCycles += std::int64_t(rt.warpCycles);
-        rd.instrsIssued += std::int64_t(rt.instrsIssued);
-        rd.arbLossCycles += std::int64_t(rt.arbLossCycles);
-        for (unsigned k = 0; k < numStallReasons; ++k)
-            rd.stall[k] += std::int64_t(rt.stall[k]);
+        rd.delta.accumulate(rc);
     }
+    const auto magnitude = [](const RegionDelta &rd) {
+        return std::abs(std::int64_t(rd.delta.warpCycles));
+    };
     std::sort(d.regions.begin(), d.regions.end(),
-              [](const RegionDelta &a, const RegionDelta &b) {
-                  const std::int64_t aw = abs64(a.warpCycles);
-                  const std::int64_t bw = abs64(b.warpCycles);
-                  if (aw != bw)
-                      return aw > bw;
-                  return a.name < b.name;
+              [&](const RegionDelta &a, const RegionDelta &b) {
+                  return magnitude(a) != magnitude(b)
+                             ? magnitude(a) > magnitude(b)
+                             : a.name < b.name;
               });
 
-    std::int64_t region_sum = 0;
+    std::uint64_t region_sum = 0;
     for (const RegionDelta &rd : d.regions)
-        region_sum += rd.warpCycles;
-    d.residual = d.deltaLiveWarpCycles - region_sum;
+        region_sum += rd.delta.warpCycles;
+    d.residual = std::int64_t(d.delta.warpCycles - region_sum);
     return d;
 }
 
@@ -337,17 +322,21 @@ profDiffReport(const ProfDiff &d)
         out += " vs " + d.test.kernel;
     out += "\n\n";
 
-    totalsLine(out, "cycles", d.base.cycles, d.test.cycles);
-    totalsLine(out, "live_warp_cycles", d.base.liveWarpCycles,
-               d.test.liveWarpCycles);
-    totalsLine(out, "instrs_issued", d.base.instrsIssued,
-               d.test.instrsIssued);
-    totalsLine(out, "arb_loss_cycles", d.base.arbLossCycles,
-               d.test.arbLossCycles);
-    for (unsigned k = 0; k < numStallReasons; ++k) {
-        const std::string label =
-            std::string("stall ") + stallReasonName(StallReason(k));
-        totalsLine(out, label.c_str(), d.base.stall[k], d.test.stall[k]);
+    totalsLine(out, "cycles", d.base.cycles, d.test.cycles, d.deltaCycles);
+    const RegionCounters &b = d.base.totals, &t = d.test.totals;
+    for (const StatField<RegionCounters> &f : regionStatFields) {
+        if (f.kind != StatKind::Reasons) {
+            totalsLine(out, totalsKey(f), f.word(b), f.word(t),
+                       std::int64_t(f.word(d.delta)));
+            continue;
+        }
+        for (unsigned k = 0; k < numStallReasons; ++k) {
+            totalsLine(out,
+                       std::string("stall ") +
+                           stallReasonName(StallReason(k)),
+                       (b.*f.reasons)[k], (t.*f.reasons)[k],
+                       std::int64_t((d.delta.*f.reasons)[k]));
+        }
     }
 
     out += "\nregions (by |warp-cycle delta|):\n";
@@ -357,19 +346,27 @@ profDiffReport(const ProfDiff &d)
             out += " [test only]";
         if (!rd.inTest)
             out += " [base only]";
-        out += ": warp cycles ";
-        appendSigned(out, rd.warpCycles);
-        out += " (issued ";
-        appendSigned(out, rd.instrsIssued);
-        out += ", arb ";
-        appendSigned(out, rd.arbLossCycles);
-        for (unsigned k = 0; k < numStallReasons; ++k) {
-            if (rd.stall[k] == 0)
-                continue;
-            out += ", ";
-            out += stallReasonName(StallReason(k));
+        // "total (count, count, ...)" with zero reasons left out.
+        out += ": ";
+        const char *sep = "";
+        const auto item = [&](const char *label, std::uint64_t delta) {
+            out += sep;
+            out += label;
             out += ' ';
-            appendSigned(out, rd.stall[k]);
+            appendSigned(out, std::int64_t(delta));
+            sep = *sep ? ", " : " (";
+        };
+        for (std::size_t i = 0; i < std::size(regionStatFields); ++i) {
+            const StatField<RegionCounters> &f = regionStatFields[i];
+            if (f.kind != StatKind::Reasons) {
+                item(regionLabels[i], f.word(rd.delta));
+                continue;
+            }
+            for (unsigned k = 0; k < numStallReasons; ++k) {
+                if ((rd.delta.*f.reasons)[k] != 0)
+                    item(stallReasonName(StallReason(k)),
+                         (rd.delta.*f.reasons)[k]);
+            }
         }
         out += ")\n";
     }
@@ -391,13 +388,7 @@ profDiffJson(const ProfDiff &d)
     writeSideJson(w, "test", d.test);
     w.key("delta").beginObject();
     w.key("cycles").value(d.deltaCycles);
-    w.key("live_warp_cycles").value(d.deltaLiveWarpCycles);
-    w.key("instrs_issued").value(d.deltaInstrsIssued);
-    w.key("arb_loss_cycles").value(d.deltaArbLossCycles);
-    w.key("stall_cycles").beginObject();
-    for (unsigned k = 0; k < numStallReasons; ++k)
-        w.key(stallReasonName(StallReason(k))).value(d.deltaStall[k]);
-    w.endObject();
+    writeRegionCounters<std::int64_t>(w, d.delta, totalsKey);
     w.endObject();
     w.key("regions").beginArray();
     for (const RegionDelta &rd : d.regions) {
@@ -405,13 +396,7 @@ profDiffJson(const ProfDiff &d)
         w.key("region").value(rd.name);
         w.key("in_base").value(rd.inBase);
         w.key("in_test").value(rd.inTest);
-        w.key("warp_cycles").value(rd.warpCycles);
-        w.key("instrs_issued").value(rd.instrsIssued);
-        w.key("arb_loss_cycles").value(rd.arbLossCycles);
-        w.key("stall_cycles").beginObject();
-        for (unsigned k = 0; k < numStallReasons; ++k)
-            w.key(stallReasonName(StallReason(k))).value(rd.stall[k]);
-        w.endObject();
+        writeRegionCounters<std::int64_t>(w, rd.delta);
         w.endObject();
     }
     w.endArray();

@@ -17,49 +17,39 @@
 #ifndef SI_METRICS_PROFDIFF_HH
 #define SI_METRICS_PROFDIFF_HH
 
-#include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "trace/events.hh"
+#include "core/sm.hh"
 
 namespace si {
 
-/** End-of-run warp-cycle totals for one MARKER-delimited region. */
-struct RegionTotals
-{
-    std::string name;
-    std::uint64_t warpCycles = 0;
-    std::uint64_t instrsIssued = 0;
-    std::uint64_t arbLossCycles = 0;
-    std::array<std::uint64_t, numStallReasons> stall{};
-};
-
-/** One side of a diff: the totals parsed from an exported document. */
+/** One side of a diff: the partition parsed from an exported document. */
 struct ProfSide
 {
     std::string file;   ///< where it was loaded from (report labels)
     std::string schema; ///< "si-stats-v1" or "si-metrics-v1"
     std::string kernel;
     std::uint64_t cycles = 0; ///< kernel runtime (max over SMs)
-    std::uint64_t liveWarpCycles = 0;
-    std::uint64_t instrsIssued = 0;
-    std::uint64_t arbLossCycles = 0;
-    std::array<std::uint64_t, numStallReasons> stall{};
-    std::vector<RegionTotals> regions;
+    RegionCounters totals;    ///< summed over SMs
+    /** Per MARKER-delimited region, by name, in export order. */
+    std::vector<std::pair<std::string, RegionCounters>> regions;
 };
 
-/** Per-region counter deltas (test minus base), aligned by name. */
+/** @p test - @p base per count, modulo 2^64: read as std::int64_t, each
+ *  count (and any sum of such counts) is the signed delta. */
+RegionCounters partitionDelta(const RegionCounters &base,
+                              const RegionCounters &test);
+
+/** One region's partition delta (test minus base), aligned by name. */
 struct RegionDelta
 {
     std::string name;
     bool inBase = false;
     bool inTest = false;
-    std::int64_t warpCycles = 0;
-    std::int64_t instrsIssued = 0;
-    std::int64_t arbLossCycles = 0;
-    std::array<std::int64_t, numStallReasons> stall{};
+    RegionCounters delta; ///< a partitionDelta()
 };
 
 /** The full diff: totals, aligned region deltas, and the residual. */
@@ -67,14 +57,11 @@ struct ProfDiff
 {
     ProfSide base;
     ProfSide test;
-    /** Sorted by |warpCycles| descending, name ascending on ties. */
+    /** Sorted by |delta.warpCycles| descending, name ascending on ties. */
     std::vector<RegionDelta> regions;
     std::int64_t deltaCycles = 0;
-    std::int64_t deltaLiveWarpCycles = 0;
-    std::int64_t deltaInstrsIssued = 0;
-    std::int64_t deltaArbLossCycles = 0;
-    std::array<std::int64_t, numStallReasons> deltaStall{};
-    /** deltaLiveWarpCycles - sum(region warpCycles deltas); 0 by the
+    RegionCounters delta; ///< partitionDelta() of the totals
+    /** delta.warpCycles - sum(region delta.warpCycles); 0 by the
      *  partition identity whenever both inputs are genuine exports. */
     std::int64_t residual = 0;
 };

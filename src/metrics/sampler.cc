@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "common/json.hh"
+#include "metrics/partition_json.hh"
 #include "snapshot/snapshot.hh"
 
 namespace si {
@@ -223,13 +224,6 @@ constexpr WindowColumn windowColumns[] = {
      }},
 };
 
-/** True when a region contributed nothing to this window. */
-bool
-regionZero(const RegionCounters &rc)
-{
-    return rc == RegionCounters{};
-}
-
 /** Write @p v as JSON writes a u64 (the CSV's count cells). */
 void
 appendCount(std::string &out, std::uint64_t v)
@@ -255,31 +249,18 @@ writeWindow(json::Writer &w, const MetricsWindow &win,
             w.value(c.ratioOf(d, warp_slots_per_sm));
         } else {
             w.beginObject();
-            for (unsigned k = 0; k < numStallReasons; ++k)
-                w.key(stallReasonName(StallReason(k)))
-                    .value((d.*c.reasons)[k]);
+            writeReasonCounts(w, d.*c.reasons);
             w.endObject();
         }
     }
     w.key("regions").beginArray();
     for (std::size_t i = 0; i < d.regions.size(); ++i) {
         const RegionCounters &rc = d.regions[i];
-        if (regionZero(rc))
+        if (rc == RegionCounters{}) // contributed nothing to this window
             continue;
         w.beginObject();
         w.key("region").value(std::uint64_t(i));
-        for (const StatField<RegionCounters> &f : regionStatFields) {
-            w.key(f.key);
-            if (f.kind != StatKind::Reasons) {
-                w.value(f.word(rc));
-                continue;
-            }
-            w.beginObject();
-            for (unsigned k = 0; k < numStallReasons; ++k)
-                w.key(stallReasonName(StallReason(k)))
-                    .value((rc.*f.reasons)[k]);
-            w.endObject();
-        }
+        writeRegionCounters(w, rc);
         w.endObject();
     }
     w.endArray();

@@ -160,19 +160,18 @@ launch(const Program &prog, const std::vector<std::uint32_t> &queue,
 } // namespace
 
 WavefrontResult
-runWavefront(const WavefrontConfig &config, std::shared_ptr<Scene> scene,
+runWavefront(const WavefrontConfig &config, const Workload &megakernel,
              const GpuConfig &gpu_config)
 {
-    fatal_if(!scene, "wavefront needs a scene");
+    const std::shared_ptr<Scene> &scene = megakernel.scene;
+    fatal_if(!scene || !megakernel.memory, "wavefront needs a megakernel");
     const MegakernelConfig &kc = config.kernel;
     const unsigned num_shaders =
         std::min(kc.numShaders, scene->config.numMaterials);
     const unsigned num_rays = kc.numWarps * warpSize;
 
-    // Reuse the megakernel's memory-image builder for rays, normals,
-    // materials, and constants (identical content by construction).
-    const Workload image = buildMegakernel(kc, scene);
-    Memory mem = *image.memory;
+    // Rays, normals, materials and constants: the megakernel's image.
+    Memory mem = *megakernel.memory;
     // The queue segment is wavefront-specific.
     mem.writeConst(std::uint32_t(layout::cDataBuf),
                    std::uint32_t(layout::dataBufBase));

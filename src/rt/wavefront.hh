@@ -61,14 +61,14 @@ struct WavefrontResult
 };
 
 /**
- * Render @p scene with a wavefront pipeline under @p gpu_config.
- * The same scene/shader population as buildMegakernel(config.kernel)
- * would use, so `runWorkload(buildMegakernel(...))` vs
- * `runWavefront(...)` is the paper's megakernel-vs-wavefront
+ * Render the frame of @p megakernel, a buildMegakernel(config.kernel,
+ * scene) workload, with a wavefront pipeline under @p gpu_config, from
+ * a copy of its memory image and its scene: `runWorkload(megakernel)`
+ * vs `runWavefront(...)` is the paper's megakernel-vs-wavefront
  * comparison.
  */
 WavefrontResult runWavefront(const WavefrontConfig &config,
-                             std::shared_ptr<Scene> scene,
+                             const Workload &megakernel,
                              const GpuConfig &gpu_config);
 
 } // namespace si

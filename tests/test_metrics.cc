@@ -14,7 +14,8 @@
  *    contributions of an SI-off vs SI-on megakernel pair sum exactly
  *    (zero residual) to the end-of-run warp-cycle delta, from both
  *    si-stats-v1 and si-metrics-v1 inputs (which must agree);
- *  - a golden profdiff report on a MARKER-annotated kernel
+ *  - golden profdiff text and si-profdiff-v1 reports and a golden
+ *    si-metrics-v1 document on a MARKER-annotated kernel
  *    (regenerate with --update-golden or SI_UPDATE_GOLDEN=1);
  *  - MARKER assembly round-trip and end-of-run region attribution;
  *  - Chrome-trace counter tracks, including hostile track/series
@@ -447,22 +448,22 @@ TEST(ProfDiff, MegakernelSiDeltaReconcilesExactly)
 
     const ProfDiff diff = diffProf(sides[0], sides[1]);
     EXPECT_EQ(diff.residual, 0);
-    EXPECT_EQ(diff.deltaLiveWarpCycles,
-              std::int64_t(test.total.liveWarpCycles) -
-                  std::int64_t(base.total.liveWarpCycles));
+    const std::int64_t delta_live = std::int64_t(diff.delta.warpCycles);
+    EXPECT_EQ(delta_live, std::int64_t(test.total.liveWarpCycles) -
+                              std::int64_t(base.total.liveWarpCycles));
 
     // Region deltas partition the total delta...
     std::int64_t region_sum = 0, stall_sum = 0;
     for (const RegionDelta &rd : diff.regions)
-        region_sum += rd.warpCycles;
-    EXPECT_EQ(region_sum, diff.deltaLiveWarpCycles);
+        region_sum += std::int64_t(rd.delta.warpCycles);
+    EXPECT_EQ(region_sum, delta_live);
 
     // ...and so do the stall-reason deltas plus issue/arbitration.
-    for (std::int64_t n : diff.deltaStall)
-        stall_sum += n;
-    EXPECT_EQ(diff.deltaInstrsIssued + diff.deltaArbLossCycles +
-                  stall_sum,
-              diff.deltaLiveWarpCycles);
+    for (std::uint64_t n : diff.delta.stallCyclesByReason)
+        stall_sum += std::int64_t(n);
+    EXPECT_EQ(std::int64_t(diff.delta.instrsIssued) +
+                  std::int64_t(diff.delta.arbLossCycles) + stall_sum,
+              delta_live);
 }
 
 // Both input schemas must tell the same story: diffing the windowed
@@ -500,15 +501,17 @@ TEST(ProfDiff, MetricsAndStatsInputsAgree)
     EXPECT_EQ(ds.residual, 0);
     EXPECT_EQ(dm.residual, 0);
     EXPECT_EQ(ds.deltaCycles, dm.deltaCycles);
-    EXPECT_EQ(ds.deltaLiveWarpCycles, dm.deltaLiveWarpCycles);
-    EXPECT_EQ(ds.deltaInstrsIssued, dm.deltaInstrsIssued);
-    EXPECT_EQ(ds.deltaArbLossCycles, dm.deltaArbLossCycles);
-    EXPECT_EQ(ds.deltaStall, dm.deltaStall);
+    EXPECT_EQ(ds.delta.warpCycles, dm.delta.warpCycles);
+    EXPECT_EQ(ds.delta.instrsIssued, dm.delta.instrsIssued);
+    EXPECT_EQ(ds.delta.arbLossCycles, dm.delta.arbLossCycles);
+    EXPECT_EQ(ds.delta.stallCyclesByReason, dm.delta.stallCyclesByReason);
     ASSERT_EQ(ds.regions.size(), dm.regions.size());
     for (std::size_t i = 0; i < ds.regions.size(); ++i) {
         EXPECT_EQ(ds.regions[i].name, dm.regions[i].name);
-        EXPECT_EQ(ds.regions[i].warpCycles, dm.regions[i].warpCycles);
-        EXPECT_EQ(ds.regions[i].stall, dm.regions[i].stall);
+        EXPECT_EQ(ds.regions[i].delta.warpCycles,
+                  dm.regions[i].delta.warpCycles);
+        EXPECT_EQ(ds.regions[i].delta.stallCyclesByReason,
+                  dm.regions[i].delta.stallCyclesByReason);
     }
 }
 
@@ -538,7 +541,7 @@ TEST(ProfDiff, JsonExportRoundTrips)
     const json::Value *delta = doc.value.find("delta");
     ASSERT_NE(delta, nullptr);
     EXPECT_EQ(std::int64_t(delta->find("live_warp_cycles")->number),
-              diff.deltaLiveWarpCycles);
+              std::int64_t(diff.delta.warpCycles));
     const json::Value *regions = doc.value.find("regions");
     ASSERT_NE(regions, nullptr);
     EXPECT_EQ(regions->array.size(), diff.regions.size());
@@ -587,7 +590,7 @@ TEST(ProfDiff, RefusesCountsThatAreNotU64)
     ProfSide side;
     std::string error;
     ASSERT_TRUE(loadProfInput(doc("40"), "ok.json", side, error)) << error;
-    EXPECT_EQ(side.liveWarpCycles, 40u);
+    EXPECT_EQ(side.totals.warpCycles, 40u);
     for (const char *bad : {"-1", "2.5", "1e30"}) {
         EXPECT_FALSE(loadProfInput(doc(bad), "bad.json", side, error))
             << bad;
@@ -597,30 +600,17 @@ TEST(ProfDiff, RefusesCountsThatAreNotU64)
     }
 }
 
-// Golden profdiff report: the deterministic text rendering of the
-// markers-kernel SI-off vs SI-on diff. Regenerate with --update-golden
-// after intentional timing-model changes and review the diff.
-TEST(ProfDiff, GoldenMarkersReport)
+namespace {
+
+/**
+ * Compare @p got with tests/golden/@p name, or rewrite the golden under
+ * --update-golden. Regenerate after intentional timing-model or export
+ * changes and review the diff.
+ */
+void
+expectGolden(const std::string &got, const std::string &name)
 {
-    const Program prog = assembleOrDie(markers_src);
-    GpuConfig off = baseConfig(false), on = baseConfig(true);
-    Memory mem_off, mem_on;
-    const GpuResult base = simulate(off, mem_off, prog, {4, 4});
-    const GpuResult test = simulate(on, mem_on, prog, {4, 4});
-    ASSERT_TRUE(base.ok() && test.ok());
-
-    StatsJsonOptions opts;
-    opts.regionNames = prog.regionNames();
-    ProfSide sides[2];
-    std::string error;
-    ASSERT_TRUE(loadProfInput(statsJson(base, "markers", opts),
-                              "markers_base.json", sides[0], error));
-    ASSERT_TRUE(loadProfInput(statsJson(test, "markers", opts),
-                              "markers_si.json", sides[1], error));
-    const std::string got = profDiffReport(diffProf(sides[0], sides[1]));
-
-    const std::string path =
-        std::string(SI_GOLDEN_DIR) + "/profdiff_markers.txt";
+    const std::string path = std::string(SI_GOLDEN_DIR) + "/" + name;
     if (update_golden) {
         std::ofstream out(path);
         ASSERT_TRUE(out.good()) << "cannot write " << path;
@@ -633,8 +623,57 @@ TEST(ProfDiff, GoldenMarkersReport)
     ASSERT_FALSE(want.str().empty())
         << path << " missing — run with --update-golden to create it";
     EXPECT_EQ(got, want.str())
-        << "profdiff report changed; if intentional, regenerate with "
+        << name << " changed; if intentional, regenerate with "
         << "--update-golden and review the diff";
+}
+
+/** The markers-kernel SI-off vs SI-on diff, from si-stats-v1 inputs. */
+ProfDiff
+markersDiff()
+{
+    const Program prog = assembleOrDie(markers_src);
+    GpuConfig off = baseConfig(false), on = baseConfig(true);
+    Memory mem_off, mem_on;
+    const GpuResult base = simulate(off, mem_off, prog, {4, 4});
+    const GpuResult test = simulate(on, mem_on, prog, {4, 4});
+    EXPECT_TRUE(base.ok() && test.ok());
+
+    StatsJsonOptions opts;
+    opts.regionNames = prog.regionNames();
+    ProfSide sides[2];
+    std::string error;
+    EXPECT_TRUE(loadProfInput(statsJson(base, "markers", opts),
+                              "markers_base.json", sides[0], error))
+        << error;
+    EXPECT_TRUE(loadProfInput(statsJson(test, "markers", opts),
+                              "markers_si.json", sides[1], error))
+        << error;
+    return diffProf(sides[0], sides[1]);
+}
+
+} // namespace
+
+// Golden profdiff report and si-profdiff-v1 document: the deterministic
+// renderings of the markers-kernel SI-off vs SI-on diff.
+TEST(ProfDiff, GoldenMarkersReport)
+{
+    expectGolden(profDiffReport(markersDiff()), "profdiff_markers.txt");
+}
+
+TEST(ProfDiff, GoldenMarkersJson)
+{
+    expectGolden(profDiffJson(markersDiff()), "profdiff_markers.json");
+}
+
+// Golden si-metrics-v1 document of the SI-on markers run (interval 40).
+TEST(MetricsExport, GoldenMarkersJson)
+{
+    MetricsSampler sampler(40);
+    const GpuResult r = runMarkers(sampler, true);
+    ASSERT_TRUE(r.ok()) << r.status.summary();
+    expectGolden(metricsJson(sampler, "markers",
+                             assembleOrDie(markers_src).regionNames()),
+                 "metrics_markers.json");
 }
 
 // ---------------------------------------------------------------------

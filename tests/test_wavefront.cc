@@ -33,14 +33,20 @@ smallScene()
     return makeScene(sc);
 }
 
+/** The megakernel frame smallConfig() renders. */
+Workload
+smallFrame()
+{
+    return buildMegakernel(smallConfig().kernel, smallScene());
+}
+
 } // namespace
 
 TEST(Wavefront, RunsAllBouncesAndShadesRays)
 {
     const WavefrontConfig wf = smallConfig();
-    auto scene = smallScene();
-    const WavefrontResult r =
-        runWavefront(wf, scene, baselineConfig());
+    const WavefrontResult r = runWavefront(
+        wf, buildMegakernel(wf.kernel, smallScene()), baselineConfig());
 
     EXPECT_EQ(r.bouncesRun, 2u);
     EXPECT_GE(r.raysTraced, 4u * warpSize); // all rays trace bounce 0
@@ -63,8 +69,8 @@ TEST(Wavefront, TerminatedRaysLeaveTheWave)
     // With one bounce every path terminates after the first wave.
     WavefrontConfig wf = smallConfig();
     wf.kernel.bounces = 1;
-    const WavefrontResult r =
-        runWavefront(wf, smallScene(), baselineConfig());
+    const WavefrontResult r = runWavefront(
+        wf, buildMegakernel(wf.kernel, smallScene()), baselineConfig());
     EXPECT_EQ(r.bouncesRun, 1u);
     EXPECT_EQ(r.raysTraced, 4u * warpSize);
 }
@@ -72,7 +78,7 @@ TEST(Wavefront, TerminatedRaysLeaveTheWave)
 TEST(Wavefront, SecondBounceTracesOnlySurvivors)
 {
     const WavefrontResult r =
-        runWavefront(smallConfig(), smallScene(), baselineConfig());
+        runWavefront(smallConfig(), smallFrame(), baselineConfig());
     // Misses and emissive hits terminate, so the second wave is
     // strictly smaller than the first (sky is visible in the scene).
     EXPECT_LT(r.raysTraced, 2u * 4u * warpSize);
@@ -80,7 +86,7 @@ TEST(Wavefront, SecondBounceTracesOnlySurvivors)
 
 TEST(Wavefront, CostModelKnobsAreCharged)
 {
-    auto scene = smallScene();
+    const Workload frame = smallFrame();
     WavefrontConfig cheap = smallConfig();
     cheap.launchOverhead = 0;
     cheap.compactionCyclesPerRay = 0.0f;
@@ -89,9 +95,9 @@ TEST(Wavefront, CostModelKnobsAreCharged)
     costly.compactionCyclesPerRay = 50.0f;
 
     const WavefrontResult rc =
-        runWavefront(cheap, scene, baselineConfig());
+        runWavefront(cheap, frame, baselineConfig());
     const WavefrontResult re =
-        runWavefront(costly, scene, baselineConfig());
+        runWavefront(costly, frame, baselineConfig());
     EXPECT_EQ(rc.launchCycles, 0u);
     EXPECT_EQ(rc.compactionCycles, 0u);
     EXPECT_EQ(re.launchCycles, 5000u * re.kernelLaunches);
@@ -103,11 +109,11 @@ TEST(Wavefront, CostModelKnobsAreCharged)
 
 TEST(Wavefront, DeterministicAcrossRuns)
 {
-    auto scene = smallScene();
+    const Workload frame = smallFrame();
     const WavefrontResult a =
-        runWavefront(smallConfig(), scene, baselineConfig());
+        runWavefront(smallConfig(), frame, baselineConfig());
     const WavefrontResult b =
-        runWavefront(smallConfig(), scene, baselineConfig());
+        runWavefront(smallConfig(), frame, baselineConfig());
     EXPECT_EQ(a.totalCycles, b.totalCycles);
     EXPECT_EQ(a.radiance, b.radiance);
 }
@@ -119,11 +125,11 @@ TEST(Wavefront, ShadeKernelsAreConvergent)
     // launch-equivalent workload. We approximate by checking that the
     // wavefront radiance is produced without megakernel-style
     // serialization: SI on the wavefront's kernels changes nothing.
-    auto scene = smallScene();
+    const Workload frame = smallFrame();
     const WavefrontResult base =
-        runWavefront(smallConfig(), scene, baselineConfig());
+        runWavefront(smallConfig(), frame, baselineConfig());
     const WavefrontResult with_si = runWavefront(
-        smallConfig(), scene,
+        smallConfig(), frame,
         withSi(baselineConfig(), bestSiConfigPoint()));
     // No divergence -> no subwarps -> SI has nothing to interleave.
     EXPECT_EQ(base.radiance, with_si.radiance);

@@ -72,6 +72,23 @@ struct SeedReport
     unsigned race_witness_missed = 0;  ///< witness not flagged or silent
     unsigned race_unsound = 0;         ///< dynamic race outside static set
     std::string out; ///< buffered stdout text
+
+    /** Add @p sr's counters to these (its text is printed, not kept). */
+    void
+    add(const SeedReport &sr)
+    {
+        failures += sr.failures;
+        fired += sr.fired;
+        escaped_ok += sr.escaped_ok;
+        lint_rejected += sr.lint_rejected;
+        blessed_diverged += sr.blessed_diverged;
+        snap_checked += sr.snap_checked;
+        snap_checkpointed += sr.snap_checkpointed;
+        snap_diverged += sr.snap_diverged;
+        race_clean_flagged += sr.race_clean_flagged;
+        race_witness_missed += sr.race_witness_missed;
+        race_unsound += sr.race_unsound;
+    }
 };
 
 } // namespace
@@ -153,18 +170,6 @@ main(int argc, char **argv)
         return 1;
     }
 
-    unsigned failures = 0;
-    unsigned fired = 0;
-    unsigned escaped_ok = 0;
-    unsigned lint_rejected = 0;
-    unsigned blessed_diverged = 0;
-    unsigned snap_checked = 0;
-    unsigned snap_checkpointed = 0;
-    unsigned snap_diverged = 0;
-    unsigned race_clean_flagged = 0;
-    unsigned race_witness_missed = 0;
-    unsigned race_unsound = 0;
-
     // The determinism contract is checked on one baseline and one SI
     // point of the matrix; the full matrix would triple an already
     // three-legged run for little extra coverage.
@@ -179,6 +184,7 @@ main(int argc, char **argv)
     // are accumulated in a SeedReport and merged in seed order by the
     // in-order sink, so output and exit status are byte-identical at
     // any --jobs value.
+    SeedReport total;
     si::parallel::mapIndexed<SeedReport>(
         jobs, std::size_t(num_seeds),
         [&](std::size_t idx) {
@@ -375,26 +381,17 @@ main(int argc, char **argv)
         },
         [&](std::size_t, const SeedReport &sr) {
             std::fwrite(sr.out.data(), 1, sr.out.size(), stdout);
-            failures += sr.failures;
-            fired += sr.fired;
-            escaped_ok += sr.escaped_ok;
-            lint_rejected += sr.lint_rejected;
-            blessed_diverged += sr.blessed_diverged;
-            snap_checked += sr.snap_checked;
-            snap_checkpointed += sr.snap_checkpointed;
-            snap_diverged += sr.snap_diverged;
-            race_clean_flagged += sr.race_clean_flagged;
-            race_witness_missed += sr.race_witness_missed;
-            race_unsound += sr.race_unsound;
+            total.add(sr);
         });
 
     if (opts.inject) {
-        const unsigned detected = fired - escaped_ok - failures;
+        const unsigned detected =
+            total.fired - total.escaped_ok - total.failures;
         std::printf("difftest: %llu seeds, %u faults fired, %u detected, "
                     "%u architecturally silent, %u escaped detection\n",
-                    (unsigned long long)num_seeds, fired, detected,
-                    escaped_ok, failures);
-        if (fired == 0) {
+                    (unsigned long long)num_seeds, total.fired, detected,
+                    total.escaped_ok, total.failures);
+        if (total.fired == 0) {
             std::printf("difftest: no injected fault ever fired — "
                         "treating as failure\n");
             return 1;
@@ -407,25 +404,26 @@ main(int argc, char **argv)
     } else {
         std::printf("difftest: %llu seeds, %u divergences\n",
                     (unsigned long long)num_seeds,
-                    failures - lint_rejected);
+                    total.failures - total.lint_rejected);
     }
     if (verify) {
         std::printf("difftest: verifier rejected %u kernels, "
                     "%u blessed kernels diverged dynamically\n",
-                    lint_rejected, blessed_diverged);
+                    total.lint_rejected, total.blessed_diverged);
     }
     if (race) {
         std::printf("difftest: race oracle: %u clean kernels flagged, "
                     "%u racy witnesses missed, %u unsound dynamic "
                     "races\n",
-                    race_clean_flagged, race_witness_missed,
-                    race_unsound);
+                    total.race_clean_flagged, total.race_witness_missed,
+                    total.race_unsound);
     }
     if (snapshot) {
         std::printf("difftest: replay oracle: %u runs, %u mid-run "
                     "checkpoints frozen, %u non-deterministic\n",
-                    snap_checked, snap_checkpointed, snap_diverged);
-        if (snap_checkpointed == 0) {
+                    total.snap_checked, total.snap_checkpointed,
+                    total.snap_diverged);
+        if (total.snap_checkpointed == 0) {
             // Every kernel retiring before any checkpoint could freeze
             // would mean the oracle never exercised restore at all.
             std::printf("difftest: replay oracle never froze a "
@@ -433,5 +431,5 @@ main(int argc, char **argv)
             return 1;
         }
     }
-    return failures == 0 ? 0 : 1;
+    return total.failures == 0 ? 0 : 1;
 }
