@@ -7,7 +7,10 @@
  * A two-SM fig9 SI run also pins the exact bytes of the statistics
  * exports: the statsReport text, the si-stats-v1 document, and an
  * FNV-1a digest of a mid-run checkpoint (whose Stats sections are
- * SmStats::save's layout).
+ * SmStats::save's layout). Further checkpoint digests pin the sections
+ * the fig9 checkpoint leaves empty: a metrics sampler's rings, MSHR
+ * clocks, in-flight RT queries with a scene, warps still waiting for a
+ * slot next to retired ones, and a co-scheduled two-kernel launch.
  *
  * To regenerate snapshots after an intentional timing-model change:
  *
@@ -21,12 +24,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 
 #include "core/gpu.hh"
 #include "harness/report.hh"
 #include "isa/assembler.hh"
+#include "metrics/sampler.hh"
+#include "rt/apps.hh"
 #include "snapshot/snapshot.hh"
 
 using namespace si;
@@ -184,6 +190,54 @@ runKernelFile(const std::string &name, bool si)
 constexpr Cycle kCheckpointCycle = 400;
 
 /**
+ * Install a hook on @p cfg that saves the whole GPU into @p container
+ * at cycle @p at; @p check (optional) then asserts the state the pin is
+ * meant to cover is really live at that cycle.
+ */
+void
+checkpointAt(GpuConfig &cfg, Cycle at, std::string *container,
+             std::function<void(const Gpu &)> check = nullptr)
+{
+    cfg.checkpointInterval = 1;
+    cfg.checkpointHook = [=](const Gpu &gpu, Cycle now) {
+        if (now != at)
+            return;
+        if (check)
+            check(gpu);
+        SnapshotWriter w;
+        gpu.save(w);
+        *container = w.finish();
+    };
+}
+
+/** Compare the size and FNV-1a digest of @p container with @p name. */
+void
+checkCheckpointDigest(const std::string &name, Cycle at,
+                      const std::string &container)
+{
+    ASSERT_FALSE(container.empty()) << "run retired before cycle " << at;
+    Fnv1a h;
+    h.update(container);
+    char line[64];
+    std::snprintf(line, sizeof(line), "cycle %llu bytes %zu fnv1a %016llx\n",
+                  (unsigned long long)at, container.size(),
+                  (unsigned long long)h.digest());
+    checkGoldenText(name, line);
+}
+
+/** runKernelFile's SI config on two SMs. */
+GpuConfig
+twoSmSiConfig()
+{
+    GpuConfig cfg;
+    cfg.numSms = 2;
+    cfg.siEnabled = true;
+    cfg.yieldEnabled = true;
+    cfg.trigger = SelectTrigger::HalfStalled;
+    return cfg;
+}
+
+/**
  * The fig9 kernel under runKernelFile's SI config on two SMs, so the
  * aggregate folds (sums, the cycles max) are exercised; @p checkpoint
  * receives the container frozen at kCheckpointCycle.
@@ -195,21 +249,9 @@ runFig9TwoSms(std::string *checkpoint = nullptr,
     const Program prog = assembleOrDie(readFile(kernelPath("fig9")));
     if (region_names)
         *region_names = prog.regionNames();
-    GpuConfig cfg;
-    cfg.numSms = 2;
-    cfg.siEnabled = true;
-    cfg.yieldEnabled = true;
-    cfg.trigger = SelectTrigger::HalfStalled;
-    if (checkpoint) {
-        cfg.checkpointInterval = 1;
-        cfg.checkpointHook = [checkpoint](const Gpu &gpu, Cycle now) {
-            if (now != kCheckpointCycle)
-                return;
-            SnapshotWriter w;
-            gpu.save(w);
-            *checkpoint = w.finish();
-        };
-    }
+    GpuConfig cfg = twoSmSiConfig();
+    if (checkpoint)
+        checkpointAt(cfg, kCheckpointCycle, checkpoint);
     Memory mem;
     return simulate(cfg, mem, prog, {4, 4});
 }
@@ -237,15 +279,101 @@ TEST(GoldenStats, Fig9CheckpointDigest)
     std::string container;
     const GpuResult r = runFig9TwoSms(&container);
     ASSERT_TRUE(r.ok()) << r.status.summary();
-    ASSERT_FALSE(container.empty())
-        << "run retired before cycle " << kCheckpointCycle;
-    Fnv1a h;
-    h.update(container);
-    char line[64];
-    std::snprintf(line, sizeof(line), "cycle %llu bytes %zu fnv1a %016llx\n",
-                  (unsigned long long)kCheckpointCycle, container.size(),
-                  (unsigned long long)h.digest());
-    checkGoldenText("fig9_si_checkpoint", line);
+    checkCheckpointDigest("fig9_si_checkpoint", kCheckpointCycle, container);
+}
+
+TEST(GoldenStats, MetricsCheckpointDigest)
+{
+    // The fig9 run with a sampler at interval 64: the MTRK section holds
+    // six closed windows per SM.
+    const Program prog = assembleOrDie(readFile(kernelPath("fig9")));
+    MetricsSampler sampler(64);
+    GpuConfig cfg = twoSmSiConfig();
+    cfg.metricsSampler = &sampler;
+    std::string container;
+    checkpointAt(cfg, kCheckpointCycle, &container, [&](const Gpu &) {
+        EXPECT_EQ(sampler.windows(0).size(), kCheckpointCycle / 64);
+    });
+    Memory mem;
+    const GpuResult r = simulate(cfg, mem, prog, {4, 4});
+    ASSERT_TRUE(r.ok()) << r.status.summary();
+    checkCheckpointDigest("checkpoint_metrics", kCheckpointCycle, container);
+}
+
+TEST(GoldenStats, MshrCheckpointDigest)
+{
+    // memlat's load chains through four MSHRs: every SM's MSHR clocks
+    // are busy past the checkpoint.
+    constexpr Cycle at = 1500;
+    const Program prog = assembleOrDie(readFile(kernelPath("memlat")));
+    GpuConfig cfg = twoSmSiConfig();
+    cfg.maxOutstandingMisses = 4;
+    std::string container;
+    checkpointAt(cfg, at, &container, [](const Gpu &gpu) {
+        EXPECT_GT(gpu.sm(0).stats().ldgIssued, 4u);
+        EXPECT_TRUE(gpu.sm(0).hasPendingWritebacks());
+    });
+    Memory mem;
+    const GpuResult r = simulate(cfg, mem, prog, {8, 4});
+    ASSERT_TRUE(r.ok()) << r.status.summary();
+    checkCheckpointDigest("checkpoint_mshrs", at, container);
+}
+
+TEST(GoldenStats, RtQueryCheckpointDigest)
+{
+    // BFV1 with RTQUERYs in flight: the RT-core pipes are busy and the
+    // scene's hit records sit in memory.
+    constexpr Cycle at = 3000;
+    const Workload wl = buildApp(AppId::BFV1, 8);
+    GpuConfig cfg = twoSmSiConfig();
+    cfg.rtc = wl.rtc;
+    std::string container;
+    checkpointAt(cfg, at, &container, [](const Gpu &gpu) {
+        EXPECT_GT(gpu.sm(0).stats().rtQueriesIssued, 0u);
+        EXPECT_TRUE(gpu.sm(0).hasPendingWritebacks());
+    });
+    Memory mem = *wl.memory;
+    const GpuResult r = simulate(cfg, mem, wl.program, wl.launch, wl.bvh());
+    ASSERT_TRUE(r.ok()) << r.status.summary();
+    checkCheckpointDigest("checkpoint_rtcore", at, container);
+}
+
+TEST(GoldenStats, PendingAdmissionCheckpointDigest)
+{
+    // 24 fig9 warps on one SM with eight slots: at the checkpoint some
+    // warps have retired and others still wait for a slot.
+    constexpr Cycle at = 1000;
+    constexpr unsigned warps = 24;
+    const Program prog = assembleOrDie(readFile(kernelPath("fig9")));
+    GpuConfig cfg = twoSmSiConfig();
+    cfg.numSms = 1;
+    cfg.warpSlotsPerPb = 2;
+    std::string container;
+    checkpointAt(cfg, at, &container, [](const Gpu &gpu) {
+        const std::uint64_t retired = gpu.sm(0).stats().warpsRetired;
+        EXPECT_GT(retired, 0u);
+        EXPECT_LT(retired, warps - 8u); // so some are not yet admitted
+    });
+    Memory mem;
+    const GpuResult r = simulate(cfg, mem, prog, {warps, 4});
+    ASSERT_TRUE(r.ok()) << r.status.summary();
+    checkCheckpointDigest("checkpoint_admission", at, container);
+}
+
+TEST(GoldenStats, CoscheduledCheckpointDigest)
+{
+    // fig9 and memlat launched together: two META kernel records.
+    const Program fig9_prog = assembleOrDie(readFile(kernelPath("fig9")));
+    const Program memlat = assembleOrDie(readFile(kernelPath("memlat")));
+    GpuConfig cfg = twoSmSiConfig();
+    std::string container;
+    checkpointAt(cfg, kCheckpointCycle, &container);
+    Memory mem;
+    Gpu gpu(cfg, mem);
+    const GpuResult r =
+        gpu.runMulti({{&fig9_prog, {4, 4}}, {&memlat, {4, 4}}});
+    ASSERT_TRUE(r.ok()) << r.status.summary();
+    checkCheckpointDigest("checkpoint_cosched", kCheckpointCycle, container);
 }
 
 TEST(GoldenStats, Fig10Baseline)

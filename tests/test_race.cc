@@ -7,6 +7,8 @@
  * together (ref/difftest raceCheckProgram).
  */
 
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -62,20 +64,27 @@ pcOf(const Program &prog, Opcode op)
     return 0;
 }
 
-/** Run @p prog on one SM with the detector attached; SI + yield on. */
-std::vector<RaceReport>
-dynamicRaces(const Program &prog, unsigned warps = 4)
+/** Run @p prog on one SM with @p det attached; SI + yield on. */
+void
+runWithDetector(const Program &prog, RaceDetector &det, unsigned warps = 4)
 {
     GpuConfig cfg;
     cfg.numSms = 1;
     cfg.siEnabled = true;
     cfg.yieldEnabled = true;
-    RaceDetector det;
     cfg.raceHooks = &det;
     Memory mem;
     Gpu gpu(cfg, mem);
     const GpuResult res = gpu.run(prog, LaunchParams{warps, 4});
     EXPECT_TRUE(res.ok()) << res.status.summary();
+}
+
+/** The races @p prog shows on one SM; SI + yield on. */
+std::vector<RaceReport>
+dynamicRaces(const Program &prog, unsigned warps = 4)
+{
+    RaceDetector det;
+    runWithDetector(prog, det, warps);
     return det.races();
 }
 
@@ -331,6 +340,33 @@ TEST(RaceDetector, SnapshotRoundtripPreservesShadowState)
     thawed2.restore(r2);
     thawed2.onAccess(access(1, 0x4000, 6, false, 30));
     EXPECT_TRUE(thawed2.races().empty());
+}
+
+TEST(RaceDetector, SnapshotBytesPinned)
+{
+    // The sanitizer's own save() bytes after the witness run (clocks,
+    // shadow cells with reads, one finding), pinned by size and FNV-1a
+    // digest in tests/golden/race_detector_save.txt. Regenerate after an
+    // intentional layout change with SI_UPDATE_GOLDEN=1.
+    RaceDetector det;
+    runWithDetector(witnessProgram(), det);
+    ASSERT_EQ(det.races().size(), 1u);
+    SnapshotWriter w;
+    det.save(w);
+    const std::string container = w.finish();
+    Fnv1a h;
+    h.update(container);
+    char line[64];
+    std::snprintf(line, sizeof(line), "bytes %zu fnv1a %016llx\n",
+                  container.size(), (unsigned long long)h.digest());
+
+    const std::string path =
+        std::string(SI_GOLDEN_DIR) + "/race_detector_save.txt";
+    if (std::getenv("SI_UPDATE_GOLDEN") != nullptr) {
+        std::ofstream(path) << line;
+        return;
+    }
+    EXPECT_EQ(line, readFile(path));
 }
 
 TEST(RaceDetector, ResetDropsEverything)
