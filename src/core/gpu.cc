@@ -410,100 +410,52 @@ Gpu::resumeMulti(const std::vector<KernelLaunch> &kernels,
     return result;
 }
 
+template <class Self, class Ar>
 void
-Gpu::save(SnapshotWriter &w) const
+Gpu::walk(Self &self, Ar &ar)
 {
-    w.tag(SnapTag::Meta);
-    w.u64(configFingerprint(config_));
-    w.u64(kernels_.size());
-    for (const KernelLaunch &k : kernels_) {
-        w.str(k.program->name());
-        w.u64(programFingerprint(*k.program));
-        w.u32(k.launch.numWarps);
-        w.u32(k.launch.warpsPerCta);
+    ar.tag(SnapTag::Meta);
+    ar.fixed("checkpoint", "config fingerprint",
+             configFingerprint(self.config_));
+    ar.fixed("checkpoint", "kernels", self.kernels_.size());
+    for (const KernelLaunch &k : self.kernels_) {
+        const std::string &name = k.program->name();
+        ar.fixed("checkpoint kernel", "name", name);
+        ar.fixed(name, "program fingerprint", programFingerprint(*k.program));
+        ar.fixed(name, "warps", k.launch.numWarps);
+        ar.fixed(name, "warps per CTA", k.launch.warpsPerCta);
     }
 
-    w.tag(SnapTag::Clock);
-    w.u64(now_);
-    w.u64(lastIssued_);
-    w.u64(lastProgress_);
-
-    memory_.save(w);
-
-    w.u64(sms_.size());
-    for (const auto &sm : sms_)
-        sm->save(w);
+    ar.tag(SnapTag::Clock);
+    ar.io(self.now_, self.lastIssued_, self.lastProgress_, self.memory_);
+    ar.fixed("checkpoint", "SMs", self.sms_.size());
+    for (const auto &sm : self.sms_)
+        ar.io(*sm);
 
     // Sampler presence is part of the format: restoring under a
     // different sampler setup would silently desynchronize the window
     // series, so mismatches fail loudly instead.
-    w.tag(SnapTag::Metrics);
-    w.b(config_.metricsSampler != nullptr);
-    if (config_.metricsSampler)
-        config_.metricsSampler->save(w);
+    ar.tag(SnapTag::Metrics);
+    CycleSampler *sampler = self.config_.metricsSampler;
+    ar.fixed("checkpoint", "metrics sampler installed", sampler != nullptr);
+    if (sampler)
+        ar.io(*sampler);
 
-    w.tag(SnapTag::End);
+    ar.tag(SnapTag::End);
+    if constexpr (Ar::restoring)
+        ar.expectEnd();
+}
+
+void
+Gpu::save(SnapshotWriter &w) const
+{
+    walk(*this, w);
 }
 
 void
 Gpu::restore(SnapshotReader &r)
 {
-    r.tag(SnapTag::Meta);
-    const std::uint64_t cfg_fp = r.u64();
-    sim_throw_if(cfg_fp != configFingerprint(config_), ErrorKind::Snapshot,
-                 "checkpoint was taken under a different configuration "
-                 "(fingerprint %016llx, ours %016llx)",
-                 static_cast<unsigned long long>(cfg_fp),
-                 static_cast<unsigned long long>(
-                     configFingerprint(config_)));
-    const std::uint64_t num_kernels = r.u64();
-    sim_throw_if(num_kernels != kernels_.size(), ErrorKind::Snapshot,
-                 "checkpoint has %llu kernels, launch has %zu",
-                 static_cast<unsigned long long>(num_kernels),
-                 kernels_.size());
-    for (const KernelLaunch &k : kernels_) {
-        const std::string name = r.str();
-        const std::uint64_t prog_fp = r.u64();
-        const unsigned num_warps = r.u32();
-        const unsigned warps_per_cta = r.u32();
-        sim_throw_if(name != k.program->name() ||
-                         prog_fp != programFingerprint(*k.program) ||
-                         num_warps != k.launch.numWarps ||
-                         warps_per_cta != k.launch.warpsPerCta,
-                     ErrorKind::Snapshot,
-                     "checkpoint kernel '%s' does not match launched "
-                     "kernel '%s' (program or geometry changed since "
-                     "the checkpoint)",
-                     name.c_str(), k.program->name().c_str());
-    }
-
-    r.tag(SnapTag::Clock);
-    now_ = r.u64();
-    lastIssued_ = r.u64();
-    lastProgress_ = r.u64();
-
-    memory_.restore(r);
-
-    const std::uint64_t num_sms = r.u64();
-    sim_throw_if(num_sms != sms_.size(), ErrorKind::Snapshot,
-                 "checkpoint has %llu SMs, machine has %zu",
-                 static_cast<unsigned long long>(num_sms), sms_.size());
-    for (auto &sm : sms_)
-        sm->restore(r);
-
-    r.tag(SnapTag::Metrics);
-    const bool has_sampler = r.b();
-    sim_throw_if(has_sampler != (config_.metricsSampler != nullptr),
-                 ErrorKind::Snapshot,
-                 "checkpoint was taken with a metrics sampler %s but the "
-                 "resuming run has one %s",
-                 has_sampler ? "installed" : "absent",
-                 config_.metricsSampler ? "installed" : "absent");
-    if (config_.metricsSampler)
-        config_.metricsSampler->restore(r);
-
-    r.tag(SnapTag::End);
-    r.expectEnd();
+    walk(*this, r);
 }
 
 GpuResult

@@ -181,6 +181,9 @@ class Gpu
     const GpuConfig &config() const { return config_; }
 
   private:
+    template <class Self, class Ar>
+    static void walk(Self &self, Ar &ar);
+
     /** Validate @p kernels and distribute their warps across SMs. */
     void launchKernels(const std::vector<KernelLaunch> &kernels);
 

@@ -137,29 +137,28 @@ class ScoreboardFile
 
     /** Serialize every per-lane counter (fixed 32x8 layout, untagged:
      *  embedded in the owning warp's section). */
-    void
-    save(SnapshotWriter &w) const
-    {
-        for (const auto &lane : counts_)
-            for (std::uint8_t c : lane)
-                w.u8(c);
-    }
+    void save(SnapshotWriter &w) const { walk(*this, w); }
 
     /** Restore counters serialized by save(); the masks follow them. */
-    void
-    restore(SnapshotReader &r)
+    void restore(SnapshotReader &r) { walk(*this, r); }
+
+  private:
+    template <class Self, class Ar>
+    static void
+    walk(Self &self, Ar &ar)
     {
-        busy_.fill(ThreadMask());
-        for (unsigned lane = 0; lane < warpSize; ++lane) {
-            for (unsigned sb = 0; sb < numSb; ++sb) {
-                counts_[lane][sb] = r.u8();
-                if (counts_[lane][sb] != 0)
-                    busy_[sb].set(lane);
+        ar.io(self.counts_);
+        if constexpr (Ar::restoring) {
+            self.busy_.fill(ThreadMask());
+            for (unsigned lane = 0; lane < warpSize; ++lane) {
+                for (unsigned sb = 0; sb < numSb; ++sb) {
+                    if (self.counts_[lane][sb] != 0)
+                        self.busy_[sb].set(lane);
+                }
             }
         }
     }
 
-  private:
     std::array<std::array<std::uint8_t, numSb>, warpSize> counts_;
     std::array<ThreadMask, numSb> busy_;
 };

@@ -1289,188 +1289,124 @@ Sm::finalizeStats()
     stats_ = liveStats();
 }
 
+template <class Self, class Ar>
+void
+Sm::walk(Self &self, Ar &ar)
+{
+    const std::string who = "sm " + std::to_string(self.id_);
+    const auto warp_index = [&](auto &idx, const char *what) {
+        ar.io(idx);
+        sim_throw_if(idx >= self.warps_.size(), ErrorKind::Snapshot,
+                     "sm %u: %s warp index %u out of range (%zu warps)",
+                     self.id_, what, unsigned(idx), self.warps_.size());
+    };
+
+    ar.tag(SnapTag::Sm);
+    ar.fixed(who, "id", self.id_);
+    ar.io(self.maxResidentPerPb_);
+    ar.fixed(who, "warps", self.warps_.size());
+    for (const auto &warp : self.warps_)
+        ar.io(*warp);
+    ar.seq(self.pendingAdmission_, 4,
+           [&](auto &idx) { warp_index(idx, "pending-admission"); });
+    ar.fixed(who, "processing blocks", self.pbs_.size());
+    for (auto &pb : self.pbs_) {
+        ar.tag(SnapTag::Pb);
+        ar.io(pb.l0i);
+        ar.seq(pb.resident, 4,
+               [&](auto &idx) { warp_index(idx, "resident"); });
+        ar.io(pb.regsInUse, pb.lrrCursor, pb.gtoCurrent);
+    }
+
+    // The writeback queue travels in drain order — due cycle, then
+    // insertion order within a cycle — so renumbering it in that order
+    // on restore drains it identically.
+    std::vector<Writeback> queue;
+    if constexpr (!Ar::restoring) {
+        queue = self.events_;
+        std::sort(queue.begin(), queue.end(),
+                  [](const Writeback &a, const Writeback &b) {
+                      return Writeback::later(b, a);
+                  });
+    }
+    ar.seq(queue, 8 + 4 + 4 + 1 + 1, [&](Writeback &wb) {
+        auto port = std::uint8_t(wb.port);
+        ar.io(wb.when);
+        warp_index(wb.warpIdx, "writeback");
+        ar.io(wb.mask, wb.sb, port);
+        sim_throw_if(wb.sb >= ScoreboardFile::numSb, ErrorKind::Snapshot,
+                     "sm %u: writeback names invalid scoreboard %u",
+                     self.id_, wb.sb);
+        sim_throw_if(port > std::uint8_t(WbPort::Tex), ErrorKind::Snapshot,
+                     "sm %u: writeback names invalid port %u", self.id_,
+                     port);
+        wb.port = WbPort(port);
+    });
+    if constexpr (Ar::restoring) {
+        for (std::size_t i = 0; i < queue.size(); ++i)
+            queue[i].seq = i;
+        std::make_heap(queue.begin(), queue.end(), Writeback::later);
+        self.events_ = std::move(queue);
+        self.nextWbSeq_ = self.events_.size();
+    }
+
+    ar.fixed(who, "MSHRs", self.mshrFreeAt_.size());
+    for (auto &c : self.mshrFreeAt_)
+        ar.io(c);
+    ar.io(self.l1d_, self.l1i_, self.rtcore_, self.unit_);
+
+    const auto stats_and_rows = [&](auto &stats, auto &rows) {
+        ar.io(stats);
+        ar.fixed(who, "stall-table rows", rows.size());
+        for (auto &row : rows)
+            ar.io(row);
+    };
+    if constexpr (!Ar::restoring) {
+        // The open spans are folded into the copies written, so the
+        // bytes are those of a per-cycle accounting at this boundary.
+        SmStats stats = self.stats_;
+        std::vector<StallCounts> by_pc = self.stallsByPc_;
+        for (unsigned wi = 0; wi < self.spans_.size(); ++wi) {
+            const WarpSpan::Charge &c = self.spans_[wi].charge;
+            accountWarpCycles(c, self.openCycles(wi), stats, by_pc[c.row]);
+        }
+        stats_and_rows(stats, by_pc);
+    } else {
+        stats_and_rows(self.stats_, self.stallsByPc_);
+
+        // Cached statuses are not serialized (the saved statistics hold
+        // their spans up to the boundary): every warp is re-armed, so
+        // the first tick re-evaluates it and compacts any slot a retired
+        // warp still holds. The event horizon is likewise re-derived on
+        // that tick.
+        self.spans_.assign(self.warps_.size(), WarpSpan{});
+        for (ProcessingBlock &pb : self.pbs_) {
+            pb.live = 0;
+            pb.stalled = 0;
+            pb.nextDue = 0;
+            self.reindex(pb);
+        }
+        self.liveWarps_ = 0;
+        for (const auto &warp : self.warps_)
+            self.liveWarps_ += !warp->done();
+        self.memStalledDivergent_ = 0;
+        self.fetchStalled_ = 0;
+        self.retiring_ = true; // also retries admission once
+        self.cutPb_ = unsigned(self.pbs_.size());
+        self.nextEventAt_ = invalidCycle;
+    }
+}
+
 void
 Sm::save(SnapshotWriter &w) const
 {
-    w.tag(SnapTag::Sm);
-    w.u32(id_);
-    w.u32(maxResidentPerPb_);
-
-    w.u64(warps_.size());
-    for (const auto &warp : warps_)
-        warp->save(w);
-
-    w.u64(pendingAdmission_.size());
-    for (unsigned idx : pendingAdmission_)
-        w.u32(idx);
-
-    w.u64(pbs_.size());
-    for (const ProcessingBlock &pb : pbs_) {
-        w.tag(SnapTag::Pb);
-        pb.l0i.save(w);
-        w.u64(pb.resident.size());
-        for (unsigned idx : pb.resident)
-            w.u32(idx);
-        w.u32(pb.regsInUse);
-        w.u32(pb.lrrCursor);
-        w.u32(std::uint32_t(pb.gtoCurrent));
-    }
-
-    // The writeback queue serializes in drain order — due cycle, then
-    // insertion order within a cycle — so a restored queue drains
-    // identically.
-    std::vector<Writeback> queue = events_;
-    std::sort(queue.begin(), queue.end(),
-              [](const Writeback &a, const Writeback &b) {
-                  return Writeback::later(b, a);
-              });
-    w.u64(queue.size());
-    for (const Writeback &wb : queue) {
-        w.u64(wb.when);
-        w.u32(wb.warpIdx);
-        w.u32(wb.mask.raw());
-        w.u8(wb.sb);
-        w.u8(std::uint8_t(wb.port));
-    }
-
-    w.u64(mshrFreeAt_.size());
-    for (Cycle c : mshrFreeAt_)
-        w.u64(c);
-
-    l1d_.save(w);
-    l1i_.save(w);
-    rtcore_.save(w);
-    unit_.save(w);
-
-    // The open spans are folded into the copy written, so the bytes are
-    // those of a per-cycle accounting at this boundary.
-    SmStats stats = stats_;
-    std::vector<StallCounts> by_pc = stallsByPc_;
-    for (unsigned wi = 0; wi < spans_.size(); ++wi) {
-        const WarpSpan::Charge &c = spans_[wi].charge;
-        accountWarpCycles(c, openCycles(wi), stats, by_pc[c.row]);
-    }
-    stats.save(w);
-
-    w.u64(by_pc.size());
-    for (const StallCounts &row : by_pc) {
-        for (std::uint64_t v : row)
-            w.u64(v);
-    }
+    walk(*this, w);
 }
 
 void
 Sm::restore(SnapshotReader &r)
 {
-    r.tag(SnapTag::Sm);
-    const unsigned id = r.u32();
-    sim_throw_if(id != id_, ErrorKind::Snapshot,
-                 "sm %u: snapshot holds state for sm %u", id_, id);
-    maxResidentPerPb_ = r.u32();
-
-    const std::uint64_t num_warps = r.u64();
-    sim_throw_if(num_warps != warps_.size(), ErrorKind::Snapshot,
-                 "sm %u: snapshot has %llu warps, expected %zu (launch "
-                 "mismatch?)",
-                 id_, static_cast<unsigned long long>(num_warps),
-                 warps_.size());
-    for (auto &warp : warps_)
-        warp->restore(r);
-
-    auto warp_index = [&](const char *what) {
-        const unsigned idx = r.u32();
-        sim_throw_if(idx >= warps_.size(), ErrorKind::Snapshot,
-                     "sm %u: %s warp index %u out of range (%zu warps)",
-                     id_, what, idx, warps_.size());
-        return idx;
-    };
-
-    pendingAdmission_.clear();
-    const std::size_t num_pending = r.count(4);
-    for (std::size_t i = 0; i < num_pending; ++i)
-        pendingAdmission_.push_back(warp_index("pending-admission"));
-
-    const std::uint64_t num_pbs = r.u64();
-    sim_throw_if(num_pbs != pbs_.size(), ErrorKind::Snapshot,
-                 "sm %u: snapshot has %llu processing blocks, expected "
-                 "%zu",
-                 id_, static_cast<unsigned long long>(num_pbs),
-                 pbs_.size());
-    for (ProcessingBlock &pb : pbs_) {
-        r.tag(SnapTag::Pb);
-        pb.l0i.restore(r);
-        pb.resident.resize(r.count(4));
-        for (unsigned &idx : pb.resident)
-            idx = warp_index("resident");
-        pb.regsInUse = r.u32();
-        pb.lrrCursor = r.u32();
-        pb.gtoCurrent = int(std::int32_t(r.u32()));
-    }
-
-    // Saved in drain order, so renumbering in that order keeps it.
-    events_.resize(r.count(8 + 4 + 4 + 1 + 1));
-    for (std::size_t i = 0; i < events_.size(); ++i) {
-        Writeback &wb = events_[i];
-        wb.when = r.u64();
-        wb.seq = i;
-        wb.warpIdx = warp_index("writeback");
-        wb.mask = ThreadMask(r.u32());
-        wb.sb = r.u8();
-        sim_throw_if(wb.sb >= ScoreboardFile::numSb, ErrorKind::Snapshot,
-                     "sm %u: writeback names invalid scoreboard %u", id_,
-                     wb.sb);
-        const std::uint8_t port = r.u8();
-        sim_throw_if(port > std::uint8_t(WbPort::Tex), ErrorKind::Snapshot,
-                     "sm %u: writeback names invalid port %u", id_, port);
-        wb.port = WbPort(port);
-    }
-    std::make_heap(events_.begin(), events_.end(), Writeback::later);
-    nextWbSeq_ = events_.size();
-
-    const std::uint64_t num_mshrs = r.u64();
-    sim_throw_if(num_mshrs != mshrFreeAt_.size(), ErrorKind::Snapshot,
-                 "sm %u: snapshot has %llu MSHRs, expected %zu", id_,
-                 static_cast<unsigned long long>(num_mshrs),
-                 mshrFreeAt_.size());
-    for (Cycle &c : mshrFreeAt_)
-        c = r.u64();
-
-    l1d_.restore(r);
-    l1i_.restore(r);
-    rtcore_.restore(r);
-    unit_.restore(r);
-    stats_.restore(r);
-
-    const std::uint64_t num_rows = r.u64();
-    sim_throw_if(num_rows != stallsByPc_.size(), ErrorKind::Snapshot,
-                 "sm %u: snapshot has %llu stall-table rows, the launch "
-                 "needs %zu",
-                 id_, static_cast<unsigned long long>(num_rows),
-                 stallsByPc_.size());
-    for (StallCounts &row : stallsByPc_) {
-        for (std::uint64_t &v : row)
-            v = r.u64();
-    }
-
-    // Cached statuses are not serialized (the saved statistics hold
-    // their spans up to the boundary): every warp is re-armed, so the
-    // first tick re-evaluates it and compacts any slot a retired warp
-    // still holds. The event horizon is likewise re-derived on that tick.
-    spans_.assign(warps_.size(), WarpSpan{});
-    for (ProcessingBlock &pb : pbs_) {
-        pb.live = 0;
-        pb.stalled = 0;
-        pb.nextDue = 0;
-        reindex(pb);
-    }
-    liveWarps_ = 0;
-    for (const auto &warp : warps_)
-        liveWarps_ += !warp->done();
-    memStalledDivergent_ = 0;
-    fetchStalled_ = 0;
-    retiring_ = true; // also retries admission once
-    cutPb_ = unsigned(pbs_.size());
-    nextEventAt_ = invalidCycle;
+    walk(*this, r);
 }
 
 } // namespace si

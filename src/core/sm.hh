@@ -577,6 +577,9 @@ class Sm
     void restore(SnapshotReader &r);
 
   private:
+    template <class Self, class Ar>
+    static void walk(Self &self, Ar &ar);
+
     /** Pending writeback: a scoreboard release at a future cycle. */
     struct Writeback
     {

@@ -130,42 +130,27 @@ class SubwarpUnit
     }
 
     /** Serialize the RNG stream position and the stat counters. */
-    void
-    save(SnapshotWriter &w) const
-    {
-        w.tag(SnapTag::SubwarpUnit);
-        for (std::uint64_t s : rng_.state())
-            w.u64(s);
-        w.u64(stats_.divergentBranches);
-        w.u64(stats_.reconvergences);
-        w.u64(stats_.subwarpSelects);
-        w.u64(stats_.subwarpStalls);
-        w.u64(stats_.subwarpWakeups);
-        w.u64(stats_.subwarpYields);
-        w.u64(stats_.barrierReleasesOnExit);
-        w.u64(stats_.stallDemotionsDeniedTstFull);
-    }
+    void save(SnapshotWriter &w) const { walk(*this, w); }
 
     /** Restore state serialized by save(). */
-    void
-    restore(SnapshotReader &r)
-    {
-        r.tag(SnapTag::SubwarpUnit);
-        std::array<std::uint64_t, 4> s;
-        for (std::uint64_t &word : s)
-            word = r.u64();
-        rng_.setState(s);
-        stats_.divergentBranches = r.u64();
-        stats_.reconvergences = r.u64();
-        stats_.subwarpSelects = r.u64();
-        stats_.subwarpStalls = r.u64();
-        stats_.subwarpWakeups = r.u64();
-        stats_.subwarpYields = r.u64();
-        stats_.barrierReleasesOnExit = r.u64();
-        stats_.stallDemotionsDeniedTstFull = r.u64();
-    }
+    void restore(SnapshotReader &r) { walk(*this, r); }
 
   private:
+    template <class Self, class Ar>
+    static void
+    walk(Self &self, Ar &ar)
+    {
+        ar.tag(SnapTag::SubwarpUnit);
+        std::array<std::uint64_t, 4> rng = self.rng_.state();
+        ar.io(rng);
+        if constexpr (Ar::restoring)
+            self.rng_.setState(rng);
+        auto &s = self.stats_;
+        ar.io(s.divergentBranches, s.reconvergences, s.subwarpSelects,
+              s.subwarpStalls, s.subwarpWakeups, s.subwarpYields,
+              s.barrierReleasesOnExit, s.stallDemotionsDeniedTstFull);
+    }
+
     /** Release barrier @p bar of @p warp: all live participants resume. */
     void releaseBarrier(Warp &warp, BarIndex bar, Cycle now);
 

@@ -268,6 +268,9 @@ class Warp
     void restore(SnapshotReader &r);
 
   private:
+    template <class Self, class Ar>
+    static void walk(Self &self, Ar &ar);
+
     unsigned id_;
     unsigned pb_;
     const Program *program_;

@@ -82,9 +82,6 @@ struct CampaignOptions
     /** Retries after the first attempt of a transiently-failed cell. */
     unsigned maxRetries = 2;
 
-    /** Base backoff between retries (scaled linearly by attempt). */
-    double retryBackoffSec = 0;
-
     /** Auto-checkpoint period in cycles inside each child; 0 = off. */
     std::uint64_t checkpointEvery = 0;
 

@@ -81,57 +81,33 @@ Cache::probe(Addr addr) const
     return false;
 }
 
+template <class Self, class Ar>
+void
+Cache::walk(Self &self, Ar &ar)
+{
+    const CacheConfig &cfg = self.config_;
+    const std::string who = "cache '" + cfg.name + "'";
+    ar.tag(SnapTag::Cache);
+    ar.fixed(who, "name", cfg.name);
+    ar.fixed(who, "size", cfg.sizeBytes);
+    ar.fixed(who, "line bytes", cfg.lineBytes);
+    ar.fixed(who, "associativity", cfg.assoc);
+    ar.fixed(who, "lines", self.lines_.size());
+    for (auto &line : self.lines_)
+        ar.io(line.tag, line.lastUse, line.valid);
+    ar.io(self.useClock_, self.hits_, self.misses_);
+}
+
 void
 Cache::save(SnapshotWriter &w) const
 {
-    w.tag(SnapTag::Cache);
-    w.str(config_.name);
-    w.u64(config_.sizeBytes);
-    w.u32(config_.lineBytes);
-    w.u32(config_.assoc);
-
-    w.u64(lines_.size());
-    for (const Line &line : lines_) {
-        w.u64(line.tag);
-        w.u64(line.lastUse);
-        w.b(line.valid);
-    }
-    w.u64(useClock_);
-    w.u64(hits_);
-    w.u64(misses_);
+    walk(*this, w);
 }
 
 void
 Cache::restore(SnapshotReader &r)
 {
-    r.tag(SnapTag::Cache);
-    const std::string name = r.str();
-    const std::uint64_t size = r.u64();
-    const unsigned line_bytes = r.u32();
-    const unsigned assoc = r.u32();
-    sim_throw_if(name != config_.name || size != config_.sizeBytes ||
-                     line_bytes != config_.lineBytes ||
-                     assoc != config_.assoc,
-                 ErrorKind::Snapshot,
-                 "cache '%s': snapshot geometry mismatch (snapshot has "
-                 "'%s' %llu/%u/%u)",
-                 config_.name.c_str(), name.c_str(),
-                 static_cast<unsigned long long>(size), line_bytes, assoc);
-
-    const std::uint64_t num_lines = r.u64();
-    sim_throw_if(num_lines != lines_.size(), ErrorKind::Snapshot,
-                 "cache '%s': snapshot has %llu lines, expected %zu",
-                 config_.name.c_str(),
-                 static_cast<unsigned long long>(num_lines),
-                 lines_.size());
-    for (Line &line : lines_) {
-        line.tag = r.u64();
-        line.lastUse = r.u64();
-        line.valid = r.b();
-    }
-    useClock_ = r.u64();
-    hits_ = r.u64();
-    misses_ = r.u64();
+    walk(*this, r);
 }
 
 void

@@ -87,6 +87,9 @@ class Cache
     void restore(SnapshotReader &r);
 
   private:
+    template <class Self, class Ar>
+    static void walk(Self &self, Ar &ar);
+
     struct Line
     {
         Addr tag = ~Addr(0);

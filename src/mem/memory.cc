@@ -89,16 +89,12 @@ Memory::save(SnapshotWriter &w) const
     for (Addr page_idx : page_idxs) {
         const Page &page = pages_.at(page_idx);
         for (std::size_t off = 0; off < pageWords; ++off) {
-            if (!page.present[off])
-                continue;
-            w.u64(((page_idx << pageWordsLog2) | Addr(off)) << 2);
-            w.u32(page.data[off]);
+            if (page.present[off])
+                w.io(((page_idx << pageWordsLog2) | Addr(off)) << 2,
+                     page.data[off]);
         }
     }
-
-    w.u64(constants_.size());
-    for (std::uint32_t c : constants_)
-        w.u32(c);
+    w.seq(constants_, 4, [&](std::uint32_t c) { w.io(c); });
 }
 
 void
@@ -106,17 +102,13 @@ Memory::restore(SnapshotReader &r)
 {
     r.tag(SnapTag::Memory);
     clear();
-
-    const std::uint64_t num_words = r.u64();
-    for (std::uint64_t i = 0; i < num_words; ++i) {
-        const Addr addr = r.u64();
-        write(addr, r.u32());
+    for (std::size_t n = r.count(8 + 4); n > 0; --n) {
+        Addr addr = 0;
+        std::uint32_t value = 0;
+        r.io(addr, value);
+        write(addr, value);
     }
-
-    const std::uint64_t num_consts = r.u64();
-    constants_.resize(num_consts);
-    for (auto &c : constants_)
-        c = r.u32();
+    r.seq(constants_, 4, [&](std::uint32_t &c) { r.io(c); });
 }
 
 } // namespace si

@@ -119,47 +119,31 @@ MetricsSampler::droppedTotal() const
     return n;
 }
 
+template <class Self, class Ar>
+void
+MetricsSampler::walk(Self &self, Ar &ar)
+{
+    ar.io(self.interval_, self.cap_, self.lastSampleCycle_,
+          self.warpSlotsPerSm_);
+    // prev + dropped + ring count; start + end + delta per window.
+    const std::size_t stats_bytes = minStatsBytes();
+    ar.seq(self.sms_, stats_bytes + 8 + 8, [&](auto &ps) {
+        ar.io(ps.prev, ps.dropped);
+        ar.seq(ps.ring, 8 + 8 + stats_bytes,
+               [&](auto &win) { ar.io(win.start, win.end, win.delta); });
+    });
+}
+
 void
 MetricsSampler::save(SnapshotWriter &w) const
 {
-    w.u64(interval_);
-    w.u64(cap_);
-    w.u64(lastSampleCycle_);
-    w.u32(warpSlotsPerSm_);
-    w.u64(sms_.size());
-    for (const PerSm &ps : sms_) {
-        ps.prev.save(w);
-        w.u64(ps.dropped);
-        w.u64(ps.ring.size());
-        for (const MetricsWindow &win : ps.ring) {
-            w.u64(win.start);
-            w.u64(win.end);
-            win.delta.save(w);
-        }
-    }
+    walk(*this, w);
 }
 
 void
 MetricsSampler::restore(SnapshotReader &r)
 {
-    interval_ = r.u64();
-    cap_ = std::size_t(r.u64());
-    lastSampleCycle_ = r.u64();
-    warpSlotsPerSm_ = r.u32();
-    // prev + dropped + ring count; start + end + delta per window.
-    const std::size_t stats_bytes = minStatsBytes();
-    sms_.clear();
-    sms_.resize(r.count(stats_bytes + 8 + 8));
-    for (PerSm &ps : sms_) {
-        ps.prev.restore(r);
-        ps.dropped = r.u64();
-        ps.ring.resize(r.count(8 + 8 + stats_bytes));
-        for (MetricsWindow &win : ps.ring) {
-            win.start = r.u64();
-            win.end = r.u64();
-            win.delta.restore(r);
-        }
-    }
+    walk(*this, r);
 }
 
 namespace {

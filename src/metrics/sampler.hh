@@ -89,6 +89,9 @@ class MetricsSampler : public CycleSampler
     std::uint64_t droppedTotal() const;
 
   private:
+    template <class Self, class Ar>
+    static void walk(Self &self, Ar &ar);
+
     struct PerSm
     {
         SmStats prev; ///< baseline at the last sample point

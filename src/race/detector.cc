@@ -169,89 +169,53 @@ RaceDetector::reset()
     races_.clear();
 }
 
+template <class Self, class Ar>
+void
+RaceDetector::walk(Self &self, Ar &ar)
+{
+    // Counts here are u32 wide.
+    constexpr unsigned count_bytes = 4;
+    constexpr std::size_t rec_bytes = 4 + 1 + 4 + 4;
+    const auto rec = [&](auto &a) {
+        ar.io(a.warpId, a.lane, a.clock, a.pc);
+    };
+    ar.seq(
+        self.warps_, 4 + 4 * warpSize * warpSize,
+        [&](auto &warp) {
+            ar.io(warp.first);
+            for (auto &c : warp.second.vc)
+                ar.io(c);
+        },
+        count_bytes);
+    ar.seq(
+        self.shadow_, 8 + 1 + 4,
+        [&](auto &word) {
+            auto &cell = word.second;
+            ar.io(word.first, cell.hasWrite);
+            if (cell.hasWrite)
+                rec(cell.write);
+            ar.seq(cell.reads, rec_bytes, rec, count_bytes);
+        },
+        count_bytes);
+    ar.seq(
+        self.races_, 4 + 4 + 1 + 4 + 4 + 4 + 8 + 8,
+        [&](auto &r) {
+            ar.io(r.pcA, r.pcB, r.storeStore, r.warpId, r.laneA, r.laneB,
+                  r.addr, r.cycle);
+        },
+        count_bytes);
+}
+
 void
 RaceDetector::save(SnapshotWriter &w) const
 {
-    w.u32(std::uint32_t(warps_.size()));
-    for (const auto &[id, wc] : warps_) {
-        w.u32(id);
-        for (std::uint32_t c : wc.vc)
-            w.u32(c);
-    }
-    w.u32(std::uint32_t(shadow_.size()));
-    const auto put_rec = [&w](const AccessRecord &rec) {
-        w.u32(rec.warpId);
-        w.u8(rec.lane);
-        w.u32(rec.clock);
-        w.u32(rec.pc);
-    };
-    for (const auto &[word, cell] : shadow_) {
-        w.u64(word);
-        w.b(cell.hasWrite);
-        if (cell.hasWrite)
-            put_rec(cell.write);
-        w.u32(std::uint32_t(cell.reads.size()));
-        for (const AccessRecord &rd : cell.reads)
-            put_rec(rd);
-    }
-    w.u32(std::uint32_t(races_.size()));
-    for (const RaceReport &r : races_) {
-        w.u32(r.pcA);
-        w.u32(r.pcB);
-        w.b(r.storeStore);
-        w.u32(r.warpId);
-        w.u32(r.laneA);
-        w.u32(r.laneB);
-        w.u64(r.addr);
-        w.u64(r.cycle);
-    }
+    walk(*this, w);
 }
 
 void
 RaceDetector::restore(SnapshotReader &r)
 {
-    reset();
-    const std::uint32_t num_warps = r.u32();
-    for (std::uint32_t i = 0; i < num_warps; ++i) {
-        const unsigned id = r.u32();
-        WarpClocks &wc = warps_[id];
-        for (std::uint32_t &c : wc.vc)
-            c = r.u32();
-    }
-    const auto get_rec = [&r]() {
-        AccessRecord rec;
-        rec.warpId = r.u32();
-        rec.lane = r.u8();
-        rec.clock = r.u32();
-        rec.pc = r.u32();
-        return rec;
-    };
-    const std::uint32_t num_cells = r.u32();
-    for (std::uint32_t i = 0; i < num_cells; ++i) {
-        const Addr word = r.u64();
-        ShadowCell &cell = shadow_[word];
-        cell.hasWrite = r.b();
-        if (cell.hasWrite)
-            cell.write = get_rec();
-        const std::uint32_t num_reads = r.u32();
-        cell.reads.reserve(num_reads);
-        for (std::uint32_t j = 0; j < num_reads; ++j)
-            cell.reads.push_back(get_rec());
-    }
-    const std::uint32_t num_races = r.u32();
-    races_.reserve(num_races);
-    for (std::uint32_t i = 0; i < num_races; ++i) {
-        RaceReport rep;
-        rep.pcA = r.u32();
-        rep.pcB = r.u32();
-        rep.storeStore = r.b();
-        rep.warpId = r.u32();
-        rep.laneA = r.u32();
-        rep.laneB = r.u32();
-        rep.addr = r.u64();
-        rep.cycle = r.u64();
-        races_.push_back(rep);
-    }
+    walk(*this, r);
 }
 
 } // namespace si

@@ -91,6 +91,9 @@ class RaceDetector : public RaceHooks
     void restore(SnapshotReader &r);
 
   private:
+    template <class Self, class Ar>
+    static void walk(Self &self, Ar &ar);
+
     /** One recorded access epoch on a shadow word. */
     struct AccessRecord
     {

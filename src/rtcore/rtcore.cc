@@ -45,32 +45,27 @@ RtCore::query(Cycle now, ThreadMask mask,
     return result;
 }
 
+template <class Self, class Ar>
+void
+RtCore::walk(Self &self, Ar &ar)
+{
+    ar.tag(SnapTag::RtCore);
+    ar.fixed("rtcore", "pipes", self.pipeBusyUntil_.size());
+    for (auto &c : self.pipeBusyUntil_)
+        ar.io(c);
+    ar.io(self.queries_, self.rays_, self.nodes_);
+}
+
 void
 RtCore::save(SnapshotWriter &w) const
 {
-    w.tag(SnapTag::RtCore);
-    w.u64(pipeBusyUntil_.size());
-    for (Cycle c : pipeBusyUntil_)
-        w.u64(c);
-    w.u64(queries_);
-    w.u64(rays_);
-    w.u64(nodes_);
+    walk(*this, w);
 }
 
 void
 RtCore::restore(SnapshotReader &r)
 {
-    r.tag(SnapTag::RtCore);
-    const std::uint64_t num_pipes = r.u64();
-    sim_throw_if(num_pipes != pipeBusyUntil_.size(), ErrorKind::Snapshot,
-                 "rtcore: snapshot has %llu pipes, expected %zu",
-                 static_cast<unsigned long long>(num_pipes),
-                 pipeBusyUntil_.size());
-    for (Cycle &c : pipeBusyUntil_)
-        c = r.u64();
-    queries_ = r.u64();
-    rays_ = r.u64();
-    nodes_ = r.u64();
+    walk(*this, r);
 }
 
 void

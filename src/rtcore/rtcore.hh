@@ -79,6 +79,9 @@ class RtCore
     void restore(SnapshotReader &r);
 
   private:
+    template <class Self, class Ar>
+    static void walk(Self &self, Ar &ar);
+
     const Bvh *bvh_;
     RtCoreConfig config_;
     std::vector<Cycle> pipeBusyUntil_;

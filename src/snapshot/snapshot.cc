@@ -139,10 +139,10 @@ SnapshotReader::str()
 }
 
 std::size_t
-SnapshotReader::count(std::size_t min_bytes_each)
+SnapshotReader::count(std::size_t min_bytes_each, unsigned count_bytes)
 {
     const std::size_t at = pos_;
-    const std::uint64_t n = u64();
+    const std::uint64_t n = uint(count_bytes);
     sim_throw_if(n > remaining() / min_bytes_each, ErrorKind::Snapshot,
                  "snapshot count %llu at payload offset %zu needs at "
                  "least %zu bytes each but only %zu remain",
@@ -160,6 +160,24 @@ SnapshotReader::tag(SnapTag expected)
                  "(component order drift or version skew)",
                  snapTagName(expected).c_str(),
                  snapTagName(SnapTag(got)).c_str());
+}
+
+std::string
+SnapshotReader::maskText(ThreadMask m)
+{
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "%08x", m.raw());
+    return buf;
+}
+
+void
+SnapshotReader::mismatch(std::string_view who, const char *field,
+                         const std::string &got, const std::string &ours)
+{
+    sim_throw(ErrorKind::Snapshot,
+              "%.*s: snapshot has %s %s, this machine has %s",
+              int(who.size()), who.data(), field, got.c_str(),
+              ours.c_str());
 }
 
 void

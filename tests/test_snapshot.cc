@@ -21,6 +21,7 @@
 #include "mem/cache.hh"
 #include "mem/memory.hh"
 #include "metrics/sampler.hh"
+#include "race/detector.hh"
 #include "snapshot/replay.hh"
 #include "snapshot/snapshot.hh"
 
@@ -656,6 +657,64 @@ TEST(SnapshotCorruption, StatsAndSamplerRejectHugeCounts)
                    "sampler SM count");
     expectRejected(sampler_payload(1, hugeCount), into_sampler,
                    "sampler window count");
+}
+
+TEST(SnapshotCorruption, MemoryRejectsHugeConstantPool)
+{
+    // tag, word count, one (address, value) record, constant count.
+    Memory mem;
+    mem.write(0x1000, 7);
+    mem.writeConst(0, 1);
+    const std::string good = savedPayload(mem);
+    const std::size_t consts_off = 4 + 8 + 12;
+    ASSERT_EQ(getU64(good, consts_off), 1u) << "layout drifted";
+    {
+        const std::string container = reframe(good);
+        SnapshotReader r(container);
+        Memory back;
+        EXPECT_NO_THROW(back.restore(r));
+        EXPECT_EQ(back.readConst(0), 1u);
+    }
+
+    auto into_memory = [](SnapshotReader &r) { Memory().restore(r); };
+    std::string bad = good;
+    putUint(bad, consts_off, std::uint64_t(1) << 62, 8);
+    expectRejected(bad, into_memory, "constant-pool count");
+
+    bad = good;
+    putUint(bad, 4, std::uint64_t(1) << 62, 8);
+    expectRejected(bad, into_memory, "word count");
+}
+
+TEST(SnapshotCorruption, RaceDetectorRejectsCountsPastThePayload)
+{
+    // One load by lane 0 of warp 0: one warp's clocks, one shadow cell
+    // holding one read, no finding. The counts are u32.
+    RaceDetector det;
+    MemAccessEvent load;
+    load.pc = 4;
+    load.execMask = load.activeMask = 1;
+    load.addr[0] = 0x3000;
+    det.onAccess(load);
+    const std::string good = savedPayload(det);
+
+    const std::size_t reads_off = 4 + (4 + 4 * warpSize * warpSize) + 4 +
+                                  8 + 1;
+    const std::size_t races_off = good.size() - 4;
+    ASSERT_EQ(reads_off + 4 + 13, races_off) << "layout drifted";
+    ASSERT_EQ(good[reads_off], 1) << "layout drifted";
+    {
+        const std::string container = reframe(good);
+        SnapshotReader r(container);
+        EXPECT_NO_THROW(RaceDetector().restore(r));
+    }
+
+    auto into_detector = [](SnapshotReader &r) { RaceDetector().restore(r); };
+    for (const std::size_t off : {std::size_t(0), reads_off, races_off}) {
+        std::string bad = good;
+        putUint(bad, off, 0xffffffffu, 4);
+        expectRejected(bad, into_detector, "u32 count");
+    }
 }
 
 } // namespace
