@@ -16,8 +16,10 @@
 # agree from si-stats-v1 and si-metrics-v1 inputs. It also
 # runs the campaign soak: a short sweep under fault injection with a
 # forced mid-campaign restart, whose resumable si-campaign-v1 manifest
-# is validated against tools/campaign_schema.json. The Release pass
-# also cross-validates the event-driven fast-forward execution core:
+# is validated against tools/campaign_schema.json. A fig9 and a memlat
+# run resumed from a mid-run checkpoint must print the same stdout,
+# stats and metrics as uninterrupted runs. The Release pass also
+# cross-validates the event-driven fast-forward execution core:
 # the 256-seed sweep, the memlat stats/metrics exports, and the fig13
 # and fig15 tables must be byte-identical with cycle leaping forced on
 # and off. Finally the perfbench workloads' statistics digests must
@@ -197,6 +199,40 @@ check_campaign_soak() {
     fi
 }
 
+# Resume equivalence through the CLI: a run resumed from a mid-run
+# checkpoint must print the same stdout, si-stats-v1 and si-metrics-v1
+# bytes as the uninterrupted run. The checkpointing leg installs the
+# sampler (its exports go to /dev/null): a checkpoint taken without one
+# is refused by a resume that has one.
+check_resume() {
+    local dir=$1
+    echo "=== resume equivalence $dir (fig9, memlat: resumed vs uninterrupted)"
+    resume_matches "$dir" fig9 kernels/fig9.sasm --si --yield --warps 8
+    resume_matches "$dir" memlat kernels/memlat.sasm --lat 2000 --warps 8 \
+        --mshrs 4
+}
+
+# One check_resume pair: NAME then the swsim arguments.
+resume_matches() {
+    local dir=$1 name=$2
+    shift 2
+    local out="$dir/artifacts/resume/$name"
+    local swsim=("$dir/tools/swsim" "$@" --metrics-interval 64)
+    mkdir -p "$(dirname "$out")"
+    rm -f "$out.ckpt"
+    "${swsim[@]}" --stats-json "$out.full.stats.json" \
+        --metrics-out "$out.full.metrics.json" > "$out.full.txt"
+    "${swsim[@]}" --checkpoint-every 300 --checkpoint "$out.ckpt" \
+        --metrics-out /dev/null > /dev/null
+    "${swsim[@]}" --resume "$out.ckpt" \
+        --stats-json "$out.resumed.stats.json" \
+        --metrics-out "$out.resumed.metrics.json" > "$out.resumed.txt"
+    local part
+    for part in txt stats.json metrics.json; do
+        cmp "$out.full.$part" "$out.resumed.$part"
+    done
+}
+
 # ThreadSanitizer leg for the parallel execution engine: build with
 # -fsanitize=thread and drive the code that actually runs concurrent
 # workers — the executor/equivalence suite (test_parallel) and the
@@ -299,6 +335,7 @@ run build-release -DCMAKE_BUILD_TYPE=Release
 check_race build-release
 check_exports build-release
 check_campaign_soak build-release
+check_resume build-release
 check_fastforward build-release
 check_perfbench_digests build-release
 run build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSI_SANITIZE=address,undefined
