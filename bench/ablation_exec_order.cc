@@ -114,7 +114,6 @@ runOrders(si::bench::Grid &plain, si::bench::Grid &hinted,
 int
 main(int argc, char **argv)
 {
-    si::verboseLogging = false;
     si::bench::BenchJson bj("ablation_exec_order", argc, argv);
 
     // ---- experiment 1: the skewed kernel, four warps on one SM ----

@@ -18,7 +18,6 @@
 int
 main(int argc, char **argv)
 {
-    si::verboseLogging = false;
     si::bench::BenchJson bj("ablation_mshr", argc, argv);
 
     const std::vector<unsigned> budgets = {4, 8, 16, 32, 0 /*unlimited*/};

@@ -37,7 +37,6 @@ buildBfv1(unsigned tris, bool sah)
 int
 main(int argc, char **argv)
 {
-    si::verboseLogging = false;
     si::bench::BenchJson bj("ablation_scene_complexity", argc, argv);
 
     // Rows: triangle count major, BVH builder minor.

@@ -16,7 +16,6 @@
 int
 main(int argc, char **argv)
 {
-    si::verboseLogging = false;
     si::bench::BenchJson bj("ablation_yield", argc, argv);
 
     // One shared baseline, then SI (N>=0.5) at each yield threshold;

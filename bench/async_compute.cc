@@ -57,7 +57,6 @@ runCosched(const si::Workload &rt, const si::Workload &compute,
 int
 main(int argc, char **argv)
 {
-    si::verboseLogging = false;
     si::bench::BenchJson bj("async_compute", argc, argv);
 
     // A long-running compute companion: the async queue.

@@ -19,7 +19,6 @@
 
 #include "common/cli.hh"
 #include "common/json.hh"
-#include "common/log.hh"
 #include "harness/campaign.hh"
 #include "harness/runner.hh"
 #include "harness/table.hh"

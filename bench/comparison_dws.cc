@@ -23,7 +23,6 @@
 int
 main(int argc, char **argv)
 {
-    si::verboseLogging = false;
     si::bench::BenchJson bj("comparison_dws", argc, argv);
     const si::GpuConfig seed = bj.baseline();
 

@@ -21,7 +21,6 @@
 int
 main(int argc, char **argv)
 {
-    si::verboseLogging = false;
     si::bench::BenchJson bj("comparison_wavefront", argc, argv);
 
     // Part 1 renders every trace at the same 8K-ray frame: wavefront

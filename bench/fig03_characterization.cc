@@ -14,7 +14,6 @@
 int
 main(int argc, char **argv)
 {
-    si::verboseLogging = false;
     si::bench::BenchJson bj("fig03_characterization", argc, argv);
 
     si::bench::Grid grid(bj);

@@ -14,7 +14,6 @@
 int
 main(int argc, char **argv)
 {
-    si::verboseLogging = false;
     std::string campaign_dir;
     bool campaign_resume = false;
     si::bench::BenchJson bj(

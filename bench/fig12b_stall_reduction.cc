@@ -58,7 +58,6 @@ writeStats(const std::string &prefix, const si::bench::Grid &grid,
 int
 main(int argc, char **argv)
 {
-    si::verboseLogging = false;
     std::string metrics_out;
     si::bench::BenchJson bj(
         "fig12b_stall_reduction", argc, argv, [&](si::cli::Parser &cli) {

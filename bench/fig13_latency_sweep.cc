@@ -13,7 +13,6 @@
 int
 main(int argc, char **argv)
 {
-    si::verboseLogging = false;
     si::bench::BenchJson bj("fig13_latency_sweep", argc, argv);
     const auto &points = si::siConfigPoints();
     const unsigned lats[] = {300, 600, 900};

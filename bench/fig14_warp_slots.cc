@@ -15,7 +15,6 @@
 int
 main(int argc, char **argv)
 {
-    si::verboseLogging = false;
     si::bench::BenchJson bj("fig14_warp_slots", argc, argv);
 
     // Per slot budget, a throttled baseline and SI on top of it.

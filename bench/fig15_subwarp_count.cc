@@ -13,7 +13,6 @@
 int
 main(int argc, char **argv)
 {
-    si::verboseLogging = false;
     si::bench::BenchJson bj("fig15_subwarp_count", argc, argv);
 
     // One shared baseline, then SI at each TST subwarp budget.

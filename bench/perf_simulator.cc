@@ -12,7 +12,6 @@
 
 #include <array>
 
-#include "common/log.hh"
 #include "core/gpu.hh"
 #include "core/scoreboard.hh"
 #include "harness/runner.hh"
@@ -37,7 +36,6 @@ namespace {
 void
 BM_ParallelSweep(benchmark::State &state)
 {
-    si::verboseLogging = false;
     si::MicrobenchConfig mc;
     mc.subwarpSize = 4;
     const si::Workload wl = si::buildMicrobench(mc);
@@ -66,7 +64,6 @@ BENCHMARK(BM_ParallelSweep)->Arg(1)->Arg(0)->UseRealTime()
 void
 BM_BvhBuild(benchmark::State &state)
 {
-    si::verboseLogging = false;
     si::SceneConfig sc;
     sc.targetTriangles = unsigned(state.range(0));
     sc.layout = si::SceneLayout::City;
@@ -88,7 +85,6 @@ BENCHMARK(BM_BvhBuild)->Arg(4000)->Arg(32000)
 void
 BM_BvhBuildApps(benchmark::State &state)
 {
-    si::verboseLogging = false;
     std::vector<std::vector<si::Triangle>> scenes;
     std::size_t tris = 0;
     for (si::AppId id : si::allApps()) {
@@ -112,7 +108,6 @@ BENCHMARK(BM_BvhBuildApps)->Unit(benchmark::kMillisecond);
 void
 BM_BvhTrace(benchmark::State &state)
 {
-    si::verboseLogging = false;
     si::SceneConfig sc;
     sc.targetTriangles = 16000;
     sc.layout = si::SceneLayout::Terrain;

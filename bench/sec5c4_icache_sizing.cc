@@ -14,7 +14,6 @@
 int
 main(int argc, char **argv)
 {
-    si::verboseLogging = false;
     si::bench::BenchJson bj("sec5c4_icache_sizing", argc, argv);
 
     // Per icache size, a baseline and SI on top of it.

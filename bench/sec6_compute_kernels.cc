@@ -20,7 +20,6 @@
 int
 main(int argc, char **argv)
 {
-    si::verboseLogging = false;
     si::bench::BenchJson bj("sec6_compute_kernels", argc, argv);
     const si::GpuConfig si_cfg =
         si::withSi(bj.baseline(), si::bestSiConfigPoint());

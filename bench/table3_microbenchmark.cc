@@ -16,7 +16,6 @@
 int
 main(int argc, char **argv)
 {
-    si::verboseLogging = false;
     si::bench::BenchJson bj("table3_microbenchmark", argc, argv);
 
     const std::vector<unsigned> sizes = {16u, 8u, 4u, 2u, 1u};

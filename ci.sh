@@ -25,8 +25,34 @@
 # and off. Finally the perfbench workloads' statistics digests must
 # match tests/golden/perfbench_digests.txt. Speed is not gated here:
 # the one perf gate is a same-host A/B of perfbench, tools/perf_ab.sh.
+# Before any build, a source check refuses process-terminating calls in
+# src/: every failure there must be a SimError.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+# One failure path: nothing in src/ may end the process. Every error is
+# a SimError that the run boundary turns into a RunStatus, so one bad
+# cell cannot take a whole sweep down. The campaign child's _exit
+# (src/harness/campaign.cc), which hands its result file to the parent,
+# is the one exception.
+check_no_process_exit() {
+    echo "=== process-terminating calls (src/)"
+    local call='(abort|exit|quick_exit|_Exit|_exit|assert|panic|panic_if|fatal|fatal_if)'
+    local hits rc=0
+    hits=$(grep -rnE "(^|[^[:alnum:]_.>:&*])(::)?(std::)?$call[[:space:]]*\\(" \
+        src) || rc=$?
+    if ((rc > 1)); then
+        echo "process-exit check: grep failed (status $rc)" >&2
+        exit 1
+    fi
+    hits=$(grep -vE '^src/harness/campaign\.cc:[0-9]+: *_exit\(' \
+        <<< "$hits" || true)
+    if [[ -n $hits ]]; then
+        echo "$hits" >&2
+        echo "src/ must throw SimError instead of ending the process" >&2
+        exit 1
+    fi
+}
 
 # Static analysis over the host sources. clang-tidy is not part of the
 # minimal toolchain image, so absence only skips the gate — export
@@ -331,6 +357,7 @@ check_perfbench_digests() {
     diff -u tests/golden/perfbench_digests.txt "$art/perfbench_digests.txt"
 }
 
+check_no_process_exit
 run build-release -DCMAKE_BUILD_TYPE=Release
 check_race build-release
 check_exports build-release

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/log.hh"
 #include "core/gpu.hh"
 #include "harness/table.hh"
 #include "isa/assembler.hh"
@@ -105,7 +104,6 @@ printTimeline(const char *title, const si::Program &prog,
 int
 main()
 {
-    si::verboseLogging = false;
     const si::Program prog = si::assembleOrDie(fig9);
 
     std::printf("Figure 9 listing:\n%s", prog.disasm().c_str());

@@ -17,7 +17,6 @@
 #include <cstring>
 #include <string>
 
-#include "common/log.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
 #include "harness/table.hh"
@@ -41,8 +40,6 @@ triggerName(si::SelectTrigger t)
 int
 main(int argc, char **argv)
 {
-    si::verboseLogging = false;
-
     std::string app_name = argc > 1 ? argv[1] : "BFV1";
     const si::Cycle latency = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
                                        : 600;

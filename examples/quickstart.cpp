@@ -11,8 +11,6 @@
 
 #include <cstdio>
 
-#include "common/log.hh"
-
 #include "harness/runner.hh"
 #include "harness/table.hh"
 #include "rt/apps.hh"
@@ -20,8 +18,6 @@
 int
 main()
 {
-    si::verboseLogging = false;
-
     // 1. Build one of the paper's application traces (Battlefield V).
     si::Workload workload = si::buildApp(si::AppId::BFV1);
     std::printf("workload: %s (%u warps, %zu-instruction kernel, "

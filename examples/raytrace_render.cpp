@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "common/log.hh"
 #include "harness/runner.hh"
 #include "rt/megakernel.hh"
 
@@ -67,7 +66,6 @@ render(const si::Workload &wl, const si::GpuConfig &cfg,
 int
 main(int argc, char **argv)
 {
-    si::verboseLogging = false;
     const std::string prefix = argc > 1 ? argv[1] : "render";
 
     // A 64x64 tile: 128 warps of primary rays.

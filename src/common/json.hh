@@ -82,7 +82,6 @@ struct Value
     std::vector<Value> array;
     std::vector<std::pair<std::string, Value>> object;
 
-    bool isNull() const { return kind == Kind::Null; }
     bool isBool() const { return kind == Kind::Bool; }
     bool isNumber() const { return kind == Kind::Number; }
     bool isString() const { return kind == Kind::String; }

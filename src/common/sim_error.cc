@@ -72,22 +72,14 @@ RunStatus::summary() const
 namespace detail {
 
 void
-throwSimError(ErrorKind kind, const char *file, int line, const char *fmt,
-              ...)
+throwSimError(ErrorKind kind, const char *fmt, ...)
 {
     char buf[1024];
     std::va_list args;
     va_start(args, fmt);
     std::vsnprintf(buf, sizeof(buf), fmt, args);
     va_end(args);
-
-    std::string message(buf);
-    message += " (";
-    message += file;
-    message += ":";
-    message += std::to_string(line);
-    message += ")";
-    throw SimError(kind, message);
+    throw SimError(kind, buf);
 }
 
 } // namespace detail

@@ -1,11 +1,12 @@
 /**
  * @file
- * Structured simulator errors. Historically every misstep called panic()
- * or fatal() and killed the process, which loses every completed data
- * point of a multi-configuration sweep. The fault-tolerance layer throws
- * SimError instead; Gpu::runMulti catches it, so a failed kernel run
- * unwinds into a GpuResult whose RunStatus records what went wrong while
- * the process (and the rest of the sweep) keeps going.
+ * Structured simulator errors: the one way anything in src/ fails. A
+ * process-terminating error would lose every completed data point of a
+ * multi-configuration sweep, so every bad input and every broken
+ * invariant throws SimError instead; Gpu::runMulti catches it, so a
+ * failed kernel run unwinds into a GpuResult whose RunStatus records
+ * what went wrong while the process (and the rest of the sweep) keeps
+ * going.
  */
 
 #ifndef SI_COMMON_SIM_ERROR_HH
@@ -21,7 +22,7 @@ enum class ErrorKind : std::uint8_t {
     None,               ///< run completed normally
     Config,             ///< bad user/launch/architecture configuration
     Parse,              ///< malformed kernel text or invalid program
-    Internal,           ///< simulator bug (ex-panic() invariants)
+    Internal,           ///< simulator bug (a broken internal invariant)
     BarrierDeadlock,    ///< convergence barrier can never be released
     Livelock,           ///< no instruction retired and nothing in flight
     InvariantViolation, ///< opt-in state audit found corruption
@@ -80,8 +81,8 @@ struct RunStatus
 };
 
 /**
- * Exception carrying a structured simulator error. Thrown from hot paths
- * that used to panic()/fatal(); caught at the run boundary
+ * Exception carrying a structured simulator error. Thrown wherever a
+ * run cannot go on; caught at the run boundary
  * (Gpu::runMulti, simulate(), runWorkload()) and converted into a
  * RunStatus.
  */
@@ -113,16 +114,19 @@ class SimError : public std::runtime_error
 namespace detail {
 
 /** printf-style SimError construction helper (sim_throw macro body). */
-[[noreturn]] [[gnu::format(printf, 4, 5)]]
-void throwSimError(ErrorKind kind, const char *file, int line,
-                   const char *fmt, ...);
+[[noreturn]] [[gnu::format(printf, 2, 3)]]
+void throwSimError(ErrorKind kind, const char *fmt, ...);
 
 } // namespace detail
 } // namespace si
 
-/** Throw a structured SimError with a printf-formatted message. */
+/**
+ * Throw a structured SimError with a printf-formatted message. The
+ * message carries no source location, so one failure reads the same
+ * from any checkout.
+ */
 #define sim_throw(kind, ...) \
-    ::si::detail::throwSimError(kind, __FILE__, __LINE__, __VA_ARGS__)
+    ::si::detail::throwSimError(kind, __VA_ARGS__)
 
 /** sim_throw() when the failure condition @p cond holds. */
 #define sim_throw_if(cond, kind, ...) \

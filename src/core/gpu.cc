@@ -4,7 +4,6 @@
 #include <cstring>
 #include <map>
 
-#include "common/log.hh"
 #include "common/sim_error.hh"
 #include "snapshot/snapshot.hh"
 #include "trace/events.hh"
@@ -167,7 +166,7 @@ Gpu::launchKernels(const std::vector<KernelLaunch> &kernels)
 }
 
 void
-Gpu::runLoop(GpuResult &result)
+Gpu::runLoop()
 {
     // Forward-progress tracking: cycles since the last issue anywhere
     // on the GPU. A long quiet spell is only a livelock when no
@@ -184,15 +183,11 @@ Gpu::runLoop(GpuResult &result)
         if (allDone())
             break;
         if (now_ >= config_.maxCycles) {
-            warn("kernel '%s' hit the %llu-cycle watchdog",
-                 kernels_.front().program->name().c_str(),
-                 static_cast<unsigned long long>(config_.maxCycles));
-            result.status = RunStatus::failure(
-                ErrorKind::CycleLimit,
-                "kernel '" + kernels_.front().program->name() +
-                    "' exceeded the " +
-                    std::to_string(config_.maxCycles) + "-cycle cap");
-            break;
+            throw SimError(ErrorKind::CycleLimit,
+                           "kernel '" + kernels_.front().program->name() +
+                               "' exceeded the " +
+                               std::to_string(config_.maxCycles) +
+                               "-cycle cap");
         }
 
         // Checkpoint before any other hook mutates or observes state:
@@ -386,7 +381,7 @@ Gpu::runMulti(const std::vector<KernelLaunch> &kernels)
     GpuResult result;
     try {
         launchKernels(kernels);
-        runLoop(result);
+        runLoop();
     } catch (const SimError &e) {
         result.status = e.status();
     }
@@ -402,7 +397,7 @@ Gpu::resumeMulti(const std::vector<KernelLaunch> &kernels,
     try {
         launchKernels(kernels);
         restore(reader);
-        runLoop(result);
+        runLoop();
     } catch (const SimError &e) {
         result.status = e.status();
     }

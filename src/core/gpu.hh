@@ -152,9 +152,6 @@ class Gpu
      */
     void restore(SnapshotReader &reader);
 
-    /** Cycle the run loop is at (checkpoint naming, diagnostics). */
-    Cycle currentCycle() const { return now_; }
-
     /**
      * Fast-forward diagnostics: leaps taken and cycles skipped by the
      * event-driven cycle-leap engine this run (0 in faithful mode).
@@ -187,8 +184,9 @@ class Gpu
     /** Validate @p kernels and distribute their warps across SMs. */
     void launchKernels(const std::vector<KernelLaunch> &kernels);
 
-    /** The clock loop; runs until done or a watchdog fires. */
-    void runLoop(GpuResult &result);
+    /** The clock loop; runs until done. A watchdog (cycle cap,
+     *  livelock, invariant audit) ends it by throwing SimError. */
+    void runLoop();
 
     /** True when every SM has retired all its warps. */
     bool allDone() const;

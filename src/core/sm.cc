@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.hh"
 #include "common/sim_error.hh"
 #include "core/invariants.hh"
 #include "isa/op_table.hh"
@@ -727,8 +726,6 @@ Sm::issue(unsigned warp_idx, Cycle now)
 
       case Opcode::RTQUERY: {
         ++stats_.rtQueriesIssued;
-        sim_throw_if(!rtcore_.hasScene(), ErrorKind::Config,
-                     "RTQUERY issued but no scene is attached");
         std::array<Ray, warpSize> rays;
         for (unsigned lane : lanesOf(exec)) {
             Ray &r = rays[lane];

@@ -531,11 +531,6 @@ class Sm
         return stallsByPc_;
     }
 
-    Cache &l1d() { return l1d_; }
-    Cache &l1i() { return l1i_; }
-    RtCore &rtCore() { return rtcore_; }
-    const SubwarpUnit &subwarpUnit() const { return unit_; }
-
     /** Number of warps assigned over the run (tests). */
     std::size_t numWarps() const { return warps_.size(); }
 

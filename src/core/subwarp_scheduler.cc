@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.hh"
 #include "common/sim_error.hh"
 #include "race/hooks.hh"
 

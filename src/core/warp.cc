@@ -1,6 +1,5 @@
 #include "core/warp.hh"
 
-#include "common/log.hh"
 #include "common/sim_error.hh"
 
 namespace si {

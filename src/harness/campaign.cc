@@ -17,7 +17,6 @@
 #include <unistd.h>
 
 #include "common/json.hh"
-#include "common/log.hh"
 #include "common/rng.hh"
 #include "parallel/executor.hh"
 #include "snapshot/snapshot.hh"
@@ -421,12 +420,14 @@ CampaignRunner::settleAttempt(CampaignCellRecord &rec) const
         rec.diagnosis = errorDetectorName(rec.kind);
         if (std::filesystem::exists(checkpointPath(rec)))
             rec.checkpoint = checkpointPath(rec);
-        warn("campaign cell %s/%s failed permanently after %u "
-             "attempt(s): %s [%s]%s%s",
-             rec.workload.c_str(), rec.configLabel.c_str(), rec.attempts,
-             rec.detail.c_str(), rec.diagnosis.c_str(),
-             rec.checkpoint.empty() ? "" : "; last checkpoint: ",
-             rec.checkpoint.c_str());
+        std::fprintf(stderr,
+                     "warn: campaign cell %s/%s failed permanently after "
+                     "%u attempt(s): %s [%s]%s%s\n",
+                     rec.workload.c_str(), rec.configLabel.c_str(),
+                     rec.attempts, rec.detail.c_str(),
+                     rec.diagnosis.c_str(),
+                     rec.checkpoint.empty() ? "" : "; last checkpoint: ",
+                     rec.checkpoint.c_str());
         return true;
     }
     // A timeout or crash kill leaves a healthy machine's checkpoint
@@ -489,8 +490,10 @@ CampaignRunner::run()
                 }
             }
         } else if (!text.empty()) {
-            warn("campaign resume: ignoring unusable manifest (%s)",
-                 error.c_str());
+            std::fprintf(stderr,
+                         "warn: campaign resume: ignoring unusable "
+                         "manifest (%s)\n",
+                         error.c_str());
         }
     }
     writeManifest(report);

@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "common/json.hh"
-#include "common/log.hh"
+#include "common/sim_error.hh"
 
 namespace si {
 
@@ -19,9 +19,10 @@ TablePrinter::header(std::vector<std::string> columns)
 void
 TablePrinter::row(std::vector<std::string> cells)
 {
-    panic_if(!header_.empty() && cells.size() != header_.size(),
-             "table '%s': row has %zu cells, header has %zu",
-             title_.c_str(), cells.size(), header_.size());
+    sim_throw_if(!header_.empty() && cells.size() != header_.size(),
+                 ErrorKind::Internal,
+                 "table '%s': row has %zu cells, header has %zu",
+                 title_.c_str(), cells.size(), header_.size());
     rows_.push_back(std::move(cells));
 }
 

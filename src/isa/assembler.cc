@@ -8,7 +8,6 @@
 #include <sstream>
 #include <vector>
 
-#include "common/log.hh"
 #include "common/sim_error.hh"
 #include "isa/op_table.hh"
 

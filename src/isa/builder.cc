@@ -1,6 +1,6 @@
 #include "isa/builder.hh"
 
-#include "common/log.hh"
+#include "common/sim_error.hh"
 
 namespace si {
 
@@ -22,9 +22,9 @@ KernelBuilder::newLabel(const std::string &name)
 void
 KernelBuilder::bind(Label l)
 {
-    panic_if(!l.valid_, "binding an invalid label");
-    panic_if(labelPc_[l.id_] != unboundPc, "label '%s' bound twice",
-             labelName_[l.id_].c_str());
+    sim_throw_if(!l.valid_, ErrorKind::Parse, "binding an invalid label");
+    sim_throw_if(labelPc_[l.id_] != unboundPc, ErrorKind::Parse,
+                 "label '%s' bound twice", labelName_[l.id_].c_str());
     labelPc_[l.id_] = here();
 }
 
@@ -358,7 +358,7 @@ KernelBuilder::rtquery(RegIndex d, RegIndex ray_base)
 Instr &
 KernelBuilder::bra(Label target)
 {
-    panic_if(!target.valid_, "BRA to invalid label");
+    sim_throw_if(!target.valid_, ErrorKind::Parse, "BRA to invalid label");
     Instr in;
     in.op = Opcode::BRA;
     fixups_.emplace_back(here(), target.id_);
@@ -368,7 +368,8 @@ KernelBuilder::bra(Label target)
 Instr &
 KernelBuilder::bssy(BarIndex b, Label conv_point)
 {
-    panic_if(!conv_point.valid_, "BSSY to invalid label");
+    sim_throw_if(!conv_point.valid_, ErrorKind::Parse,
+                 "BSSY to invalid label");
     Instr in;
     in.op = Opcode::BSSY;
     in.bar = b;
@@ -425,9 +426,9 @@ Program
 KernelBuilder::build(unsigned num_regs)
 {
     for (const auto &[pc, label_id] : fixups_) {
-        fatal_if(labelPc_[label_id] == unboundPc,
-                 "kernel '%s': label '%s' never bound", name_.c_str(),
-                 labelName_[label_id].c_str());
+        sim_throw_if(labelPc_[label_id] == unboundPc, ErrorKind::Parse,
+                     "kernel '%s': label '%s' never bound", name_.c_str(),
+                     labelName_[label_id].c_str());
         instrs_[pc].target = labelPc_[label_id];
     }
 

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <set>
 
-#include "common/log.hh"
 #include "common/sim_error.hh"
 
 namespace si {

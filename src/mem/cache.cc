@@ -2,7 +2,6 @@
 
 #include <bit>
 
-#include "common/log.hh"
 #include "common/sim_error.hh"
 #include "snapshot/snapshot.hh"
 

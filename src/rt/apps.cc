@@ -1,6 +1,6 @@
 #include "rt/apps.hh"
 
-#include "common/log.hh"
+#include "common/sim_error.hh"
 
 namespace si {
 
@@ -53,7 +53,7 @@ profileOf(AppId id)
         if (p.id == id)
             return p;
     }
-    panic("unknown application id");
+    sim_throw(ErrorKind::Internal, "unknown application id");
 }
 
 } // namespace

@@ -1,6 +1,5 @@
 #include "rt/compute.hh"
 
-#include "common/log.hh"
 #include "common/rng.hh"
 #include "isa/builder.hh"
 

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <functional>
 
-#include "common/log.hh"
 #include "common/rng.hh"
+#include "common/sim_error.hh"
 #include "isa/builder.hh"
 #include "rt/shader_body.hh"
 
@@ -17,16 +17,18 @@ Workload
 buildMegakernel(const MegakernelConfig &config,
                 std::shared_ptr<Scene> scene)
 {
-    fatal_if(!scene, "megakernel '%s' needs a scene", config.name.c_str());
-    fatal_if(config.numRegs < 48,
-             "megakernel '%s': need >= 48 registers", config.name.c_str());
-    fatal_if(config.bounces == 0, "megakernel '%s': need >= 1 bounce",
-             config.name.c_str());
+    sim_throw_if(!scene, ErrorKind::Config, "megakernel '%s' needs a scene",
+                 config.name.c_str());
+    sim_throw_if(config.numRegs < 48, ErrorKind::Config,
+                 "megakernel '%s': need >= 48 registers",
+                 config.name.c_str());
+    sim_throw_if(config.bounces == 0, ErrorKind::Config,
+                 "megakernel '%s': need >= 1 bounce", config.name.c_str());
 
     const unsigned num_shaders =
         std::min(config.numShaders, scene->config.numMaterials);
-    fatal_if(num_shaders == 0, "megakernel '%s': no shaders",
-             config.name.c_str());
+    sim_throw_if(num_shaders == 0, ErrorKind::Config,
+                 "megakernel '%s': no shaders", config.name.c_str());
 
     const unsigned num_threads = config.numWarps * warpSize;
     Rng rng(config.seed * 0x2545f4914f6cdd1dull + 99);

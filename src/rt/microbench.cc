@@ -3,7 +3,7 @@
 #include <bit>
 #include <functional>
 
-#include "common/log.hh"
+#include "common/sim_error.hh"
 #include "isa/builder.hh"
 
 namespace si {
@@ -32,12 +32,14 @@ divergenceFactor(const MicrobenchConfig &config)
 Workload
 buildMicrobench(const MicrobenchConfig &config)
 {
-    fatal_if(config.subwarpSize == 0 || config.subwarpSize > warpSize ||
-                 !std::has_single_bit(config.subwarpSize),
-             "SUBWARP_SIZE must be a power of two in [1, 32]");
-    fatal_if(config.iterations == 0, "need >= 1 iteration");
-    fatal_if(config.accessesPerCase == 0 || config.accessesPerCase > 8,
-             "accessesPerCase must be in [1, 8]");
+    sim_throw_if(config.subwarpSize == 0 || config.subwarpSize > warpSize ||
+                     !std::has_single_bit(config.subwarpSize),
+                 ErrorKind::Config,
+                 "SUBWARP_SIZE must be a power of two in [1, 32]");
+    sim_throw_if(config.iterations == 0, ErrorKind::Config,
+                 "need >= 1 iteration");
+    sim_throw_if(config.accessesPerCase == 0 || config.accessesPerCase > 8,
+                 ErrorKind::Config, "accessesPerCase must be in [1, 8]");
 
     const unsigned dfactor = divergenceFactor(config);
     const unsigned shift = unsigned(std::countr_zero(config.subwarpSize));

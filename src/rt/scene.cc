@@ -2,8 +2,8 @@
 
 #include <cmath>
 
-#include "common/log.hh"
 #include "common/rng.hh"
+#include "common/sim_error.hh"
 
 namespace si {
 
@@ -195,10 +195,11 @@ buildScatter(Scene &scene, Rng &rng)
 std::shared_ptr<Scene>
 makeScene(const SceneConfig &config)
 {
-    fatal_if(config.numMaterials == 0, "scene '%s': need >= 1 material",
-             config.name.c_str());
-    fatal_if(config.targetTriangles < 2,
-             "scene '%s': triangle budget too small", config.name.c_str());
+    sim_throw_if(config.numMaterials == 0, ErrorKind::Config,
+                 "scene '%s': need >= 1 material", config.name.c_str());
+    sim_throw_if(config.targetTriangles < 2, ErrorKind::Config,
+                 "scene '%s': triangle budget too small",
+                 config.name.c_str());
 
     auto scene = std::make_shared<Scene>();
     scene->config = config;

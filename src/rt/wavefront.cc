@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/log.hh"
 #include "common/sim_error.hh"
 #include "rt/shader_body.hh"
 
@@ -164,7 +163,8 @@ runWavefront(const WavefrontConfig &config, const Workload &megakernel,
              const GpuConfig &gpu_config)
 {
     const std::shared_ptr<Scene> &scene = megakernel.scene;
-    fatal_if(!scene || !megakernel.memory, "wavefront needs a megakernel");
+    sim_throw_if(!scene || !megakernel.memory, ErrorKind::Config,
+                 "wavefront needs a megakernel");
     const MegakernelConfig &kc = config.kernel;
     const unsigned num_shaders =
         std::min(kc.numShaders, scene->config.numMaterials);

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 
-#include "common/log.hh"
 #include "common/sim_error.hh"
 #include "snapshot/snapshot.hh"
 
@@ -234,7 +233,8 @@ Bvh::trace(const Ray &ray, TraversalStats *stats) const
                 }
             }
         } else {
-            panic_if(sp + 2 > 64, "BVH traversal stack overflow");
+            sim_throw_if(sp + 2 > 64, ErrorKind::Internal,
+                         "BVH traversal stack overflow");
             stack[sp++] = node.index;
             stack[sp++] = self + 1; // left child visited first
         }

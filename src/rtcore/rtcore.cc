@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.hh"
 #include "common/sim_error.hh"
 #include "snapshot/snapshot.hh"
 
@@ -11,7 +10,8 @@ namespace si {
 RtCore::RtCore(const Bvh *bvh, const RtCoreConfig &config)
     : bvh_(bvh), config_(config)
 {
-    fatal_if(config_.numPipes == 0, "RT core needs at least one pipe");
+    sim_throw_if(config_.numPipes == 0, ErrorKind::Config,
+                 "RT core needs at least one pipe");
     pipeBusyUntil_.assign(config_.numPipes, 0);
 }
 
@@ -19,7 +19,8 @@ WarpQueryResult
 RtCore::query(Cycle now, ThreadMask mask,
               const std::array<Ray, warpSize> &rays)
 {
-    panic_if(bvh_ == nullptr, "RTQUERY issued with no scene attached");
+    sim_throw_if(!hasScene(), ErrorKind::Config,
+                 "RTQUERY issued but no scene is attached");
 
     WarpQueryResult result;
     std::uint32_t max_nodes = 0;

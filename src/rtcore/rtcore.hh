@@ -52,6 +52,7 @@ struct WarpQueryResult
 class RtCore
 {
   public:
+    /** Throws SimError(ErrorKind::Config) when config has no pipes. */
     RtCore(const Bvh *bvh, const RtCoreConfig &config);
 
     /** True when a scene is attached (RTQUERY is legal). */
@@ -59,6 +60,7 @@ class RtCore
 
     /**
      * Issue a warp's ray query at time @p now for lanes in @p mask.
+     * Throws SimError(ErrorKind::Config) when no scene is attached.
      * @param rays one ray per lane (only masked lanes are read).
      */
     WarpQueryResult query(Cycle now, ThreadMask mask,

@@ -4,8 +4,6 @@
 #include <set>
 #include <utility>
 
-#include "common/sim_error.hh"
-#include "isa/builder.hh"
 #include "verify/cfg.hh"
 #include "verify/memdep.hh"
 
@@ -628,41 +626,6 @@ VerifyReport
 verifyProgram(const Program &program, const VerifyOptions &opts)
 {
     return Verifier(program, opts).run();
-}
-
-void
-verifyOrThrow(const Program &program, const VerifyOptions &opts)
-{
-    const VerifyReport report = verifyProgram(program, opts);
-    if (!report.clean()) {
-        throw SimError(ErrorKind::Parse,
-                       "program '" + program.name() +
-                           "' failed static verification:\n" +
-                           report.render(&program));
-    }
-}
-
-AsmResult
-assembleVerified(const std::string &source, const VerifyOptions &opts)
-{
-    AsmResult res = assemble(source);
-    if (!res.ok)
-        return res;
-    const VerifyReport report = verifyProgram(res.program, opts);
-    if (!report.clean()) {
-        res.ok = false;
-        res.error = report.render(&res.program);
-    }
-    return res;
-}
-
-Program
-buildVerified(KernelBuilder &builder, unsigned num_regs,
-              const VerifyOptions &opts)
-{
-    Program prog = builder.build(num_regs);
-    verifyOrThrow(prog, opts);
-    return prog;
 }
 
 } // namespace si

@@ -36,12 +36,9 @@
 #include <string>
 #include <vector>
 
-#include "isa/assembler.hh"
 #include "isa/program.hh"
 
 namespace si {
-
-class KernelBuilder;
 
 /** Diagnostic severity, ordered most severe first. */
 enum class Severity : std::uint8_t { Error, Warning, Note };
@@ -101,27 +98,6 @@ struct VerifyReport
 /** Run every analysis over @p program. */
 VerifyReport verifyProgram(const Program &program,
                            const VerifyOptions &opts = {});
-
-/**
- * Verify-on-build hook: throw SimError(ErrorKind::Parse) carrying the
- * rendered report when @p program has Error-severity findings.
- */
-void verifyOrThrow(const Program &program, const VerifyOptions &opts = {});
-
-/**
- * Opt-in assembler hook: assemble then verify. A program with
- * Error-severity findings comes back with ok == false and the rendered
- * report in AsmResult::error.
- */
-AsmResult assembleVerified(const std::string &source,
-                           const VerifyOptions &opts = {});
-
-/**
- * Opt-in builder hook: KernelBuilder::build() then verifyOrThrow().
- * Throws SimError(ErrorKind::Parse) on Error-severity findings.
- */
-Program buildVerified(KernelBuilder &builder, unsigned num_regs,
-                      const VerifyOptions &opts = {});
 
 } // namespace si
 

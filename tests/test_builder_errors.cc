@@ -3,46 +3,54 @@
 #include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
+#include "common/sim_error.hh"
 #include "core/gpu.hh"
 #include "isa/builder.hh"
 
 using namespace si;
+using ::testing::HasSubstr;
 
-TEST(BuilderErrors, UnboundLabelIsFatal)
+TEST(BuilderErrors, UnboundLabelIsParseError)
 {
-    EXPECT_EXIT(
-        {
-            KernelBuilder kb("bad");
-            Label l = kb.newLabel("nowhere");
-            kb.bra(l);
-            kb.exit();
-            kb.build(8);
+    KernelBuilder kb("bad");
+    Label l = kb.newLabel("nowhere");
+    kb.bra(l);
+    kb.exit();
+    EXPECT_THROW(
+        try { kb.build(8); } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), ErrorKind::Parse);
+            EXPECT_THAT(e.what(), HasSubstr("never bound"));
+            throw;
         },
-        ::testing::ExitedWithCode(1), "never bound");
+        SimError);
 }
 
-TEST(BuilderErrors, DoubleBindDies)
+TEST(BuilderErrors, DoubleBindIsParseError)
 {
-    EXPECT_DEATH(
-        {
-            KernelBuilder kb("bad");
-            Label l = kb.newLabel("twice");
-            kb.bind(l);
-            kb.nop();
-            kb.bind(l);
+    KernelBuilder kb("bad");
+    Label l = kb.newLabel("twice");
+    kb.bind(l);
+    kb.nop();
+    EXPECT_THROW(
+        try { kb.bind(l); } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), ErrorKind::Parse);
+            EXPECT_THAT(e.what(), HasSubstr("bound twice"));
+            throw;
         },
-        "bound twice");
+        SimError);
 }
 
-TEST(BuilderErrors, InvalidLabelDies)
+TEST(BuilderErrors, InvalidLabelIsParseError)
 {
-    EXPECT_DEATH(
-        {
-            KernelBuilder kb("bad");
-            Label uninitialized;
-            kb.bra(uninitialized);
+    KernelBuilder kb("bad");
+    Label uninitialized;
+    EXPECT_THROW(
+        try { kb.bra(uninitialized); } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), ErrorKind::Parse);
+            EXPECT_THAT(e.what(), HasSubstr("invalid label"));
+            throw;
         },
-        "invalid label");
+        SimError);
 }
 
 TEST(BuilderErrors, HereTracksEmission)

@@ -287,6 +287,28 @@ TEST(Campaign, ExhaustedRetriesDegradeGracefully)
     EXPECT_FALSE(cell.detail.empty());
 }
 
+TEST(Campaign, ZeroRtPipesCellRecordsConfigKind)
+{
+    // A config error inside the child reaches the manifest with its own
+    // kind and message, not as the child's exit status.
+    CampaignOptions opts;
+    opts.stateDir = freshStateDir("campaign_zero_pipes");
+    Workload wl = makeWorkload("divloads");
+    wl.rtc.numPipes = 0;
+    CampaignRunner runner({wl}, {makeConfigs()[0]}, opts);
+    testing::internal::CaptureStderr();
+    const CampaignReport report = runner.run();
+    const std::string log = testing::internal::GetCapturedStderr();
+
+    EXPECT_TRUE(report.complete);
+    EXPECT_EQ(report.numFailed(), 1u);
+    const CampaignCellRecord &cell = report.cells.front();
+    EXPECT_EQ(cell.attempts, 1u); // deterministic: never retried
+    EXPECT_EQ(cell.kind, ErrorKind::Config);
+    EXPECT_EQ(cell.detail, "RT core needs at least one pipe");
+    EXPECT_THAT(log, HasSubstr("failed permanently"));
+}
+
 TEST(Campaign, WallClockOverrunIsKilledAndClassified)
 {
     CampaignOptions opts;

@@ -1,7 +1,9 @@
 /** @file TablePrinter formatting and GpuResult aggregation math. */
 
+#include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
+#include "common/sim_error.hh"
 #include "core/gpu.hh"
 #include "harness/table.hh"
 
@@ -38,11 +40,17 @@ TEST(TablePrinter, NumAndPctFormatting)
     EXPECT_EQ(TablePrinter::pct(-4.0, 1), "-4.0%");
 }
 
-TEST(TablePrinter, MismatchedRowDies)
+TEST(TablePrinter, MismatchedRowIsInternalError)
 {
     TablePrinter t("bad");
     t.header({"a", "b"});
-    EXPECT_DEATH(t.row({"only-one"}), "row has");
+    EXPECT_THROW(
+        try { t.row({"only-one"}); } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), ErrorKind::Internal);
+            EXPECT_THAT(e.what(), ::testing::HasSubstr("row has"));
+            throw;
+        },
+        SimError);
 }
 
 TEST(GpuResult, StallFractionsUsePerSmNormalizer)

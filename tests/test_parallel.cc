@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "common/log.hh"
 #include "common/rng.hh"
 #include "common/sim_error.hh"
 #include "core/retire_trace.hh"

@@ -118,6 +118,23 @@ TEST(SnapshotContainer, TruncationRejected)
     }
 }
 
+TEST(SnapshotContainer, ErrorCarriesNoSourceLocation)
+{
+    // A source location would put the build tree's absolute path into
+    // every message, and from there into campaign manifests.
+    SnapshotWriter w;
+    w.u64(42);
+    const std::string container = w.finish();
+    try {
+        SnapshotReader r(container.substr(0, container.size() - 1));
+        FAIL() << "truncated container accepted";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::Snapshot);
+        EXPECT_THAT(e.what(), ::testing::HasSubstr("payload length"));
+        EXPECT_THAT(e.what(), ::testing::Not(::testing::HasSubstr(".cc:")));
+    }
+}
+
 TEST(SnapshotContainer, PayloadBitflipFailsChecksum)
 {
     SnapshotWriter w;

@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/sim_error.hh"
 #include "isa/assembler.hh"
 #include "isa/builder.hh"
 #include "ref/kernelgen.hh"
@@ -470,42 +469,30 @@ TEST(Verifier, RenderUsesSourceLines)
     EXPECT_NE(text.find("[sb-wait-never-written]"), std::string::npos);
 }
 
-// ---- hooks --------------------------------------------------------------
+// ---- bar-reuse-sibling on assembled and built programs ------------------
 
-TEST(Verifier, AssembleVerifiedRejectsSiblingReuse)
+TEST(Verifier, AssembledSiblingReuseIsAnError)
 {
     const std::string src = readFile(std::string(SI_REGRESS_DIR) +
                                      "/barrier_reuse.sasm");
-    // Plain assembly accepts it; the verifying hook refuses.
-    EXPECT_TRUE(assemble(src).ok);
-    const AsmResult r = assembleVerified(src);
-    EXPECT_FALSE(r.ok);
-    EXPECT_NE(r.error.find("bar-reuse-sibling"), std::string::npos)
-        << r.error;
-}
-
-TEST(Verifier, VerifyOrThrowRaisesStructuredError)
-{
-    const std::string src = readFile(std::string(SI_REGRESS_DIR) +
-                                     "/barrier_reuse.sasm");
+    // Plain assembly accepts it; the verifier refuses.
     const AsmResult a = assemble(src);
     ASSERT_TRUE(a.ok);
-    try {
-        verifyOrThrow(a.program);
-        FAIL() << "expected SimError";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.kind(), ErrorKind::Parse);
-        EXPECT_NE(std::string(e.what()).find("bar-reuse-sibling"),
-                  std::string::npos);
-    }
+    const VerifyReport r = verifyProgram(a.program);
+    EXPECT_FALSE(r.clean());
+    EXPECT_TRUE(r.has("bar-reuse-sibling"));
+    EXPECT_NE(r.render(&a.program).find("bar-reuse-sibling"),
+              std::string::npos);
 }
 
-TEST(Verifier, BuildVerifiedHook)
+TEST(Verifier, BuiltSiblingReuseIsAnError)
 {
     KernelBuilder good("good");
     good.s2r(0, SReg::TID);
     good.exit();
-    EXPECT_EQ(buildVerified(good, 8).size(), 2u);
+    const Program good_prog = good.build(8);
+    EXPECT_EQ(good_prog.size(), 2u);
+    EXPECT_TRUE(verifyProgram(good_prog).clean());
 
     // Two sibling BSSY regions on one register, built programmatically.
     KernelBuilder bad("bad");
@@ -525,7 +512,9 @@ TEST(Verifier, BuildVerifiedHook)
     bad.bsync(0);
     bad.bind(l_conv);
     bad.exit();
-    EXPECT_THROW(buildVerified(bad, 8), SimError);
+    const VerifyReport r = verifyProgram(bad.build(8));
+    EXPECT_FALSE(r.clean());
+    EXPECT_TRUE(r.has("bar-reuse-sibling"));
 }
 
 // ---- shipped generators stay verifier-clean -----------------------------

@@ -1,12 +1,15 @@
 /** @file Megakernel / application / microbenchmark workload generators. */
 
+#include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
+#include "common/sim_error.hh"
 #include "harness/runner.hh"
 #include "rt/apps.hh"
 #include "rt/microbench.hh"
 
 using namespace si;
+using ::testing::HasSubstr;
 
 TEST(Megakernel, GeneratedProgramValidates)
 {
@@ -58,12 +61,22 @@ TEST(Megakernel, RejectsBadConfigs)
     auto scene = makeScene(sc);
     MegakernelConfig mc;
     mc.numRegs = 16; // too small
-    EXPECT_EXIT(buildMegakernel(mc, scene), ::testing::ExitedWithCode(1),
-                "48 registers");
+    EXPECT_THROW(
+        try { buildMegakernel(mc, scene); } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), ErrorKind::Config);
+            EXPECT_THAT(e.what(), HasSubstr("48 registers"));
+            throw;
+        },
+        SimError);
     MegakernelConfig mc2;
     mc2.bounces = 0;
-    EXPECT_EXIT(buildMegakernel(mc2, scene),
-                ::testing::ExitedWithCode(1), "bounce");
+    EXPECT_THROW(
+        try { buildMegakernel(mc2, scene); } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), ErrorKind::Config);
+            EXPECT_THAT(e.what(), HasSubstr("bounce"));
+            throw;
+        },
+        SimError);
 }
 
 TEST(Apps, AllTenTracesBuildAndValidate)
@@ -145,8 +158,42 @@ TEST(Microbench, RejectsBadSubwarpSize)
 {
     MicrobenchConfig mc;
     mc.subwarpSize = 12;
-    EXPECT_EXIT(buildMicrobench(mc), ::testing::ExitedWithCode(1),
-                "SUBWARP_SIZE");
+    EXPECT_THROW(
+        try { buildMicrobench(mc); } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), ErrorKind::Config);
+            EXPECT_THAT(e.what(), HasSubstr("SUBWARP_SIZE"));
+            throw;
+        },
+        SimError);
+}
+
+TEST(Workloads, ZeroRtPipesIsConfigErrorAndProcessContinues)
+{
+    // Both run entry points report a zero-pipe RT core as a status, and
+    // the calling process keeps running.
+    const char *const message = "config: RT core needs at least one pipe";
+    MicrobenchConfig mc;
+    mc.subwarpSize = 8;
+    mc.iterations = 1;
+    Workload wl = buildMicrobench(mc);
+
+    GpuConfig cfg = baselineConfig();
+    cfg.rtc.numPipes = 0;
+    Memory mem = *wl.memory;
+    const GpuResult direct =
+        simulate(cfg, mem, wl.program, wl.launch, wl.bvh());
+    EXPECT_EQ(direct.status.kind, ErrorKind::Config);
+    EXPECT_EQ(direct.status.summary(), message);
+
+    // runWorkload() takes the RT core shape from the workload.
+    wl.rtc.numPipes = 0;
+    const GpuResult run = runWorkload(wl, baselineConfig());
+    EXPECT_EQ(run.status.kind, ErrorKind::Config);
+    EXPECT_EQ(run.status.summary(), message);
+
+    // Still here: the same workload with a healthy RT core completes.
+    wl.rtc.numPipes = 1;
+    EXPECT_TRUE(runWorkload(wl, baselineConfig()).ok());
 }
 
 TEST(Harness, SiConfigPointsMatchPaper)

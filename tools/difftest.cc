@@ -26,7 +26,6 @@
 #include <string>
 
 #include "common/cli.hh"
-#include "common/log.hh"
 #include "parallel/executor.hh"
 #include "ref/difftest.hh"
 #include "snapshot/replay.hh"
@@ -144,7 +143,6 @@ main(int argc, char **argv)
         .flag("-v", verbose, "per-seed progress output");
     if (const std::optional<int> status = cli.parse(argc, argv))
         return *status;
-    si::verboseLogging = false;
     opts.inject = inject.has_value();
     opts.injectKind = inject.value_or(opts.injectKind);
 

@@ -27,7 +27,7 @@
 
 #include "common/cli.hh"
 #include "common/json.hh"
-#include "common/log.hh"
+#include "isa/assembler.hh"
 #include "parallel/executor.hh"
 #include "verify/verifier.hh"
 
@@ -103,8 +103,6 @@ fileJson(const std::string &file, const si::VerifyReport *rep,
 int
 main(int argc, char **argv)
 {
-    si::verboseLogging = false;
-
     bool werror = false;
     bool report = false;
     bool quiet = false;

@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "common/cli.hh"
-#include "common/log.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
 #include "isa/assembler.hh"
@@ -138,7 +137,6 @@ main(int argc, char **argv)
                 0, si::cli::maxTraceRing);
     if (const std::optional<int> status = cli.parse(argc, argv))
         return *status;
-    si::verboseLogging = false;
     const std::string &path = kernel.front();
 
     std::ifstream in(path);

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/cli.hh"
-#include "common/log.hh"
 #include "fault/injector.hh"
 #include "harness/campaign.hh"
 #include "harness/report.hh"
@@ -163,7 +162,6 @@ main(int argc, char **argv)
               "also run the baseline and report the speedup");
     if (const std::optional<int> status = cli.parse(argc, argv))
         return *status;
-    si::verboseLogging = false;
     const std::string &path = kernel.front();
     const unsigned warps = machine.warps;
 
