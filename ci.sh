@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: build and test a plain Release build and an
-# AddressSanitizer + UBSan build (SI_SANITIZE, see the top CMakeLists),
-# plus a targeted ThreadSanitizer build of the parallel engine.
+# AddressSanitizer + UBSan build (SI_SANITIZE, see the top CMakeLists)
+# with libstdc++'s bounds assertions, so an out-of-range operator[]
+# aborts instead of reading silently, plus a targeted ThreadSanitizer
+# build of the parallel engine.
 # Each pass also runs the static kernel verifier (silint) over every
 # checked-in kernel against the golden report (with the si-lint-v1 JSON
 # export schema-checked), and the 256-seed differential sweep with
@@ -365,7 +367,8 @@ check_campaign_soak build-release
 check_resume build-release
 check_fastforward build-release
 check_perfbench_digests build-release
-run build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSI_SANITIZE=address,undefined
+run build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSI_SANITIZE=address,undefined \
+    -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS
 run_tsan build-tsan
 
 echo "=== ci.sh: all green"

@@ -28,11 +28,17 @@ using RegIndex = std::uint8_t;
 /** Sentinel register meaning "no destination / RZ". */
 inline constexpr RegIndex regNone = 255;
 
+/** Most registers a program may declare: R0..R254 (regNone is RZ). */
+inline constexpr unsigned maxRegs = regNone;
+
 /** Predicate register index type (P0..P6, PT == predNone). */
 using PredIndex = std::uint8_t;
 
 /** Sentinel predicate meaning "always true" (PT). */
 inline constexpr PredIndex predNone = 7;
+
+/** Predicate registers per thread: P0..P{numPredicates-1}. */
+inline constexpr unsigned numPredicates = predNone;
 
 /** Count-based scoreboard identifier (sb0..sb{numScoreboards-1}). */
 using SbIndex = std::uint8_t;

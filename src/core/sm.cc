@@ -617,10 +617,7 @@ Sm::issue(unsigned warp_idx, Cycle now)
         return ev;
     }());
 
-    auto advance = [&]() {
-        for (unsigned lane : lanesOf(active))
-            w.setPc(lane, pc + 1);
-    };
+    auto advance = [&]() { w.setPc(active, pc + 1); };
 
     auto for_exec = [&](auto &&fn) {
         for (unsigned lane : lanesOf(exec))
@@ -759,8 +756,7 @@ Sm::issue(unsigned warp_idx, Cycle now)
             break;
         }
         if (exec == active) {
-            for (unsigned lane : lanesOf(active))
-                w.setPc(lane, in.target);
+            w.setPc(active, in.target);
             advanced = true;
             break;
         }
@@ -798,8 +794,7 @@ Sm::issue(unsigned warp_idx, Cycle now)
             unit_.exitLanes(w, exec, now);
         } else {
             // Partially guarded EXIT: survivors continue.
-            for (unsigned lane : lanesOf(active - exec))
-                w.setPc(lane, pc + 1);
+            w.setPc(active - exec, pc + 1);
             unit_.exitLanes(w, exec, now);
         }
         advanced = true;
@@ -858,10 +853,8 @@ Sm::issue(unsigned warp_idx, Cycle now)
 
     if (in.dst != regNone && in.op != Opcode::STG)
         w.setRegReadyAt(in.dst, now + result_lat);
-    if (in.op == Opcode::RTQUERY) {
-        w.setRegReadyAt(RegIndex(in.dst + 1), now + 1);
-        w.setRegReadyAt(RegIndex(in.dst + 2), now + 1);
-    }
+    for (unsigned k = 1; k < opInfo(in.op).dstRegs; ++k)
+        w.setRegReadyAt(RegIndex(in.dst + k), now + 1);
 
     // Hardware-policy subwarp-yield: after a burst of long-latency
     // issues, eagerly hand the slot to another subwarp (Section III-B).

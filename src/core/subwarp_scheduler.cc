@@ -65,10 +65,8 @@ SubwarpUnit::diverge(Warp &warp, ThreadMask taken, std::uint32_t taken_pc,
     const std::uint32_t keep_pc = keep_taken ? taken_pc : fallthrough_pc;
     const std::uint32_t demote_pc = keep_taken ? fallthrough_pc : taken_pc;
 
-    for (unsigned lane : lanesOf(keep))
-        warp.setPc(lane, keep_pc);
-    for (unsigned lane : lanesOf(demote))
-        warp.setPc(lane, demote_pc);
+    warp.setPc(keep, keep_pc);
+    warp.setPc(demote, demote_pc);
     warp.setState(demote, ThreadState::Ready);
     ++stats_.divergentBranches;
     SI_EMIT_EVENT(config_.traceSink,
@@ -93,8 +91,7 @@ SubwarpUnit::arriveBsync(Warp &warp, BarIndex bar, std::uint32_t sync_pc,
             warp.setBlockedOn(lane, barNone);
         // Lanes that executed this BSYNC without having registered in
         // the barrier (legal for degenerate codegen) also continue.
-        for (unsigned lane : lanesOf(participants | active))
-            warp.setPc(lane, sync_pc + 1);
+        warp.setPc(participants | active, sync_pc + 1);
         warp.setBarrier(bar, ThreadMask());
         ++stats_.reconvergences;
         // Reconvergence is a happens-before edge for the race

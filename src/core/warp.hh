@@ -126,6 +126,14 @@ class Warp
     std::uint32_t pc(unsigned lane) const { return pc_[lane]; }
     void setPc(unsigned lane, std::uint32_t pc) { pc_[lane] = pc; }
 
+    /** Set every lane of @p m to @p pc. */
+    void
+    setPc(ThreadMask m, std::uint32_t pc)
+    {
+        for (unsigned lane : lanesOf(m))
+            pc_[lane] = pc;
+    }
+
     /** Lanes not yet exited: everything outside the INACTIVE mask. */
     ThreadMask
     live() const

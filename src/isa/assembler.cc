@@ -94,7 +94,7 @@ parseReg(const std::string &s, RegIndex &out)
     if (s.size() < 2 || s[0] != 'R')
         return false;
     std::int32_t v;
-    if (!parseInt(s.substr(1), v) || v < 0 || v > 254)
+    if (!parseInt(s.substr(1), v) || v < 0 || unsigned(v) >= maxRegs)
         return false;
     out = RegIndex(v);
     return true;
@@ -110,7 +110,7 @@ parsePred(const std::string &s, PredIndex &out)
     if (s.size() < 2 || s[0] != 'P')
         return false;
     std::int32_t v;
-    if (!parseInt(s.substr(1), v) || v < 0 || v > 6)
+    if (!parseInt(s.substr(1), v) || v < 0 || unsigned(v) >= numPredicates)
         return false;
     out = PredIndex(v);
     return true;
@@ -122,7 +122,7 @@ parseBar(const std::string &s, BarIndex &out)
     if (s.size() < 2 || s[0] != 'B')
         return false;
     std::int32_t v;
-    if (!parseInt(s.substr(1), v) || v < 0 || v > 15)
+    if (!parseInt(s.substr(1), v) || v < 0 || unsigned(v) >= numBarriers)
         return false;
     out = BarIndex(v);
     return true;
@@ -213,8 +213,9 @@ assemble(const std::string &source)
             if (toks[0] == ".regs") {
                 std::int32_t v;
                 if (toks.size() != 2 || !parseInt(toks[1], v) || v < 1 ||
-                    v > 255) {
-                    return fail(line_no, ".regs expects 1..255");
+                    unsigned(v) > maxRegs) {
+                    return fail(line_no, ".regs expects 1.." +
+                                             std::to_string(maxRegs));
                 }
                 num_regs = unsigned(v);
                 continue;
@@ -271,12 +272,14 @@ assemble(const std::string &source)
             while (!ops.empty() && ops.back().rfind("&", 0) == 0) {
                 const std::string &ann = ops.back();
                 std::int32_t id;
-                if (ann.rfind("&wr=sb", 0) == 0 &&
-                    parseInt(ann.substr(6), id) && id >= 0 && id < 8) {
-                    ins.wrSb = SbIndex(id);
-                } else if (ann.rfind("&req=sb", 0) == 0 &&
-                           parseInt(ann.substr(7), id) && id >= 0 && id < 8) {
-                    ins.reqSbMask |= std::uint8_t(1u << id);
+                auto sb = [&](std::size_t prefix) {
+                    return parseInt(ann.substr(prefix), id) && id >= 0 &&
+                           unsigned(id) < numScoreboards;
+                };
+                if (ann.rfind("&wr=sb", 0) == 0 && sb(6)) {
+                    ins.wr(SbIndex(id));
+                } else if (ann.rfind("&req=sb", 0) == 0 && sb(7)) {
+                    ins.req(SbIndex(id));
                 } else if (ann == "&hint=taken") {
                     ins.stallHint = 1;
                 } else if (ann == "&hint=fall") {

@@ -187,7 +187,7 @@ formatInstr(const Instr &in, InstrStyle style,
         out += " &hint=fall";
     if (in.wrSb != sbNone)
         out += " &wr=sb" + std::to_string(unsigned(in.wrSb));
-    for (unsigned i = 0; i < 8; ++i) {
+    for (unsigned i = 0; i < numScoreboards; ++i) {
         if (in.reqSbMask & (1u << i))
             out += " &req=sb" + std::to_string(i);
     }

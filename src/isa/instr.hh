@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/sim_error.hh"
 #include "common/types.hh"
 #include "isa/opcode.hh"
 
@@ -68,10 +69,13 @@ struct Instr
 
     // ---- fluent annotation helpers used by KernelBuilder clients ----
 
-    /** Annotate with &wr=sb<id>. */
+    /** Annotate with &wr=sb<id>; SimError(Parse) past the last one. */
     Instr &
     wr(SbIndex id)
     {
+        sim_throw_if(id >= numScoreboards, ErrorKind::Parse,
+                     "&wr=sb%u outside sb0..sb%u", unsigned(id),
+                     numScoreboards - 1);
         wrSb = id;
         return *this;
     }
@@ -80,6 +84,9 @@ struct Instr
     Instr &
     req(SbIndex id)
     {
+        sim_throw_if(id >= numScoreboards, ErrorKind::Parse,
+                     "&req=sb%u outside sb0..sb%u", unsigned(id),
+                     numScoreboards - 1);
         reqSbMask |= std::uint8_t(1u << id);
         return *this;
     }

@@ -2,9 +2,10 @@
  * @file
  * The opcode descriptor table: one entry per Opcode holding every fact
  * the rest of the simulator needs about it — mnemonic, timing class,
- * operand shape, whether the B immediate is a float, and, for the
- * lane-valued opcodes (ALU, FP, compare, SEL, MOV, S2R), the pure
- * per-lane value function both executors call.
+ * operand shape, whether the B immediate is a float, the register
+ * windows wider than one register, and, for the lane-valued opcodes
+ * (ALU, FP, compare, SEL, MOV, S2R), the pure per-lane value function
+ * both executors call.
  *
  * Adding an opcode means: a new enumerator in opcode.hh, a row here, and
  * — only if it is not lane-valued — its execution in Sm::issue() and in
@@ -141,6 +142,9 @@ struct OpInfo
     OpShape shape;
     bool floatImm; ///< a B immediate holds float bits (FADD R1, R2, 2 = 2.0f)
     LaneFn lane;   ///< set exactly when isLaneValued(cls)
+    /** Registers read from srcA up and written from dst up: RTQUERY's
+     *  ray (origin, direction) and hit record (material+1, t, prim). */
+    unsigned srcARegs = 1, dstRegs = 1;
 };
 
 // A lane function: pure in the instruction and one lane's operands.
@@ -212,7 +216,7 @@ inline constexpr OpInfo opTable[] = {
     {Opcode::TEX, "TEX", OpClass::Texture, OpShape::Tex, false, nullptr},
     {Opcode::TLD, "TLD", OpClass::Texture, OpShape::Tex, false, nullptr},
     {Opcode::RTQUERY, "RTQUERY", OpClass::RtQuery, OpShape::Unary, false,
-     nullptr},
+     nullptr, 6, 3},
 
     {Opcode::BRA, "BRA", OpClass::Control, OpShape::Branch, false, nullptr},
     {Opcode::BSSY, "BSSY", OpClass::Control, OpShape::Bssy, false, nullptr},

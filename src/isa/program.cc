@@ -2,8 +2,10 @@
 
 #include <cstdio>
 #include <set>
+#include <string_view>
 
 #include "common/sim_error.hh"
+#include "isa/op_table.hh"
 
 namespace si {
 
@@ -44,59 +46,122 @@ Program::setRegions(std::vector<std::string> names)
     regionNames_ = std::move(names);
 }
 
-std::string
-Program::check() const
+// Every reqSbMask bit names a modeled scoreboard, so &req needs no rule.
+static_assert(8 * sizeof(Instr::reqSbMask) <= numScoreboards);
+
+std::vector<ProgramDefect>
+Program::defects() const
 {
-    if (instrs_.empty())
-        return "program is empty";
-    if (numRegs_ == 0 || numRegs_ > 255)
-        return "numRegs out of range";
+    std::vector<ProgramDefect> out;
+    auto flag = [&](const char *code, std::uint32_t pc, std::string msg) {
+        out.push_back({code, pc, std::move(msg)});
+    };
+    auto num = [](auto v) { return std::to_string(v); };
+
+    if (instrs_.empty()) {
+        flag("empty-program", 0, "program is empty");
+        return out;
+    }
+    if (numRegs_ == 0 || numRegs_ > maxRegs) {
+        flag("bad-reg-count", 0,
+             "register count " + num(numRegs_) + " outside 1.." +
+                 num(maxRegs));
+    }
 
     bool has_exit = false;
-    for (std::uint32_t pc = 0; pc < instrs_.size(); ++pc) {
+    for (std::uint32_t pc = 0; pc < size(); ++pc) {
         const Instr &in = instrs_[pc];
-        if (in.op == Opcode::EXIT)
-            has_exit = true;
+        const OpInfo &info = opInfo(in.op);
+        has_exit |= in.op == Opcode::EXIT;
 
-        if (in.op == Opcode::BRA || in.op == Opcode::BSSY) {
-            if (in.target >= instrs_.size()) {
-                return "pc " + std::to_string(pc) +
-                       ": branch target out of range";
-            }
+        if ((in.op == Opcode::BRA || in.op == Opcode::BSSY) &&
+            in.target >= size()) {
+            flag("target-oob", pc,
+                 "branch target " + num(in.target) +
+                     " outside the program");
         }
         if ((in.op == Opcode::BSSY || in.op == Opcode::BSYNC) &&
-            in.bar >= 16) {
-            return "pc " + std::to_string(pc) + ": barrier index invalid";
+            in.bar >= numBarriers) {
+            flag("bad-bar-index", pc,
+                 "barrier register B" + num(in.bar) + " exceeds the " +
+                     num(numBarriers) + " modeled registers");
         }
+        if (in.wrSb != sbNone && in.wrSb >= numScoreboards) {
+            flag("bad-sb-index", pc,
+                 "&wr=sb" + num(in.wrSb) + " exceeds the " +
+                     num(numScoreboards) + " modeled scoreboards");
+        }
+        if (in.wrSb != sbNone && !isLongLatency(in.op)) {
+            flag("wr-on-short-op", pc,
+                 "&wr=sb" + num(in.wrSb) + " on fixed-latency opcode " +
+                     info.name +
+                     " (no scoreboarded writeback will release it)");
+        }
+
+        // A window of @p width registers from @p r; RZ only as a scalar.
+        // Forced inline: as calls, the operand checks triple the cost.
+        auto reg = [&](RegIndex r, unsigned width,
+                       const char *role) __attribute__((always_inline)) {
+            if (r == regNone ? width > 1 : r + width > numRegs_) {
+                flag("bad-reg-index", pc,
+                     std::string(role) + " register " +
+                         (width > 1 ? "window of " + num(width) + " at "
+                                    : "") +
+                         (r == regNone ? "RZ" : "R" + num(r)) +
+                         " exceeds .regs " + num(numRegs_));
+            }
+        };
+        reg(in.dst, info.dstRegs, "destination");
+        reg(in.srcA, info.srcARegs, "source");
+        if (!in.bImm)
+            reg(in.srcB, 1, "source");
+        reg(in.srcC, 1, "source");
+
+        auto pred = [&](PredIndex p,
+                        const char *role) __attribute__((always_inline)) {
+            if (p != predNone && p >= numPredicates) {
+                flag("bad-pred-index", pc,
+                     std::string(role) + " predicate P" + num(p) +
+                         " outside P0..P" + num(numPredicates - 1) +
+                         " (P" + num(predNone) + " is PT)");
+            }
+        };
+        pred(in.guard, "guard");
+        pred(in.pdst,
+             info.shape == OpShape::Sel ? "selector" : "destination");
+
         if (in.op == Opcode::MARKER &&
             (in.imm < 0 || std::size_t(in.imm) >= regionNames_.size())) {
-            return "pc " + std::to_string(pc) +
-                   ": MARKER region index out of range";
+            flag("bad-region-index", pc,
+                 "MARKER region index " + num(in.imm) + " outside the " +
+                     num(regionNames_.size()) + "-entry region table");
         }
 
-        auto check_reg = [&](RegIndex r) {
-            return r == regNone || r < numRegs_;
-        };
-        if (!check_reg(in.dst) || !check_reg(in.srcA) ||
-            (!in.bImm && !check_reg(in.srcB)) || !check_reg(in.srcC)) {
-            return "pc " + std::to_string(pc) +
-                   ": register index exceeds numRegs";
-        }
-        if (in.wrSb != sbNone && in.wrSb >= 8)
-            return "pc " + std::to_string(pc) + ": scoreboard id invalid";
-        if (in.wrSb != sbNone && !isLongLatency(in.op))
-            return "pc " + std::to_string(pc) +
-                   ": &wr on a fixed-latency opcode";
-
-        // Falling off the end of the program is a bug in the generator.
-        if (pc + 1 == instrs_.size() && in.op != Opcode::EXIT &&
+        if (pc + 1 == size() && in.op != Opcode::EXIT &&
             !(in.op == Opcode::BRA && in.guard == predNone)) {
-            return "program does not end in EXIT or an unconditional BRA";
+            flag("bad-last-instr", pc,
+                 "program can fall off the end: last instruction is "
+                 "neither EXIT nor an unconditional BRA");
         }
     }
     if (!has_exit)
-        return "program contains no EXIT";
-    return "";
+        flag("no-exit", 0, "program contains no EXIT");
+    return out;
+}
+
+std::string
+Program::check() const
+{
+    const std::vector<ProgramDefect> found = defects();
+    if (found.empty())
+        return "";
+    const ProgramDefect &d = found.front();
+    const std::string_view code = d.code;
+    if (code == "empty-program" || code == "bad-reg-count" ||
+        code == "no-exit") {
+        return d.message; // a whole-program rule names no instruction
+    }
+    return pcRef(d.pc) + ": " + d.message;
 }
 
 void
@@ -107,6 +172,14 @@ Program::validate() const
         throw SimError(ErrorKind::Parse,
                        "program '" + name_ + "' invalid: " + err);
     }
+}
+
+std::string
+Program::pcRef(std::uint32_t pc) const
+{
+    const std::uint32_t line = sourceLine(pc);
+    return line != 0 ? "line " + std::to_string(line)
+                     : "pc " + std::to_string(pc);
 }
 
 std::string

@@ -15,6 +15,14 @@
 
 namespace si {
 
+/** One violation of the well-formed-program rules (Program::defects). */
+struct ProgramDefect
+{
+    const char *code; ///< stable kebab-case code, e.g. "target-oob"
+    std::uint32_t pc; ///< anchor instruction; 0 for whole-program rules
+    std::string message;
+};
+
 /**
  * An assembled kernel. PCs are indices into instrs. Instruction
  * addresses (for the instruction caches) are pc * bytesPerInstr at
@@ -88,15 +96,20 @@ class Program
     void setRegions(std::vector<std::string> names);
 
     /**
-     * Structural validation: branch targets in range, register indices
-     * within numRegs, BSSY/BSYNC barrier indices valid, terminating EXIT
-     * reachable. Throws SimError(ErrorKind::Parse) on violation, which
-     * Gpu::runMulti converts into a failed GpuResult.
+     * Every violation of the one rule list of a well-formed program
+     * (DESIGN.md section 7), in pc order; the executors rely on it. A
+     * valid program allocates nothing. silint reports each as an error.
      */
+    std::vector<ProgramDefect> defects() const;
+
+    /** The first defect as "<where>: <message>", or "" when valid. */
+    std::string check() const;
+
+    /** check(), throwing SimError(ErrorKind::Parse) on a defect. */
     void validate() const;
 
-    /** Like validate() but returns an error string instead of throwing. */
-    std::string check() const;
+    /** "line N" when the source line of @p pc is known, else "pc N". */
+    std::string pcRef(std::uint32_t pc) const;
 
     /** Full disassembly listing. */
     std::string disasm() const;

@@ -40,7 +40,7 @@ struct CfgBlock
 /**
  * The control-flow graph. Block 0 is the entry (pc 0). Construction
  * requires a structurally sane program (branch targets in range) —
- * run the verifier's bounds pass first.
+ * see Program::defects().
  */
 class Cfg
 {

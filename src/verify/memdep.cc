@@ -4,6 +4,7 @@
 #include <set>
 #include <utility>
 
+#include "isa/op_table.hh"
 #include "mem/memory.hh"
 #include "verify/cfg.hh"
 
@@ -448,7 +449,7 @@ class MemDepAnalysis
                    joinVal(regVal(regs, in.srcA), operandB(in, regs)));
             break;
           case Opcode::RTQUERY:
-            for (unsigned i = 0; i < 3; ++i) {
+            for (unsigned i = 0; i < opInfo(in.op).dstRegs; ++i) {
                 const unsigned d = unsigned(in.dst) + i;
                 if (d < regs.size())
                     regs[d] = top();

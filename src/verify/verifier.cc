@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string_view>
 #include <utility>
 
 #include "verify/cfg.hh"
@@ -10,15 +11,6 @@
 namespace si {
 
 namespace {
-
-std::string
-pcRef(const Program &prog, std::uint32_t pc)
-{
-    const std::uint32_t line = prog.sourceLine(pc);
-    if (line != 0)
-        return "line " + std::to_string(line);
-    return "pc " + std::to_string(pc);
-}
 
 // ---- abstract state ------------------------------------------------------
 //
@@ -88,7 +80,7 @@ class Verifier
     VerifyReport
     run()
     {
-        if (boundsPass())
+        if (wellFormedPass())
             finish();
         return std::move(report_);
     }
@@ -103,111 +95,29 @@ class Verifier
         report_.diags.push_back({sev, code, pc, std::move(message)});
     }
 
-    // ---- pass 1: index bounds and structural shape ----------------------
+    // ---- pass 1: well-formedness (Program::defects) ----------------------
     //
     // Returns false when the program is too malformed for CFG
     // construction (out-of-range targets / barrier / scoreboard ids
     // would index out of the analysis arrays).
 
     bool
-    boundsPass()
+    wellFormedPass()
     {
-        if (prog_.size() == 0) {
-            diag(Severity::Error, "empty-program", 0, "program is empty");
-            return false;
-        }
-        if (prog_.numRegs() == 0 || prog_.numRegs() > 255) {
-            diag(Severity::Error, "bad-reg-count", 0,
-                 "register count " + std::to_string(prog_.numRegs()) +
-                     " outside 1..255");
-        }
-
         bool cfg_safe = true;
-        bool has_exit = false;
+        for (ProgramDefect &d : prog_.defects()) {
+            const std::string_view code = d.code;
+            cfg_safe &= code != "empty-program" && code != "target-oob" &&
+                        code != "bad-bar-index" && code != "bad-sb-index";
+            diag(Severity::Error, d.code, d.pc, std::move(d.message));
+        }
         for (std::uint32_t pc = 0; pc < prog_.size(); ++pc) {
             const Instr &in = prog_.at(pc);
-            has_exit |= in.op == Opcode::EXIT;
-
-            if ((in.op == Opcode::BRA || in.op == Opcode::BSSY) &&
-                in.target >= prog_.size()) {
-                diag(Severity::Error, "target-oob", pc,
-                     "branch target " + std::to_string(in.target) +
-                         " outside the program");
-                cfg_safe = false;
-            }
-            if ((in.op == Opcode::BSSY || in.op == Opcode::BSYNC) &&
-                in.bar >= numBarriers) {
-                diag(Severity::Error, "bad-bar-index", pc,
-                     "barrier register B" + std::to_string(in.bar) +
-                         " exceeds the " +
-                         std::to_string(numBarriers) +
-                         " modeled registers");
-                cfg_safe = false;
-            }
-            if (in.wrSb != sbNone && in.wrSb >= numScoreboards) {
-                diag(Severity::Error, "bad-sb-index", pc,
-                     "&wr=sb" + std::to_string(in.wrSb) + " exceeds the " +
-                         std::to_string(numScoreboards) +
-                         " modeled scoreboards");
-                cfg_safe = false;
-            }
-            const std::uint32_t req_hi =
-                std::uint32_t(in.reqSbMask) >> numScoreboards;
-            if (req_hi != 0) {
-                diag(Severity::Error, "bad-sb-index", pc,
-                     "&req names a scoreboard past sb" +
-                         std::to_string(numScoreboards - 1));
-                cfg_safe = false;
-            }
-            if (in.wrSb != sbNone && !isLongLatency(in.op)) {
-                diag(Severity::Error, "wr-on-short-op", pc,
-                     "&wr=sb" + std::to_string(in.wrSb) +
-                         " on fixed-latency opcode " +
-                         opcodeName(in.op) +
-                         " (no scoreboarded writeback will release it)");
-            }
-
-            auto check_reg = [&](RegIndex r, const char *role) {
-                if (r != regNone && r >= prog_.numRegs()) {
-                    diag(Severity::Error, "bad-reg-index", pc,
-                         std::string(role) + " register R" +
-                             std::to_string(r) + " exceeds .regs " +
-                             std::to_string(prog_.numRegs()));
-                }
-            };
-            check_reg(in.dst, "destination");
-            check_reg(in.srcA, "source");
-            if (!in.bImm)
-                check_reg(in.srcB, "source");
-            check_reg(in.srcC, "source");
-
-            auto check_pred = [&](PredIndex p, const char *role) {
-                if (p != predNone && p > 6) {
-                    diag(Severity::Error, "bad-pred-index", pc,
-                         std::string(role) + " predicate P" +
-                             std::to_string(p) +
-                             " outside P0..P6 (P7 is PT)");
-                }
-            };
-            check_pred(in.guard, "guard");
-            check_pred(in.pdst, "destination");
-
             if ((in.op == Opcode::ISETP || in.op == Opcode::FSETP) &&
                 in.pdst == predNone) {
                 diag(Severity::Warning, "setp-writes-pt", pc,
                      "comparison writes PT; the result is discarded");
             }
-
-            if (pc + 1 == prog_.size() && in.op != Opcode::EXIT &&
-                !(in.op == Opcode::BRA && in.guard == predNone)) {
-                diag(Severity::Error, "bad-last-instr", pc,
-                     "program can fall off the end: last instruction is "
-                     "neither EXIT nor an unconditional BRA");
-            }
-        }
-        if (!has_exit) {
-            diag(Severity::Error, "no-exit", 0,
-                 "program contains no EXIT");
         }
         return cfg_safe;
     }
@@ -249,7 +159,7 @@ class Verifier
                     diag(Severity::Warning, "sb-rewrite-in-flight", pc,
                          "&wr=sb" + std::to_string(k) +
                              " while the write from " +
-                             pcRef(prog_, other) +
+                             prog_.pcRef(other) +
                              " may still be in flight with no "
                              "intervening &req — two producers alias one "
                              "counter");
@@ -271,7 +181,7 @@ class Verifier
                     diag(Severity::Error, "bar-rearm-live", pc,
                          "BSSY B" + std::to_string(b) +
                              " while the region opened at " +
-                             pcRef(prog_, other) +
+                             prog_.pcRef(other) +
                              " may still be live — the two masks merge "
                              "into one bogus barrier");
                     flaggedPairs_.insert(pcPair(pc, other));
@@ -381,7 +291,7 @@ class Verifier
                     diag(Severity::Warning, "bssy-target-not-bsync", pc,
                          "BSSY B" + std::to_string(b) +
                              " names a convergence point (" +
-                             pcRef(prog_, prog_.at(pc).target) +
+                             prog_.pcRef(prog_.at(pc).target) +
                              ") that is not BSYNC B" + std::to_string(b));
                 }
                 bool closes = false;
@@ -424,13 +334,13 @@ class Verifier
                         diag(Severity::Warning, "bar-reuse-sequential", q,
                              "barrier register B" + std::to_string(b) +
                                  " reused after the region from " +
-                                 pcRef(prog_, p) +
+                                 prog_.pcRef(p) +
                                  " closes — safe only while no subwarp "
                                  "roams ahead unsynchronized");
                     } else {
                         diag(Severity::Error, "bar-reuse-sibling", q,
                              "barrier register B" + std::to_string(b) +
-                                 " also armed at " + pcRef(prog_, p) +
+                                 " also armed at " + prog_.pcRef(p) +
                                  " on an unordered or mutually exclusive "
                                  "path; two subwarps can occupy both "
                                  "regions concurrently and merge masks");
@@ -461,7 +371,7 @@ class Verifier
                     !cfg.dominates(pc, j, idom)) {
                     diag(Severity::Warning, "branch-into-bssy-shadow", j,
                          "branch target lands between the BSSY at " +
-                             pcRef(prog_, pc) +
+                             prog_.pcRef(pc) +
                              " and its divergent branch; entering lanes "
                              "skip barrier registration");
                 }
@@ -513,7 +423,7 @@ class Verifier
                       "schedule";
             } else {
                 msg = std::string(opB) + " and the " + opA + " at " +
-                      pcRef(prog_, p.pcA) +
+                      prog_.pcRef(p.pcA) +
                       " may touch the same address from " +
                       (p.loopCarried
                            ? "different iterations of a divergent loop"
@@ -556,30 +466,12 @@ severityName(Severity s)
 }
 
 unsigned
-VerifyReport::errors() const
+VerifyReport::count(Severity s) const
 {
-    unsigned n = 0;
-    for (const VerifyDiag &d : diags)
-        n += d.severity == Severity::Error ? 1 : 0;
-    return n;
-}
-
-unsigned
-VerifyReport::warnings() const
-{
-    unsigned n = 0;
-    for (const VerifyDiag &d : diags)
-        n += d.severity == Severity::Warning ? 1 : 0;
-    return n;
-}
-
-unsigned
-VerifyReport::notes() const
-{
-    unsigned n = 0;
-    for (const VerifyDiag &d : diags)
-        n += d.severity == Severity::Note ? 1 : 0;
-    return n;
+    return unsigned(std::count_if(diags.begin(), diags.end(),
+                                  [&](const VerifyDiag &d) {
+                                      return d.severity == s;
+                                  }));
 }
 
 bool

@@ -72,9 +72,10 @@ struct VerifyReport
 {
     std::vector<VerifyDiag> diags;
 
-    unsigned errors() const;
-    unsigned warnings() const;
-    unsigned notes() const;
+    unsigned count(Severity s) const;
+    unsigned errors() const { return count(Severity::Error); }
+    unsigned warnings() const { return count(Severity::Warning); }
+    unsigned notes() const { return count(Severity::Note); }
 
     /** True when the program carries no Error-severity diagnostic. */
     bool clean() const { return errors() == 0; }

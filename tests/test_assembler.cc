@@ -215,6 +215,22 @@ TEST(Assembler, ErrorMissingExitViaProgramCheck)
     EXPECT_NE(err("NOP\nNOP\n").find("EXIT"), std::string::npos);
 }
 
+TEST(Assembler, ErrorRtqueryWindowPastRegs)
+{
+    // RTQUERY reads its ray from srcA..srcA+5 and writes its hit record
+    // to dst..dst+2: each whole window must fit in .regs.
+    EXPECT_NE(err(".regs 8\nRTQUERY R0, R6\nEXIT\n")
+                  .find("line 2: source register window of 6 at R6 "
+                        "exceeds .regs 8"),
+              std::string::npos);
+    EXPECT_NE(err(".regs 8\nRTQUERY R6, R0\nEXIT\n")
+                  .find("destination register window of 3 at R6"),
+              std::string::npos);
+    EXPECT_NE(err(".regs 8\nRTQUERY RZ, R0\nEXIT\n").find("RZ"),
+              std::string::npos);
+    ok(".regs 8\nRTQUERY R5, R2\nEXIT\n");
+}
+
 TEST(Assembler, RegsDirectiveValidation)
 {
     EXPECT_NE(err(".regs 0\nEXIT\n").find(".regs"), std::string::npos);

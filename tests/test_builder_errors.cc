@@ -53,6 +53,45 @@ TEST(BuilderErrors, InvalidLabelIsParseError)
         SimError);
 }
 
+TEST(BuilderErrors, PredicatePastP6IsParseError)
+{
+    KernelBuilder kb("p9");
+    kb.isetpi(9, CmpOp::LT, 0, 4);
+    kb.exit();
+    EXPECT_THROW(
+        try { kb.build(8); } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), ErrorKind::Parse);
+            EXPECT_THAT(e.what(), HasSubstr("predicate P9"));
+            throw;
+        },
+        SimError);
+}
+
+TEST(BuilderErrors, ScoreboardIdPastSb7IsParseError)
+{
+    for (SbIndex id : {SbIndex(8), SbIndex(31), SbIndex(200)}) {
+        KernelBuilder kb("sb");
+        Instr &ld = kb.ldg(1, 2, 0);
+        for (bool wr : {true, false}) {
+            EXPECT_THROW(
+                try {
+                    wr ? ld.wr(id) : ld.req(id);
+                } catch (const SimError &e) {
+                    EXPECT_EQ(e.kind(), ErrorKind::Parse);
+                    EXPECT_THAT(e.what(), HasSubstr("sb0..sb7"));
+                    throw;
+                },
+                SimError);
+        }
+        EXPECT_EQ(ld.wrSb, sbNone);
+        EXPECT_EQ(ld.reqSbMask, 0u);
+    }
+    KernelBuilder kb("sb7");
+    kb.ldg(1, 2, 0).wr(7).req(7);
+    kb.exit();
+    EXPECT_EQ(kb.build(8).check(), "");
+}
+
 TEST(BuilderErrors, HereTracksEmission)
 {
     KernelBuilder kb("here");

@@ -9,7 +9,8 @@
  *    field-wise sum of all windows equals the end-of-run SmStats;
  *  - ring-capacity eviction drops oldest windows and counts them;
  *  - the si-metrics-v1 JSON/CSV exports are deterministic across
- *    identical runs and byte-identical across checkpoint/restore;
+ *    identical runs and byte-identical across checkpoint/restore, and
+ *    carry every partition row in every window and the CSV header;
  *  - swprof --diff reconciliation: the per-region stall-delta
  *    contributions of an SI-off vs SI-on megakernel pair sum exactly
  *    (zero residual) to the end-of-run warp-cycle delta, from both
@@ -25,6 +26,7 @@
 #include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -269,6 +271,65 @@ TEST(MetricsExport, JsonAndCsvDeterministicAcrossIdenticalRuns)
     ASSERT_NE(regions, nullptr);
     ASSERT_EQ(regions->array.size(), 4u);
     EXPECT_EQ(regions->array[0].str, "_entry");
+}
+
+TEST(MetricsExport, EveryPartitionRowReachesWindowsAndCsv)
+{
+    // Each regionStatFields row appears in every si-metrics-v1 window
+    // under its SM-wide key, and in the CSV header; a row missing from
+    // the windows would read as 0 from every window in swprof --diff.
+    MetricsSampler sampler(25);
+    ASSERT_TRUE(runMarkers(sampler, true, 2, 8).ok());
+    const json::ParseResult doc = json::parse(metricsJson(
+        sampler, "markers", assembleOrDie(markers_src).regionNames()));
+    ASSERT_TRUE(doc.ok) << doc.error;
+
+    std::vector<std::string> columns;
+    std::istringstream header(metricsCsv(sampler));
+    std::string line;
+    std::getline(header, line);
+    std::istringstream cells(line);
+    for (std::string col; std::getline(cells, col, ',');)
+        columns.push_back(col);
+    auto has_column = [&](const std::string &name) {
+        return std::find(columns.begin(), columns.end(), name) !=
+               columns.end();
+    };
+
+    const json::Value *sms = doc.value.find("sms");
+    ASSERT_NE(sms, nullptr);
+    std::vector<const json::Value *> windows;
+    for (const json::Value &sm : sms->array) {
+        for (const json::Value &win : sm.find("windows")->array)
+            windows.push_back(&win);
+    }
+    ASSERT_GT(windows.size(), 2u);
+
+    for (const StatField<RegionCounters> &f : regionStatFields) {
+        const std::string key = f.u64 == &RegionCounters::warpCycles
+                                    ? "live_warp_cycles"
+                                    : f.key;
+        for (const json::Value *win : windows) {
+            const json::Value *v = win->find(key);
+            ASSERT_NE(v, nullptr) << key;
+            if (f.kind != StatKind::Reasons) {
+                EXPECT_TRUE(v->isNumber()) << key;
+                continue;
+            }
+            for (unsigned k = 0; k < numStallReasons; ++k)
+                EXPECT_NE(v->find(stallReasonName(StallReason(k))), nullptr)
+                    << key;
+        }
+        if (f.kind != StatKind::Reasons) {
+            EXPECT_TRUE(has_column(key)) << key;
+            continue;
+        }
+        for (unsigned k = 0; k < numStallReasons; ++k) {
+            const std::string col =
+                "stall_" + stallReasonKey(StallReason(k));
+            EXPECT_TRUE(has_column(col)) << col;
+        }
+    }
 }
 
 TEST(MetricsExport, CheckpointRestoreIsByteIdentical)

@@ -412,7 +412,9 @@ Done:
 
 TEST(Verifier, IndexBoundsViaRawProgram)
 {
-    // The assembler rejects these forms, so build the program directly.
+    // assemble() and KernelBuilder::build() refuse these through
+    // Program::check(), so build the program directly; the verifier
+    // reports the same rule list under its codes.
     std::vector<Instr> code(2);
     code[0].op = Opcode::BSSY;
     code[0].bar = 20; // > numBarriers
@@ -432,6 +434,50 @@ TEST(Verifier, IndexBoundsViaRawProgram)
     code2[1].op = Opcode::EXIT;
     const Program p2("raw2", std::move(code2), 8);
     EXPECT_TRUE(verifyProgram(p2).has("bad-reg-index"));
+}
+
+TEST(Verifier, MarkerRegionIndexViaRawProgram)
+{
+    // The assembler interns region names, so only a raw program can
+    // name a region past the table (which holds just "_entry" here).
+    std::vector<Instr> code(2);
+    code[0].op = Opcode::MARKER;
+    code[0].imm = 1;
+    code[1].op = Opcode::EXIT;
+    const Program p("raw", std::move(code), 8);
+    const VerifyReport r = verifyProgram(p);
+    EXPECT_TRUE(r.has("bad-region-index")) << r.render();
+    EXPECT_FALSE(r.clean());
+    EXPECT_NE(p.check().find("MARKER region index 1"), std::string::npos);
+}
+
+TEST(Verifier, ReportsEveryProgramDefectAsAnError)
+{
+    // Instructions breaking several rules at once: the verifier's
+    // errors are exactly Program::defects(), in order.
+    std::vector<Instr> code(3);
+    code[0].op = Opcode::IADD;
+    code[0].dst = 9;
+    code[0].srcA = 0;
+    code[0].srcB = 0;
+    code[0].guard = 8;
+    code[0].wrSb = 3;
+    code[1].op = Opcode::MARKER;
+    code[1].imm = -1;
+    code[2].op = Opcode::EXIT;
+    const Program p("raw", std::move(code), 8);
+    std::vector<std::string> want;
+    for (const ProgramDefect &d : p.defects())
+        want.push_back(d.code);
+    EXPECT_EQ(want, (std::vector<std::string>{
+                        "wr-on-short-op", "bad-reg-index", "bad-pred-index",
+                        "bad-region-index"}));
+    std::vector<std::string> got;
+    for (const VerifyDiag &d : verifyProgram(p).diags) {
+        if (d.severity == Severity::Error)
+            got.push_back(d.code);
+    }
+    EXPECT_EQ(got, want);
 }
 
 TEST(Verifier, MissingExitAndFallOffEnd)
