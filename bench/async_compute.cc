@@ -18,38 +18,28 @@
 
 namespace {
 
-/**
- * Co-schedule @p rt with @p compute under @p cfg. A SimError becomes
- * the result's status, as in runWorkload.
- */
+/** Co-schedule @p rt with @p compute under @p cfg. */
 si::GpuResult
 runCosched(const si::Workload &rt, const si::Workload &compute,
            si::GpuConfig cfg)
 {
     cfg.rtc = rt.rtc;
-    try {
-        // Merge the two memory images (disjoint segments by
-        // construction, except the shared out buffer, which is indexed
-        // by global warp id and therefore disjoint per warp).
-        si::Memory mem = *rt.memory;
-        si::Memory other = *compute.memory;
-        // Compute kernels only add the data/out segments; copy data
-        // words.
-        for (unsigned i = 0; i < compute.launch.numWarps * 32; ++i) {
-            const si::Addr a = si::layout::dataBufBase + si::Addr(i) * 4;
-            mem.write(a, other.read(a));
-        }
-        mem.writeConst(std::uint32_t(si::layout::cDataBuf),
-                       std::uint32_t(si::layout::dataBufBase));
-
-        si::Gpu gpu(cfg, mem, rt.bvh());
-        return gpu.runMulti({{&rt.program, rt.launch},
-                             {&compute.program, compute.launch}});
-    } catch (const si::SimError &e) {
-        si::GpuResult result;
-        result.status = e.status();
-        return result;
+    // Merge the two memory images (disjoint segments by construction,
+    // except the shared out buffer, which is indexed by global warp id
+    // and therefore disjoint per warp).
+    si::Memory mem = *rt.memory;
+    si::Memory other = *compute.memory;
+    // Compute kernels only add the data/out segments; copy data words.
+    for (unsigned i = 0; i < compute.launch.numWarps * 32; ++i) {
+        const si::Addr a = si::layout::dataBufBase + si::Addr(i) * 4;
+        mem.write(a, other.read(a));
     }
+    mem.writeConst(std::uint32_t(si::layout::cDataBuf),
+                   std::uint32_t(si::layout::dataBufBase));
+
+    si::Gpu gpu(cfg, mem, rt.bvh());
+    return gpu.runMulti(
+        {{&rt.program, rt.launch}, {&compute.program, compute.launch}});
 }
 
 } // namespace

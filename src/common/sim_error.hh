@@ -34,6 +34,9 @@ enum class ErrorKind : std::uint8_t {
     Snapshot,           ///< corrupt/mismatched checkpoint container
 };
 
+/** The highest ErrorKind (name lookups iterate every kind). */
+inline constexpr ErrorKind lastErrorKind = ErrorKind::Snapshot;
+
 /** Short stable name for an ErrorKind ("barrier-deadlock", ...). */
 const char *errorKindName(ErrorKind kind);
 
@@ -82,9 +85,8 @@ struct RunStatus
 
 /**
  * Exception carrying a structured simulator error. Thrown wherever a
- * run cannot go on; caught at the run boundary
- * (Gpu::runMulti, simulate(), runWorkload()) and converted into a
- * RunStatus.
+ * run cannot go on; caught at the run boundary (Gpu::runMulti) and
+ * converted into a RunStatus.
  */
 class SimError : public std::runtime_error
 {

@@ -89,6 +89,19 @@ programFingerprint(const Program &p)
 Gpu::Gpu(const GpuConfig &config, Memory &memory, const Bvh *scene)
     : config_(config), memory_(memory), scene_(scene)
 {
+}
+
+GpuResult
+Gpu::run(const Program &program, const LaunchParams &launch)
+{
+    return runMulti({KernelLaunch{&program, launch}});
+}
+
+void
+Gpu::launchMachine(const std::vector<KernelLaunch> &kernels,
+                   const std::string *checkpoint)
+{
+    sms_.clear();
     sim_throw_if(config_.numSms == 0, ErrorKind::Config,
                  "GPU needs at least one SM");
     sim_throw_if(config_.pbsPerSm == 0, ErrorKind::Config,
@@ -105,20 +118,14 @@ Gpu::Gpu(const GpuConfig &config, Memory &memory, const Bvh *scene)
     sim_throw_if(config_.numSms > traceMaxSms, ErrorKind::Config,
                  "%u SMs exceed the %u that trace events can name",
                  config_.numSms, traceMaxSms);
-    sms_.reserve(config_.numSms);
+    // Built aside so an SM that fails to build (bad cache geometry, a
+    // zero-pipe RT core) leaves no half-built machine to finalize.
+    std::vector<std::unique_ptr<Sm>> sms;
+    sms.reserve(config_.numSms);
     for (unsigned s = 0; s < config_.numSms; ++s)
-        sms_.push_back(std::make_unique<Sm>(s, config_, memory_, scene_));
-}
+        sms.push_back(std::make_unique<Sm>(s, config_, memory_, scene_));
+    sms_ = std::move(sms);
 
-GpuResult
-Gpu::run(const Program &program, const LaunchParams &launch)
-{
-    return runMulti({KernelLaunch{&program, launch}});
-}
-
-void
-Gpu::launchKernels(const std::vector<KernelLaunch> &kernels)
-{
     sim_throw_if(kernels.empty(), ErrorKind::Config,
                  "no kernels to launch");
     unsigned max_warps = 0;
@@ -162,6 +169,11 @@ Gpu::launchKernels(const std::vector<KernelLaunch> &kernels)
             sms_[wid % sms_.size()]->addWarp(std::move(warp));
             ++wid;
         }
+    }
+
+    if (checkpoint) {
+        SnapshotReader reader(*checkpoint);
+        restore(reader);
     }
 }
 
@@ -338,6 +350,9 @@ Gpu::maybeFastForward(bool eligible, bool events_pending)
 void
 Gpu::finalize(GpuResult &result)
 {
+    if (sms_.empty())
+        return;
+
     // A failed run stamps its timeline with the watchdog verdict, so
     // livelock/deadlock reports come with trace context.
     if (!result.status.ok()) {
@@ -376,27 +391,12 @@ Gpu::finalize(GpuResult &result)
 }
 
 GpuResult
-Gpu::runMulti(const std::vector<KernelLaunch> &kernels)
+Gpu::runMulti(const std::vector<KernelLaunch> &kernels,
+              const std::string *checkpoint)
 {
     GpuResult result;
     try {
-        launchKernels(kernels);
-        runLoop();
-    } catch (const SimError &e) {
-        result.status = e.status();
-    }
-    finalize(result);
-    return result;
-}
-
-GpuResult
-Gpu::resumeMulti(const std::vector<KernelLaunch> &kernels,
-                 SnapshotReader &reader)
-{
-    GpuResult result;
-    try {
-        launchKernels(kernels);
-        restore(reader);
+        launchMachine(kernels, checkpoint);
         runLoop();
     } catch (const SimError &e) {
         result.status = e.status();
@@ -457,16 +457,8 @@ GpuResult
 simulate(const GpuConfig &config, Memory &memory, const Program &program,
          const LaunchParams &launch, const Bvh *scene)
 {
-    try {
-        Gpu gpu(config, memory, scene);
-        return gpu.run(program, launch);
-    } catch (const SimError &e) {
-        // Construction-time failures (bad cache geometry, zero SMs)
-        // throw before a Gpu exists to absorb them.
-        GpuResult result;
-        result.status = e.status();
-        return result;
-    }
+    Gpu gpu(config, memory, scene);
+    return gpu.run(program, launch);
 }
 
 } // namespace si

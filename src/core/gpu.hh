@@ -8,6 +8,7 @@
 #define SI_CORE_GPU_HH
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/sim_error.hh"
@@ -103,6 +104,7 @@ struct GpuResult
 class Gpu
 {
   public:
+    /** Store the inputs; nothing is checked or built until a run. */
     Gpu(const GpuConfig &config, Memory &memory,
         const Bvh *scene = nullptr);
 
@@ -110,11 +112,6 @@ class Gpu
      * Execute @p program to completion (or a watchdog limit).
      * Warps are distributed round-robin across SMs; SMs admit them to
      * processing blocks as occupancy allows.
-     *
-     * Errors do not escape as exceptions: launch validation failures,
-     * barrier deadlocks, livelocks, and invariant violations unwind the
-     * run and come back in GpuResult::status, with whatever statistics
-     * had accumulated up to the failure.
      */
     GpuResult run(const Program &program, const LaunchParams &launch);
 
@@ -123,19 +120,24 @@ class Gpu
      * (paper Sections II-B / V-C-2 / VII-B): warps from all kernels
      * interleave into the same warp slots, contending for slots and
      * register-file space. Runs until every kernel completes.
+     *
+     * Each call builds a fresh machine from the config, launches the
+     * warps and runs the clock loop. Given @p checkpoint (a sisnap
+     * container), it resumes a run frozen by the checkpoint hook
+     * instead: the launch of @p kernels must match the checkpointed
+     * one (programs are verified by source fingerprint, never
+     * serialized), all machine state is overwritten from the container,
+     * and the clock loop continues from the checkpointed cycle,
+     * bit-exact with a run that was never interrupted.
+     *
+     * This is the run boundary: errors do not escape as exceptions.
+     * Machine and launch validation failures, corrupt or mismatched
+     * checkpoints, barrier deadlocks, livelocks, and invariant
+     * violations unwind the run and come back in GpuResult::status,
+     * with whatever statistics had accumulated up to the failure.
      */
-    GpuResult runMulti(const std::vector<KernelLaunch> &kernels);
-
-    /**
-     * Resume a run frozen by a checkpoint: re-run the launch of
-     * @p kernels (which must match the checkpointed launch — programs
-     * are verified by source fingerprint, never serialized), overwrite
-     * all machine state from @p reader, and continue the clock loop
-     * from the checkpointed cycle. A run resumed this way is bit-exact
-     * with one that was never interrupted.
-     */
-    GpuResult resumeMulti(const std::vector<KernelLaunch> &kernels,
-                          SnapshotReader &reader);
+    GpuResult runMulti(const std::vector<KernelLaunch> &kernels,
+                       const std::string *checkpoint = nullptr);
 
     /**
      * Serialize the complete machine into @p writer: config and kernel
@@ -144,13 +146,6 @@ class Gpu
      * firing point).
      */
     void save(SnapshotWriter &writer) const;
-
-    /**
-     * Restore state serialized by save(). Warps must already exist (the
-     * resume path re-runs the launch first); config or kernel
-     * fingerprint mismatches throw SimError(ErrorKind::Snapshot).
-     */
-    void restore(SnapshotReader &reader);
 
     /**
      * Fast-forward diagnostics: leaps taken and cycles skipped by the
@@ -168,7 +163,8 @@ class Gpu
      */
     bool fastForwardEligible() const;
 
-    /** Access an SM (tests; const form for mid-run samplers). */
+    /** Access an SM (tests; const form for mid-run samplers). The SMs
+     *  exist once a run has built the machine, and outlive the run. */
     Sm &sm(unsigned i) { return *sms_[i]; }
     const Sm &sm(unsigned i) const { return *sms_[i]; }
     unsigned numSms() const { return unsigned(sms_.size()); }
@@ -181,8 +177,20 @@ class Gpu
     template <class Self, class Ar>
     static void walk(Self &self, Ar &ar);
 
-    /** Validate @p kernels and distribute their warps across SMs. */
-    void launchKernels(const std::vector<KernelLaunch> &kernels);
+    /**
+     * Validate the machine shape and @p kernels, build the SMs,
+     * distribute the warps across them and, given @p checkpoint,
+     * restore the container over the launched machine.
+     */
+    void launchMachine(const std::vector<KernelLaunch> &kernels,
+                       const std::string *checkpoint);
+
+    /**
+     * Restore state serialized by save(). Warps must already exist (the
+     * resume path re-runs the launch first); config or kernel
+     * fingerprint mismatches throw SimError(ErrorKind::Snapshot).
+     */
+    void restore(SnapshotReader &reader);
 
     /** The clock loop; runs until done. A watchdog (cycle cap,
      *  livelock, invariant audit) ends it by throwing SimError. */
@@ -191,7 +199,8 @@ class Gpu
     /** True when every SM has retired all its warps. */
     bool allDone() const;
 
-    /** Watchdog trace stamp + per-SM stats folding. */
+    /** Watchdog trace stamp + per-SM stats folding (nothing when the
+     *  machine failed to build). */
     void finalize(GpuResult &result);
 
     const GpuConfig config_; ///< copied: callers may reuse/modify theirs

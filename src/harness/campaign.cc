@@ -7,9 +7,7 @@
 #include <cstring>
 #include <deque>
 #include <filesystem>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <thread>
 
 #include <sys/types.h>
@@ -29,17 +27,9 @@ namespace {
 ErrorKind
 errorKindFromName(const std::string &name)
 {
-    static const ErrorKind all[] = {
-        ErrorKind::None,           ErrorKind::Config,
-        ErrorKind::Parse,          ErrorKind::Internal,
-        ErrorKind::BarrierDeadlock, ErrorKind::Livelock,
-        ErrorKind::InvariantViolation, ErrorKind::CycleLimit,
-        ErrorKind::ChildTimeout,   ErrorKind::ChildCrash,
-        ErrorKind::Snapshot,
-    };
-    for (ErrorKind k : all) {
-        if (name == errorKindName(k))
-            return k;
+    for (unsigned k = 0; k <= unsigned(lastErrorKind); ++k) {
+        if (name == errorKindName(ErrorKind(k)))
+            return ErrorKind(k);
     }
     return ErrorKind::Internal;
 }
@@ -57,38 +47,6 @@ sanitize(const std::string &s)
         out.push_back(keep ? c : '_');
     }
     return out;
-}
-
-/** Atomic text write: temp file + rename, same crash contract as
- *  checkpoint files. */
-void
-writeFileAtomic(const std::string &path, const std::string &content)
-{
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        sim_throw_if(!out, ErrorKind::Internal, "cannot open '%s'",
-                     tmp.c_str());
-        out.write(content.data(),
-                  std::streamsize(content.size()));
-        sim_throw_if(!out, ErrorKind::Internal, "write failed for '%s'",
-                     tmp.c_str());
-    }
-    sim_throw_if(std::rename(tmp.c_str(), path.c_str()) != 0,
-                 ErrorKind::Internal, "rename '%s' -> '%s' failed: %s",
-                 tmp.c_str(), path.c_str(), std::strerror(errno));
-}
-
-bool
-readFile(const std::string &path, std::string &out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    out = ss.str();
-    return true;
 }
 
 /** Per-cell result document the child leaves for the parent. */
@@ -271,8 +229,8 @@ CampaignRunner::writeManifest(const CampaignReport &report) const
 
 /**
  * Simulate one cell attempt: config prep, checkpoint hook, resume from
- * an earlier attempt's checkpoint when one exists, and exception
- * absorption; then leave the result file for the parent and _exit.
+ * an earlier attempt's checkpoint when one exists; then leave the result
+ * file for the parent and _exit.
  */
 void
 CampaignRunner::childMain(const CampaignCellRecord &rec,
@@ -281,7 +239,6 @@ CampaignRunner::childMain(const CampaignCellRecord &rec,
     GpuResult result;
     bool resumed = false;
     try {
-        config.rtc = workload.rtc;
         if (options_.childConfigHook)
             options_.childConfigHook(config, rec, rec.attempts);
 
@@ -291,36 +248,20 @@ CampaignRunner::childMain(const CampaignCellRecord &rec,
             config.checkpointHook = [ckpt](const Gpu &gpu, Cycle) {
                 SnapshotWriter w;
                 gpu.save(w);
-                writeSnapshotFile(ckpt, w.finish());
+                writeFileAtomic(ckpt, w.finish());
             };
         }
-
-        const std::vector<KernelLaunch> kernels{
-            {&workload.program, workload.launch}};
 
         // A checkpoint from an earlier attempt (or an earlier campaign
         // invocation) resumes the cell mid-run; a corrupt or mismatched
         // checkpoint falls back to a fresh run rather than failing the
         // cell on its own recovery mechanism.
-        if (std::filesystem::exists(ckpt)) {
-            try {
-                const std::string data = readSnapshotFile(ckpt);
-                Memory mem = *workload.memory;
-                Gpu gpu(config, mem, workload.bvh());
-                SnapshotReader reader(data);
-                result = gpu.resumeMulti(kernels, reader);
-                resumed = result.status.kind != ErrorKind::Snapshot;
-            } catch (const SimError &) {
-                resumed = false;
-            }
+        if (const std::optional<std::string> data = readWholeFile(ckpt)) {
+            result = runWorkload(workload, config, &*data);
+            resumed = result.status.kind != ErrorKind::Snapshot;
         }
-        if (!resumed) {
-            Memory mem = *workload.memory;
-            Gpu gpu(config, mem, workload.bvh());
-            result = gpu.runMulti(kernels);
-        }
-    } catch (const SimError &e) {
-        result.status = e.status();
+        if (!resumed)
+            result = runWorkload(workload, config);
     } catch (const std::exception &e) {
         result.status = RunStatus::failure(
             ErrorKind::Internal,
@@ -378,13 +319,13 @@ CampaignRunner::classifyAttempt(CampaignCellRecord &rec, int wstatus,
         return;
     }
 
-    std::string text;
-    if (!readFile(resultPath(rec), text)) {
+    const std::optional<std::string> text = readWholeFile(resultPath(rec));
+    if (!text) {
         rec.kind = ErrorKind::Internal;
         rec.detail = "cell exited cleanly but left no result file";
         return;
     }
-    json::ParseResult parsed = json::parse(text);
+    json::ParseResult parsed = json::parse(*text);
     const json::Value *kind =
         parsed.ok ? parsed.value.find("kind") : nullptr;
     const json::Value *cycles =
@@ -475,10 +416,11 @@ CampaignRunner::run()
     // left pending (including a cell the previous parent died inside)
     // re-run, picking up their last auto-checkpoint if one exists.
     if (options_.resume) {
-        std::string text, error;
+        const std::optional<std::string> text =
+            readWholeFile(report.manifestPath);
+        std::string error;
         CampaignReport prior;
-        if (readFile(report.manifestPath, text) &&
-            parseManifest(text, prior, error)) {
+        if (text && parseManifest(*text, prior, error)) {
             for (CampaignCellRecord &rec : report.cells) {
                 for (const CampaignCellRecord &old : prior.cells) {
                     if (old.workload == rec.workload &&
@@ -489,7 +431,7 @@ CampaignRunner::run()
                     }
                 }
             }
-        } else if (!text.empty()) {
+        } else if (text && !text->empty()) {
             std::fprintf(stderr,
                          "warn: campaign resume: ignoring unusable "
                          "manifest (%s)\n",

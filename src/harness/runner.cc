@@ -95,7 +95,8 @@ withDws(GpuConfig config)
 }
 
 GpuResult
-runWorkload(const Workload &workload, GpuConfig config)
+runWorkload(const Workload &workload, GpuConfig config,
+            const std::string *checkpoint)
 {
     if (!workload.memory) {
         GpuResult result;
@@ -106,8 +107,8 @@ runWorkload(const Workload &workload, GpuConfig config)
     }
     config.rtc = workload.rtc;
     Memory mem = *workload.memory; // fresh copy per run
-    return simulate(config, mem, workload.program, workload.launch,
-                    workload.bvh());
+    Gpu gpu(config, mem, workload.bvh());
+    return gpu.runMulti({{&workload.program, workload.launch}}, checkpoint);
 }
 
 double

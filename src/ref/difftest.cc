@@ -66,7 +66,7 @@ comparePoint(const RefResult &ref, const Memory &ref_mem,
                     }
                 }
             }
-            for (unsigned p = 0; p < 7; ++p) {
+            for (unsigned p = 0; p < numPredicates; ++p) {
                 for (unsigned lane = 0; lane < warpSize; ++lane) {
                     if (rw.predicate(lane, PredIndex(p)) !=
                         w.predicate(lane, PredIndex(p))) {

@@ -84,7 +84,7 @@ compareLegs(const std::string &what, const Leg &a, const Leg &b)
                                hex(wb.reg(lane, RegIndex(reg))) + ")";
                     }
                 }
-                for (unsigned p = 0; p < 7; ++p) {
+                for (unsigned p = 0; p < numPredicates; ++p) {
                     if (wa.predicate(lane, PredIndex(p)) !=
                         wb.predicate(lane, PredIndex(p))) {
                         return what + ": warp " +
@@ -181,11 +181,10 @@ validateDeterministicReplay(const GpuConfig &config,
     // trace collector starts from the checkpoint-time copy.
     auto leg_c = makeLeg(base);
     leg_c->traces = traces_at_ckpt;
-    try {
-        SnapshotReader reader(snapshot);
-        leg_c->result = leg_c->gpu->resumeMulti(kernels, reader);
-    } catch (const SimError &e) {
-        out.detail = "replay: restore failed: " + e.status().summary();
+    leg_c->result = leg_c->gpu->runMulti(kernels, &snapshot);
+    if (leg_c->result.status.kind == ErrorKind::Snapshot) {
+        out.detail =
+            "replay: restore failed: " + leg_c->result.status.summary();
         return out;
     }
 

@@ -188,37 +188,34 @@ SnapshotReader::expectEnd() const
 }
 
 void
-writeSnapshotFile(const std::string &path, const std::string &container)
+writeFileAtomic(const std::string &path, const std::string &bytes)
 {
     const std::string tmp = path + ".tmp";
     {
         std::FILE *f = std::fopen(tmp.c_str(), "wb");
         sim_throw_if(f == nullptr, ErrorKind::Snapshot,
-                     "cannot create checkpoint temp file '%s'",
-                     tmp.c_str());
-        const std::size_t n =
-            std::fwrite(container.data(), 1, container.size(), f);
+                     "cannot create temp file '%s'", tmp.c_str());
+        const std::size_t n = std::fwrite(bytes.data(), 1, bytes.size(), f);
         const bool flushed = std::fclose(f) == 0;
-        if (n != container.size() || !flushed) {
+        if (n != bytes.size() || !flushed) {
             std::remove(tmp.c_str());
-            sim_throw(ErrorKind::Snapshot,
-                      "short write to checkpoint temp file '%s'",
+            sim_throw(ErrorKind::Snapshot, "short write to temp file '%s'",
                       tmp.c_str());
         }
     }
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         std::remove(tmp.c_str());
-        sim_throw(ErrorKind::Snapshot,
-                  "cannot rename checkpoint '%s' into place", path.c_str());
+        sim_throw(ErrorKind::Snapshot, "cannot rename '%s' into place",
+                  path.c_str());
     }
 }
 
-std::string
-readSnapshotFile(const std::string &path)
+std::optional<std::string>
+readWholeFile(const std::string &path)
 {
     std::FILE *f = std::fopen(path.c_str(), "rb");
-    sim_throw_if(f == nullptr, ErrorKind::Snapshot,
-                 "cannot open checkpoint '%s'", path.c_str());
+    if (f == nullptr)
+        return std::nullopt;
     std::string data;
     char buf[65536];
     std::size_t n;
@@ -226,8 +223,8 @@ readSnapshotFile(const std::string &path)
         data.append(buf, n);
     const bool err = std::ferror(f) != 0;
     std::fclose(f);
-    sim_throw_if(err, ErrorKind::Snapshot,
-                 "read error on checkpoint '%s'", path.c_str());
+    if (err)
+        return std::nullopt;
     return data;
 }
 

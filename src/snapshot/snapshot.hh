@@ -34,6 +34,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -208,7 +209,7 @@ class SnapshotWriter
  * SimError(ErrorKind::Snapshot) on truncation, tag() throws on
  * section-order mismatch and fixed() on a value the machine disagrees
  * with. A throw mid-payload leaves the sections before it applied, so
- * the caller must discard the half-restored machine (Gpu::resumeMulti
+ * the caller must discard the half-restored machine (Gpu::runMulti
  * returns the failure instead of running it).
  */
 class SnapshotReader
@@ -345,18 +346,16 @@ class SnapshotReader
 };
 
 /**
- * Write @p container to @p path atomically (temp file + rename), so a
- * crash mid-write can never leave a half-checkpoint behind.
- * @throws SimError(ErrorKind::Snapshot) on I/O failure.
+ * Write @p bytes to @p path atomically (temp file + rename), so a crash
+ * mid-write can never leave a half-written checkpoint, manifest or cell
+ * result behind; a failed write removes its temp file.
+ * @throws SimError(ErrorKind::Snapshot) on I/O failure, which ends a run
+ * whose checkpoint hook cannot write.
  */
-void writeSnapshotFile(const std::string &path,
-                       const std::string &container);
+void writeFileAtomic(const std::string &path, const std::string &bytes);
 
-/**
- * Read a sisnap container from @p path.
- * @throws SimError(ErrorKind::Snapshot) when the file is unreadable.
- */
-std::string readSnapshotFile(const std::string &path);
+/** The whole of @p path, or nothing when it cannot be opened or read. */
+std::optional<std::string> readWholeFile(const std::string &path);
 
 } // namespace si
 

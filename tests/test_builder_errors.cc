@@ -140,7 +140,27 @@ TEST(ProgramEdge, EmptyWarpLaunchRejected)
     EXPECT_THAT(r.status.message, ::testing::HasSubstr("zero warps"));
 }
 
-TEST(ProgramEdge, ZeroSizedMachineShapeRejectedAtConstruction)
+TEST(ProgramEdge, ZeroSmGpuConstructsAndFailsItsRun)
+{
+    // The constructor only stores its inputs; the run is where a bad
+    // machine shape fails, as a status rather than an exception.
+    KernelBuilder kb("k");
+    kb.exit();
+    const Program p = kb.build(8);
+    GpuConfig cfg;
+    cfg.numSms = 0;
+    Memory mem;
+    std::unique_ptr<Gpu> gpu;
+    ASSERT_NO_THROW(gpu = std::make_unique<Gpu>(cfg, mem));
+    GpuResult r;
+    ASSERT_NO_THROW(r = gpu->run(p, {1, 1}));
+    EXPECT_EQ(r.status.kind, ErrorKind::Config);
+    EXPECT_THAT(r.status.message, HasSubstr("at least one SM"));
+    EXPECT_EQ(gpu->numSms(), 0u);
+    EXPECT_TRUE(r.perSm.empty());
+}
+
+TEST(ProgramEdge, ZeroSizedMachineShapeRejectedAtLaunch)
 {
     KernelBuilder kb("k");
     kb.exit();
@@ -151,19 +171,14 @@ TEST(ProgramEdge, ZeroSizedMachineShapeRejectedAtConstruction)
         cfg.pbsPerSm = field == 1 ? 0 : 4;
         cfg.warpSlotsPerPb = field == 2 ? 0 : 8;
         Memory mem;
-        try {
-            Gpu gpu(cfg, mem);
-            ADD_FAILURE() << "zero-sized shape " << field << " accepted";
-        } catch (const SimError &e) {
-            EXPECT_EQ(e.kind(), ErrorKind::Config) << field;
-        }
-        const GpuResult r = simulate(cfg, mem, p, {1, 1});
+        Gpu gpu(cfg, mem);
+        const GpuResult r = gpu.run(p, {1, 1});
         EXPECT_FALSE(r.ok());
         EXPECT_EQ(r.status.kind, ErrorKind::Config) << field;
     }
 }
 
-TEST(ProgramEdge, SiWithZeroEntryTstRejectedAtConstruction)
+TEST(ProgramEdge, SiWithZeroEntryTstRejectedAtLaunch)
 {
     KernelBuilder kb("k");
     kb.exit();
@@ -173,21 +188,17 @@ TEST(ProgramEdge, SiWithZeroEntryTstRejectedAtConstruction)
     cfg.siEnabled = true;
     cfg.maxSubwarps = 0;
     Memory mem;
-    try {
-        Gpu gpu(cfg, mem);
-        ADD_FAILURE() << "SI with a zero-entry TST accepted";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.kind(), ErrorKind::Config);
-    }
-    const GpuResult r = simulate(cfg, mem, p, {1, 1});
+    Gpu gpu(cfg, mem);
+    const GpuResult r = gpu.run(p, {1, 1});
     EXPECT_EQ(r.status.kind, ErrorKind::Config);
+    EXPECT_THAT(r.status.message, HasSubstr("TST entry"));
 
     // Without SI the TST is unused, so its size does not matter.
     cfg.siEnabled = false;
     EXPECT_TRUE(simulate(cfg, mem, p, {1, 1}).ok());
 }
 
-TEST(ProgramEdge, ZeroInvariantIntervalRejectedAtConstruction)
+TEST(ProgramEdge, ZeroInvariantIntervalRejectedAtLaunch)
 {
     // The run loop audits every invariantCheckInterval cycles; a zero
     // interval used to divide by zero there instead of failing cleanly.
@@ -199,14 +210,10 @@ TEST(ProgramEdge, ZeroInvariantIntervalRejectedAtConstruction)
     cfg.checkInvariants = true;
     cfg.invariantCheckInterval = 0;
     Memory mem;
-    try {
-        Gpu gpu(cfg, mem);
-        ADD_FAILURE() << "invariant audit with a zero interval accepted";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.kind(), ErrorKind::Config);
-    }
-    const GpuResult r = simulate(cfg, mem, p, {1, 1});
+    Gpu gpu(cfg, mem);
+    const GpuResult r = gpu.run(p, {1, 1});
     EXPECT_EQ(r.status.kind, ErrorKind::Config);
+    EXPECT_THAT(r.status.message, HasSubstr("nonzero interval"));
 
     // Without the audit the interval is unused.
     cfg.checkInvariants = false;
@@ -276,13 +283,13 @@ TEST(ProgramEdge, PartialWarpKernelRuns)
     GpuConfig cfg;
     cfg.numSms = 1;
     Memory mem;
-    Gpu gpu(cfg, mem);
     // Launch via the Sm-level API with a 12-thread warp.
-    gpu.sm(0).addWarp(std::make_unique<Warp>(0, 0, &p, 12));
+    Sm sm(0, cfg, mem, nullptr);
+    sm.addWarp(std::make_unique<Warp>(0, 0, &p, 12));
     Cycle now = 0;
-    while (!gpu.sm(0).done() && now < 10000)
-        gpu.sm(0).tick(now++);
-    ASSERT_TRUE(gpu.sm(0).done());
+    while (!sm.done() && now < 10000)
+        sm.tick(now++);
+    ASSERT_TRUE(sm.done());
     EXPECT_EQ(mem.read(0x1000 + 11 * 4), 9u);
     EXPECT_EQ(mem.read(0x1000 + 12 * 4), 0u); // inactive lane wrote nothing
 }

@@ -158,6 +158,37 @@ TEST(Campaign, MalformedManifestIsRejectedWithError)
     }
 }
 
+TEST(Campaign, ManifestRoundTripsEveryErrorKind)
+{
+    // The manifest names kinds by errorKindName(); reading one back must
+    // recover every kind, and an unknown name reads as Internal.
+    CampaignReport report;
+    for (unsigned k = 0; k <= unsigned(lastErrorKind); ++k) {
+        CampaignCellRecord rec;
+        rec.workload = "w";
+        rec.configLabel = std::to_string(k);
+        rec.kind = ErrorKind(k);
+        report.cells.push_back(rec);
+    }
+    CampaignReport parsed;
+    std::string error;
+    ASSERT_TRUE(CampaignRunner::parseManifest(
+        CampaignRunner::manifestJson(report), parsed, error))
+        << error;
+    ASSERT_EQ(parsed.cells.size(), report.cells.size());
+    for (std::size_t i = 0; i < parsed.cells.size(); ++i)
+        EXPECT_EQ(parsed.cells[i].kind, report.cells[i].kind)
+            << errorKindName(report.cells[i].kind);
+
+    ASSERT_TRUE(CampaignRunner::parseManifest(
+        R"({"schema":"si-campaign-v1","complete":false,"cells":[)"
+        R"({"workload":"w","config":"c","state":"failed","attempts":1,)"
+        R"("kind":"no-such-kind"}]})",
+        parsed, error))
+        << error;
+    EXPECT_EQ(parsed.cells.at(0).kind, ErrorKind::Internal);
+}
+
 TEST(Campaign, ResumeIgnoresManifestWithUnusableCounts)
 {
     CampaignOptions opts;

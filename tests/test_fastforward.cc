@@ -435,9 +435,8 @@ TEST(FastForward, ResumeFromMidLeapCheckpointIsBitExact)
         RetireTraceCollector col;
         resume_cfg.traceSink = &col;
         Gpu gpu(resume_cfg, mem);
-        SnapshotReader reader(container);
-        const GpuResult r = gpu.resumeMulti(
-            {{&prog, LaunchParams{8, 4}}}, reader);
+        const GpuResult r =
+            gpu.runMulti({{&prog, LaunchParams{8, 4}}}, &container);
         ASSERT_TRUE(r.ok());
         EXPECT_EQ(r.cycles, whole.result.cycles);
         Addr diff_addr = 0;

@@ -376,8 +376,7 @@ TEST(MetricsExport, CheckpointRestoreIsByteIdentical)
         cfg.metricsSampler = &resumed;
         Memory mem;
         Gpu gpu(cfg, mem);
-        SnapshotReader reader(container);
-        const GpuResult r = gpu.resumeMulti({{&prog, {4, 4}}}, reader);
+        const GpuResult r = gpu.runMulti({{&prog, {4, 4}}}, &container);
         ASSERT_TRUE(r.ok()) << r.status.summary();
     }
 

@@ -182,9 +182,10 @@ TEST(SnapshotContainer, FileRoundTripIsBitExact)
     w.str(std::string("\x00\xff\x7f binary", 10));
     const std::string container = w.finish();
     const std::string path = tempPath("snap_file_roundtrip.ckpt");
-    writeSnapshotFile(path, container);
-    EXPECT_EQ(readSnapshotFile(path), container);
+    writeFileAtomic(path, container);
+    EXPECT_EQ(readWholeFile(path), container);
     std::remove(path.c_str());
+    EXPECT_EQ(readWholeFile(path), std::nullopt);
 }
 
 TEST(SnapshotMemory, RoundTripAndOverwrite)
@@ -288,9 +289,7 @@ TEST(SnapshotGpu, MidRunCheckpointResumesBitExactly)
 
     Memory mem;
     Gpu gpu(cfg, mem);
-    SnapshotReader r(container);
-    const GpuResult resumed =
-        gpu.resumeMulti({{&prog, {8, 4}}}, r);
+    const GpuResult resumed = gpu.runMulti({{&prog, {8, 4}}}, &container);
 
     ASSERT_TRUE(resumed.ok()) << resumed.status.summary();
     EXPECT_EQ(resumed.cycles, fresh.cycles);
@@ -312,8 +311,7 @@ TEST(SnapshotGpu, ConfigFingerprintMismatchRejected)
     other.siEnabled = true; // different machine; restore must refuse
     Memory mem;
     Gpu gpu(other, mem);
-    SnapshotReader r(container);
-    const GpuResult res = gpu.resumeMulti({{&prog, {8, 4}}}, r);
+    const GpuResult res = gpu.runMulti({{&prog, {8, 4}}}, &container);
     EXPECT_FALSE(res.ok());
     EXPECT_EQ(res.status.kind, ErrorKind::Snapshot);
     EXPECT_THAT(res.status.message, HasSubstr("config"));
@@ -335,8 +333,7 @@ EXIT
 )");
     Memory mem;
     Gpu gpu(cfg, mem);
-    SnapshotReader r(container);
-    const GpuResult res = gpu.resumeMulti({{&other, {8, 4}}}, r);
+    const GpuResult res = gpu.runMulti({{&other, {8, 4}}}, &container);
     EXPECT_FALSE(res.ok());
     EXPECT_EQ(res.status.kind, ErrorKind::Snapshot);
 }
@@ -351,10 +348,35 @@ TEST(SnapshotGpu, LaunchGeometryMismatchRejected)
 
     Memory mem;
     Gpu gpu(cfg, mem);
-    SnapshotReader r(container);
-    const GpuResult res = gpu.resumeMulti({{&prog, {4, 4}}}, r);
+    const GpuResult res = gpu.runMulti({{&prog, {4, 4}}}, &container);
     EXPECT_FALSE(res.ok());
     EXPECT_EQ(res.status.kind, ErrorKind::Snapshot);
+}
+
+TEST(SnapshotGpu, CorruptContainerIsARunStatus)
+{
+    // Container checks run inside the run boundary: truncated or
+    // bit-flipped bytes come back as the run's status, never a throw.
+    const Program prog = assembleOrDie(kDivergentLoads);
+    GpuConfig cfg;
+    cfg.numSms = 1;
+    const std::string container = checkpointAt(cfg, prog, 50);
+    ASSERT_FALSE(container.empty());
+
+    std::string flipped = container;
+    flipped[flipped.size() - 3] ^= 0x01;
+    for (const std::string &bad :
+         {container.substr(0, container.size() / 2), flipped}) {
+        Memory mem;
+        Gpu gpu(cfg, mem);
+        GpuResult res;
+        ASSERT_NO_THROW(res = gpu.runMulti({{&prog, {8, 4}}}, &bad));
+        EXPECT_EQ(res.status.kind, ErrorKind::Snapshot);
+    }
+    Memory mem;
+    Gpu gpu(cfg, mem);
+    EXPECT_THAT(gpu.runMulti({{&prog, {8, 4}}}, &flipped).status.message,
+                HasSubstr("checksum"));
 }
 
 TEST(ReplayValidator, BlessesDeterministicKernel)

@@ -60,6 +60,17 @@ class PrintSink : public si::TraceSink
     const si::Program &prog_;
 };
 
+/** Report a failed run on stderr; @return swsim's exit status for it. */
+int
+runFailed(const si::RunStatus &status)
+{
+    std::fprintf(stderr, "swsim: run failed [%s]: %s\n",
+                 si::errorKindName(status.kind), status.message.c_str());
+    if (!status.diagnostic.empty())
+        std::fprintf(stderr, "%s", status.diagnostic.c_str());
+    return 1;
+}
+
 } // namespace
 
 int
@@ -268,6 +279,10 @@ main(int argc, char **argv)
         const si::CampaignRun &run = runs.front();
         write_trace(); // the campaign timeline, including FaultInject
         if (!run.injected) {
+            // A run that failed before any injection point (a bad
+            // config, say) reports that failure, not a missed point.
+            if (!run.result.ok())
+                return runFailed(run.result.status);
             std::fprintf(stderr,
                          "swsim: no %s injection point reached\n",
                          si::faultKindName(*inject));
@@ -369,46 +384,31 @@ main(int argc, char **argv)
                                                 si::Cycle) {
             si::SnapshotWriter w;
             gpu.save(w);
-            si::writeSnapshotFile(checkpoint_path, w.finish());
+            si::writeFileAtomic(checkpoint_path, w.finish());
         };
     }
 
-    si::Memory mem;
-    si::GpuResult r;
-    if (!resume_path.empty() || checkpoint_every || ff_report) {
-        // Explicit machine so the run can be frozen and/or thawed (and
-        // so --ff-report can read the leap diagnostics afterwards).
-        si::Gpu gpu(cfg, mem);
-        const std::vector<si::KernelLaunch> kernels = {
-            {&prog, {warps, 4}}};
-        if (!resume_path.empty()) {
-            try {
-                const std::string container =
-                    si::readSnapshotFile(resume_path);
-                si::SnapshotReader reader(container);
-                r = gpu.resumeMulti(kernels, reader);
-            } catch (const si::SimError &e) {
-                // Unreadable/corrupt container; resumeMulti itself
-                // absorbs restore-time mismatches into r.status.
-                std::fprintf(stderr, "swsim: %s\n",
-                             e.status().summary().c_str());
-                return 1;
-            }
-        } else {
-            r = gpu.runMulti(kernels);
+    std::optional<std::string> container;
+    if (!resume_path.empty()) {
+        container = si::readWholeFile(resume_path);
+        if (!container) {
+            std::fprintf(stderr, "swsim: cannot read checkpoint '%s'\n",
+                         resume_path.c_str());
+            return 1;
         }
-        if (ff_report)
-            std::printf("fast-forward: %llu leaps, %llu cycles "
-                        "skipped%s\n",
-                        static_cast<unsigned long long>(
-                            gpu.fastForwardLeaps()),
-                        static_cast<unsigned long long>(
-                            gpu.fastForwardCyclesSkipped()),
-                        gpu.fastForwardEligible() ? ""
-                                                  : " (faithful mode)");
-    } else {
-        r = si::simulate(cfg, mem, prog, {warps, 4});
     }
+    // An explicit machine, so --ff-report can read the leap
+    // diagnostics after the run.
+    si::Memory mem;
+    si::Gpu gpu(cfg, mem);
+    const si::GpuResult r = gpu.runMulti({{&prog, {warps, 4}}},
+                                         container ? &*container : nullptr);
+    if (ff_report)
+        std::printf("fast-forward: %llu leaps, %llu cycles skipped%s\n",
+                    static_cast<unsigned long long>(gpu.fastForwardLeaps()),
+                    static_cast<unsigned long long>(
+                        gpu.fastForwardCyclesSkipped()),
+                    gpu.fastForwardEligible() ? "" : " (faithful mode)");
     write_trace();
     if (!stats_json_path.empty()) {
         si::StatsJsonOptions opts;
@@ -438,14 +438,8 @@ main(int argc, char **argv)
                          static_cast<unsigned long long>(
                              sampler.droppedTotal()));
     }
-    if (!r.ok()) {
-        std::fprintf(stderr, "swsim: run failed [%s]: %s\n",
-                     si::errorKindName(r.status.kind),
-                     r.status.message.c_str());
-        if (!r.status.diagnostic.empty())
-            std::fprintf(stderr, "%s", r.status.diagnostic.c_str());
-        return 1;
-    }
+    if (!r.ok())
+        return runFailed(r.status);
 
     if (race) {
         if (!race_det.races().empty()) {
