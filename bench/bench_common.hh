@@ -223,7 +223,14 @@ class Grid
         opts.resume = resume;
         opts.jobs = bj_.jobs();
         CampaignRunner runner(workloads_, columns_, opts);
-        const CampaignReport report = runner.run();
+        CampaignReport report;
+        try {
+            report = runner.run();
+        } catch (const SimError &e) {
+            std::fprintf(stderr, "campaign failed: %s\n",
+                         e.status().summary().c_str());
+            std::exit(1);
+        }
         std::fprintf(stderr,
                      "  [campaign: %u done, %u failed; manifest %s]\n",
                      report.numDone(), report.numFailed(),

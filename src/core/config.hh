@@ -9,11 +9,13 @@
 #define SI_CORE_CONFIG_HH
 
 #include <functional>
+#include <limits>
 
 #include "common/thread_mask.hh"
 #include "common/types.hh"
 #include "mem/cache.hh"
 #include "rtcore/rtcore.hh"
+#include "trace/events.hh"
 
 namespace si {
 
@@ -196,9 +198,7 @@ struct GpuConfig
      * Automatically pinned back to per-cycle ("faithful") execution
      * when a fault-injection hook, which may mutate state at any cycle,
      * is attached. Trace sinks and the race sanitizer do not pin it:
-     * neither fires on a quiet cycle. Excluded from configFingerprint —
-     * timing-neutral by construction, so snapshots transfer across
-     * modes.
+     * neither fires on a quiet cycle.
      */
     bool fastForward = true;
 
@@ -259,8 +259,6 @@ struct GpuConfig
     /**
      * Windowed metrics sampler (null = off). Non-owning; must outlive
      * the run. Called every cycle before the SMs tick; see CycleSampler.
-     * Excluded from configFingerprint like the other hooks — sampling
-     * never perturbs the simulation.
      */
     CycleSampler *metricsSampler = nullptr;
 
@@ -280,7 +278,96 @@ struct GpuConfig
     {
         return pbsPerSm * warpSlotsPerPb;
     }
+
+    /**
+     * Throw SimError(ErrorKind::Config) at the first row out of range
+     * (see walk) or broken cross-field rule: SI without a TST entry,
+     * the invariant audit at interval 0, a bad cache geometry.
+     */
+    void validate() const;
+
+    /**
+     * The field list, in configFingerprint order: per value field the
+     * key, the member, its valid range (none: any value) and whether
+     * configFingerprint hashes it. Observers get no row. @p v provides
+     * row(key, member, lo, hi[, fp]), row(key, member[, fp]) and
+     * constant(key, value).
+     */
+    template <class Self, class V>
+    static void walk(Self &c, V &v);
 };
+
+/** Whether a GpuConfig row enters configFingerprint. */
+enum class Fingerprint : bool { Skip, Hash };
+
+/** The largest latency: clock plus latencies stays far from wrapping. */
+inline constexpr Cycle maxLatency = std::numeric_limits<std::uint32_t>::max();
+
+/** The most MSHRs or RT pipes: per-SM clocks allocated up front. */
+inline constexpr unsigned maxUnitsPerSm = 1u << 16;
+
+/** The largest cache: its tag array is allocated per SM up front. */
+inline constexpr std::uint64_t maxCacheBytes = std::uint64_t(1) << 24;
+
+template <class Self, class V>
+void
+GpuConfig::walk(Self &c, V &v)
+{
+    v.row("numSms", c.numSms, 1, traceMaxSms);
+    v.row("pbsPerSm", c.pbsPerSm, 1, traceMaxPbs);
+    v.row("warpSlotsPerPb", c.warpSlotsPerPb, 1, ~0u);
+    v.row("regFilePerPb", c.regFilePerPb);
+    v.row("l1d.name", c.l1d.name);
+    v.row("l1d.sizeBytes", c.l1d.sizeBytes, 0, maxCacheBytes);
+    v.row("l1d.lineBytes", c.l1d.lineBytes);
+    v.row("l1d.assoc", c.l1d.assoc);
+    v.row("l1i.name", c.l1i.name);
+    v.row("l1i.sizeBytes", c.l1i.sizeBytes, 0, maxCacheBytes);
+    v.row("l1i.lineBytes", c.l1i.lineBytes);
+    v.row("l1i.assoc", c.l1i.assoc);
+    v.row("l0i.name", c.l0i.name);
+    v.row("l0i.sizeBytes", c.l0i.sizeBytes, 0, maxCacheBytes);
+    v.row("l0i.lineBytes", c.l0i.lineBytes);
+    v.row("l0i.assoc", c.l0i.assoc);
+    v.row("lat.alu", c.lat.alu, 0, maxLatency);
+    v.row("lat.heavyAlu", c.lat.heavyAlu, 0, maxLatency);
+    v.row("lat.transcendental", c.lat.transcendental, 0, maxLatency);
+    v.row("lat.constLoad", c.lat.constLoad, 0, maxLatency);
+    v.row("lat.l1Hit", c.lat.l1Hit, 0, maxLatency);
+    v.row("lat.l1Miss", c.lat.l1Miss, 0, maxLatency);
+    v.row("lat.texBase", c.lat.texBase, 0, maxLatency);
+    v.row("lat.l0iMiss", c.lat.l0iMiss, 0, maxLatency);
+    v.row("lat.l1iMiss", c.lat.l1iMiss, 0, maxLatency);
+    v.row("rtc.baseLatency", c.rtc.baseLatency, 0, maxLatency);
+    // Times a traversal's node count (< 2^32), the charge fits Cycle.
+    v.row("rtc.cyclesPerNode", c.rtc.cyclesPerNode, 0.0f, 65536.0f);
+    v.row("rtc.numPipes", c.rtc.numPipes, 1, maxUnitsPerSm);
+    // A fixed constant, in its old config slot so fingerprints (and
+    // with them sisnap bytes) do not move.
+    v.constant("numScoreboards", numScoreboards);
+    v.row("maxOutstandingMisses", c.maxOutstandingMisses, 0, maxUnitsPerSm);
+    v.row("siEnabled", c.siEnabled);
+    v.row("yieldEnabled", c.yieldEnabled);
+    v.row("yieldThreshold", c.yieldThreshold);
+    v.row("trigger", c.trigger, SelectTrigger::AnyStalled,
+          SelectTrigger::AllStalled);
+    // One entry per stalled subwarp, and a warp has warpSize lanes.
+    v.row("maxSubwarps", c.maxSubwarps, 0, warpSize);
+    v.row("switchLatency", c.switchLatency, 0, maxLatency);
+    v.row("dwsEnabled", c.dwsEnabled);
+    // Timing-neutral by construction, so snapshots transfer across modes.
+    v.row("fastForward", c.fastForward, Fingerprint::Skip);
+    v.row("sched", c.sched, SchedPolicy::LRR, SchedPolicy::GTO);
+    v.row("divergeOrder", c.divergeOrder, DivergeOrder::NotTakenFirst,
+          DivergeOrder::HintStallFirst);
+    v.row("rngSeed", c.rngSeed);
+    v.row("maxCycles", c.maxCycles);
+    v.row("livelockCycles", c.livelockCycles);
+    v.row("checkInvariants", c.checkInvariants);
+    v.row("invariantCheckInterval", c.invariantCheckInterval);
+    // A resumed run may checkpoint at another interval.
+    v.row("checkpointInterval", c.checkpointInterval, Fingerprint::Skip);
+}
 
 } // namespace si
 

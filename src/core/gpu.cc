@@ -1,8 +1,10 @@
 #include "core/gpu.hh"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
+#include <cstdio>
 #include <map>
+#include <type_traits>
 
 #include "common/sim_error.hh"
 #include "snapshot/snapshot.hh"
@@ -19,61 +21,98 @@ nextBoundary(Cycle now, std::uint64_t step)
     return (now + step - 1) / step * step;
 }
 
-void
-hashCacheConfig(Fnv1a &h, const CacheConfig &c)
+/**
+ * configFingerprint's visitor: every Fingerprint::Hash row, integers as
+ * u64, floats by their bits, strings as bytes.
+ */
+struct RowHasher
 {
-    h.update(c.name);
-    h.update(c.sizeBytes);
-    h.update(std::uint64_t(c.lineBytes));
-    h.update(std::uint64_t(c.assoc));
+    Fnv1a h;
+
+    template <class T>
+    void
+    row(const char *key, const T &member, std::type_identity_t<T>,
+        std::type_identity_t<T>, Fingerprint fp = Fingerprint::Hash)
+    {
+        row(key, member, fp);
+    }
+
+    template <class T>
+    void
+    row(const char *, const T &member, Fingerprint fp = Fingerprint::Hash)
+    {
+        if (fp == Fingerprint::Skip)
+            return;
+        if constexpr (std::is_same_v<T, std::string>)
+            h.update(member);
+        else if constexpr (std::is_same_v<T, float>)
+            h.update(std::uint64_t(std::bit_cast<std::uint32_t>(member)));
+        else
+            h.update(std::uint64_t(member));
+    }
+
+    void constant(const char *, std::uint64_t value) { h.update(value); }
+};
+
+/** A bounded row's value as text (an enum as its underlying value). */
+template <class T>
+std::string
+rowText(T value)
+{
+    if constexpr (std::is_same_v<T, float>) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%g", double(value));
+        return buf;
+    } else {
+        return std::to_string(std::uint64_t(value));
+    }
 }
+
+/** validate()'s visitor: throws at the first row outside its bounds. */
+struct RowChecker
+{
+    template <class T>
+    void
+    row(const char *key, const T &member, std::type_identity_t<T> lo,
+        std::type_identity_t<T> hi, Fingerprint = Fingerprint::Hash)
+    {
+        // Written so a NaN fails too.
+        sim_throw_if(!(member >= lo && member <= hi), ErrorKind::Config,
+                     "%s = %s is out of range %s..%s", key,
+                     rowText(member).c_str(), rowText(lo).c_str(),
+                     rowText(hi).c_str());
+    }
+
+    template <class T>
+    void row(const char *, const T &, Fingerprint = Fingerprint::Hash)
+    {
+    }
+
+    void constant(const char *, std::uint64_t) {}
+};
 
 } // namespace
 
 std::uint64_t
 configFingerprint(const GpuConfig &c)
 {
-    Fnv1a h;
-    h.update(std::uint64_t(c.numSms));
-    h.update(std::uint64_t(c.pbsPerSm));
-    h.update(std::uint64_t(c.warpSlotsPerPb));
-    h.update(std::uint64_t(c.regFilePerPb));
-    hashCacheConfig(h, c.l1d);
-    hashCacheConfig(h, c.l1i);
-    hashCacheConfig(h, c.l0i);
-    h.update(c.lat.alu);
-    h.update(c.lat.heavyAlu);
-    h.update(c.lat.transcendental);
-    h.update(c.lat.constLoad);
-    h.update(c.lat.l1Hit);
-    h.update(c.lat.l1Miss);
-    h.update(c.lat.texBase);
-    h.update(c.lat.l0iMiss);
-    h.update(c.lat.l1iMiss);
-    h.update(c.rtc.baseLatency);
-    std::uint32_t node_bits;
-    std::memcpy(&node_bits, &c.rtc.cyclesPerNode, sizeof(node_bits));
-    h.update(std::uint64_t(node_bits));
-    h.update(std::uint64_t(c.rtc.numPipes));
-    // A fixed constant, hashed in its old config slot so fingerprints
-    // (and with them sisnap bytes) do not move.
-    h.update(std::uint64_t(numScoreboards));
-    h.update(std::uint64_t(c.maxOutstandingMisses));
-    h.update(std::uint64_t(c.siEnabled));
-    h.update(std::uint64_t(c.yieldEnabled));
-    h.update(std::uint64_t(c.yieldThreshold));
-    h.update(std::uint64_t(c.trigger));
-    h.update(std::uint64_t(c.maxSubwarps));
-    h.update(c.switchLatency);
-    h.update(std::uint64_t(c.dwsEnabled));
-    h.update(std::uint64_t(c.sched));
-    h.update(std::uint64_t(c.divergeOrder));
-    h.update(c.rngSeed);
-    h.update(c.maxCycles);
-    h.update(c.livelockCycles);
-    h.update(std::uint64_t(c.checkInvariants));
-    h.update(c.invariantCheckInterval);
-    return h.digest();
+    RowHasher hasher;
+    GpuConfig::walk(c, hasher);
+    return hasher.h.digest();
+}
+
+void
+GpuConfig::validate() const
+{
+    RowChecker checker;
+    walk(*this, checker);
+    sim_throw_if(siEnabled && maxSubwarps == 0, ErrorKind::Config,
+                 "subwarp interleaving needs at least one TST entry");
+    sim_throw_if(checkInvariants && invariantCheckInterval == 0,
+                 ErrorKind::Config,
+                 "the invariant audit needs a nonzero interval");
+    for (const CacheConfig *cache : {&l1d, &l1i, &l0i})
+        checkCacheGeometry(*cache);
 }
 
 std::uint64_t
@@ -102,24 +141,9 @@ Gpu::launchMachine(const std::vector<KernelLaunch> &kernels,
                    const std::string *checkpoint)
 {
     sms_.clear();
-    sim_throw_if(config_.numSms == 0, ErrorKind::Config,
-                 "GPU needs at least one SM");
-    sim_throw_if(config_.pbsPerSm == 0, ErrorKind::Config,
-                 "an SM needs at least one processing block");
-    sim_throw_if(config_.warpSlotsPerPb == 0, ErrorKind::Config,
-                 "a processing block needs at least one warp slot");
-    sim_throw_if(config_.siEnabled && config_.maxSubwarps == 0,
-                 ErrorKind::Config,
-                 "subwarp interleaving needs at least one TST entry");
-    sim_throw_if(config_.checkInvariants &&
-                     config_.invariantCheckInterval == 0,
-                 ErrorKind::Config,
-                 "the invariant audit needs a nonzero interval");
-    sim_throw_if(config_.numSms > traceMaxSms, ErrorKind::Config,
-                 "%u SMs exceed the %u that trace events can name",
-                 config_.numSms, traceMaxSms);
-    // Built aside so an SM that fails to build (bad cache geometry, a
-    // zero-pipe RT core) leaves no half-built machine to finalize.
+    config_.validate();
+    // Built aside so an SM that fails to build leaves no half-built
+    // machine to finalize.
     std::vector<std::unique_ptr<Sm>> sms;
     sms.reserve(config_.numSms);
     for (unsigned s = 0; s < config_.numSms; ++s)

@@ -234,10 +234,8 @@ class Gpu
 };
 
 /**
- * FNV-1a fingerprint over every determinism-relevant GpuConfig field
- * (architecture geometry, latencies, SI policy knobs, scheduler, RNG
- * seed, watchdog limits — not hooks or trace sinks). A checkpoint only
- * restores under a config with the same fingerprint.
+ * FNV-1a fingerprint over the Fingerprint::Hash rows of GpuConfig::walk.
+ * A checkpoint only restores under a config with the same fingerprint.
  */
 std::uint64_t configFingerprint(const GpuConfig &config);
 

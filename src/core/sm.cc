@@ -252,8 +252,7 @@ Sm::addWarp(std::unique_ptr<Warp> warp)
                      config_.regFilePerPb);
         // Informational bound for single-kernel launches; admission
         // itself checks slots and register-file headroom per warp.
-        maxResidentPerPb_ =
-            std::max(1u, std::min(config_.warpSlotsPerPb, by_regs));
+        maxResidentPerPb_ = std::min(config_.warpSlotsPerPb, by_regs);
     }
     // Every pc of the largest program, plus the "(no subwarp)" row.
     stallsByPc_.resize(

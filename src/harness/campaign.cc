@@ -388,7 +388,11 @@ CampaignRunner::settleAttempt(CampaignCellRecord &rec) const
 CampaignReport
 CampaignRunner::run()
 {
-    std::filesystem::create_directories(options_.stateDir);
+    std::error_code ec;
+    std::filesystem::create_directories(options_.stateDir, ec);
+    sim_throw_if(ec.value() != 0, ErrorKind::Config,
+                 "cannot create campaign state directory '%s': %s",
+                 options_.stateDir.c_str(), ec.message().c_str());
 
     CampaignReport report;
     report.manifestPath = options_.stateDir + "/campaign.json";

@@ -163,7 +163,11 @@ class CampaignRunner
                    std::vector<std::pair<std::string, GpuConfig>> configs,
                    CampaignOptions options);
 
-    /** Execute (or continue) the campaign. */
+    /**
+     * Execute (or continue) the campaign. Throws SimError when the state
+     * directory cannot be created (ErrorKind::Config) or the manifest
+     * cannot be written (ErrorKind::Snapshot).
+     */
     CampaignReport run();
 
     /** Serialize a report as an "si-campaign-v1" manifest document. */

@@ -1,7 +1,5 @@
 #include "harness/runner.hh"
 
-#include <limits>
-
 #include "common/cli.hh"
 #include "common/sim_error.hh"
 
@@ -53,8 +51,7 @@ addMachineOptions(cli::Parser &parser, MachineOptions &m)
         {"gto", SchedPolicy::GTO}, {"lrr", SchedPolicy::LRR}};
     parser.number("--warps", m.warps, "warps to launch (default 4)")
         .number("--lat", c.lat.l1Miss,
-                "L1 miss latency in cycles (default 600)", 0,
-                std::numeric_limits<unsigned>::max())
+                "L1 miss latency in cycles (default 600)")
         .flag("--si", c.siEnabled, "enable Subwarp Interleaving (SOS)")
         .flag("--yield", [&c] { c.siEnabled = c.yieldEnabled = true; },
               "also enable subwarp-yield (implies --si)")

@@ -66,12 +66,13 @@ GpuConfig withDws(GpuConfig config);
 
 /**
  * Simulate @p workload under @p config. The workload's memory image is
- * copied and its RT-core parameters are installed, so repeated runs are
- * independent and deterministic. Given @p checkpoint, the run resumes
- * from that sisnap container (Gpu::runMulti). No simulator error
- * escapes: every one, a workload without a memory image or a corrupt
- * checkpoint included, comes back classified in GpuResult::status, so
- * one sick cell cannot take a sweep down.
+ * copied, so repeated runs are independent and deterministic. The run
+ * takes its RT-core shape from Workload::rtc: @p config's rtc is
+ * replaced before the config is validated. Given @p checkpoint, the run
+ * resumes from that sisnap container (Gpu::runMulti). No simulator
+ * error escapes: every one, a workload without a memory image or a
+ * corrupt checkpoint included, comes back classified in
+ * GpuResult::status, so one sick cell cannot take a sweep down.
  */
 GpuResult runWorkload(const Workload &workload, GpuConfig config,
                       const std::string *checkpoint = nullptr);

@@ -7,28 +7,30 @@
 
 namespace si {
 
-Cache::Cache(const CacheConfig &config) : config_(config)
+void
+checkCacheGeometry(const CacheConfig &c)
 {
-    sim_throw_if(config_.lineBytes == 0 ||
-                     !std::has_single_bit(
-                         std::uint64_t(config_.lineBytes)),
+    sim_throw_if(c.lineBytes == 0 ||
+                     !std::has_single_bit(std::uint64_t(c.lineBytes)),
                  ErrorKind::Config,
                  "cache '%s': line size must be a power of two",
-                 config_.name.c_str());
-    sim_throw_if(config_.assoc == 0, ErrorKind::Config,
-                 "cache '%s': assoc must be nonzero",
-                 config_.name.c_str());
-
-    std::uint64_t lines = config_.sizeBytes / config_.lineBytes;
-    sim_throw_if(lines == 0 || lines % config_.assoc != 0,
-                 ErrorKind::Config,
+                 c.name.c_str());
+    sim_throw_if(c.assoc == 0, ErrorKind::Config,
+                 "cache '%s': assoc must be nonzero", c.name.c_str());
+    const std::uint64_t lines = c.sizeBytes / c.lineBytes;
+    sim_throw_if(lines == 0 || lines % c.assoc != 0, ErrorKind::Config,
                  "cache '%s': size/line/assoc geometry inconsistent",
-                 config_.name.c_str());
-    numSets_ = unsigned(lines / config_.assoc);
-    sim_throw_if(!std::has_single_bit(std::uint64_t(numSets_)),
-                 ErrorKind::Config,
+                 c.name.c_str());
+    sim_throw_if(!std::has_single_bit(lines / c.assoc), ErrorKind::Config,
                  "cache '%s': set count must be a power of two",
-                 config_.name.c_str());
+                 c.name.c_str());
+}
+
+Cache::Cache(const CacheConfig &config) : config_(config)
+{
+    checkCacheGeometry(config_);
+    const std::uint64_t lines = config_.sizeBytes / config_.lineBytes;
+    numSets_ = unsigned(lines / config_.assoc);
     lines_.resize(lines);
 }
 

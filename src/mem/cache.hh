@@ -30,6 +30,13 @@ struct CacheConfig
 };
 
 /**
+ * Throw SimError(ErrorKind::Config) unless @p config is a buildable
+ * geometry: a power-of-two line, nonzero associativity, a whole number
+ * of sets and a power-of-two set count.
+ */
+void checkCacheGeometry(const CacheConfig &config);
+
+/**
  * Tag-only set-associative cache with true-LRU replacement.
  * access() combines lookup and fill-on-miss, which is the behaviour
  * every client here wants (no write-allocate subtleties: stores are
@@ -38,6 +45,7 @@ struct CacheConfig
 class Cache
 {
   public:
+    /** Throws what checkCacheGeometry() throws for @p config. */
     explicit Cache(const CacheConfig &config);
 
     /** Outcome of an access, for trace emission. */

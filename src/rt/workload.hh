@@ -51,7 +51,11 @@ struct Workload
     /** Scene for RTQUERY kernels; null for compute-only kernels. */
     std::shared_ptr<Scene> scene;
 
-    /** RT-core timing matched to the workload's traversal-heaviness. */
+    /**
+     * RT-core timing matched to the workload's traversal-heaviness. A
+     * workload run (runWorkload) takes its RT-core shape from here, not
+     * from the GpuConfig it is given.
+     */
     RtCoreConfig rtc;
 
     const Bvh *

@@ -8,11 +8,8 @@
 namespace si {
 
 RtCore::RtCore(const Bvh *bvh, const RtCoreConfig &config)
-    : bvh_(bvh), config_(config)
+    : bvh_(bvh), config_(config), pipeBusyUntil_(config.numPipes, 0)
 {
-    sim_throw_if(config_.numPipes == 0, ErrorKind::Config,
-                 "RT core needs at least one pipe");
-    pipeBusyUntil_.assign(config_.numPipes, 0);
 }
 
 WarpQueryResult

@@ -52,7 +52,7 @@ struct WarpQueryResult
 class RtCore
 {
   public:
-    /** Throws SimError(ErrorKind::Config) when config has no pipes. */
+    /** @p config has at least one pipe (GpuConfig::validate). */
     RtCore(const Bvh *bvh, const RtCoreConfig &config);
 
     /** True when a scene is attached (RTQUERY is legal). */

@@ -121,15 +121,18 @@ struct TraceEvent
 };
 
 /**
- * The most warps (ids 0..65535) and SMs (ids 0..255) a TraceEvent can
- * name. Gpu rejects larger launches and machines with ErrorKind::Config
- * rather than let two warps' events alias.
+ * The most warps (ids 0..65535), SMs and processing blocks per SM (ids
+ * 0..255) a TraceEvent can name. Gpu rejects larger launches and
+ * machines with ErrorKind::Config rather than let two warps' events
+ * alias.
  */
 inline constexpr std::uint64_t traceMaxWarps =
     std::uint64_t(std::numeric_limits<decltype(TraceEvent::warpId)>::max()) +
     1;
 inline constexpr unsigned traceMaxSms =
     unsigned(std::numeric_limits<decltype(TraceEvent::smId)>::max()) + 1;
+inline constexpr unsigned traceMaxPbs =
+    unsigned(std::numeric_limits<decltype(TraceEvent::pb)>::max()) + 1;
 
 /**
  * Consumer interface. record() is called synchronously from the cycle

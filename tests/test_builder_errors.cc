@@ -155,7 +155,7 @@ TEST(ProgramEdge, ZeroSmGpuConstructsAndFailsItsRun)
     GpuResult r;
     ASSERT_NO_THROW(r = gpu->run(p, {1, 1}));
     EXPECT_EQ(r.status.kind, ErrorKind::Config);
-    EXPECT_THAT(r.status.message, HasSubstr("at least one SM"));
+    EXPECT_THAT(r.status.message, HasSubstr("numSms = 0"));
     EXPECT_EQ(gpu->numSms(), 0u);
     EXPECT_TRUE(r.perSm.empty());
 }

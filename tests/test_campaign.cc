@@ -336,7 +336,7 @@ TEST(Campaign, ZeroRtPipesCellRecordsConfigKind)
     const CampaignCellRecord &cell = report.cells.front();
     EXPECT_EQ(cell.attempts, 1u); // deterministic: never retried
     EXPECT_EQ(cell.kind, ErrorKind::Config);
-    EXPECT_EQ(cell.detail, "RT core needs at least one pipe");
+    EXPECT_EQ(cell.detail, "rtc.numPipes = 0 is out of range 1..65536");
     EXPECT_THAT(log, HasSubstr("failed permanently"));
 }
 

@@ -171,7 +171,8 @@ TEST(Workloads, ZeroRtPipesIsConfigErrorAndProcessContinues)
 {
     // Both run entry points report a zero-pipe RT core as a status, and
     // the calling process keeps running.
-    const char *const message = "config: RT core needs at least one pipe";
+    const char *const message =
+        "config: rtc.numPipes = 0 is out of range 1..65536";
     MicrobenchConfig mc;
     mc.subwarpSize = 8;
     mc.iterations = 1;

@@ -343,7 +343,12 @@ main(int argc, char **argv)
         }
 
         si::CampaignRunner runner({wl}, configs, opts);
-        const si::CampaignReport report = runner.run();
+        si::CampaignReport report;
+        try {
+            report = runner.run();
+        } catch (const si::SimError &e) {
+            return runFailed(e.status());
+        }
         for (const auto &cell : report.cells) {
             if (cell.done())
                 std::printf("  %-12s %-12s done    %llu cycles "
