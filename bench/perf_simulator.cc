@@ -1,9 +1,10 @@
 /**
  * @file
  * google-benchmark per-layer probes of the simulator itself: BVH build
- * and trace rates, scoreboard readiness, LDG line coalescing, cache
- * accesses, assembler throughput, and the parallel execution engine's
- * serial vs all-cores sweep. Whole-run throughput is measured
+ * and trace rates, RT-core queries through the trace memo, scoreboard
+ * readiness, LDG line coalescing, cache accesses, assembler
+ * throughput, and the parallel execution engine's serial vs all-cores
+ * sweep. Whole-run throughput is measured
  * by perfbench (perfbench/run.py), compared same-host with
  * tools/perf_ab.sh.
  */
@@ -126,6 +127,48 @@ BM_BvhTrace(benchmark::State &state)
         double(state.iterations()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_BvhTrace);
+
+/**
+ * One warp query through RtCore::query on BM_BvhTrace's scene. Arg(0)
+ * = 0: every query brings 32 rays the trace memo has not seen (lookup
+ * miss, traversal, insert); the probe alternates between two builds of
+ * the scene every 64 queries, which empties the memo long before it
+ * fills. Arg(0) = 1: the same 32 rays every time, so after the first
+ * query every lane is a memo hit.
+ */
+void
+BM_RtQuery(benchmark::State &state)
+{
+    si::SceneConfig sc;
+    sc.targetTriangles = 16000;
+    sc.layout = si::SceneLayout::Terrain;
+    auto scene = si::makeScene(sc);
+    const si::Bvh twin(scene->triangles); // same tree, its own serial
+    si::RtCore cores[] = {{&scene->bvh, {}}, {&twin, {}}};
+    const bool repeat = state.range(0) != 0;
+    std::array<si::Ray, si::warpSize> rays;
+    unsigned k = 0;
+    auto fresh_rays = [&] {
+        for (si::Ray &ray : rays) {
+            ray = scene->primaryRay(float(k % 4093) / 4093.0f,
+                                    float(k % 4091) / 4091.0f);
+            ++k;
+        }
+    };
+    fresh_rays();
+    std::uint64_t queries = 0;
+    for (auto _ : state) {
+        if (!repeat)
+            fresh_rays();
+        const si::WarpQueryResult q = cores[queries / 64 % 2].query(
+            0, si::ThreadMask::full(), rays);
+        benchmark::DoNotOptimize(q.maxNodesVisited);
+        ++queries;
+    }
+    state.counters["rays/s"] = benchmark::Counter(
+        double(queries) * si::warpSize, benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_RtQuery)->Arg(0)->Arg(1);
 
 /**
  * ScoreboardFile::ready over a full warp with Arg(0) required

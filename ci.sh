@@ -129,8 +129,14 @@ check_exports() {
     local art="$dir/artifacts"
     mkdir -p "$art"
     echo "=== bench --json $dir (si-bench-v1 schema check)"
-    "$dir/bench/fig12a_speedup" --json "$art/fig12a_speedup.json" \
+    "$dir/bench/fig12a_speedup" --jobs 1 --json "$art/fig12a_speedup.json" \
         > "$art/fig12a_speedup.txt"
+    echo "=== bench in-process $dir (fig12a --jobs 1 vs --jobs 0, one trace memo per worker)"
+    "$dir/bench/fig12a_speedup" --jobs 0 \
+        --json "$art/fig12a_speedup.j0.json" \
+        > "$art/fig12a_speedup.j0.txt" 2> /dev/null
+    cmp "$art/fig12a_speedup.txt" "$art/fig12a_speedup.j0.txt"
+    cmp "$art/fig12a_speedup.json" "$art/fig12a_speedup.j0.json"
     echo "=== bench campaign path $dir (fig12a table, campaign vs grid, 1 and 4 children)"
     rm -rf "$art/fig12a-campaign" "$art/fig12a-campaign-j4"
     "$dir/bench/fig12a_speedup" --campaign-state "$art/fig12a-campaign" \
@@ -263,19 +269,22 @@ resume_matches() {
 
 # ThreadSanitizer leg for the parallel execution engine: build with
 # -fsanitize=thread and drive the code that actually runs concurrent
-# workers — the executor/equivalence suite (test_parallel) and the
-# 64-seed differential matrix on the worker-thread path. A full ctest
-# pass under TSan would mostly re-run single-threaded code at 5-15x
-# slowdown for no extra race coverage, so this leg stays targeted.
+# workers — the executor/equivalence suite (test_parallel), the RT-core
+# suite (its trace-memo test runs one scene on two threads at once) and
+# the 64-seed differential matrix on the worker-thread path. A full
+# ctest pass under TSan would mostly re-run single-threaded code at
+# 5-15x slowdown for no extra race coverage, so this leg stays targeted.
 run_tsan() {
     local dir=$1
     echo "=== configure $dir (thread sanitizer)"
     cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DSI_SANITIZE=thread
     echo "=== build $dir"
-    cmake --build "$dir" -j "$(nproc)" --target test_parallel difftest
-    echo "=== tsan $dir (parallel suite + 64-seed parallel difftest)"
+    cmake --build "$dir" -j "$(nproc)" \
+        --target test_parallel test_rtcore difftest
+    echo "=== tsan $dir (parallel + RT-core suites, 64-seed parallel difftest)"
     "$dir/tests/test_parallel"
+    "$dir/tests/test_rtcore"
     "$dir/tools/difftest" --seeds 64 --jobs 4
 }
 

@@ -531,6 +531,9 @@ class Sm
         return stallsByPc_;
     }
 
+    /** The SM's RT core: its ray and node counters (tests). */
+    const RtCore &rtCore() const { return rtcore_; }
+
     /** Number of warps assigned over the run (tests). */
     std::size_t numWarps() const { return warps_.size(); }
 

@@ -126,12 +126,17 @@ class Warp
     std::uint32_t pc(unsigned lane) const { return pc_[lane]; }
     void setPc(unsigned lane, std::uint32_t pc) { pc_[lane] = pc; }
 
-    /** Set every lane of @p m to @p pc. */
+    /**
+     * Set every lane of @p m to @p pc: one branch-free masked store over
+     * all lanes. Testing @p m against a table of lane bits (not a
+     * per-lane shift) is what lets the compiler turn it into vector
+     * compares and blends.
+     */
     void
     setPc(ThreadMask m, std::uint32_t pc)
     {
-        for (unsigned lane : lanesOf(m))
-            pc_[lane] = pc;
+        for (unsigned lane = 0; lane < warpSize; ++lane)
+            pc_[lane] = (m.raw() & laneBits[lane]) ? pc : pc_[lane];
     }
 
     /** Lanes not yet exited: everything outside the INACTIVE mask. */
@@ -286,6 +291,13 @@ class Warp
     std::vector<std::uint32_t> regs_; ///< numRegs x 32, register-major
     std::array<std::uint8_t, warpSize> preds_{};
     std::array<ThreadMask, numThreadStates> lanes_{}; ///< by ThreadState
+    static constexpr std::array<std::uint32_t, warpSize> laneBits = [] {
+        std::array<std::uint32_t, warpSize> bits{};
+        for (unsigned lane = 0; lane < warpSize; ++lane)
+            bits[lane] = 1u << lane;
+        return bits;
+    }();
+
     std::array<std::uint32_t, warpSize> pc_{};
     std::array<ThreadMask, numBarriers> barriers_{};
     std::array<BarIndex, warpSize> blockedOn_{};

@@ -1,8 +1,10 @@
 #include "rtcore/bvh.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
+#include <utility>
 
 #include "common/sim_error.hh"
 #include "snapshot/snapshot.hh"
@@ -166,6 +168,32 @@ Bvh::buildNode(std::vector<PrimRef> &refs, std::uint32_t begin,
     buildNode(refs, begin, mid); // left child == node_index + 1
     nodes_[node_index].index = buildNode(refs, mid, end);
     return node_index;
+}
+
+std::uint64_t
+Bvh::nextSerial()
+{
+    static std::atomic<std::uint64_t> last{0};
+    return last.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+Bvh::Bvh(Bvh &&other) noexcept
+    : builder_(other.builder_), tris_(std::move(other.tris_)),
+      nodes_(std::move(other.nodes_)),
+      serial_(std::exchange(other.serial_, nextSerial()))
+{
+}
+
+Bvh &
+Bvh::operator=(Bvh &&other) noexcept
+{
+    if (this == &other)
+        return *this;
+    builder_ = other.builder_;
+    tris_ = std::move(other.tris_);
+    nodes_ = std::move(other.nodes_);
+    serial_ = std::exchange(other.serial_, nextSerial());
+    return *this;
 }
 
 const Aabb &

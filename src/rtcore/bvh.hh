@@ -39,6 +39,11 @@ class Bvh
 {
   public:
     Bvh() = default;
+    Bvh(const Bvh &) = default;
+    Bvh &operator=(const Bvh &) = default;
+    /** Moving hands the serial over; the source gets a fresh one. */
+    Bvh(Bvh &&other) noexcept;
+    Bvh &operator=(Bvh &&other) noexcept;
 
     /**
      * Build over @p triangles. Empty input is allowed.
@@ -65,6 +70,13 @@ class Bvh
      * a builder produces.
      */
     std::uint64_t digest() const;
+
+    /**
+     * Build identity, from a process-wide counter: two Bvh objects
+     * with the same serial hold the same tree (a copy keeps its
+     * source's serial), even when one lives at a freed one's address.
+     */
+    std::uint64_t serial() const { return serial_; }
 
     /** Maximum leaf size the builder produces. */
     static constexpr unsigned maxLeafSize = 4;
@@ -97,6 +109,9 @@ class Bvh
     BvhBuilder builder_ = BvhBuilder::BinnedSah;
     std::vector<LeafTriangle> tris_;
     std::vector<Node> nodes_;
+    std::uint64_t serial_ = nextSerial();
+
+    static std::uint64_t nextSerial();
 };
 
 } // namespace si

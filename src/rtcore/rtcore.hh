@@ -60,6 +60,9 @@ class RtCore
 
     /**
      * Issue a warp's ray query at time @p now for lanes in @p mask.
+     * A ray this thread already traced in the same scene is answered
+     * from a per-thread memo (rtcore.cc) with that traversal's hit and
+     * node count, so results and counters are the traversal's own.
      * Throws SimError(ErrorKind::Config) when no scene is attached.
      * @param rays one ray per lane (only masked lanes are read).
      */
@@ -68,6 +71,9 @@ class RtCore
 
     /** Clear pipe occupancy and statistics (kernel boundary). */
     void reset();
+
+    /** Rays this thread's trace memo holds, all of one scene (tests). */
+    static std::size_t memoizedRays();
 
     std::uint64_t numQueries() const { return queries_; }
     std::uint64_t numRays() const { return rays_; }

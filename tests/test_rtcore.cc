@@ -1,7 +1,17 @@
-/** @file RT-core timing unit: latency model and pipe queueing. */
+/**
+ * @file RT-core timing unit: latency model, pipe queueing, and the
+ * per-thread trace memo behind RtCore::query.
+ */
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <thread>
+#include <utility>
+
+#include "core/gpu.hh"
+#include "harness/runner.hh"
+#include "rt/apps.hh"
 #include "rtcore/rtcore.hh"
 
 using namespace si;
@@ -118,4 +128,148 @@ TEST(RtCore, HasSceneReflectsAttachment)
     RtCore without(nullptr, cfg);
     EXPECT_TRUE(with.hasScene());
     EXPECT_FALSE(without.hasScene());
+}
+
+// ---- The trace memo ----
+
+namespace {
+
+/** One triangle facing the origin at depth @p z. */
+Bvh
+wallAt(float z, std::uint32_t material = 1)
+{
+    return Bvh{{Triangle{{-5, -5, z}, {5, -5, z}, {0, 5, z}, material}}};
+}
+
+/** RtCore::query of the forward rays on every lane. */
+WarpQueryResult
+queryForward(const Bvh &bvh)
+{
+    RtCore rt(&bvh, RtCoreConfig{});
+    return rt.query(0, ThreadMask::full(), forwardRays());
+}
+
+/** Points this thread's memo at a scene no test below uses. */
+void
+forgetScenes()
+{
+    static const Bvh elsewhere = wallAt(50);
+    queryForward(elsewhere);
+}
+
+/** One column's result plus every SM's RT-core counters. */
+struct ColumnRun
+{
+    GpuResult result;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> raysAndNodes;
+};
+
+ColumnRun
+runColumn(const Workload &wl, GpuConfig config)
+{
+    config.rtc = wl.rtc;
+    Memory mem = *wl.memory;
+    Gpu gpu(config, mem, wl.bvh());
+    ColumnRun run{gpu.runMulti({{&wl.program, wl.launch}}), {}};
+    for (unsigned i = 0; i < gpu.numSms(); ++i) {
+        const RtCore &rt = gpu.sm(i).rtCore();
+        run.raysAndNodes.emplace_back(rt.numRays(), rt.totalNodesVisited());
+    }
+    return run;
+}
+
+void
+expectSameRun(const ColumnRun &a, const ColumnRun &b)
+{
+    ASSERT_TRUE(a.result.ok()) << a.result.status.message;
+    ASSERT_TRUE(b.result.ok()) << b.result.status.message;
+    EXPECT_EQ(a.result.cycles, b.result.cycles);
+    EXPECT_TRUE(a.result.total == b.result.total);
+    EXPECT_TRUE(a.result.perSm == b.result.perSm);
+    EXPECT_TRUE(a.result.stallsByPc == b.result.stallsByPc);
+    EXPECT_EQ(a.raysAndNodes, b.raysAndNodes);
+}
+
+} // namespace
+
+TEST(TraceMemo, ColdWarmAndFreshThreadRunsAgreeForEveryApp)
+{
+    const GpuConfig config =
+        withSi(baselineConfig(600), bestSiConfigPoint());
+    for (AppId id : allApps()) {
+        SCOPED_TRACE(appName(id));
+        const Workload wl = buildApp(id);
+        forgetScenes();
+        const ColumnRun cold = runColumn(wl, config);
+        const std::size_t memoized = RtCore::memoizedRays();
+        ASSERT_GT(memoized, 0u);
+
+        // A fresh thread starts cold while this one runs warm on the
+        // same scene.
+        ColumnRun fresh;
+        std::thread other([&] { fresh = runColumn(wl, config); });
+        const ColumnRun warm = runColumn(wl, config);
+        other.join();
+
+        // Every warm ray was already there: the memo answered them all.
+        EXPECT_EQ(RtCore::memoizedRays(), memoized);
+        expectSameRun(cold, warm);
+        expectSameRun(cold, fresh);
+    }
+}
+
+TEST(TraceMemo, NewSceneAtAFreedScenesAddressGetsItsOwnAnswers)
+{
+    std::optional<Bvh> scene;
+    scene.emplace(wallAt(10, 1));
+    const Bvh *first = &*scene;
+    EXPECT_EQ(queryForward(*scene).hits[0].materialId, 1u);
+    scene.reset();
+    scene.emplace(wallAt(20, 2));
+    ASSERT_EQ(&*scene, first);
+
+    const auto res = queryForward(*scene);
+    TraversalStats ts;
+    const Hit traced = scene->trace(forwardRays()[0], &ts);
+    for (unsigned lane = 0; lane < warpSize; ++lane) {
+        ASSERT_TRUE(res.hits[lane].valid);
+        EXPECT_EQ(res.hits[lane].t, traced.t);
+        EXPECT_EQ(res.hits[lane].materialId, 2u);
+    }
+    EXPECT_EQ(res.maxNodesVisited, ts.nodesVisited);
+}
+
+TEST(TraceMemo, MovedFromBvhIsNotAnsweredFromTheMemo)
+{
+    Bvh source = wallAt(10);
+    const std::uint64_t serial = source.serial();
+    ASSERT_TRUE(queryForward(source).hits[0].valid);
+
+    const Bvh target = std::move(source);
+    EXPECT_EQ(target.serial(), serial);
+    EXPECT_NE(source.serial(), serial);
+    // The moved-from tree is traced, not looked up under its old serial.
+    const auto res = queryForward(source);
+    EXPECT_EQ(res.hits[0].valid, source.trace(forwardRays()[0]).valid);
+    EXPECT_EQ(res.maxNodesVisited, 0u);
+    EXPECT_TRUE(queryForward(target).hits[0].valid);
+}
+
+TEST(TraceMemo, CopiedBvhSharesAnswers)
+{
+    const Bvh original = wallAt(10);
+    const Bvh copy = original;
+    EXPECT_EQ(copy.serial(), original.serial());
+
+    const auto first = queryForward(original);
+    const std::size_t memoized = RtCore::memoizedRays();
+    EXPECT_EQ(memoized, 1u); // 32 lanes, one distinct ray
+    const auto again = queryForward(copy);
+    EXPECT_EQ(RtCore::memoizedRays(), memoized); // not emptied, not grown
+    EXPECT_EQ(again.maxNodesVisited, first.maxNodesVisited);
+    EXPECT_EQ(again.hits[0].t, first.hits[0].t);
+
+    // A rebuild from the same triangles is a different scene.
+    const Bvh rebuilt = wallAt(10);
+    EXPECT_NE(rebuilt.serial(), original.serial());
 }

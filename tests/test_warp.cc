@@ -125,6 +125,28 @@ TEST(Warp, ActivePcFollowsLowestActiveLane)
     EXPECT_EQ(w.activePc(), 7u);
 }
 
+TEST(Warp, MaskedSetPcWritesExactlyTheMaskedLanes)
+{
+    const Program p = trivialProgram();
+    Warp w(0, 0, &p, warpSize);
+    for (unsigned l = 0; l < warpSize; ++l)
+        w.setPc(l, 100 + l);
+    auto expect_pcs = [&](ThreadMask set, std::uint32_t pc) {
+        for (unsigned l = 0; l < warpSize; ++l)
+            EXPECT_EQ(w.pc(l), set.test(l) ? pc : 100 + l) << "lane " << l;
+    };
+
+    w.setPc(ThreadMask{}, 7); // empty: nothing moves
+    expect_pcs(ThreadMask{}, 7);
+
+    const ThreadMask sparse(0x80010005u); // lanes 0, 2, 16, 31
+    w.setPc(sparse, 9);
+    expect_pcs(sparse, 9);
+
+    w.setPc(ThreadMask::full(), 12);
+    expect_pcs(ThreadMask::full(), 12);
+}
+
 TEST(Warp, TstOccupancy)
 {
     const Program p = trivialProgram();
