@@ -68,7 +68,7 @@ class BenchJson
      * The paper's baseline at L1 miss latency @p lat, with
      * --fast-forward[=off] applied: the one config every bench derives
      * its configurations from. Tables and metrics are bit-identical
-     * either way; the off switch exists so CI can time the faithful
+     * either way; the off switch exists so CI can time the per-cycle
      * core and cross-validate that contract.
      */
     GpuConfig

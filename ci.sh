@@ -22,7 +22,8 @@
 # run resumed from a mid-run checkpoint must print the same stdout,
 # stats and metrics as uninterrupted runs. The Release pass also
 # cross-validates the event-driven fast-forward execution core:
-# the 256-seed sweep, the memlat stats/metrics exports, and the fig13
+# the 256-seed sweeps (plain, race oracle, and each injected fault
+# kind), the memlat stats/metrics exports, and the fig13
 # and fig15 tables must be byte-identical with cycle leaping forced on
 # and off. Finally the perfbench workloads' statistics digests must
 # match tests/golden/perfbench_digests.txt. Speed is not gated here:
@@ -290,9 +291,11 @@ run_tsan() {
 
 # Fast-forward equivalence gate: the event-driven cycle-leap engine
 # must be invisible everywhere except wall-clock. Its sub-gates: the
-# 256-seed differential + determinism sweep and the 256-seed race
-# oracle sweep, each byte-compared between forced-on and forced-off
-# (stdout and exit status both), the memlat
+# 256-seed differential + determinism sweep, the 256-seed race oracle
+# sweep, and the 256-seed fault-injection sweep of each fault kind
+# (whose -v report names every injection's cycle and victim), each
+# byte-compared between forced-on and forced-off (stdout and exit
+# status both), the memlat
 # high-latency cell's si-stats-v1/si-metrics-v1 exports byte-compared
 # between modes, and the fig13 latency-sweep tables byte-compared
 # between modes.
@@ -312,8 +315,20 @@ check_fastforward() {
     "$dir/tools/difftest" --seeds 256 --race --jobs 0 \
         --fast-forward=off > "$art/difftest_race_ff_off.txt"
     diff -u "$art/difftest_race_ff_on.txt" "$art/difftest_race_ff_off.txt"
+    echo "=== fast-forward fault injection $dir (256-seed sweeps, on vs off)"
+    local kind mode rc
+    for kind in scoreboard dropwb barrier; do
+        for mode in on off; do
+            rc=0
+            "$dir/tools/difftest" --seeds 256 --inject "$kind" -v --jobs 0 \
+                --fast-forward=$mode \
+                > "$art/difftest_inject_${kind}_$mode.txt" || rc=$?
+            echo "exit $rc" >> "$art/difftest_inject_${kind}_$mode.txt"
+        done
+        diff -u "$art/difftest_inject_${kind}_on.txt" \
+            "$art/difftest_inject_${kind}_off.txt"
+    done
     echo "=== fast-forward artifacts $dir (stats/metrics byte-identity)"
-    local mode
     for mode in on off; do
         "$dir/tools/swsim" kernels/memlat.sasm --lat 2000 --warps 8 \
             --fast-forward=$mode \

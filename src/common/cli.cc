@@ -159,8 +159,7 @@ Parser::fastForward(bool &target)
                   "event-driven cycle leaping (default on): quiet "
                   "stretches of the clock loop are skipped in one step "
                   "with exact stats back-fill, so every artifact is "
-                  "bit-identical either way. =off forces faithful "
-                  "per-cycle execution");
+                  "bit-identical either way. =off ticks every cycle");
 }
 
 Parser &

@@ -68,11 +68,14 @@ class CycleSampler
 };
 
 /**
- * Optional per-cycle hook called before the SMs tick. The fault-injection
- * harness (src/fault) uses it to corrupt machine state at a chosen cycle;
- * the watchdog and invariant checker must then catch the damage.
+ * Optional hook called before the SMs tick. The fault-injection harness
+ * (src/fault) uses it to corrupt machine state at a chosen cycle; the
+ * watchdog and invariant checker must then catch the damage. It returns
+ * its horizon pin: the earliest cycle at which it must be called again,
+ * which no leap passes. invalidCycle means never again; a value at or
+ * below the current cycle means every cycle.
  */
-using FaultHook = std::function<void(Gpu &, Cycle)>;
+using FaultHook = std::function<Cycle(Gpu &, Cycle)>;
 
 /**
  * Optional checkpoint hook, fired every checkpointInterval cycles at the
@@ -193,12 +196,10 @@ struct GpuConfig
      * closed form. Every stat, metrics window, snapshot, and golden
      * table is bit-identical to the per-cycle run, so this is a pure
      * wall-clock optimization and is on by default. A leap stops at
-     * every checkpoint, invariant-audit and metrics-window boundary, so
-     * those observers fire at the cycles a per-cycle run fires them.
-     * Automatically pinned back to per-cycle ("faithful") execution
-     * when a fault-injection hook, which may mutate state at any cycle,
-     * is attached. Trace sinks and the race sanitizer do not pin it:
-     * neither fires on a quiet cycle.
+     * every checkpoint, invariant-audit and metrics-window boundary
+     * and at the fault hook's pin, so those observers fire at the
+     * cycles a per-cycle run fires them. Trace sinks and the race
+     * sanitizer need no pin: neither fires on a quiet cycle.
      */
     bool fastForward = true;
 
@@ -238,7 +239,7 @@ struct GpuConfig
     bool checkInvariants = false;
     std::uint64_t invariantCheckInterval = 1024;
 
-    /** Fault-injection hook, called once per cycle (null = disabled). */
+    /** Fault-injection hook (null = disabled; see FaultHook). */
     FaultHook faultHook;
 
     /** Checkpoint hook (null = disabled; see CheckpointHook). */

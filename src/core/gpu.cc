@@ -211,10 +211,6 @@ Gpu::runLoop()
     // queued. The counters are members so a checkpoint freezes them
     // with the rest of the machine and a resumed run re-enters this
     // loop exactly where the checkpoint left it.
-    //
-    // Eligibility for the cycle-leap engine is a property of the run
-    // (knob + installed observers), not of any cycle: compute it once.
-    const bool ff_eligible = fastForwardEligible();
     while (true) {
         if (allDone())
             break;
@@ -241,8 +237,11 @@ Gpu::runLoop()
         if (config_.metricsSampler)
             config_.metricsSampler->onCycle(*this, now_);
 
+        // The hook's pin is recomputed by every call, so nothing about
+        // it is saved: a resumed loop's first iteration re-derives it.
+        Cycle hook_pin = invalidCycle;
         if (config_.faultHook)
-            (config_.faultHook)(*this, now_);
+            hook_pin = (config_.faultHook)(*this, now_);
 
         for (auto &sm : sms_)
             sm->tick(now_);
@@ -265,7 +264,7 @@ Gpu::runLoop()
         // final for this quiet spell) and before the livelock and
         // invariant checks (both horizon-pinned, so they observe the
         // same cycles as a per-cycle run).
-        maybeFastForward(ff_eligible, events_pending);
+        maybeFastForward(hook_pin, events_pending);
 
         // Livelock check in unconditional form: after a progress update
         // now_ == lastProgress_, so with livelockCycles != 0 this is
@@ -307,20 +306,10 @@ Gpu::allDone() const
                        [](const auto &sm) { return sm->done(); });
 }
 
-bool
-Gpu::fastForwardEligible() const
-{
-    // A fault hook may mutate state at any cycle, which pins the run to
-    // faithful per-cycle execution. Trace sinks and the race sanitizer
-    // do not: their hooks fire only at issue, sync and state changes,
-    // never on a cycle a leap skips (trace/events.hh).
-    return config_.fastForward && !config_.faultHook;
-}
-
 void
-Gpu::maybeFastForward(bool eligible, bool events_pending)
+Gpu::maybeFastForward(Cycle hook_pin, bool events_pending)
 {
-    if (!eligible)
+    if (!config_.fastForward)
         return;
 
     // Each SM ticks identically until its event horizon (read from the
@@ -339,9 +328,10 @@ Gpu::maybeFastForward(bool eligible, bool events_pending)
 
     // Clamp to every cycle the loop itself must observe: the watchdog
     // cap, the livelock deadline (only binding when no writeback is in
-    // flight), and each hook/sampler boundary. nextBoundary() returns
-    // now_ when now_ is already a boundary, which yields h == now_ and
-    // no leap — the hook then fires normally on the next iteration.
+    // flight), each hook/sampler boundary, and the fault hook's pin.
+    // nextBoundary() returns now_ when now_ is already a boundary, which
+    // yields h == now_ and no leap — the hook then fires normally on the
+    // next iteration; a pin at or below now_ does the same.
     Cycle h = std::min(horizon, config_.maxCycles);
     if (!events_pending && config_.livelockCycles)
         h = std::min(h, lastProgress_ + config_.livelockCycles);
@@ -349,6 +339,7 @@ Gpu::maybeFastForward(bool eligible, bool events_pending)
         h = std::min(h, nextBoundary(now_, config_.checkpointInterval));
     if (config_.metricsSampler)
         h = std::min(h, config_.metricsSampler->horizonPin(now_));
+    h = std::min(h, hook_pin);
     if (config_.checkInvariants)
         h = std::min(h,
                      nextBoundary(now_, config_.invariantCheckInterval));

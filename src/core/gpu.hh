@@ -149,19 +149,14 @@ class Gpu
 
     /**
      * Fast-forward diagnostics: leaps taken and cycles skipped by the
-     * event-driven cycle-leap engine this run (0 in faithful mode).
+     * event-driven cycle-leap engine this run (0 when
+     * GpuConfig::fastForward is off).
      * Wall-clock instrumentation only — never serialized and never
      * part of statistics, so fast-forwarded and per-cycle runs stay
      * byte-identical everywhere that matters.
      */
     std::uint64_t fastForwardLeaps() const { return ffLeaps_; }
     std::uint64_t fastForwardCyclesSkipped() const { return ffSkipped_; }
-
-    /**
-     * True when this run may leap: the knob is on and no fault hook,
-     * which may mutate state at any cycle, is attached.
-     */
-    bool fastForwardEligible() const;
 
     /** Access an SM (tests; const form for mid-run samplers). The SMs
      *  exist once a run has built the machine, and outlive the run. */
@@ -214,13 +209,13 @@ class Gpu
     /**
      * Cycle-leap step after the tick at now_ - 1: when the earliest
      * Sm::nextEventAt() lies past now_, clamp it to the watchdog
-     * deadlines and every hook/sampler boundary and advance now_ to it
-     * in one step; Sm::applyQuietCycles advances each SM's counters
-     * while its open warp spans run on.
-     * @p events_pending is the loop's hasPendingWritebacks()
-     * disjunction for this iteration.
+     * deadlines, every hook/sampler boundary and @p hook_pin (the fault
+     * hook's return this iteration) and advance now_ to it in one step;
+     * Sm::applyQuietCycles advances each SM's counters while its open
+     * warp spans run on. @p events_pending is the loop's
+     * hasPendingWritebacks() disjunction for this iteration.
      */
-    void maybeFastForward(bool eligible, bool events_pending);
+    void maybeFastForward(Cycle hook_pin, bool events_pending);
 
     // Run-loop state, members so a checkpoint can capture and a resume
     // re-enter the loop mid-run (see runLoop()).

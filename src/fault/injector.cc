@@ -32,11 +32,11 @@ faultKindCliNames()
     return names;
 }
 
-void
+Cycle
 FaultInjector::onCycle(Gpu &gpu, Cycle now)
 {
     if (fired_ || now < spec_.earliestCycle)
-        return;
+        return fired_ ? invalidCycle : spec_.earliestCycle;
     switch (spec_.kind) {
       case FaultKind::ScoreboardCorruption:
         tryScoreboard(gpu, now);
@@ -61,6 +61,7 @@ FaultInjector::onCycle(Gpu &gpu, Cycle now)
             sink->record(ev);
         }
     }
+    return fired_ ? invalidCycle : spec_.earliestCycle;
 }
 
 void

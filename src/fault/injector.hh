@@ -84,19 +84,22 @@ class FaultInjector
     {
     }
 
-    /** The per-cycle hook to install as GpuConfig::faultHook. */
+    /** The hook to install as GpuConfig::faultHook. */
     FaultHook
     hook()
     {
-        return [this](Gpu &gpu, Cycle now) { onCycle(gpu, now); };
+        return [this](Gpu &gpu, Cycle now) { return onCycle(gpu, now); };
     }
+
+    /** The hook body. Its pin is earliestCycle while armed (no leap
+     *  passes an armed injector) and invalidCycle once fired. */
+    Cycle onCycle(Gpu &gpu, Cycle now);
 
     bool fired() const { return fired_; }
     const std::string &description() const { return description_; }
     const FaultSpec &spec() const { return spec_; }
 
   private:
-    void onCycle(Gpu &gpu, Cycle now);
     void tryScoreboard(Gpu &gpu, Cycle now);
     void tryDropWriteback(Gpu &gpu, Cycle now);
     void tryBarrierMask(Gpu &gpu, Cycle now);

@@ -88,8 +88,8 @@ faultFirstAttempt(FaultKind kind, Cycle at)
         // owns it.
         auto inj = std::make_shared<FaultInjector>(FaultSpec{
             kind, at, Rng::streamSeed(c.rngSeed, ident.digest())});
-        c.faultHook = [inj, h = inj->hook()](Gpu &gpu, Cycle now) {
-            h(gpu, now);
+        c.faultHook = [inj](Gpu &gpu, Cycle now) {
+            return inj->onCycle(gpu, now);
         };
         c.checkInvariants = true;
     };

@@ -200,11 +200,10 @@ diffProgram(const Program &program, const DiffOptions &opts)
         Gpu gpu(cfg, mem);
         const GpuResult res = gpu.run(
             program, LaunchParams{opts.numWarps, opts.warpsPerCta});
-        if (opts.inject)
-            out.faultFired |= injector.fired();
-
         const std::string detail =
             comparePoint(ref, ref_mem, res, mem, gpu, col, program);
+        if (injector.fired() && (out.fault.empty() || !detail.empty()))
+            out.fault = injector.description();
         if (!detail.empty()) {
             out.agree = false;
             out.point = pt.name;

@@ -74,8 +74,12 @@ struct DiffResult
     /** Description of the first divergence ("" when agree). */
     std::string detail;
 
+    /** The injection (cycle and victim) in `point`'s run, or in the
+     *  first run whose fault fired when every point agrees. */
+    std::string fault;
+
     /** A fault injection point was reached in at least one run. */
-    bool faultFired = false;
+    bool faultFired() const { return !fault.empty(); }
 };
 
 /**

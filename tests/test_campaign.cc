@@ -348,8 +348,9 @@ TEST(Campaign, WallClockOverrunIsKilledAndClassified)
     opts.maxRetries = 0; // timeout is transient; forbid the retry
     opts.childConfigHook = [](GpuConfig &cfg, const CampaignCellRecord &,
                               unsigned) {
-        cfg.faultHook = [](Gpu &, Cycle) {
+        cfg.faultHook = [](Gpu &, Cycle now) {
             std::this_thread::sleep_for(std::chrono::seconds(5));
+            return now;
         };
     };
     CampaignRunner runner({makeWorkload("divloads")},
@@ -389,9 +390,11 @@ TEST(Campaign, ChaosSigkillResumesFromCheckpointToSameResult)
                                      unsigned attempt) {
         if (attempt > 1)
             return; // the retry runs unmolested
+        // Pinned to kill_at, so no leap can skip the kill.
         cfg.faultHook = [kill_at](Gpu &, Cycle now) {
             if (now == kill_at)
                 raise(SIGKILL); // no cleanup, no result file, nothing
+            return kill_at;
         };
     };
     CampaignRunner runner({makeWorkload("divloads")}, makeConfigs(),

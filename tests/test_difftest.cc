@@ -53,20 +53,20 @@ TEST(Difftest, InjectedReconvergenceBugIsCaughtAndShrunk)
     for (std::uint64_t seed = 1; seed <= 16 && !caught; ++seed) {
         const Program prog = generateKernel(seed, small);
         const DiffResult r = diffProgram(prog, inject);
-        if (!r.faultFired || r.agree)
+        if (!r.faultFired() || r.agree)
             continue;
         caught = true;
 
         const Program shrunk = shrinkProgram(prog, [&](const Program &p) {
             const DiffResult d = diffProgram(p, inject);
-            return d.faultFired && !d.agree;
+            return d.faultFired() && !d.agree;
         });
         EXPECT_LE(shrunk.size(), 15u)
             << "seed " << seed << " shrunk witness:\n"
             << shrunk.sourceText();
         // The shrunk kernel must still fail for the same reason.
         const DiffResult d = diffProgram(shrunk, inject);
-        EXPECT_TRUE(d.faultFired);
+        EXPECT_TRUE(d.faultFired());
         EXPECT_FALSE(d.agree);
     }
     EXPECT_TRUE(caught)

@@ -7,11 +7,12 @@
  * per-cycle run. These tests enforce that contract directly — across
  * generated kernels on the full difftest matrix, on a memory-latency-
  * dominated kernel that leaps through >90% of its cycles, through
- * windowed metrics, and across checkpoints taken mid-quiet-stretch —
- * and pin down the faithful-mode guard (a fault hook disables leaping;
- * trace sinks and the race sanitizer do not, because neither fires on
- * a quiet cycle: the full event stream, the race report, the per-pc
- * stall table, and the reports built on them match across modes).
+ * windowed metrics, across checkpoints taken mid-quiet-stretch, and
+ * under fault injection (the injector's horizon pin makes it corrupt
+ * the same victim at the same cycle in both modes). Trace sinks and the
+ * race sanitizer need no pin, because neither fires on a quiet cycle:
+ * the full event stream, the race report, the per-pc stall table, and
+ * the reports built on them match across modes.
  */
 
 #include <gtest/gtest.h>
@@ -446,25 +447,58 @@ TEST(FastForward, ResumeFromMidLeapCheckpointIsBitExact)
     }
 }
 
-TEST(FastForward, FaultHookPinsFaithfulMode)
+TEST(FastForward, FaultInjectionLeapsAndInjectsAtTheSameCycle)
 {
-    const Program prog = assembleOrDie(memlatSource);
-
+    // An armed injector pins the horizon to its earliest cycle, so a
+    // leaping run corrupts the same victim at the same cycle as a
+    // per-cycle run, and leaps again once the fault has fired. The
+    // memlat@1500 cases arm the injector inside a quiet stretch.
+    GpuConfig fig9_si;
+    fig9_si.numSms = 1;
+    fig9_si.siEnabled = true;
+    fig9_si.yieldEnabled = true;
+    const struct
     {
-        GpuConfig cfg = memlatConfig();
-        cfg.faultHook = [](Gpu &, Cycle) {};
-        Memory mem = makeInputImage(99);
-        Gpu gpu(cfg, mem);
-        EXPECT_FALSE(gpu.fastForwardEligible());
-        ASSERT_TRUE(gpu.run(prog, LaunchParams{8, 4}).ok());
-        EXPECT_EQ(gpu.fastForwardLeaps(), 0u);
-    }
-    {
-        GpuConfig cfg = memlatConfig();
-        cfg.fastForward = false;
-        Memory mem = makeInputImage(99);
-        Gpu gpu(cfg, mem);
-        EXPECT_FALSE(gpu.fastForwardEligible());
+        const char *name;
+        const char *source;
+        GpuConfig cfg;
+        Cycle earliest;
+    } cases[] = {{"fig9-si", fig9Source, fig9_si, 500},
+                 {"memlat", memlatSource, memlatConfig(), 500},
+                 {"memlat@1500", memlatSource, memlatConfig(), 1500}};
+    for (const auto &c : cases) {
+        const Program prog = assembleOrDie(c.source);
+        for (const auto &[cli_name, kind] : faultKindCliNames()) {
+            const std::string label =
+                std::string(c.name) + " --inject " + cli_name;
+            std::string description[2];
+            GpuResult result[2];
+            for (bool ff : {true, false}) {
+                GpuConfig cfg = c.cfg;
+                cfg.fastForward = ff;
+                cfg.checkInvariants = true;
+                FaultInjector injector(FaultSpec{kind, c.earliest, 7});
+                cfg.faultHook = injector.hook();
+                Memory mem = makeInputImage(99);
+                Gpu gpu(cfg, mem);
+                result[ff ? 0 : 1] = gpu.run(prog, LaunchParams{8, 4});
+                description[ff ? 0 : 1] = injector.description();
+                if (ff) {
+                    EXPECT_GT(gpu.fastForwardLeaps(), 0u) << label;
+                }
+            }
+            // memlat has no convergence barrier to corrupt.
+            const bool fires = kind != FaultKind::BarrierMaskCorruption ||
+                               c.source == fig9Source;
+            EXPECT_EQ(description[0].empty(), !fires) << label;
+            EXPECT_EQ(description[0], description[1]) << label;
+            EXPECT_EQ(result[0].status.kind, result[1].status.kind)
+                << label;
+            EXPECT_EQ(result[0].status.message, result[1].status.message)
+                << label;
+            EXPECT_EQ(result[0].cycles, result[1].cycles) << label;
+            EXPECT_TRUE(result[0].perSm == result[1].perSm) << label;
+        }
     }
 }
 
@@ -494,7 +528,6 @@ TEST(FastForward, RaceSanitizerLeapsWithTheFaithfulReport)
             cfg.raceHooks = &det;
             Memory mem = makeInputImage(99);
             Gpu gpu(cfg, mem);
-            EXPECT_EQ(gpu.fastForwardEligible(), ff) << c.name;
             const GpuResult r = gpu.run(prog, LaunchParams{8, 4});
             ASSERT_TRUE(r.ok()) << c.name;
             report[ff ? 0 : 1] = det.report();
@@ -523,7 +556,6 @@ TEST(FastForward, TraceSinksDoNotPinFaithfulMode)
         cfg.traceSink = sink;
         Memory mem = makeInputImage(99);
         Gpu gpu(cfg, mem);
-        EXPECT_TRUE(gpu.fastForwardEligible());
         ASSERT_TRUE(gpu.run(prog, LaunchParams{8, 4}).ok());
         EXPECT_GT(gpu.fastForwardLeaps(), 0u);
     }

@@ -115,12 +115,13 @@ TEST(Watchdog, LivelockDetectedAndDumped)
     cfg.livelockCycles = 500;
     bool corrupted = false;
     cfg.faultHook = [&corrupted](Gpu &gpu, Cycle now) {
-        if (corrupted || now < 20)
-            return;
-        ThreadMask lane0;
-        lane0.set(0);
-        gpu.sm(0).warpAt(0).scoreboards().incr(lane0, SbIndex(0));
-        corrupted = true;
+        if (!corrupted && now >= 20) {
+            ThreadMask lane0;
+            lane0.set(0);
+            gpu.sm(0).warpAt(0).scoreboards().incr(lane0, SbIndex(0));
+            corrupted = true;
+        }
+        return Cycle(20); // no leap may skip cycle 20
     };
 
     Memory mem;

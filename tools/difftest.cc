@@ -332,12 +332,12 @@ main(int argc, char **argv)
                 // an unfired fault (kernel never reached an injectable
                 // state) proves nothing. Escapes only fail the run for
                 // the architectural fault kind (see header comment).
-                if (r.faultFired)
+                if (r.faultFired())
                     ++sr.fired;
-                bad = r.faultFired && r.agree &&
+                bad = r.faultFired() && r.agree &&
                       opts.injectKind ==
                           si::FaultKind::BarrierMaskCorruption;
-                if (r.faultFired && r.agree && !bad)
+                if (r.faultFired() && r.agree && !bad)
                     ++sr.escaped_ok;
             } else {
                 bad = !r.agree;
@@ -348,11 +348,13 @@ main(int argc, char **argv)
                 appendf(sr.out, "seed %llu: %s%s\n",
                         (unsigned long long)s,
                         r.agree ? "agree" : "DIVERGED",
-                        r.faultFired ? " [fault fired]" : "");
+                        r.faultFired() ? " [fault fired]" : "");
                 if (!r.agree) {
                     appendf(sr.out, "  point:  %s\n  detail: %s\n",
                             r.point.c_str(), r.detail.c_str());
                 }
+                if (r.faultFired())
+                    appendf(sr.out, "  fault:  %s\n", r.fault.c_str());
             }
             if (!bad)
                 return sr;

@@ -158,7 +158,7 @@ main(int argc, char **argv)
         .fastForward(cfg.fastForward)
         .flag("--ff-report", ff_report,
               "print fast-forward diagnostics (leaps taken and cycles "
-              "skipped) after the run; --inject pins faithful mode")
+              "skipped) after the run")
         .flag("--trace", trace, "print the per-issue timeline")
         .text("--trace-out", trace_out_path, "FILE",
               "record the trace-event stream (bounded ring buffer) and "
@@ -413,7 +413,7 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(gpu.fastForwardLeaps()),
                     static_cast<unsigned long long>(
                         gpu.fastForwardCyclesSkipped()),
-                    gpu.fastForwardEligible() ? "" : " (faithful mode)");
+                    cfg.fastForward ? "" : " (faithful mode)");
     write_trace();
     if (!stats_json_path.empty()) {
         si::StatsJsonOptions opts;
