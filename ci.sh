@@ -13,8 +13,9 @@
 # exporters: a bench --json run validated against the checked-in
 # si-bench-v1 schema (whose table must match the same bench run as a
 # campaign, with one and with four children), four ported sweeps whose
-# tables and documents must match at --jobs 1 and 0, a swprof
-# trace + stall-report export, and fig9 swprof --diff reports that must
+# tables and documents must match at --jobs 1 and 0, a swsim
+# trace + stall-report export whose stall profile must match a
+# --fast-forward=off run, and fig9 swprof --diff reports that must
 # agree from si-stats-v1 and si-metrics-v1 inputs. It also
 # runs the campaign soak: a short sweep under fault injection with a
 # forced mid-campaign restart, whose resumable si-campaign-v1 manifest
@@ -124,7 +125,8 @@ ported_sweeps=(async_compute ablation_scene_complexity ablation_exec_order
                comparison_wavefront)
 
 # Machine-readable exporters: run benches with --json and validate them
-# against the checked-in schema; run swprof and check its exports parse.
+# against the checked-in schema; run swsim's stall profile and trace
+# exports and check they parse.
 check_exports() {
     local dir=$1
     local art="$dir/artifacts"
@@ -157,10 +159,16 @@ check_exports() {
         cmp "$art/$b.j1.txt" "$art/$b.j0.txt"
         cmp "$art/$b.j1.json" "$art/$b.j0.json"
     done
-    echo "=== swprof $dir (trace + stall report export)"
-    "$dir/tools/swprof" kernels/fig9.sasm --si \
-        --trace "$art/swprof_fig9_trace.json" \
-        --json "$art/swprof_fig9_stalls.json" > "$art/swprof_fig9.txt"
+    echo "=== swsim stall profile $dir (trace + stall report export, leaping vs not)"
+    "$dir/tools/swsim" kernels/fig9.sasm --si --stall-report \
+        --stall-json "$art/fig9_stalls.json" \
+        --trace-out "$art/fig9_trace.json" > "$art/fig9_stalls.txt"
+    # The per-pc stall table is exact under cycle leaping (DESIGN §13).
+    "$dir/tools/swsim" kernels/fig9.sasm --si --stall-report \
+        --stall-json "$art/fig9_stalls_noff.json" \
+        --fast-forward=off > "$art/fig9_stalls_noff.txt"
+    cmp "$art/fig9_stalls.txt" "$art/fig9_stalls_noff.txt"
+    cmp "$art/fig9_stalls.json" "$art/fig9_stalls_noff.json"
     echo "=== metrics exports $dir (si-metrics-v1 + si-profdiff-v1)"
     # SI-off vs SI-on runs of the same kernel, windowed metrics plus
     # region-annotated stats, then the profdiff reconciliation: swprof
@@ -191,8 +199,8 @@ check_exports() {
             python3 tools/check_bench_json.py tools/bench_schema.json \
                 "$art/$b.j1.json"
         done
-        python3 -m json.tool "$art/swprof_fig9_trace.json" > /dev/null
-        python3 -m json.tool "$art/swprof_fig9_stalls.json" > /dev/null
+        python3 -m json.tool "$art/fig9_trace.json" > /dev/null
+        python3 -m json.tool "$art/fig9_stalls.json" > /dev/null
         python3 tools/check_bench_json.py tools/metrics_schema.json \
             "$art/fig9_metrics_base.json" "$art/fig9_metrics_si.json"
         python3 tools/check_bench_json.py tools/profdiff_schema.json \

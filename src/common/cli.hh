@@ -28,9 +28,9 @@ namespace si::cli {
 inline constexpr unsigned maxJobs = 1024;
 
 /**
- * Upper bound of every trace ring-buffer capacity option (swsim
- * --trace-ring, swprof --ring), in events: the ring is allocated up
- * front, so an unbounded value would abort on allocation.
+ * Upper bound of swsim's trace ring-buffer capacity (--trace-ring), in
+ * events: the ring is allocated up front, so an unbounded value would
+ * abort on allocation.
  */
 inline constexpr unsigned maxTraceRing = 1u << 22;
 

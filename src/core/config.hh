@@ -310,6 +310,9 @@ inline constexpr unsigned maxUnitsPerSm = 1u << 16;
 /** The largest cache: its tag array is allocated per SM up front. */
 inline constexpr std::uint64_t maxCacheBytes = std::uint64_t(1) << 24;
 
+/** The most bytes all SMs' cache tag arrays may take together. */
+inline constexpr std::uint64_t maxTagArrayBytes = std::uint64_t(1) << 28;
+
 template <class Self, class V>
 void
 GpuConfig::walk(Self &c, V &v)

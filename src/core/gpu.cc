@@ -113,6 +113,16 @@ GpuConfig::validate() const
                  "the invariant audit needs a nonzero interval");
     for (const CacheConfig *cache : {&l1d, &l1i, &l0i})
         checkCacheGeometry(*cache);
+    // Each cache is bounded by its row; the machine allocates all of
+    // them at launch, so their sum has a bound of its own.
+    const std::uint64_t tag_bytes =
+        numSms * (Cache::tagArrayBytes(l1d) + Cache::tagArrayBytes(l1i) +
+                  pbsPerSm * Cache::tagArrayBytes(l0i));
+    sim_throw_if(tag_bytes > maxTagArrayBytes, ErrorKind::Config,
+                 "the cache tag arrays of %u SMs take %llu bytes, more "
+                 "than the %llu a machine may allocate",
+                 numSms, static_cast<unsigned long long>(tag_bytes),
+                 static_cast<unsigned long long>(maxTagArrayBytes));
 }
 
 std::uint64_t

@@ -168,29 +168,40 @@ FaultInjector::tryBarrierMask(Gpu &gpu, Cycle now)
     fired_ = true;
 }
 
+std::shared_ptr<const FaultInjector>
+armFault(GpuConfig &config, const FaultSpec &spec)
+{
+    auto injector = std::make_shared<FaultInjector>(spec);
+    config.faultHook = [injector](Gpu &gpu, Cycle now) {
+        return injector->onCycle(gpu, now);
+    };
+    config.checkInvariants = true;
+    return injector;
+}
+
 std::vector<CampaignRun>
 runCampaign(const Program &program, const LaunchParams &launch,
             const Memory &memory, GpuConfig config,
             const std::vector<FaultSpec> &specs, const Bvh *scene)
 {
-    // Harden: every fault class needs its detector armed.
-    config.checkInvariants = true;
+    // Harden: every fault class needs its detector armed (armFault
+    // turns the audit on).
     if (config.livelockCycles == 0)
         config.livelockCycles = 50'000;
 
     std::vector<CampaignRun> runs;
     runs.reserve(specs.size());
     for (const FaultSpec &spec : specs) {
-        FaultInjector injector(spec);
         GpuConfig run_config = config;
-        run_config.faultHook = injector.hook();
+        const std::shared_ptr<const FaultInjector> injector =
+            armFault(run_config, spec);
         Memory mem = memory; // fresh copy per run
 
         CampaignRun run;
         run.spec = spec;
         run.result = simulate(run_config, mem, program, launch, scene);
-        run.injected = injector.fired();
-        run.description = injector.description();
+        run.injected = injector->fired();
+        run.description = injector->description();
         runs.push_back(std::move(run));
     }
     return runs;

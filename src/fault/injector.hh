@@ -12,6 +12,7 @@
 #ifndef SI_FAULT_INJECTOR_HH
 #define SI_FAULT_INJECTOR_HH
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -71,10 +72,9 @@ struct FaultSpec
 };
 
 /**
- * Injects one fault into a running GPU. Install with
- * `config.faultHook = injector.hook()`; the injector must outlive the
- * run. After the run, fired() says whether an injection point was ever
- * reached and description() what exactly was corrupted.
+ * Injects one fault into a running GPU; armFault() installs one. After
+ * the run, fired() says whether an injection point was ever reached and
+ * description() what exactly was corrupted.
  */
 class FaultInjector
 {
@@ -82,13 +82,6 @@ class FaultInjector
     explicit FaultInjector(const FaultSpec &spec)
         : spec_(spec), rng_(spec.seed)
     {
-    }
-
-    /** The hook to install as GpuConfig::faultHook. */
-    FaultHook
-    hook()
-    {
-        return [this](Gpu &gpu, Cycle now) { return onCycle(gpu, now); };
     }
 
     /** The hook body. Its pin is earliestCycle while armed (no leap
@@ -109,6 +102,16 @@ class FaultInjector
     bool fired_ = false;
     std::string description_;
 };
+
+/**
+ * The one way to arm a fault: install as @p config's faultHook a hook
+ * that owns a FaultInjector for @p spec, and turn the invariant audit on
+ * so the fault has a detector aimed at it. The returned injector is the
+ * hook's (shared by every copy of the config), for reading fired() and
+ * description() after the run.
+ */
+std::shared_ptr<const FaultInjector> armFault(GpuConfig &config,
+                                              const FaultSpec &spec);
 
 /** One run of a fault-injection campaign. */
 struct CampaignRun

@@ -84,14 +84,8 @@ faultFirstAttempt(FaultKind kind, Cycle at)
         Fnv1a ident;
         ident.update(rec.workload);
         ident.update(rec.configLabel);
-        // The injector must outlive the child's whole run, so the hook
-        // owns it.
-        auto inj = std::make_shared<FaultInjector>(FaultSpec{
-            kind, at, Rng::streamSeed(c.rngSeed, ident.digest())});
-        c.faultHook = [inj](Gpu &gpu, Cycle now) {
-            return inj->onCycle(gpu, now);
-        };
-        c.checkInvariants = true;
+        armFault(c, FaultSpec{kind, at,
+                              Rng::streamSeed(c.rngSeed, ident.digest())});
     };
 }
 

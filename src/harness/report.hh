@@ -2,8 +2,8 @@
  * @file
  * Reports over a GpuResult: a gem5-style "stat value" listing per SM
  * and aggregated, its si-stats-v1 JSON form, and the stall-attribution
- * report swprof prints (per-reason, per-pc and per-opcode lost issue
- * slots, text and si-stall-v1 JSON).
+ * report (per-reason, per-pc and per-opcode lost issue slots) that
+ * swsim --stall-report prints and --stall-json writes as si-stall-v1.
  */
 
 #ifndef SI_HARNESS_REPORT_HH

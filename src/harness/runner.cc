@@ -1,6 +1,5 @@
 #include "harness/runner.hh"
 
-#include "common/cli.hh"
 #include "common/sim_error.hh"
 
 namespace si {
@@ -37,37 +36,6 @@ baselineConfig(Cycle l1_miss_latency)
     GpuConfig config;
     config.lat.l1Miss = l1_miss_latency;
     return config;
-}
-
-void
-addMachineOptions(cli::Parser &parser, MachineOptions &m)
-{
-    GpuConfig &c = m.config;
-    const std::vector<std::pair<std::string, SelectTrigger>> triggers = {
-        {"any", SelectTrigger::AnyStalled},
-        {"half", SelectTrigger::HalfStalled},
-        {"all", SelectTrigger::AllStalled}};
-    const std::vector<std::pair<std::string, SchedPolicy>> scheds = {
-        {"gto", SchedPolicy::GTO}, {"lrr", SchedPolicy::LRR}};
-    parser.number("--warps", m.warps, "warps to launch (default 4)")
-        .number("--lat", c.lat.l1Miss,
-                "L1 miss latency in cycles (default 600)")
-        .flag("--si", c.siEnabled, "enable Subwarp Interleaving (SOS)")
-        .flag("--yield", [&c] { c.siEnabled = c.yieldEnabled = true; },
-              "also enable subwarp-yield (implies --si)")
-        .choice("--trigger", c.trigger, triggers,
-                "selection trigger: N>0, N>=0.5 or N=1 of the live warps "
-                "stalled (default half)")
-        .number("--tst", c.maxSubwarps,
-                "thread status table entries (default 32)")
-        .number("--sms", c.numSms, "number of SMs (default 2)")
-        .number("--slots", c.warpSlotsPerPb,
-                "warp slots per processing block (default 8)")
-        .number("--mshrs", c.maxOutstandingMisses,
-                "outstanding-miss budget (default 0 = unlimited)")
-        .flag("--hints", m.hints,
-              "run the static stall-hint pass and the hint policy")
-        .choice("--sched", c.sched, scheds, "warp scheduler (default gto)");
 }
 
 GpuConfig

@@ -16,10 +16,6 @@
 
 namespace si {
 
-namespace cli {
-class Parser;
-}
-
 /** One point in the paper's SI configuration sweep (Figure 12a). */
 struct SiConfigPoint
 {
@@ -39,20 +35,6 @@ GpuConfig baselineConfig();
 
 /** Baseline config at a given L1 miss latency. */
 GpuConfig baselineConfig(Cycle l1_miss_latency);
-
-/** What swsim's and swprof's shared machine-model options set. */
-struct MachineOptions
-{
-    GpuConfig config;
-    unsigned warps = 4; ///< warps to launch
-    bool hints = false; ///< run the static stall-hint pass first
-};
-
-/**
- * Register the machine-model rows (--warps --lat --si --yield --trigger
- * --tst --sms --slots --mshrs --hints --sched), writing into @p m.
- */
-void addMachineOptions(cli::Parser &parser, MachineOptions &m);
 
 /** Apply an SI point to a baseline config. */
 GpuConfig withSi(GpuConfig config, const SiConfigPoint &point);

@@ -34,6 +34,12 @@ Cache::Cache(const CacheConfig &config) : config_(config)
     lines_.resize(lines);
 }
 
+std::uint64_t
+Cache::tagArrayBytes(const CacheConfig &config)
+{
+    return config.sizeBytes / config.lineBytes * sizeof(Line);
+}
+
 unsigned
 Cache::setIndex(Addr addr) const
 {

@@ -48,6 +48,9 @@ class Cache
     /** Throws what checkCacheGeometry() throws for @p config. */
     explicit Cache(const CacheConfig &config);
 
+    /** Bytes of the tag array a cache of geometry @p config allocates. */
+    static std::uint64_t tagArrayBytes(const CacheConfig &config);
+
     /** Outcome of an access, for trace emission. */
     struct AccessResult
     {

@@ -1,5 +1,6 @@
 #include "ref/difftest.hh"
 
+#include <memory>
 #include <utility>
 
 #include "core/gpu.hh"
@@ -190,20 +191,19 @@ diffProgram(const Program &program, const DiffOptions &opts)
         RetireTraceCollector col;
         cfg.traceSink = &col;
 
-        FaultInjector injector(
-            FaultSpec{opts.injectKind, 1, opts.injectSeed});
-        if (opts.inject) {
-            cfg.faultHook = injector.hook();
-            cfg.checkInvariants = true;
-        }
+        std::shared_ptr<const FaultInjector> injector;
+        if (opts.inject)
+            injector = armFault(
+                cfg, FaultSpec{opts.injectKind, 1, opts.injectSeed});
 
         Gpu gpu(cfg, mem);
         const GpuResult res = gpu.run(
             program, LaunchParams{opts.numWarps, opts.warpsPerCta});
         const std::string detail =
             comparePoint(ref, ref_mem, res, mem, gpu, col, program);
-        if (injector.fired() && (out.fault.empty() || !detail.empty()))
-            out.fault = injector.description();
+        if (injector && injector->fired() &&
+            (out.fault.empty() || !detail.empty()))
+            out.fault = injector->description();
         if (!detail.empty()) {
             out.agree = false;
             out.point = pt.name;

@@ -3,15 +3,13 @@
  * Concrete TraceSink implementations: an unbounded in-memory sink for
  * tests and short runs, a bounded ring buffer for always-on capture
  * ("flight recorder": keep the last N events, count the rest), and a
- * tee for feeding several consumers from one run. The ring buffer also
- * defines the compact binary trace format.
+ * tee for feeding several consumers from one run.
  */
 
 #ifndef SI_TRACING_SINKS_HH
 #define SI_TRACING_SINKS_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "trace/events.hh"
@@ -61,23 +59,6 @@ class RingBufferSink : public TraceSink
     std::vector<TraceEvent> snapshot() const;
 
     void clear();
-
-    /**
-     * Serialize the surviving events as the compact binary format:
-     * 8-byte magic "SITRACE1", then u32 version, u32 sizeof(TraceEvent),
-     * u64 count, u64 dropped, then count raw TraceEvent records.
-     * Native-endian; a same-build readBinary() round-trips exactly.
-     */
-    void writeBinary(std::ostream &os) const;
-
-    /**
-     * Parse a writeBinary() stream from a seekable @p is. Returns false
-     * (and leaves outputs untouched) on bad magic, version, or
-     * record-size mismatch, a record count the remaining bytes cannot
-     * hold, or an event kind past lastTraceEventKind.
-     */
-    static bool readBinary(std::istream &is, std::vector<TraceEvent> &out,
-                           std::uint64_t &dropped_out);
 
   private:
     std::vector<TraceEvent> buf_;

@@ -194,3 +194,23 @@ TEST(GpuConfigRows, WorkloadRunIgnoresTheConfigsRtCore)
     ASSERT_TRUE(got.ok()) << got.status.summary();
     EXPECT_EQ(got.cycles, want.cycles);
 }
+
+TEST(GpuConfigRows, MachineTagArraysHaveOneBound)
+{
+    // Each cache is within its row, but eight SMs of 16 Mi one-byte L1D
+    // lines would allocate about 3 GB of tags at launch: a config error
+    // from the run boundary, before any SM is built.
+    GpuConfig cfg = baselineConfig();
+    cfg.numSms = 8;
+    cfg.l1d.sizeBytes = maxCacheBytes;
+    cfg.l1d.lineBytes = 1;
+    cfg.l1d.assoc = 1;
+    const GpuResult r = runWorkload(buildApp(AppId::AV1, 8), cfg);
+    EXPECT_EQ(r.status.kind, ErrorKind::Config);
+    EXPECT_THAT(r.status.message, HasSubstr("cache tag arrays of 8 SMs"));
+
+    cfg.numSms = 1; // 384 MiB of tags: still over the bound
+    EXPECT_THROW(cfg.validate(), SimError);
+    cfg.l1d.lineBytes = 128; // 3 MiB
+    EXPECT_NO_THROW(cfg.validate());
+}

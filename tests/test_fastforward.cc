@@ -271,8 +271,9 @@ TEST(FastForward, HighLatencyRunLeapsAndStaysBitIdentical)
 
 TEST(FastForward, StallTableAndTraceExactWhileLeaping)
 {
-    // swprof's report and swsim --trace-out's Chrome trace come from a
-    // leaping run; they must match the faithful run's byte for byte.
+    // swsim's --stall-report profile and --trace-out Chrome trace come
+    // from a leaping run; they must match the faithful run's byte for
+    // byte.
     // fig9 runs with SI on; split4 with a one-entry TST, so demotions
     // are denied and TstFull (edge-triggered) fires. The split4 cases
     // cover every branch of the leap's denial back-fill (each selection
@@ -476,13 +477,12 @@ TEST(FastForward, FaultInjectionLeapsAndInjectsAtTheSameCycle)
             for (bool ff : {true, false}) {
                 GpuConfig cfg = c.cfg;
                 cfg.fastForward = ff;
-                cfg.checkInvariants = true;
-                FaultInjector injector(FaultSpec{kind, c.earliest, 7});
-                cfg.faultHook = injector.hook();
+                const std::shared_ptr<const FaultInjector> injector =
+                    armFault(cfg, FaultSpec{kind, c.earliest, 7});
                 Memory mem = makeInputImage(99);
                 Gpu gpu(cfg, mem);
                 result[ff ? 0 : 1] = gpu.run(prog, LaunchParams{8, 4});
-                description[ff ? 0 : 1] = injector.description();
+                description[ff ? 0 : 1] = injector->description();
                 if (ff) {
                     EXPECT_GT(gpu.fastForwardLeaps(), 0u) << label;
                 }

@@ -4,13 +4,12 @@
  *
  *  - event-stream sanity: monotone cycles, complete stamping, and an
  *    Issue event per issued instruction;
- *  - RingBufferSink wraparound/drop accounting and the binary format
- *    round-trip;
+ *  - RingBufferSink wraparound/drop accounting;
  *  - Chrome trace_event export: parses back as JSON, carries the
  *    subwarp-residency slices ("a living Figure 10") and the schema tag;
  *  - the per-pc stall table's reconciliation identity against the
  *    SmStats stall counters — exactly, not approximately;
- *  - a golden swprof report (regenerate with --update-golden or
+ *  - a golden stall report (regenerate with --update-golden or
  *    SI_UPDATE_GOLDEN=1, then review the diff);
  *  - the si-stats-v1 document;
  *  - failure events: Watchdog and FaultInject events fire when a run
@@ -185,93 +184,6 @@ TEST(RingBuffer, PartialFillSnapshotsInOrder)
         EXPECT_EQ(got[i].cycle, i);
 }
 
-TEST(RingBuffer, BinaryRoundTrip)
-{
-    RingBufferSink ring(8);
-    for (std::uint64_t c = 0; c < 20; ++c)
-        ring.record(syntheticEvent(c));
-
-    std::stringstream ss;
-    ring.writeBinary(ss);
-
-    std::vector<TraceEvent> back;
-    std::uint64_t dropped = 0;
-    ASSERT_TRUE(RingBufferSink::readBinary(ss, back, dropped));
-    EXPECT_EQ(dropped, ring.dropped());
-    ASSERT_EQ(back.size(), ring.snapshot().size());
-    EXPECT_TRUE(back == ring.snapshot());
-}
-
-TEST(RingBuffer, BinaryRejectsBadMagic)
-{
-    std::stringstream ss("NOTATRACE-FILE-AT-ALL...........");
-    std::vector<TraceEvent> back;
-    std::uint64_t dropped = 0;
-    EXPECT_FALSE(RingBufferSink::readBinary(ss, back, dropped));
-    EXPECT_TRUE(back.empty());
-}
-
-namespace {
-
-/** A writeBinary() stream of @p n synthetic events. */
-std::string
-binaryTrace(std::size_t n)
-{
-    RingBufferSink ring(16);
-    for (std::uint64_t c = 0; c < n; ++c)
-        ring.record(syntheticEvent(c));
-    std::stringstream ss;
-    ring.writeBinary(ss);
-    return ss.str();
-}
-
-bool
-readsBack(const std::string &bytes)
-{
-    std::stringstream ss(bytes);
-    std::vector<TraceEvent> back;
-    std::uint64_t dropped = 0;
-    const bool ok = RingBufferSink::readBinary(ss, back, dropped);
-    EXPECT_TRUE(ok || back.empty()) << "outputs touched on failure";
-    return ok;
-}
-
-// magic, version, record size, then the u64 record count.
-constexpr std::size_t binaryCountOffset = 8 + 4 + 4;
-constexpr std::size_t binaryHeaderBytes = binaryCountOffset + 8 + 8;
-
-} // namespace
-
-TEST(RingBuffer, BinaryRejectsCountBeyondStream)
-{
-    const std::string good = binaryTrace(3);
-    ASSERT_TRUE(readsBack(good));
-
-    // A count one past the records present, and one so large that
-    // resizing for it would exhaust memory: both rejected up front.
-    for (const std::uint64_t count :
-         {std::uint64_t(4), std::uint64_t(1) << 60}) {
-        std::string bad = good;
-        std::memcpy(&bad[binaryCountOffset], &count, sizeof(count));
-        EXPECT_FALSE(readsBack(bad)) << count;
-    }
-}
-
-TEST(RingBuffer, BinaryRejectsUnknownEventKind)
-{
-    const std::string good = binaryTrace(3);
-    ASSERT_TRUE(readsBack(good));
-
-    std::string bad = good;
-    const std::size_t kind_off = binaryHeaderBytes + sizeof(TraceEvent) +
-                                 offsetof(TraceEvent, kind);
-    bad[kind_off] = char(std::uint8_t(lastTraceEventKind) + 1);
-    EXPECT_FALSE(readsBack(bad));
-
-    bad[kind_off] = char(lastTraceEventKind);
-    EXPECT_TRUE(readsBack(bad));
-}
-
 // ---------------------------------------------------------------------
 // Chrome trace export
 // ---------------------------------------------------------------------
@@ -324,7 +236,7 @@ TEST(ChromeTrace, EmptyStreamStillValid)
 }
 
 // ---------------------------------------------------------------------
-// Stall attribution: the core's per-pc table and the swprof report
+// Stall attribution: the core's per-pc table and the stall report
 // ---------------------------------------------------------------------
 
 // The reconciliation identity: the per-pc table is a *decomposition*
@@ -399,7 +311,7 @@ TEST(StallAttribution, ReportJsonParsesBack)
     EXPECT_EQ(std::uint64_t(sum), total);
 }
 
-// Golden swprof report: the deterministic text rendering of the
+// Golden stall report: the deterministic text rendering of the
 // Figure 9 profile. Regenerate with --update-golden after intentional
 // timing-model changes and review the diff.
 TEST(StallAttribution, GoldenFig9Report)
@@ -411,7 +323,7 @@ TEST(StallAttribution, GoldenFig9Report)
 
     const std::string got = stallReport(r, prog, 10);
     const std::string path =
-        std::string(SI_GOLDEN_DIR) + "/swprof_fig9.txt";
+        std::string(SI_GOLDEN_DIR) + "/stall_fig9.txt";
     if (update_golden) {
         std::ofstream out(path);
         ASSERT_TRUE(out.good()) << "cannot write " << path;
@@ -424,7 +336,7 @@ TEST(StallAttribution, GoldenFig9Report)
     ASSERT_FALSE(want.str().empty())
         << path << " missing — run with --update-golden to create it";
     EXPECT_EQ(got, want.str())
-        << "swprof report changed; if intentional, regenerate with "
+        << "stall report changed; if intentional, regenerate with "
         << "--update-golden and review the diff";
 }
 

@@ -7,9 +7,10 @@
  *
  * Runs the kernel under one machine configuration, or injects a fault
  * (--inject), sweeps it as a resumable campaign (--campaign-state),
- * checkpoints and resumes it, attaches the race sanitizer, and exports
- * statistics, windowed metrics and traces. `swsim --help` lists every
- * option.
+ * checkpoints and resumes it, attaches the race sanitizer, prints the
+ * stall profile (lost issue slots per stall reason, pc and opcode), and
+ * exports statistics, the profile, windowed metrics and traces.
+ * `swsim --help` lists every option.
  *
  * Exit status: 0 on success (for --inject: fault caught), 1 on bad
  * usage, assembly error, or a failed/undetected run; in campaign mode
@@ -38,6 +39,49 @@
 #include "trace/sinks.hh"
 
 namespace {
+
+/** What the machine-model options set. */
+struct MachineOptions
+{
+    si::GpuConfig config;
+    unsigned warps = 4; ///< warps to launch
+    bool hints = false; ///< run the static stall-hint pass first
+};
+
+/**
+ * Register the machine-model rows (--warps --lat --si --yield --trigger
+ * --tst --sms --slots --mshrs --hints --sched), writing into @p m.
+ */
+void
+addMachineOptions(si::cli::Parser &parser, MachineOptions &m)
+{
+    si::GpuConfig &c = m.config;
+    const std::vector<std::pair<std::string, si::SelectTrigger>> triggers =
+        {{"any", si::SelectTrigger::AnyStalled},
+         {"half", si::SelectTrigger::HalfStalled},
+         {"all", si::SelectTrigger::AllStalled}};
+    const std::vector<std::pair<std::string, si::SchedPolicy>> scheds = {
+        {"gto", si::SchedPolicy::GTO}, {"lrr", si::SchedPolicy::LRR}};
+    parser.number("--warps", m.warps, "warps to launch (default 4)")
+        .number("--lat", c.lat.l1Miss,
+                "L1 miss latency in cycles (default 600)")
+        .flag("--si", c.siEnabled, "enable Subwarp Interleaving (SOS)")
+        .flag("--yield", [&c] { c.siEnabled = c.yieldEnabled = true; },
+              "also enable subwarp-yield (implies --si)")
+        .choice("--trigger", c.trigger, triggers,
+                "selection trigger: N>0, N>=0.5 or N=1 of the live warps "
+                "stalled (default half)")
+        .number("--tst", c.maxSubwarps,
+                "thread status table entries (default 32)")
+        .number("--sms", c.numSms, "number of SMs (default 2)")
+        .number("--slots", c.warpSlotsPerPb,
+                "warp slots per processing block (default 8)")
+        .number("--mshrs", c.maxOutstandingMisses,
+                "outstanding-miss budget (default 0 = unlimited)")
+        .flag("--hints", m.hints,
+              "run the static stall-hint pass and the hint policy")
+        .choice("--sched", c.sched, scheds, "warp scheduler (default gto)");
+}
 
 /** --trace: print each issue as it happens. */
 class PrintSink : public si::TraceSink
@@ -76,7 +120,7 @@ runFailed(const si::RunStatus &status)
 int
 main(int argc, char **argv)
 {
-    si::MachineOptions machine;
+    MachineOptions machine;
     si::GpuConfig &cfg = machine.config;
     std::vector<std::string> kernel;
     unsigned trace_ring = 1u << 20;
@@ -84,7 +128,8 @@ main(int argc, char **argv)
     bool compare = false;
     bool race = false;
     bool ff_report = false;
-    std::string stats_json_path, trace_out_path;
+    bool stall_report = false;
+    std::string stats_json_path, stall_json_path, trace_out_path;
     std::string metrics_out_path, metrics_csv_path;
     unsigned metrics_interval = 0;
     unsigned metrics_ring = 4096;
@@ -100,7 +145,7 @@ main(int argc, char **argv)
 
     si::cli::Parser cli("swsim", "KERNEL.sasm [options]");
     cli.positional(kernel, "KERNEL.sasm", 1, 1);
-    si::addMachineOptions(cli, machine);
+    addMachineOptions(cli, machine);
     cli.flag("--check-invariants", cfg.checkInvariants,
              "run the opt-in machine-state audits")
         .flag("--race", race,
@@ -113,6 +158,13 @@ main(int argc, char **argv)
         .flag("--stats", dump_stats, "dump full statistics")
         .text("--stats-json", stats_json_path, "FILE",
               "write machine-readable statistics (si-stats-v1); - is "
+              "stdout")
+        .flag("--stall-report", stall_report,
+              "print the stall profile: lost issue slots per stall "
+              "reason, and the top 10 pcs and opcodes; printed even "
+              "when the run fails")
+        .text("--stall-json", stall_json_path, "FILE",
+              "write every row of the stall profile (si-stall-v1); - is "
               "stdout")
         .text("--metrics-out", metrics_out_path, "FILE",
               "write windowed time-series metrics (si-metrics-v1); - is "
@@ -204,18 +256,18 @@ main(int argc, char **argv)
     // Windowed metrics: a read-only observer on the clock loop.
     const bool metrics =
         !metrics_out_path.empty() || !metrics_csv_path.empty();
-    si::MetricsSampler sampler(metrics_interval, metrics_ring);
-    if (metrics) {
-        if (inject || !campaign_dir.empty()) {
-            // Both modes run (or re-run) the kernel under several
-            // configs/children; one shared sampler would mix them.
-            std::fprintf(stderr, "swsim: --metrics-out/--metrics-csv "
-                                 "are exclusive with --inject and "
-                                 "campaign mode\n");
-            return 1;
-        }
-        cfg.metricsSampler = &sampler;
+    if ((metrics || stall_report || !stall_json_path.empty()) &&
+        (inject || !campaign_dir.empty())) {
+        // Both modes run (or re-run) the kernel under several
+        // configs/children; one series or profile would mix them.
+        std::fprintf(stderr, "swsim: --metrics-out/--metrics-csv and "
+                             "--stall-report/--stall-json are exclusive "
+                             "with --inject and campaign mode\n");
+        return 1;
     }
+    si::MetricsSampler sampler(metrics_interval, metrics_ring);
+    if (metrics)
+        cfg.metricsSampler = &sampler;
 
     si::RaceDetector race_det;
     if (race) {
@@ -426,6 +478,9 @@ main(int argc, char **argv)
         si::cli::writeOutput(stats_json_path,
                              si::statsJson(r, prog.name(), opts), "swsim");
     }
+    if (!stall_json_path.empty())
+        si::cli::writeOutput(stall_json_path, si::stallReportJson(r, prog),
+                             "swsim");
     if (metrics) {
         if (!metrics_out_path.empty())
             si::cli::writeOutput(metrics_out_path,
@@ -443,8 +498,12 @@ main(int argc, char **argv)
                          static_cast<unsigned long long>(
                              sampler.droppedTotal()));
     }
-    if (!r.ok())
+    if (!r.ok()) {
+        // The partial profile is what a hang is diagnosed from.
+        if (stall_report)
+            std::printf("%s", si::stallReport(r, prog).c_str());
         return runFailed(r.status);
+    }
 
     if (race) {
         if (!race_det.races().empty()) {
@@ -467,6 +526,8 @@ main(int argc, char **argv)
                     ? double(r.total.instrsIssued) / double(r.smCycleSum())
                     : 0.0,
                 100.0 * r.exposedStallFraction());
+    if (stall_report)
+        std::printf("%s", si::stallReport(r, prog).c_str());
 
     if (compare) {
         si::GpuConfig base = cfg;
