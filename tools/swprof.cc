@@ -33,24 +33,16 @@
 int
 main(int argc, char **argv)
 {
-    bool diff = false;
     std::string json_path;
     std::vector<std::string> files;
     si::cli::Parser cli("swprof", "--diff BASE.json TEST.json [--json FILE]");
     cli.positional(files, "BASE.json TEST.json", 2, 2)
-        .flag("--diff", diff,
+        .flag("--diff", [] {},
               "diff two si-stats-v1/si-metrics-v1 documents per region")
         .text("--json", json_path, "FILE",
               "also write the diff as si-profdiff-v1; - is stdout");
     if (const std::optional<int> status = cli.parse(argc, argv))
         return *status;
-    if (!diff) {
-        std::fprintf(stderr,
-                     "swprof: --diff is required (a kernel's stall "
-                     "profile is swsim --stall-report)\n%s",
-                     cli.usage().c_str());
-        return 1;
-    }
 
     si::ProfSide sides[2];
     for (int s = 0; s < 2; ++s) {
