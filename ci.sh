@@ -255,18 +255,23 @@ check_resume() {
         --mshrs 4
 }
 
-# One check_resume pair: NAME then the swsim arguments.
+# One check_resume pair: NAME then the swsim arguments. The per-cycle
+# run must write the leaping run's checkpoint: the periodic schedule
+# pins the same cycles in both modes.
 resume_matches() {
     local dir=$1 name=$2
     shift 2
     local out="$dir/artifacts/resume/$name"
     local swsim=("$dir/tools/swsim" "$@" --metrics-interval 64)
     mkdir -p "$(dirname "$out")"
-    rm -f "$out.ckpt"
+    rm -f "$out.ckpt" "$out.off.ckpt"
     "${swsim[@]}" --stats-json "$out.full.stats.json" \
         --metrics-out "$out.full.metrics.json" > "$out.full.txt"
     "${swsim[@]}" --checkpoint-every 300 --checkpoint "$out.ckpt" \
         --metrics-out /dev/null > /dev/null
+    "${swsim[@]}" --checkpoint-every 300 --checkpoint "$out.off.ckpt" \
+        --metrics-out /dev/null --fast-forward=off > /dev/null
+    cmp "$out.ckpt" "$out.off.ckpt"
     "${swsim[@]}" --resume "$out.ckpt" \
         --stats-json "$out.resumed.stats.json" \
         --metrics-out "$out.resumed.metrics.json" > "$out.resumed.txt"

@@ -78,13 +78,15 @@ class CycleSampler
 using FaultHook = std::function<Cycle(Gpu &, Cycle)>;
 
 /**
- * Optional checkpoint hook, fired every checkpointInterval cycles at the
- * top of the run loop — a cycle boundary where no SM has ticked yet, so
+ * Optional checkpoint hook, called at the top of every run-loop
+ * iteration — a cycle boundary where no SM has ticked yet, so
  * Gpu::save() captures a state the resume path can re-enter bit-exactly.
- * The campaign runner uses it for periodic auto-checkpoints; the
- * determinism validator uses it to freeze a mid-run state to replay.
+ * It decides itself whether to save at this cycle and, like FaultHook,
+ * returns its horizon pin. checkpointEvery() (core/gpu.hh) is the
+ * periodic schedule; the determinism validator freezes one mid-run
+ * state by pinning the one cycle it saves at.
  */
-using CheckpointHook = std::function<void(const Gpu &, Cycle)>;
+using CheckpointHook = std::function<Cycle(const Gpu &, Cycle)>;
 
 /**
  * When subwarp-select may demote a stalled ACTIVE subwarp, expressed as
@@ -196,8 +198,8 @@ struct GpuConfig
      * closed form. Every stat, metrics window, snapshot, and golden
      * table is bit-identical to the per-cycle run, so this is a pure
      * wall-clock optimization and is on by default. A leap stops at
-     * every checkpoint, invariant-audit and metrics-window boundary
-     * and at the fault hook's pin, so those observers fire at the
+     * every invariant-audit and metrics-window boundary and at the
+     * checkpoint and fault hooks' pins, so those observers fire at the
      * cycles a per-cycle run fires them. Trace sinks and the race
      * sanitizer need no pin: neither fires on a quiet cycle.
      */
@@ -244,9 +246,6 @@ struct GpuConfig
 
     /** Checkpoint hook (null = disabled; see CheckpointHook). */
     CheckpointHook checkpointHook;
-
-    /** Cycles between checkpointHook firings (0 = disabled). */
-    std::uint64_t checkpointInterval = 0;
 
     /**
      * Trace event consumer (null = tracing off). Non-owning; must
@@ -369,8 +368,6 @@ GpuConfig::walk(Self &c, V &v)
     v.row("livelockCycles", c.livelockCycles);
     v.row("checkInvariants", c.checkInvariants);
     v.row("invariantCheckInterval", c.invariantCheckInterval);
-    // A resumed run may checkpoint at another interval.
-    v.row("checkpointInterval", c.checkpointInterval, Fingerprint::Skip);
 }
 
 } // namespace si

@@ -234,11 +234,12 @@ Gpu::runLoop()
 
         // Checkpoint before any other hook mutates or observes state:
         // what save() captures here is exactly what a resumed loop sees
-        // on its first iteration.
-        if (config_.checkpointHook && config_.checkpointInterval &&
-            now_ != 0 && now_ % config_.checkpointInterval == 0) {
-            (config_.checkpointHook)(*this, now_);
-        }
+        // on its first iteration. The hooks' pins are recomputed by
+        // every call, so nothing about them is saved: a resumed loop's
+        // first iteration re-derives them.
+        Cycle hook_pin = invalidCycle;
+        if (config_.checkpointHook)
+            hook_pin = (config_.checkpointHook)(*this, now_);
 
         // Sample after the checkpoint hook: a snapshot taken at cycle N
         // holds the sampler state from before onCycle(N), and the
@@ -247,11 +248,8 @@ Gpu::runLoop()
         if (config_.metricsSampler)
             config_.metricsSampler->onCycle(*this, now_);
 
-        // The hook's pin is recomputed by every call, so nothing about
-        // it is saved: a resumed loop's first iteration re-derives it.
-        Cycle hook_pin = invalidCycle;
         if (config_.faultHook)
-            hook_pin = (config_.faultHook)(*this, now_);
+            hook_pin = std::min(hook_pin, (config_.faultHook)(*this, now_));
 
         for (auto &sm : sms_)
             sm->tick(now_);
@@ -338,15 +336,14 @@ Gpu::maybeFastForward(Cycle hook_pin, bool events_pending)
 
     // Clamp to every cycle the loop itself must observe: the watchdog
     // cap, the livelock deadline (only binding when no writeback is in
-    // flight), each hook/sampler boundary, and the fault hook's pin.
-    // nextBoundary() returns now_ when now_ is already a boundary, which
-    // yields h == now_ and no leap — the hook then fires normally on the
-    // next iteration; a pin at or below now_ does the same.
+    // flight), the sampler's and the audit's boundaries, and the
+    // checkpoint and fault hooks' pin. nextBoundary() returns now_ when
+    // now_ is already a boundary, which yields h == now_ and no leap —
+    // the audit then runs normally on this iteration's check; a pin at
+    // or below now_ does the same for the hooks on the next iteration.
     Cycle h = std::min(horizon, config_.maxCycles);
     if (!events_pending && config_.livelockCycles)
         h = std::min(h, lastProgress_ + config_.livelockCycles);
-    if (config_.checkpointHook && config_.checkpointInterval)
-        h = std::min(h, nextBoundary(now_, config_.checkpointInterval));
     if (config_.metricsSampler)
         h = std::min(h, config_.metricsSampler->horizonPin(now_));
     h = std::min(h, hook_pin);
@@ -484,6 +481,19 @@ simulate(const GpuConfig &config, Memory &memory, const Program &program,
 {
     Gpu gpu(config, memory, scene);
     return gpu.run(program, launch);
+}
+
+CheckpointHook
+checkpointEvery(std::uint64_t every, std::string path)
+{
+    return [every, path = std::move(path)](const Gpu &gpu, Cycle now) {
+        if (now != 0 && now % every == 0) {
+            SnapshotWriter w;
+            gpu.save(w);
+            writeFileAtomic(path, w.finish());
+        }
+        return now - now % every + every;
+    };
 }
 
 } // namespace si

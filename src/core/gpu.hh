@@ -209,8 +209,9 @@ class Gpu
     /**
      * Cycle-leap step after the tick at now_ - 1: when the earliest
      * Sm::nextEventAt() lies past now_, clamp it to the watchdog
-     * deadlines, every hook/sampler boundary and @p hook_pin (the fault
-     * hook's return this iteration) and advance now_ to it in one step;
+     * deadlines, the sampler's and the audit's boundaries and
+     * @p hook_pin (the lesser of the checkpoint and fault hooks' returns
+     * this iteration) and advance now_ to it in one step;
      * Sm::applyQuietCycles advances each SM's counters while its open
      * warp spans run on. @p events_pending is the loop's
      * hasPendingWritebacks() disjunction for this iteration.
@@ -241,6 +242,13 @@ std::uint64_t programFingerprint(const Program &program);
 GpuResult simulate(const GpuConfig &config, Memory &memory,
                    const Program &program, const LaunchParams &launch,
                    const Bvh *scene = nullptr);
+
+/**
+ * The periodic checkpoint schedule: a hook that atomically overwrites
+ * @p path with the whole machine at every nonzero multiple of @p every
+ * (!= 0) cycles, and pins the next multiple.
+ */
+CheckpointHook checkpointEvery(std::uint64_t every, std::string path);
 
 } // namespace si
 

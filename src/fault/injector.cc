@@ -179,32 +179,4 @@ armFault(GpuConfig &config, const FaultSpec &spec)
     return injector;
 }
 
-std::vector<CampaignRun>
-runCampaign(const Program &program, const LaunchParams &launch,
-            const Memory &memory, GpuConfig config,
-            const std::vector<FaultSpec> &specs, const Bvh *scene)
-{
-    // Harden: every fault class needs its detector armed (armFault
-    // turns the audit on).
-    if (config.livelockCycles == 0)
-        config.livelockCycles = 50'000;
-
-    std::vector<CampaignRun> runs;
-    runs.reserve(specs.size());
-    for (const FaultSpec &spec : specs) {
-        GpuConfig run_config = config;
-        const std::shared_ptr<const FaultInjector> injector =
-            armFault(run_config, spec);
-        Memory mem = memory; // fresh copy per run
-
-        CampaignRun run;
-        run.spec = spec;
-        run.result = simulate(run_config, mem, program, launch, scene);
-        run.injected = injector->fired();
-        run.description = injector->description();
-        runs.push_back(std::move(run));
-    }
-    return runs;
-}
-
 } // namespace si

@@ -113,36 +113,6 @@ class FaultInjector
 std::shared_ptr<const FaultInjector> armFault(GpuConfig &config,
                                               const FaultSpec &spec);
 
-/** One run of a fault-injection campaign. */
-struct CampaignRun
-{
-    FaultSpec spec;
-    bool injected = false;    ///< an injection point was reached
-    std::string description;  ///< what was corrupted
-    GpuResult result;         ///< classified outcome of the damaged run
-
-    /** True when the fault was injected *and* detected. */
-    bool
-    caught() const
-    {
-        return injected && !result.ok();
-    }
-};
-
-/**
- * Run @p specs against the same kernel, one fresh-memory run per spec.
- * The config is hardened first — invariant checking on, livelock
- * watchdog enabled — so every injected fault has a detector aimed at
- * it. The process survives all runs; failures come back classified in
- * each CampaignRun::result.
- */
-std::vector<CampaignRun> runCampaign(const Program &program,
-                                     const LaunchParams &launch,
-                                     const Memory &memory,
-                                     GpuConfig config,
-                                     const std::vector<FaultSpec> &specs,
-                                     const Bvh *scene = nullptr);
-
 } // namespace si
 
 #endif // SI_FAULT_INJECTOR_HH

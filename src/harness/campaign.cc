@@ -237,14 +237,9 @@ CampaignRunner::childMain(const CampaignCellRecord &rec,
             options_.childConfigHook(config, rec, rec.attempts);
 
         const std::string ckpt = checkpointPath(rec);
-        if (options_.checkpointEvery) {
-            config.checkpointInterval = options_.checkpointEvery;
-            config.checkpointHook = [ckpt](const Gpu &gpu, Cycle) {
-                SnapshotWriter w;
-                gpu.save(w);
-                writeFileAtomic(ckpt, w.finish());
-            };
-        }
+        if (options_.checkpointEvery)
+            config.checkpointHook =
+                checkpointEvery(options_.checkpointEvery, ckpt);
 
         // A checkpoint from an earlier attempt (or an earlier campaign
         // invocation) resumes the cell mid-run; a corrupt or mismatched

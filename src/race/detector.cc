@@ -169,53 +169,4 @@ RaceDetector::reset()
     races_.clear();
 }
 
-template <class Self, class Ar>
-void
-RaceDetector::walk(Self &self, Ar &ar)
-{
-    // Counts here are u32 wide.
-    constexpr unsigned count_bytes = 4;
-    constexpr std::size_t rec_bytes = 4 + 1 + 4 + 4;
-    const auto rec = [&](auto &a) {
-        ar.io(a.warpId, a.lane, a.clock, a.pc);
-    };
-    ar.seq(
-        self.warps_, 4 + 4 * warpSize * warpSize,
-        [&](auto &warp) {
-            ar.io(warp.first);
-            for (auto &c : warp.second.vc)
-                ar.io(c);
-        },
-        count_bytes);
-    ar.seq(
-        self.shadow_, 8 + 1 + 4,
-        [&](auto &word) {
-            auto &cell = word.second;
-            ar.io(word.first, cell.hasWrite);
-            if (cell.hasWrite)
-                rec(cell.write);
-            ar.seq(cell.reads, rec_bytes, rec, count_bytes);
-        },
-        count_bytes);
-    ar.seq(
-        self.races_, 4 + 4 + 1 + 4 + 4 + 4 + 8 + 8,
-        [&](auto &r) {
-            ar.io(r.pcA, r.pcB, r.storeStore, r.warpId, r.laneA, r.laneB,
-                  r.addr, r.cycle);
-        },
-        count_bytes);
-}
-
-void
-RaceDetector::save(SnapshotWriter &w) const
-{
-    walk(*this, w);
-}
-
-void
-RaceDetector::restore(SnapshotReader &r)
-{
-    walk(*this, r);
-}
-
 } // namespace si

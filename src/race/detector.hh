@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "race/hooks.hh"
-#include "snapshot/snapshot.hh"
 
 namespace si {
 
@@ -81,19 +80,7 @@ class RaceDetector : public RaceHooks
     /** Drop all state (shadow, clocks, findings). */
     void reset();
 
-    /**
-     * Serialize / restore the full sanitizer state (vector clocks,
-     * shadow cells, findings), so checkpoint/resume runs report the
-     * same races as uninterrupted ones. Untagged payload — embed inside
-     * a component section like ScoreboardFile does.
-     */
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
-
   private:
-    template <class Self, class Ar>
-    static void walk(Self &self, Ar &ar);
-
     /** One recorded access epoch on a shadow word. */
     struct AccessRecord
     {

@@ -125,7 +125,6 @@ validateDeterministicReplay(const GpuConfig &config,
     // Leg A: fresh, to learn the runtime.
     GpuConfig base = config;
     base.checkpointHook = nullptr;
-    base.checkpointInterval = 0;
     auto leg_a = makeLeg(base);
     leg_a->result = leg_a->gpu->runMulti(kernels);
     out.cycles = leg_a->result.cycles;
@@ -145,16 +144,18 @@ validateDeterministicReplay(const GpuConfig &config,
     {
         GpuConfig cfg = base;
         cfg.traceSink = &leg_b->traces;
-        cfg.checkpointInterval = ckpt;
         Leg *raw = leg_b.get();
-        cfg.checkpointHook = [&snapshot, &traces_at_ckpt,
-                              raw](const Gpu &gpu, Cycle) {
-            if (!snapshot.empty())
-                return; // one-shot: later multiples are ignored
-            SnapshotWriter w;
-            gpu.save(w);
-            snapshot = w.finish();
-            traces_at_ckpt = raw->traces;
+        cfg.checkpointHook = [&snapshot, &traces_at_ckpt, raw,
+                              ckpt](const Gpu &gpu, Cycle now) {
+            if (now < ckpt)
+                return ckpt;
+            if (now == ckpt) {
+                SnapshotWriter w;
+                gpu.save(w);
+                snapshot = w.finish();
+                traces_at_ckpt = raw->traces;
+            }
+            return invalidCycle;
         };
         leg_b->gpu =
             std::make_unique<Gpu>(cfg, leg_b->memory, opts.scene);

@@ -68,10 +68,10 @@ struct ReplayCheckResult
 
 /**
  * Run @p kernels under @p config three ways (fresh / fresh+checkpoint /
- * restored) and compare. The config's traceSink, checkpointHook, and
- * checkpointInterval are overridden internally; everything else is
- * honored, including fault-free failure modes — a kernel that livelocks
- * must livelock identically in every leg.
+ * restored) and compare. The config's traceSink and checkpointHook are
+ * overridden internally; everything else is honored, including
+ * fault-free failure modes — a kernel that livelocks must livelock
+ * identically in every leg.
  */
 ReplayCheckResult
 validateDeterministicReplay(const GpuConfig &config,

@@ -139,10 +139,10 @@ SnapshotReader::str()
 }
 
 std::size_t
-SnapshotReader::count(std::size_t min_bytes_each, unsigned count_bytes)
+SnapshotReader::count(std::size_t min_bytes_each)
 {
     const std::size_t at = pos_;
-    const std::uint64_t n = uint(count_bytes);
+    const std::uint64_t n = u64();
     sim_throw_if(n > remaining() / min_bytes_each, ErrorKind::Snapshot,
                  "snapshot count %llu at payload offset %zu needs at "
                  "least %zu bytes each but only %zu remain",

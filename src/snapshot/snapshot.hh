@@ -38,7 +38,6 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
-#include <utility>
 
 #include "common/sim_error.hh"
 #include "common/thread_mask.hh"
@@ -156,13 +155,12 @@ class SnapshotWriter
         put(ours);
     }
 
-    /** A sequence: its length (@p count_bytes wide), then @p each on
-     *  every element. */
+    /** A sequence: its length (u64), then @p each on every element. */
     template <class C, class F>
     void
-    seq(C &c, std::size_t, F &&each, unsigned count_bytes = 8)
+    seq(C &c, std::size_t, F &&each)
     {
-        uint(c.size(), count_bytes);
+        u64(c.size());
         for (auto &e : c)
             each(e);
     }
@@ -228,13 +226,12 @@ class SnapshotReader
     std::string str();
 
     /**
-     * Read an element count (@p count_bytes wide) for a container the
-     * caller is about to size, each element taking at least
-     * @p min_bytes_each payload bytes. Throws when the count cannot fit
-     * in what remains, so a corrupt count fails here instead of in a
-     * huge allocation.
+     * Read an element count (u64) for a container the caller is about
+     * to size, each element taking at least @p min_bytes_each payload
+     * bytes. Throws when the count cannot fit in what remains, so a
+     * corrupt count fails here instead of in a huge allocation.
      */
-    std::size_t count(std::size_t min_bytes_each, unsigned count_bytes = 8);
+    std::size_t count(std::size_t min_bytes_each);
 
     /** Consume a section tag; throws when it isn't @p expected. */
     void tag(SnapTag expected);
@@ -269,26 +266,14 @@ class SnapshotReader
             mismatch(who, field, text(got), text(ours));
     }
 
-    /** A sequence; its length comes through count(@p min_bytes_each).
-     *  A map is rebuilt from (key, value) pairs. */
+    /** A sequence; its length comes through count(@p min_bytes_each). */
     template <class C, class F>
     void
-    seq(C &c, std::size_t min_bytes_each, F &&each,
-        unsigned count_bytes = 8)
+    seq(C &c, std::size_t min_bytes_each, F &&each)
     {
-        const std::size_t n = count(min_bytes_each, count_bytes);
-        if constexpr (requires { c.resize(n); }) {
-            c.resize(n);
-            for (auto &e : c)
-                each(e);
-        } else {
-            c.clear();
-            for (std::size_t i = 0; i < n; ++i) {
-                std::pair<typename C::key_type, typename C::mapped_type> kv;
-                each(kv);
-                c.insert(std::move(kv));
-            }
-        }
+        c.resize(count(min_bytes_each));
+        for (auto &e : c)
+            each(e);
     }
 
   private:

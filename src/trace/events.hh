@@ -60,9 +60,6 @@ enum class TraceEventKind : std::uint8_t {
     Writeback,         ///< scoreboard release drained: mask, arg=sb|port<<8
 };
 
-/** The highest TraceEventKind (binary-trace validation). */
-inline constexpr TraceEventKind lastTraceEventKind = TraceEventKind::Writeback;
-
 /** Short stable name ("issue", "subwarp-stall", ...). */
 const char *traceEventKindName(TraceEventKind kind);
 
@@ -99,11 +96,7 @@ enum class TraceCacheLevel : std::uint8_t { L1D, L1I, L0I };
 /** Short stable name ("l1d", ...). */
 const char *traceCacheLevelName(TraceCacheLevel level);
 
-/**
- * One trace record. Fixed-size POD: this exact layout is what the
- * binary ring-buffer dump writes (see trace/sinks.hh), so additions
- * must bump the binary format version.
- */
+/** One trace record, stamped with cycle/SM/PB/warp. */
 struct TraceEvent
 {
     Cycle cycle = 0;

@@ -140,9 +140,8 @@ TEST(GpuConfigRows, EachRowMovesTheFingerprintAndHasItsRange)
     ASSERT_NO_THROW(cfg.validate());
     RowProbe probe(cfg);
     GpuConfig::walk(cfg, probe);
-    EXPECT_EQ(probe.keys.size(), 45u);
-    EXPECT_EQ(probe.skipped,
-              (std::vector<std::string>{"fastForward", "checkpointInterval"}));
+    EXPECT_EQ(probe.keys.size(), 44u);
+    EXPECT_EQ(probe.skipped, (std::vector<std::string>{"fastForward"}));
 }
 
 TEST(GpuConfigRows, CrossFieldRules)

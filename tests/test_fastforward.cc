@@ -386,13 +386,15 @@ TEST(FastForward, CheckpointsAreByteIdenticalAcrossModes)
     for (bool ff : {true, false}) {
         GpuConfig cfg = memlatConfig();
         cfg.fastForward = ff;
-        cfg.checkpointInterval = 100;
         std::map<Cycle, std::string> &snaps =
             snaps_by_mode[ff ? 0 : 1];
         cfg.checkpointHook = [&snaps](const Gpu &gpu, Cycle now) {
-            SnapshotWriter w;
-            gpu.save(w);
-            snaps[now] = w.finish();
+            if (now != 0 && now % 100 == 0) {
+                SnapshotWriter w;
+                gpu.save(w);
+                snaps[now] = w.finish();
+            }
+            return now - now % 100 + 100;
         };
         Memory mem = makeInputImage(99);
         Gpu gpu(cfg, mem);
@@ -406,6 +408,48 @@ TEST(FastForward, CheckpointsAreByteIdenticalAcrossModes)
     EXPECT_EQ(final_stats[0], final_stats[1]);
 }
 
+TEST(FastForward, OneShotCheckpointLeapsOnBothSides)
+{
+    // A one-shot hook pins only its own cycle: a run checkpointed inside
+    // a quiet stretch leaps up to that cycle and on past it, and still
+    // writes the per-cycle run's snapshot and final statistics.
+    constexpr Cycle at = 1000;
+    const Program prog = assembleOrDie(memlatSource);
+    std::string snap[2], final_stats[2];
+    std::uint64_t leaps_at = 0, leaps_total = 0;
+    for (bool ff : {true, false}) {
+        GpuConfig cfg = memlatConfig();
+        cfg.fastForward = ff;
+        std::string &container = snap[ff ? 0 : 1];
+        cfg.checkpointHook = [&](const Gpu &gpu, Cycle now) {
+            if (now < at)
+                return at;
+            if (now == at) {
+                // No SM is due at `at`: the cycle lies inside a leap.
+                EXPECT_GT(gpu.sm(0).nextEventAt(), at);
+                if (ff)
+                    leaps_at = gpu.fastForwardLeaps();
+                SnapshotWriter w;
+                gpu.save(w);
+                container = w.finish();
+            }
+            return invalidCycle;
+        };
+        Memory mem = makeInputImage(99);
+        Gpu gpu(cfg, mem);
+        const GpuResult r = gpu.run(prog, LaunchParams{8, 4});
+        ASSERT_TRUE(r.ok());
+        final_stats[ff ? 0 : 1] = statsJson(r, prog.name(), {});
+        if (ff)
+            leaps_total = gpu.fastForwardLeaps();
+    }
+    ASSERT_FALSE(snap[0].empty());
+    EXPECT_EQ(snap[0], snap[1]);
+    EXPECT_EQ(final_stats[0], final_stats[1]);
+    EXPECT_GT(leaps_at, 0u);
+    EXPECT_GT(leaps_total, leaps_at);
+}
+
 TEST(FastForward, ResumeFromMidLeapCheckpointIsBitExact)
 {
     // Freeze a fast-forwarded run mid-quiet-stretch, thaw it in both
@@ -416,11 +460,13 @@ TEST(FastForward, ResumeFromMidLeapCheckpointIsBitExact)
 
     std::map<Cycle, std::string> snaps;
     GpuConfig cfg = memlatConfig();
-    cfg.checkpointInterval = 300;
     cfg.checkpointHook = [&snaps](const Gpu &gpu, Cycle now) {
-        SnapshotWriter w;
-        gpu.save(w);
-        snaps[now] = w.finish();
+        if (now != 0 && now % 300 == 0) {
+            SnapshotWriter w;
+            gpu.save(w);
+            snaps[now] = w.finish();
+        }
+        return now - now % 300 + 300;
     };
     {
         Memory mem = makeInputImage(99);

@@ -86,22 +86,22 @@ TEST(FaultInjection, CampaignCatchesEveryFaultClass)
         {FaultKind::DroppedWriteback, 10, 2},
         {FaultKind::BarrierMaskCorruption, 10, 3},
     };
-    const std::vector<CampaignRun> runs =
-        runCampaign(prog, {4, 4}, mem, cfg, specs);
-
-    ASSERT_EQ(runs.size(), 3u);
-    for (const CampaignRun &run : runs) {
-        SCOPED_TRACE(faultKindName(run.spec.kind));
-        EXPECT_TRUE(run.injected);
-        EXPECT_FALSE(run.description.empty());
+    for (const FaultSpec &spec : specs) {
+        SCOPED_TRACE(faultKindName(spec.kind));
+        GpuConfig run_cfg = cfg;
+        const auto injector = armFault(run_cfg, spec);
+        Memory run_mem = mem;
+        const GpuResult r = simulate(run_cfg, run_mem, prog, {4, 4});
+        EXPECT_TRUE(injector->fired());
+        EXPECT_FALSE(injector->description().empty());
         // Detected, classified, and the process is still alive (we are
         // executing this assertion).
-        EXPECT_TRUE(run.caught()) << run.result.status.summary();
-        EXPECT_THAT(run.result.status.kind,
+        EXPECT_FALSE(r.ok()) << r.status.summary();
+        EXPECT_THAT(r.status.kind,
                     AnyOf(ErrorKind::InvariantViolation,
                           ErrorKind::Livelock,
                           ErrorKind::BarrierDeadlock));
-        EXPECT_FALSE(run.result.status.message.empty());
+        EXPECT_FALSE(r.status.message.empty());
     }
 }
 
@@ -112,17 +112,20 @@ TEST(FaultInjection, CampaignIsDeterministic)
     GpuConfig cfg;
     cfg.numSms = 1;
     cfg.invariantCheckInterval = 256;
-    const std::vector<FaultSpec> specs = {
-        {FaultKind::ScoreboardCorruption, 10, 7},
-    };
+    const FaultSpec spec{FaultKind::ScoreboardCorruption, 10, 7};
 
-    const auto a = runCampaign(prog, {4, 4}, mem, cfg, specs);
-    const auto b = runCampaign(prog, {4, 4}, mem, cfg, specs);
-    ASSERT_EQ(a.size(), 1u);
-    ASSERT_EQ(b.size(), 1u);
-    EXPECT_EQ(a[0].description, b[0].description);
-    EXPECT_EQ(a[0].result.status.kind, b[0].result.status.kind);
-    EXPECT_EQ(a[0].result.cycles, b[0].result.cycles);
+    std::string description[2];
+    GpuResult result[2];
+    for (unsigned i = 0; i < 2; ++i) {
+        GpuConfig run_cfg = cfg;
+        const auto injector = armFault(run_cfg, spec);
+        Memory run_mem = mem;
+        result[i] = simulate(run_cfg, run_mem, prog, {4, 4});
+        description[i] = injector->description();
+    }
+    EXPECT_EQ(description[0], description[1]);
+    EXPECT_EQ(result[0].status.kind, result[1].status.kind);
+    EXPECT_EQ(result[0].cycles, result[1].cycles);
 }
 
 TEST(FaultInjection, SweepSurvivesDeadlockingKernel)

@@ -198,15 +198,17 @@ void
 checkpointAt(GpuConfig &cfg, Cycle at, std::string *container,
              std::function<void(const Gpu &)> check = nullptr)
 {
-    cfg.checkpointInterval = 1;
     cfg.checkpointHook = [=](const Gpu &gpu, Cycle now) {
-        if (now != at)
-            return;
-        if (check)
-            check(gpu);
-        SnapshotWriter w;
-        gpu.save(w);
-        *container = w.finish();
+        if (now < at)
+            return at;
+        if (now == at) {
+            if (check)
+                check(gpu);
+            SnapshotWriter w;
+            gpu.save(w);
+            *container = w.finish();
+        }
+        return invalidCycle;
     };
 }
 

@@ -354,13 +354,15 @@ TEST(MetricsExport, CheckpointRestoreIsByteIdentical)
         MetricsSampler sampler(16);
         GpuConfig cfg = baseConfig(true);
         cfg.metricsSampler = &sampler;
-        cfg.checkpointInterval = 1;
         cfg.checkpointHook = [&container](const Gpu &gpu, Cycle now) {
-            if (now != 50 || !container.empty())
-                return;
-            SnapshotWriter w;
-            gpu.save(w);
-            container = w.finish();
+            if (now < 50)
+                return Cycle(50);
+            if (now == 50) {
+                SnapshotWriter w;
+                gpu.save(w);
+                container = w.finish();
+            }
+            return invalidCycle;
         };
         Memory mem;
         const GpuResult r = simulate(cfg, mem, prog, {4, 4});

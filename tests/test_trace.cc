@@ -153,7 +153,7 @@ TEST(TraceStream, DivergenceEmitsSubwarpEvents)
 }
 
 // ---------------------------------------------------------------------
-// Ring buffer + binary format
+// Ring buffer
 // ---------------------------------------------------------------------
 
 TEST(RingBuffer, WraparoundKeepsNewestAndCountsDrops)
@@ -375,13 +375,11 @@ TEST(FailureEvents, InjectionCampaignEmitsFaultAndWatchdogEvents)
     cfg.numSms = 1;
     cfg.traceSink = &ring;
 
-    const std::vector<FaultSpec> specs = {
-        {FaultKind::DroppedWriteback, 100, 1}};
-    const std::vector<CampaignRun> runs =
-        runCampaign(prog, {4, 4}, mem, cfg, specs);
-    ASSERT_EQ(runs.size(), 1u);
-    ASSERT_TRUE(runs[0].injected);
-    ASSERT_TRUE(runs[0].caught());
+    const auto injector =
+        armFault(cfg, {FaultKind::DroppedWriteback, 100, 1});
+    const GpuResult r = simulate(cfg, mem, prog, {4, 4});
+    ASSERT_TRUE(injector->fired());
+    ASSERT_FALSE(r.ok());
 
     bool saw_inject = false, saw_watchdog = false;
     for (const TraceEvent &ev : ring.snapshot()) {

@@ -271,12 +271,16 @@ main(int argc, char **argv)
 
     si::RaceDetector race_det;
     if (race) {
-        if (inject || !campaign_dir.empty()) {
+        if (inject || !campaign_dir.empty() || !resume_path.empty()) {
             // Injected faults corrupt live state (races on a corrupted
             // machine prove nothing); campaign cells run in forked
-            // children whose detector state dies with them.
+            // children whose detector state dies with them; a checkpoint
+            // holds no sanitizer state, so a resumed run would miss
+            // every race against an access made before it.
             std::fprintf(stderr, "swsim: --race is exclusive with "
-                                 "--inject and campaign mode\n");
+                                 "--inject, campaign mode and --resume "
+                                 "(a checkpoint holds no sanitizer "
+                                 "state)\n");
             return 1;
         }
         cfg.raceHooks = &race_det;
@@ -324,37 +328,35 @@ main(int argc, char **argv)
         // Fault-injection mode: corrupt the machine mid-run and report
         // whether the fault-tolerance layer caught and classified it.
         si::Memory mem;
-        const std::vector<si::FaultSpec> specs = {
-            {*inject, 500, cfg.rngSeed}};
-        const std::vector<si::CampaignRun> runs = si::runCampaign(
-            prog, {warps, 4}, mem, cfg, specs);
-        const si::CampaignRun &run = runs.front();
-        write_trace(); // the campaign timeline, including FaultInject
-        if (!run.injected) {
+        const std::shared_ptr<const si::FaultInjector> injector =
+            si::armFault(cfg, {*inject, 500, cfg.rngSeed});
+        const si::GpuResult r = si::simulate(cfg, mem, prog, {warps, 4});
+        write_trace(); // the damaged run's timeline, including FaultInject
+        if (!injector->fired()) {
             // A run that failed before any injection point (a bad
             // config, say) reports that failure, not a missed point.
-            if (!run.result.ok())
-                return runFailed(run.result.status);
+            if (!r.ok())
+                return runFailed(r.status);
             std::fprintf(stderr,
                          "swsim: no %s injection point reached\n",
                          si::faultKindName(*inject));
             return 1;
         }
-        std::printf("injected: %s\n", run.description.c_str());
-        if (!run.caught()) {
+        std::printf("injected: %s\n", injector->description().c_str());
+        if (r.ok()) {
             std::fprintf(stderr,
                          "swsim: fault NOT detected (run finished with "
                          "status '%s')\n",
-                         run.result.status.summary().c_str());
+                         r.status.summary().c_str());
             return 1;
         }
         // Name the detector that tripped, not just the error class: a
         // livelock watchdog catch and an invariant-checker catch demand
         // different follow-up.
         std::printf("caught: [%s] by %s: %s\n",
-                    si::errorKindName(run.result.status.kind),
-                    si::errorDetectorName(run.result.status.kind),
-                    run.result.status.message.c_str());
+                    si::errorKindName(r.status.kind),
+                    si::errorDetectorName(r.status.kind),
+                    r.status.message.c_str());
         return 0;
     }
 
@@ -436,13 +438,8 @@ main(int argc, char **argv)
     if (checkpoint_every) {
         if (checkpoint_path.empty())
             checkpoint_path = path + ".ckpt";
-        cfg.checkpointInterval = checkpoint_every;
-        cfg.checkpointHook = [&checkpoint_path](const si::Gpu &gpu,
-                                                si::Cycle) {
-            si::SnapshotWriter w;
-            gpu.save(w);
-            si::writeFileAtomic(checkpoint_path, w.finish());
-        };
+        cfg.checkpointHook =
+            si::checkpointEvery(checkpoint_every, checkpoint_path);
     }
 
     std::optional<std::string> container;
